@@ -28,11 +28,11 @@ from .errors import NotCharacter, NotScalar, SpecMismatch
 from .fmodule import (
     ModuleSpec,
     TwistCharacter,
+    box_points,
     c2_product_check,
     extract_twist,
     ideal_relations_vanish,
     inner_quadratic_relation_check,
-    interior_points,
     intertwiner_check,
     irreducibility_evidence,
     module_axiom_check,
@@ -555,11 +555,7 @@ def section3_suite(ms: ModuleSpec, box, seed: int, samples: int):
     checked = 0
     for rr in [tuple(row) for row in rad.basis] + [(0,) * d]:
         for u in units:
-            pts = [
-                n
-                for n in interior_points([(-b, b) for b in box])
-                if all(-b <= a + c <= b for a, c, b in zip(n, rr, box))
-            ]
+            pts = box_points(box, rr)
             if not pts:
                 continue
             sample_pts = pts if len(pts) <= 8 else [

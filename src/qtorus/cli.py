@@ -58,11 +58,14 @@ def _dump(obj) -> str:
 
 
 def _fraction(x) -> Fraction:
-    if isinstance(x, str):
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"expected an integer or a 'p/q' string, got {x!r}")
-    return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"expected an integer or a 'p/q' string, got {x!r}")
 
 
 def load_config(path: str) -> dict:
@@ -88,7 +91,7 @@ def build_instance(cfg: dict, args):
     if not (
         isinstance(box, list)
         and len(box) == spec.d
-        and all(isinstance(b, int) and b >= 1 for b in box)
+        and all(type(b) is int and b >= 1 for b in box)
     ):
         raise ConfigError('"box" must be a list of d radii (positive integers)')
     box = tuple(box)
@@ -96,16 +99,24 @@ def build_instance(cfg: dict, args):
     mod = cfg.get("module", {})
     if not isinstance(mod, dict):
         raise ConfigError('"module" must be a JSON object')
-    V = parse_module(spec.d, mod.get("V", "natural"))
-    alpha = [_fraction(a) for a in mod.get("alpha", [0] * spec.d)]
+    selector = mod.get("V", "natural")
+    if not isinstance(selector, str):
+        raise ConfigError('"V" must be a module selector string')
+    V = parse_module(spec.d, selector)
+    alpha = mod.get("alpha", [0] * spec.d)
+    if not isinstance(alpha, list):
+        raise ConfigError('"alpha" must be a list')
+    alpha = [_fraction(a) for a in alpha]
     twist = TwistCharacter.from_json(spec, mod.get("twist"))
     flavor = mod.get("flavor", "F")
     ms = ModuleSpec(spec, V, alpha, twist, flavor)
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    samples = args.samples if args.samples is not None else int(cfg.get("samples", 200))
-    if samples < 1:
-        raise ConfigError("samples must be at least 1")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    samples = args.samples if args.samples is not None else cfg.get("samples", 200)
+    if type(seed) is not int:
+        raise ConfigError('"seed" must be an integer')
+    if type(samples) is not int or samples < 1:
+        raise ConfigError("samples must be an integer, at least 1")
     return spec, ms, box, seed, samples
 
 
@@ -259,8 +270,8 @@ def cmd_search_beta(args) -> int:
     cfg = load_config(args.config)
     spec, ms, box, _seed, _samples = build_instance(cfg, args)
     raw = cfg.get("beta_candidates")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError('search-beta needs a nonempty "beta_candidates" list')
+    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
+        raise ConfigError('search-beta needs a nonempty "beta_candidates" list of lists')
     candidates = [[_fraction(x) for x in row] for row in raw]
     result = search_twist_equivalence(ms, candidates, box)
     if result["found"]:

@@ -12,16 +12,15 @@ act (g is a multiplicative twist character, trivial on rad(f)):
                     (sigma(s,n) g(s)   - sigma(n,s)) v(s+n)     flavor F_g
                     (sigma(s,n) - g(s) sigma(n,s))   v(s+n)     flavor G_g
 
-Everything is truncated to a finite box: coefficients pushed outside are
-dropped and the vector is flagged as truncated.  Verification helpers
-therefore evaluate identities only at start points whose every intermediate
-image provably stays inside the box (the expression "interior").
-
-The operator layer builds formal expressions sum_t c_t * (x_1 ... x_k)
-from homogeneous algebra elements, composes them exactly, and provides:
-weight-space matrices, the degree-zero weight operators, zero-mode scalars,
-twist-character extraction, diagonal intertwiner checks, a twist-equivalence
-search, and irreducibility evidence.
+Every weight space is a copy of V, so a homogeneous element x of degree k
+maps the weight space at n to the one at n+k by one dim x dim matrix, its
+symbol(x, n, ms).  An operator expression sum_t c_t * (x_1 ... x_k) acts by
+the sum of c_t times the products of its factors' symbols at the shifted
+points, and every verification helper is a matrix identity between symbols,
+evaluated only at start points whose every intermediate weight stays inside
+a finite box (the expression "interior"), so each reported defect is an
+exact statement.  BoxVector and act() apply one element to an arbitrary
+box-truncated vector, dropping (and flagging) coefficients pushed outside.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from .errors import (
     OutOfBox,
     SpecMismatch,
 )
-from .glmodules import GlModule, Span, mat_vec
+from .glmodules import GlModule, Span, identity_matrix, mat_add, mat_eq, mat_mul
+from .glmodules import mat_scale, mat_sub, mat_vec, zero_matrix
 from .semidirect import GElement
 from .torus import TorusSpec
 
@@ -140,14 +140,18 @@ class TwistCharacter(DiagonalCharacter):
         exps = [r * (m // o) for r, o in zip(residues, orders)]
         return cls(spec, m, exps)
 
-    def to_json(self):
-        return {"modulus": self.modulus, "exponents": list(self.exponents)}
-
     @classmethod
     def from_json(cls, spec: TorusSpec, obj) -> "TwistCharacter":
         if obj is None:
             return cls.trivial(spec)
-        return cls(spec, int(obj["modulus"]), obj["exponents"])
+        if not (
+            isinstance(obj, dict)
+            and type(obj.get("modulus")) is int
+            and isinstance(obj.get("exponents"), list)
+            and all(type(k) is int for k in obj["exponents"])
+        ):
+            raise ConfigError('a twist needs an integer "modulus" and integer "exponents"')
+        return cls(spec, obj["modulus"], obj["exponents"])
 
 
 FLAVORS = ("F", "F_g", "G_g")
@@ -192,6 +196,10 @@ def _in_box(box, n) -> bool:
     return all(-r <= x <= r for r, x in zip(box, n))
 
 
+def _shift(n, k):
+    return tuple(a + b for a, b in zip(n, k))
+
+
 class BoxVector:
     __slots__ = ("box", "dim", "entries", "truncated")
 
@@ -218,10 +226,6 @@ class BoxVector:
             self.entries[n] = v
         else:
             self.entries.pop(n, None)
-
-    @classmethod
-    def zero(cls, box, dim) -> "BoxVector":
-        return cls(box, dim)
 
     @classmethod
     def basis_vector(cls, box, dim, n, t) -> "BoxVector":
@@ -266,14 +270,6 @@ class BoxVector:
             out.entries = {n: tuple(c * x for x in w) for n, w in self.entries.items()}
         return out
 
-    def map_points(self, fn) -> "BoxVector":
-        """New vector with entry at n replaced by fn(n, w) -> (point, vector)."""
-        out = BoxVector(self.box, self.dim, truncated=self.truncated)
-        for n, w in self.entries.items():
-            tgt, w2 = fn(n, w)
-            out._add(tuple(tgt), tuple(w2))
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BoxVector):
             return NotImplemented
@@ -285,14 +281,6 @@ class BoxVector:
         )
 
     __hash__ = None
-
-    def first_nonzero(self):
-        """Deterministic witness coefficient, or None when zero."""
-        for n in sorted(self.entries):
-            for x in self.entries[n]:
-                if not x.is_zero():
-                    return x
-        return None
 
     def __repr__(self):
         bits = [f"v{list(n)}:{[repr(x) for x in w]}" for n, w in sorted(self.entries.items())]
@@ -338,6 +326,24 @@ def _outer_matrix(ms: ModuleSpec, r, u):
     return ms.V.matrix_of(coeffs)
 
 
+def _inner_phase(ms: ModuleSpec, s, n) -> CycNumber:
+    """The scalar by which ad t^s maps v(n) to v(s+n), per flavor."""
+    spec = ms.spec
+    if ms.flavor == "F":
+        return spec.sigma(s, n) - spec.sigma(n, s)
+    if ms.flavor == "F_g":
+        return spec.sigma(s, n) * ms.twist.value(s) - spec.sigma(n, s)
+    return spec.sigma(s, n) - ms.twist.value(s) * spec.sigma(n, s)  # G_g
+
+
+def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
+    """(u, n + alpha): the scalar part of D(u, r) on v(n)."""
+    out = CycNumber.zero()
+    for ui, ni, ai in zip(u, n, ms.alpha):
+        out = out + ui * (ai + ni)
+    return out
+
+
 def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
     """Apply one algebra element to a box vector under the flavor rules."""
     x = _as_gelement(x, ms.spec)
@@ -346,8 +352,6 @@ def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
     if w.dim != ms.V.dim:
         raise SpecMismatch("vector dimension does not match V")
     spec = ms.spec
-    g = ms.twist
-    flavor = ms.flavor
     out = BoxVector(w.box, w.dim, truncated=w.truncated)
     witt_mats = {
         r: _outer_matrix(ms, r, u) for r, u in x.der.witt.items()
@@ -356,38 +360,53 @@ def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
         for m, c in x.torus.terms.items():
             coeff = c * spec.sigma(m, n)
             out._add(
-                tuple(a + b for a, b in zip(m, n)),
+                _shift(m, n),
                 tuple(coeff * y for y in coords),
             )
         for s, c in x.der.inner.items():
-            if flavor == "F":
-                phase = spec.sigma(s, n) - spec.sigma(n, s)
-            elif flavor == "F_g":
-                phase = spec.sigma(s, n) * g.value(s) - spec.sigma(n, s)
-            else:  # G_g
-                phase = spec.sigma(s, n) - g.value(s) * spec.sigma(n, s)
-            coeff = c * phase
+            coeff = c * _inner_phase(ms, s, n)
             if not coeff.is_zero():
                 out._add(
-                    tuple(a + b for a, b in zip(s, n)),
+                    _shift(s, n),
                     tuple(coeff * y for y in coords),
                 )
         for r, u in x.der.witt.items():
             sig = spec.sigma(r, n)
-            scalar = CycNumber.zero()
-            for ui, ni, ai in zip(u, n, ms.alpha):
-                scalar = scalar + ui * (ai + ni)
+            scalar = _weight_pairing(ms, u, n)
             moved = mat_vec(witt_mats[r], coords)
             out._add(
-                tuple(a + b for a, b in zip(r, n)),
+                _shift(r, n),
                 tuple(sig * (scalar * y + z) for y, z in zip(coords, moved)),
             )
     return out
 
 
-def diagonal_map(w: BoxVector, fn) -> BoxVector:
-    """Scale the weight component at each point n by fn(n)."""
-    return w.map_points(lambda n, coords: (n, tuple(fn(n) * x for x in coords)))
+def symbol(x, n, ms: ModuleSpec):
+    """Matrix by which the homogeneous element x maps the weight space at n
+    to the one at n + deg x (the zero element gives the zero matrix).
+
+    A homogeneous x has at most one torus, one inner and one Witt term, all
+    of degree k, so the matrix is a scalar times Id plus sigma(k,n) times the
+    image of k u^T on V; column t is act(x, v_t(n)) read at n + k."""
+    if x.spec != ms.spec:
+        raise SpecMismatch("element and module live over different torus specs")
+    dim = ms.V.dim
+    if x.is_zero():
+        return zero_matrix(dim, dim)
+    k = _degree_of(x)
+    spec = ms.spec
+    scalar = CycNumber.zero()
+    outer = None
+    for c in x.torus.terms.values():
+        scalar = scalar + c * spec.sigma(k, n)
+    for c in x.der.inner.values():
+        scalar = scalar + c * _inner_phase(ms, k, n)
+    for u in x.der.witt.values():
+        sig = spec.sigma(k, n)
+        scalar = scalar + sig * _weight_pairing(ms, u, n)
+        outer = mat_scale(_outer_matrix(ms, k, u), sig)
+    M = mat_scale(identity_matrix(dim), scalar)
+    return M if outer is None else mat_add(M, outer)
 
 
 # -- formal operator expressions ----------------------------------------------
@@ -436,37 +455,32 @@ def expr_commutator(a, b) -> list:
 def _term_offsets(factors):
     """Cumulative degree offsets seen while applying factors right to left,
     including 0 (start) and the net degree (end)."""
-    d = None
-    offs = [None]
-    total = None
-    for f in reversed(factors):
-        deg = _degree_of(f)
-        if total is None:
-            total = tuple(deg)
-            d = len(deg)
-            offs = [(0,) * d, total]
-        else:
-            total = tuple(a + b for a, b in zip(total, deg))
-            offs.append(total)
-    if total is None:
+    if not factors:
         raise SpecMismatch("empty factor list")
+    offs = [(0,) * len(_degree_of(factors[-1]))]
+    for f in reversed(factors):
+        offs.append(_shift(offs[-1], _degree_of(f)))
     return offs
+
+
+def _box_ranges(box, offsets):
+    """Per-axis (lo, hi) of the points n with n and every n + off inside the
+    box; None when empty."""
+    lo = [-r for r in box]
+    hi = list(box)
+    for off in offsets:
+        for i, (r, x) in enumerate(zip(box, off)):
+            lo[i] = max(lo[i], -r - x)
+            hi[i] = min(hi[i], r - x)
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
+    return list(zip(lo, hi))
 
 
 def expr_interior(box, expr):
     """Per-axis (lo, hi) of start points n such that every intermediate image
     of every term stays inside the box; None when empty."""
-    d = len(box)
-    lo = [-r for r in box]
-    hi = [r for r in box]
-    for _, factors in expr:
-        for off in _term_offsets(factors):
-            for i in range(d):
-                lo[i] = max(lo[i], -box[i] - off[i])
-                hi[i] = min(hi[i], box[i] - off[i])
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    return list(zip(lo, hi))
+    return _box_ranges(box, [off for _, fs in expr for off in _term_offsets(fs)])
 
 
 def interior_points(ranges):
@@ -475,35 +489,63 @@ def interior_points(ranges):
     return [tuple(p) for p in _iproduct(*[range(lo, hi + 1) for lo, hi in ranges])]
 
 
+def box_points(box, *offsets):
+    """The points n of the box, in lexicographic order, with n + off inside
+    the box for every given offset."""
+    return interior_points(_box_ranges(box, offsets))
+
+
 def expr_net_degrees(expr):
     return {_term_offsets(fs)[-1] for _, fs in expr}
 
 
-def apply_expr(expr, w: BoxVector, ms: ModuleSpec) -> BoxVector:
-    out = BoxVector(w.box, w.dim, truncated=w.truncated)
+def _expr_symbols(expr, ms: ModuleSpec, n):
+    """{target point: matrix} of the expression on the weight space at n:
+    each term is c times the product of its factors' symbols at the points
+    it passes through; terms with the same target add up."""
+    out = {}
     for c, factors in expr:
-        cur = w
+        p, M = tuple(n), None
         for f in reversed(factors):
-            cur = act(f, cur, ms)
-        out = out + cur.scale(c)
+            S = symbol(f, p, ms)
+            M = S if M is None else mat_mul(S, M)
+            p = _shift(p, _degree_of(f))
+        M = mat_scale(M, c)
+        out[p] = mat_add(out[p], M) if p in out else M
     return out
 
 
+def _first_nonzero(*mats):
+    """Deterministic witness: the first nonzero entry scanning column by
+    column, through the matrices in order, then down the rows; None if all
+    vanish."""
+    for t in range(len(mats[0]) if mats else 0):
+        for M in mats:
+            for row in M:
+                if not row[t].is_zero():
+                    return row[t]
+    return None
+
+
+def _scalar_defect(M, c):
+    """Witness that M differs from c Id, or None."""
+    return _first_nonzero(mat_sub(M, mat_scale(identity_matrix(len(M)), c)))
+
+
 def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
-    """Apply the expression to basis vectors starting inside its interior and
-    return the first nonzero coefficient of any result (None when the
-    expression vanishes on all of them).  With rng and limit set, a seeded
+    """Evaluate the expression on the weight spaces at the start points of its
+    interior and return the first nonzero matrix entry (point by point, then
+    by source basis vector, target point and coordinate), or None when the
+    expression vanishes on all of them.  With rng and limit set, a seeded
     sample of interior points is probed instead of all of them."""
-    dim = ms.V.dim
     pts = interior_points(expr_interior(box, expr))
     if rng is not None and limit is not None and len(pts) > limit:
         pts = [pts[i] for i in sorted(rng.sample(range(len(pts)), limit))]
     for n in pts:
-        for t in range(dim):
-            w = BoxVector.basis_vector(box, dim, n, t)
-            defect = apply_expr(expr, w, ms).first_nonzero()
-            if defect is not None:
-                return defect
+        images = _expr_symbols(expr, ms, n)
+        defect = _first_nonzero(*(images[p] for p in sorted(images)))
+        if defect is not None:
+            return defect
     return None
 
 
@@ -516,12 +558,7 @@ def expr_weight_matrix(expr, ms: ModuleSpec, box, n):
     n = tuple(n)
     if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
         raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
-    dim = ms.V.dim
-    cols = []
-    for t in range(dim):
-        w = BoxVector.basis_vector(box, dim, n, t)
-        cols.append(apply_expr(expr, w, ms).get(n))
-    return [[cols[t][i] for t in range(dim)] for i in range(dim)]
+    return _expr_symbols(expr, ms, n)[n]
 
 
 def matrix_as_scalar(M):
@@ -606,7 +643,7 @@ def torus_product_relation_expr(ms: ModuleSpec, m, n) -> list:
     """t^m t^n - sigma(m,n) t^(m+n), as an operator expression."""
     spec = ms.spec
     m, n = spec._point(m), spec._point(n)
-    mn = tuple(a + b for a, b in zip(m, n))
+    mn = _shift(m, n)
     return expr_sum(
         [(CycNumber.one(), [op_torus(spec, m), op_torus(spec, n)])],
         expr_scale([(CycNumber.one(), [op_torus(spec, mn)])], -spec.sigma(m, n)),
@@ -628,7 +665,7 @@ def c2_product_expr(ms: ModuleSpec, n, m) -> list:
     """(ad t^n - t^n)(ad t^m - t^m) + sigma(m,n)(ad t^(m+n) - t^(m+n))."""
     spec = ms.spec
     n, m = spec._point(n), spec._point(m)
-    nm = tuple(a + b for a, b in zip(n, m))
+    nm = _shift(n, m)
     return expr_sum(
         expr_mul(_inner_minus_torus_expr(ms, n), _inner_minus_torus_expr(ms, m)),
         expr_scale(_inner_minus_torus_expr(ms, nm), spec.sigma(m, n)),
@@ -667,15 +704,12 @@ def ideal_relations_vanish(
         d2 = expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=limit)
         if d2 is not None and defect is None:
             defect = d2
-    # identity family: t^0 w = w on every in-box basis vector
-    dim = ms.V.dim
-    for p in interior_points([(-r, r) for r in box]):
-        for t in range(dim):
-            w = BoxVector.basis_vector(box, dim, p, t)
-            diff = act(op_torus(spec, (0,) * spec.d), w, ms) - w
-            bad = diff.first_nonzero()
-            if bad is not None and defect is None:
-                defect = bad
+    # identity family: t^0 acts as Id on every weight space of the box
+    one = op_torus(spec, (0,) * spec.d)
+    for p in box_points(box):
+        if defect is not None:
+            break
+        defect = _scalar_defect(symbol(one, p, ms), CycNumber.one())
     return {"pass": defect is None, "defect": defect, "samples": count}
 
 
@@ -683,7 +717,7 @@ def inner_quadratic_relation_check(ms: ModuleSpec, r, s, box, rng=None, limit=No
     """ad t^r ad t^s - (t^r ad t^s + t^s ad t^r) + sigma(s,r) ad t^(r+s)."""
     spec = ms.spec
     r, s = spec._point(r), spec._point(s)
-    rs = tuple(a + b for a, b in zip(r, s))
+    rs = _shift(r, s)
     def inner_expr(k):
         x = op_inner(spec, k)
         return [] if x.is_zero() else [(CycNumber.one(), [x])]
@@ -720,7 +754,7 @@ def zero_mode_ideal_check(ms: ModuleSpec, u, r, s, box, rng=None, limit=None):
     u = [_as_coeff(x) for x in u]
     lhs = expr_commutator(weight_op_expr(ms, u, r), zero_mode_expr(ms, s))
     us = pairing(u, s)
-    sr = tuple(a + b for a, b in zip(s, r))
+    sr = _shift(s, r)
     rhs = expr_sum(
         expr_scale(zero_mode_expr(ms, sr), spec.sigma(s, r) * us * spec.sigma(r, s)),
         expr_scale(zero_mode_expr(ms, s), -(spec.sigma(_neg(r), r) * us)),
@@ -739,7 +773,7 @@ def weight_op_bracket_check(ms: ModuleSpec, u, r, v, s, box, rng=None, limit=Non
     us = pairing(u, s)
     srs = spec.sigma(r, s)
     w = [srs * (us * vi - vr * ui) for ui, vi in zip(u, v)]
-    rs = tuple(a + b for a, b in zip(r, s))
+    rs = _shift(r, s)
     rhs = expr_sum(
         expr_scale(weight_op_expr(ms, u, r), vr * spec.sigma(_neg(s), s)),
         expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(_neg(r), r))),
@@ -808,7 +842,8 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
 
     The map v(n) |-> g(n)^(-1) v(n) must commute with the derivation action
     (Witt operators and inner operators; the torus action is deliberately
-    not part of the contract).  Returns {'pass', 'defect'}."""
+    not part of the contract): g^-1(n+k) symbol_G(x, n) = g^-1(n) symbol_F(x, n)
+    for each generator x of degree k.  Returns {'pass', 'defect'}."""
     spec = ms_G.spec
     if ms_G.flavor != "G_g":
         raise ConfigError("intertwiner check starts from a G_g module")
@@ -817,12 +852,10 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     gens = []
     units = [tuple(1 if j == i else 0 for j in range(spec.d)) for i in range(spec.d)]
     zero = (0,) * spec.d
-    for i, e in enumerate(units):
-        u = [0] * spec.d
-        u[i] = 1
-        gens.append(op_witt(spec, u, zero))
+    for e in units:
+        gens.append(op_witt(spec, e, zero))
         for row in spec.radical().basis:
-            gens.append(op_witt(spec, u, tuple(row)))
+            gens.append(op_witt(spec, e, tuple(row)))
         g_el = op_inner(spec, e)
         if not g_el.is_zero():
             gens.append(g_el)
@@ -842,25 +875,15 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
             x = op_inner(spec, s)
             if not x.is_zero():
                 gens.append(x)
-    inv_val = ginv.value
-    defect = None
-    dim = ms_G.V.dim
     for x in gens:
         deg = _degree_of(x)
-        pts = [
-            n
-            for n in interior_points([(-r, r) for r in box])
-            if _in_box(box, tuple(a + b for a, b in zip(n, deg)))
-        ]
-        for n in pts:
-            for t in range(dim):
-                w = BoxVector.basis_vector(box, dim, n, t)
-                lhs = diagonal_map(act(x, w, ms_G), inv_val)
-                rhs = act(x, diagonal_map(w, inv_val), ms_F)
-                bad = (lhs - rhs).first_nonzero()
-                if bad is not None and defect is None:
-                    defect = bad
-    return {"pass": defect is None, "defect": defect}
+        for n in box_points(box, deg):
+            lhs = mat_scale(symbol(x, n, ms_G), ginv.value(_shift(n, deg)))
+            rhs = mat_scale(symbol(x, n, ms_F), ginv.value(n))
+            defect = _first_nonzero(mat_sub(lhs, rhs))
+            if defect is not None:
+                return {"pass": False, "defect": defect}
+    return {"pass": True, "defect": None}
 
 
 def weight_shift_check(ms: ModuleSpec, r, s, box):
@@ -874,41 +897,24 @@ def weight_shift_check(ms: ModuleSpec, r, s, box):
     delta = tuple(a - b for a, b in zip(r, s))
     if not (_in_box(box, r) and _in_box(box, s)):
         raise OutOfBox("both weight points must lie in the box")
-    dim = ms.V.dim
     scale = spec.sigma(delta, s)  # a root of unity, hence invertible
-    defect = None
-    # transport acts as the expected scalar on every basis vector of V'_s
-    for t in range(dim):
-        w = BoxVector.basis_vector(box, dim, s, t)
-        got = act(op_torus(spec, delta), w, ms)
-        expect = BoxVector.basis_vector(box, dim, r, t).scale(scale)
-        bad = (got - expect).first_nonzero()
-        if bad is not None and defect is None:
-            defect = bad
+    # transport acts on V'_s as the expected scalar
+    there = symbol(op_torus(spec, delta), s, ms)
+    defect = _scalar_defect(there, scale)
     # round trip is the scalar sigma(r-s, s-r)
-    round_scale = spec.sigma(delta, _neg(delta))
-    for t in range(dim):
-        w = BoxVector.basis_vector(box, dim, s, t)
-        got = act(op_torus(spec, _neg(delta)), act(op_torus(spec, delta), w, ms), ms)
-        bad = (got - w.scale(round_scale)).first_nonzero()
-        if bad is not None and defect is None:
-            defect = bad
+    back = mat_mul(symbol(op_torus(spec, _neg(delta)), r, ms), there)
+    bad = _scalar_defect(back, spec.sigma(delta, _neg(delta)))
+    if defect is None:
+        defect = bad
     # transport commutes with the weight operators
     units = [tuple(1 if j == i else 0 for j in range(spec.d)) for i in range(spec.d)]
     rad_rows = [tuple(row) for row in spec.radical().basis]
-    for u_e in units:
+    for e in units:
         for rr in rad_rows:
-            ok_r = _in_box(box, tuple(a + b for a, b in zip(r, rr)))
-            ok_s = _in_box(box, tuple(a + b for a, b in zip(s, rr)))
-            if not (ok_r and ok_s):
-                continue
-            u = [1 if x else 0 for x in u_e]
-            Ms = weight_op_matrix(ms, u, rr, s, box)
-            Mr = weight_op_matrix(ms, u, rr, r, box)
-            for a in range(dim):
-                for b in range(dim):
-                    if Ms[a][b] != Mr[a][b] and defect is None:
-                        defect = Ms[a][b] - Mr[a][b]
+            if defect is None and _in_box(box, _shift(r, rr)) and _in_box(box, _shift(s, rr)):
+                Ms = weight_op_matrix(ms, e, rr, s, box)
+                diff = mat_sub(Ms, weight_op_matrix(ms, e, rr, r, box))
+                defect = next((x for row in diff for x in row if not x.is_zero()), None)
     return {"pass": defect is None, "defect": defect, "scale": scale}
 
 
@@ -927,7 +933,7 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None, ra
     dim = ms.V.dim
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
-    inner = [tuple(p) for p in _iproduct(*[range(-inner_radius, inner_radius + 1)] * d)]
+    inner = box_points((inner_radius,) * d)
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rad_rows = [tuple(row) for row in spec.radical().basis]
     generators = []
@@ -939,29 +945,24 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None, ra
     mats = []
     constant = True
     for u, rr in generators:
-        usable = [n for n in inner if _in_box(box, tuple(a + b for a, b in zip(n, rr)))]
+        usable = [n for n in inner if _in_box(box, _shift(n, rr))]
         if not usable:
             continue
         M0 = weight_op_matrix(ms, u, rr, usable[0], box)
         mats.append(M0)
         for n in usable[1:]:
             M = weight_op_matrix(ms, u, rr, n, box)
-            if any(M[i][j] != M0[i][j] for i in range(dim) for j in range(dim)):
+            if not mat_eq(M, M0):
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
     for e in units:
         for n in inner:
-            tgt = tuple(a + b for a, b in zip(n, e))
-            if not _in_box(box, tgt):
+            if not _in_box(box, _shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
-            for t in range(dim):
-                w = BoxVector.basis_vector(box, dim, n, t)
-                got = act(op_torus(spec, e), w, ms)
-                expect = BoxVector.basis_vector(box, dim, tgt, t).scale(c)
-                if (got - expect).first_nonzero() is not None:
-                    transports_ok = False
+            if _scalar_defect(symbol(op_torus(spec, e), n, ms), c) is not None:
+                transports_ok = False
     # (3) closure of V-coordinates under the weight-operator matrices
     def closes(v0) -> bool:
         span = Span(dim)
@@ -977,14 +978,14 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None, ra
             frontier = new
         return span.dim == dim
 
-    rows = []
-    all_cyclic = True
-    for n in inner:
-        for t in range(dim):
-            v0 = [CycNumber.one() if j == t else CycNumber.zero() for j in range(dim)]
-            ok = closes(v0)
-            rows.append({"n": list(n), "start": t, "cyclic": ok})
-            all_cyclic = all_cyclic and ok
+    # the closure of a start vector does not depend on its weight point
+    basis_closes = [closes(row) for row in identity_matrix(dim)]
+    rows = [
+        {"n": list(n), "start": t, "cyclic": basis_closes[t]}
+        for n in inner
+        for t in range(dim)
+    ]
+    all_cyclic = all(basis_closes)
     if rng is not None:
         for idx in range(random_starts):
             n = tuple(rng.randint(-inner_radius, inner_radius) for _ in range(d))
@@ -1013,7 +1014,6 @@ def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
     d = spec.d
     radius = max(box)
     rad = spec.radical()
-    dim = ms.V.dim
     include_torus = ms.flavor != "F_g"
 
     def rand_hom():
@@ -1047,26 +1047,16 @@ def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
         br = gbracket(x, y)
         # start points where every composition stays in box
         dx, dy = _degree_of(x), _degree_of(y)
-        dxy = tuple(a + b for a, b in zip(dx, dy))
-        pts = [
-            n
-            for n in interior_points([(-r, r) for r in box])
-            if all(
-                _in_box(box, tuple(a + b for a, b in zip(n, off)))
-                for off in (dx, dy, dxy)
-            )
-        ]
+        pts = box_points(box, dx, dy, _shift(dx, dy))
         if not pts:
             continue
         count += 1
         n = pts[rng.randrange(len(pts))]
-        for t in range(dim):
-            w = BoxVector.basis_vector(box, dim, n, t)
-            lhs = act(br, w, ms)
-            rhs = act(x, act(y, w, ms), ms) - act(y, act(x, w, ms), ms)
-            bad = (lhs - rhs).first_nonzero()
-            if bad is not None and defect is None:
-                defect = bad
+        xy = mat_mul(symbol(x, _shift(n, dy), ms), symbol(y, n, ms))
+        yx = mat_mul(symbol(y, _shift(n, dx), ms), symbol(x, n, ms))
+        bad = _first_nonzero(mat_sub(symbol(br, n, ms), mat_sub(xy, yx)))
+        if defect is None:
+            defect = bad
     return {"pass": defect is None, "defect": defect, "samples": count}
 
 
@@ -1074,21 +1064,15 @@ def weight_eigenvalue_check(ms: ModuleSpec, box):
     """D(u,0) acts on v(n) by the scalar (u, n+alpha), for u = unit vectors."""
     spec = ms.spec
     d = spec.d
-    dim = ms.V.dim
     zero = (0,) * d
-    defect = None
     for i in range(d):
         u = [1 if j == i else 0 for j in range(d)]
         x = op_witt(spec, u, zero)
-        for n in interior_points([(-r, r) for r in box]):
-            expect_scalar = ms.alpha[i] + n[i]
-            for t in range(dim):
-                w = BoxVector.basis_vector(box, dim, n, t)
-                got = act(x, w, ms)
-                bad = (got - w.scale(expect_scalar)).first_nonzero()
-                if bad is not None and defect is None:
-                    defect = bad
-    return {"pass": defect is None, "defect": defect}
+        for n in box_points(box):
+            defect = _scalar_defect(symbol(x, n, ms), ms.alpha[i] + n[i])
+            if defect is not None:
+                return {"pass": False, "defect": defect}
+    return {"pass": True, "defect": None}
 
 
 def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_conductor: int = 64):
@@ -1104,7 +1088,6 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_co
         raise ConfigError("twist-equivalence search starts from an F_g module")
     spec = ms_source.spec
     d = spec.d
-    dim = ms_source.V.dim
     conductor = _lcm(spec.N, ms_source.twist.modulus)
     if conductor ** d > max_conductor ** 3:
         raise ConfigError("candidate character family too large to enumerate")
@@ -1112,12 +1095,11 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_co
     rad_rows = [tuple(row) for row in spec.radical().basis]
     gens = []
     zero = (0,) * d
-    for i in range(d):
-        u = [1 if j == i else 0 for j in range(d)]
-        gens.append(op_witt(spec, u, zero))
+    for e in units:
+        gens.append(op_witt(spec, e, zero))
         for rr in rad_rows:
             if _in_box(box, rr):
-                gens.append(op_witt(spec, u, rr))
+                gens.append(op_witt(spec, e, rr))
     for e in units:
         x = op_inner(spec, e)
         if not x.is_zero():
@@ -1148,42 +1130,25 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_co
         ms_target = ModuleSpec(
             spec, ms_source.V, [_as_coeff(b) for b in beta], TwistCharacter.trivial(spec), "F"
         )
+        # theta: v(n) |-> c(n) v(n + delta) intertwines x exactly when
+        # c(n + k) M_src(x, n) = c(n) M_tgt(x, n + delta); neither symbol
+        # depends on c
+        probes = []
+        for x in gens:
+            deg = _degree_of(x)
+            for n in box_points(box, deg, delta, _shift(deg, delta)):
+                probes.append((
+                    _shift(n, deg),
+                    n,
+                    symbol(x, n, ms_source),
+                    symbol(x, _shift(n, delta), ms_target),
+                ))
         for k in _iproduct(range(conductor), repeat=d):
             c = DiagonalCharacter(conductor, k)
-            ok = True
-            for x in gens:
-                if not ok:
-                    break
-                deg = _degree_of(x)
-                pts = [
-                    n
-                    for n in interior_points([(-r, r) for r in box])
-                    if _in_box(box, tuple(a + b for a, b in zip(n, deg)))
-                    and _in_box(box, tuple(a + b for a, b in zip(n, delta)))
-                    and _in_box(
-                        box, tuple(a + b + c2 for a, b, c2 in zip(n, deg, delta))
-                    )
-                ]
-                for n in pts:
-                    for t in range(dim):
-                        w = BoxVector.basis_vector(box, dim, n, t)
-
-                        def theta(vec):
-                            return vec.map_points(
-                                lambda p, coords: (
-                                    tuple(a + b for a, b in zip(p, delta)),
-                                    tuple(c.value(p) * y for y in coords),
-                                )
-                            )
-
-                        lhs = theta(act(x, w, ms_source))
-                        rhs = act(x, theta(w), ms_target)
-                        if (lhs - rhs).first_nonzero() is not None:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
+            if all(
+                mat_eq(mat_scale(src, c.value(nk)), mat_scale(tgt, c.value(n)))
+                for nk, n, src, tgt in probes
+            ):
                 return {
                     "found": True,
                     "beta": [_as_coeff(b) for b in beta],

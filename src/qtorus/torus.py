@@ -193,9 +193,16 @@ class TorusSpec:
     @classmethod
     def from_json(cls, obj) -> "TorusSpec":
         try:
-            d, n_ord, a = int(obj["d"]), int(obj["N"]), obj["A"]
-        except (KeyError, TypeError, ValueError) as exc:
+            d, n_ord, a = obj["d"], obj["N"], obj["A"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad torus spec: {exc}") from exc
+        if not (
+            type(d) is int
+            and type(n_ord) is int
+            and isinstance(a, list)
+            and all(isinstance(row, list) and all(type(x) is int for x in row) for row in a)
+        ):
+            raise ConfigError("bad torus spec: d and N must be integers, A a list of integer rows")
         return cls(d, n_ord, a, corrupt_sigma=bool(obj.get("_corrupt_sigma", False)))
 
 

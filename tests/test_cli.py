@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface (subprocess level)."""
 
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -232,6 +235,8 @@ def test_search_beta_command(tmp_path):
     del missing["beta_candidates"]
     cfg3 = write_config(tmp_path, missing, "missing.json")
     assert run_cli("search-beta", "--config", cfg3).returncode == 2
+    cfg4 = write_config(tmp_path, _with(None, "beta_candidates", [5]), "flat.json")
+    assert run_cli("search-beta", "--config", cfg4).returncode == 2
 
 
 def test_irreducible_command(tmp_path):
@@ -276,3 +281,119 @@ def test_verify_text_mode_lines(tmp_path):
     lines = res.stdout.strip().splitlines()
     assert lines[-1].endswith("checks passed")
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
+
+
+# -- golden output -----------------------------------------------------------------
+#
+# sha256 of stdout for fixed configs, recorded from an earlier release of the
+# program, so that a refactor of the module action cannot change any report
+# byte (pass/fail, defect witnesses, sample counts, search answer).
+
+INSTANCE_II_TORUS = {"d": 2, "N": 3, "A": [[0, 1], [2, 0]]}
+INSTANCE_III_TORUS = {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]}
+MODULE_SUITES = "module,section3,section4,irreducibility"
+_ONE = {"M": 1, "coeffs": ["1/1"]}
+_HALF = {"M": 1, "coeffs": ["1/2"]}
+_ZETA3 = {"M": 3, "coeffs": ["0/1", "1/1"]}
+
+GOLDEN = {
+    "verify-i-F": (
+        {"torus": INSTANCE_I["torus"], "module": {"V": "natural", "flavor": "F"},
+         "box": [3, 3], "seed": 3, "samples": 20},
+        ["verify"],
+        0,
+        "6ff43023a971901fb6091d9e51c79ee824d0c26750f4065f1ba72f7f8c037df9",
+    ),
+    "verify-ii-Fg": (
+        {"torus": INSTANCE_II_TORUS,
+         "module": {"V": "sym:2", "alpha": ["1/2", 0],
+                    "twist": {"modulus": 3, "exponents": [1, 0]}, "flavor": "F_g"},
+         "box": [2, 2], "seed": 4, "samples": 20},
+        ["verify", "--suite", MODULE_SUITES],
+        0,
+        "8af79ef13a1bf1a283c00480132e67eae1964a067c0c189f6bca3b1db39b1f09",
+    ),
+    "verify-iii-Gg": (
+        {"torus": INSTANCE_III_TORUS,
+         "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
+                    "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
+         "box": [2, 2, 2], "seed": 5, "samples": 20},
+        ["verify", "--suite", MODULE_SUITES],
+        0,
+        "ad3f5d733dda4fa244ebf17733e8dda7bc60fbc2f43c3394c684757050cd3183",
+    ),
+    # nine failing rows: pins the first-defect witness of each failing check
+    "verify-ii-Gg-corrupt": (
+        {"torus": dict(INSTANCE_II_TORUS, _corrupt_sigma=True),
+         "module": {"V": "sym:2", "alpha": [0, "1/3"],
+                    "twist": {"modulus": 3, "exponents": [0, 2]}, "flavor": "G_g"},
+         "box": [2, 2], "seed": 6, "samples": 20},
+        ["verify", "--suite", MODULE_SUITES],
+        1,
+        "9d4d31c94e71623195966ea0ba263ddbcd675385f196a43f05ff961286537586",
+    ),
+    "search-beta-iii": (
+        {"torus": INSTANCE_III_TORUS,
+         "module": {"V": "natural", "alpha": [0, 0, 0],
+                    "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "F_g"},
+         "box": [1, 1, 1], "beta_candidates": [["1/2", 0, 0], [0, -1, -1]]},
+        ["search-beta"],
+        0,
+        "9baaf175e7f8f9faf8e8d52217e2661b65bc994c402feeba09885fcb026d7574",
+    ),
+    "act-ii-Fg": (
+        {"torus": INSTANCE_II_TORUS,
+         "module": {"V": "sym:2", "alpha": ["1/2", 0],
+                    "twist": {"modulus": 3, "exponents": [1, 0]}, "flavor": "F_g"},
+         "box": [2, 2]},
+        ["act",
+         "--element", json.dumps({
+             "der": {"inner": [{"s": [1, 0], "c": _HALF}],
+                     "witt": [{"r": [0, 3], "u": [_ONE, _ZETA3]}]},
+             "torus": [{"n": [0, 1], "c": _ZETA3}]}),
+         "--vector", json.dumps({
+             "box": [2, 2], "dim": 3,
+             "entries": [{"n": [1, -1], "w": [_ONE, _HALF, _ZETA3]},
+                         {"n": [2, 0], "w": [_ZETA3, _ONE, _ONE]}]})],
+        0,
+        "921c1ecc69fb39ba4838de6b1897b51cec4b1d099a92a078df6ba70358c9d1ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(tmp_path, name):
+    cfg, args, code, digest = GOLDEN[name]
+    path = write_config(tmp_path, cfg)
+    res = run_cli(args[0], "--config", path, *args[1:])
+    assert res.returncode == code, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+def _with(section, key, value):
+    cfg = json.loads(json.dumps(INSTANCE_FG))
+    (cfg if section is None else cfg[section])[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _with(None, "seed", "x"),
+        _with("torus", "N", 2.5),
+        _with("torus", "A", 5),
+        _with("torus", "A", [[0, "a"], ["b", 0]]),
+        _with("module", "V", 3),
+        _with("module", "alpha", ["1/0", 0]),
+        _with("module", "twist", {"exponents": [1, 0]}),
+        _with("module", "twist", {"modulus": "x", "exponents": [1, 0]}),
+        _with(None, "samples", 1.5),
+        _with(None, "box", [True, 1]),
+    ],
+    ids=["seed-str", "N-float", "A-int", "A-str", "V-int", "alpha-1/0", "twist-no-modulus",
+         "twist-modulus-str", "samples-float", "box-bool"],
+)
+def test_malformed_config_is_usage_error(tmp_path, cfg):
+    res = run_cli("verify", "--config", write_config(tmp_path, cfg), "--suite", "cocycle")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1

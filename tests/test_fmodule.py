@@ -13,12 +13,16 @@ from qtorus.errors import (
     OutOfBox,
     SpecMismatch,
 )
+from qtorus.algebra import TorusElement
+from qtorus.derivations import DerElement
 from qtorus.fmodule import (
+    FLAVORS,
     BoxVector,
     DiagonalCharacter,
     ModuleSpec,
     TwistCharacter,
     act,
+    box_points,
     c2_product_check,
     expr_commutator,
     expr_first_defect,
@@ -37,6 +41,7 @@ from qtorus.fmodule import (
     op_torus,
     op_witt,
     search_twist_equivalence,
+    symbol,
     weight_eigenvalue_check,
     weight_op_bracket_check,
     weight_op_matrix,
@@ -47,6 +52,7 @@ from qtorus.fmodule import (
     zero_modes_commute_check,
 )
 from qtorus.glmodules import direct_sum, ext_power, natural, sym_power, trivial
+from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
@@ -129,6 +135,61 @@ def test_act_flavored_inner_rules():
         a = act(op_torus(SPEC_I, (1, 1)), w0(), ms)
         b = act(op_torus(SPEC_I, (1, 1)), w0(), plain_module(SPEC_I))
         assert a == b
+
+
+def _random_homogeneous(rng, spec):
+    """Seeded homogeneous elements of every kind, with their degrees."""
+    d = spec.d
+    rad = spec.radical()
+
+    def coeff():
+        return spec.root(rng.randrange(spec.N)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+
+    def point():
+        return tuple(rng.randint(-2, 2) for _ in range(d))
+
+    def radical_point():
+        coeffs = [rng.randint(-1, 1) for _ in rad.basis]
+        return tuple(sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d))
+
+    out = [(GElement.zero(spec), (0,) * d)]
+    for _ in range(3):
+        m, s, r = point(), point(), radical_point()
+        u = [coeff() for _ in range(d)]
+        torus = TorusElement.monomial(spec, m, coeff())
+        out.append((GElement.from_torus(torus), m))
+        if not spec.in_radical(s):
+            inner = DerElement.ad(spec, s, coeff())
+            out.append((GElement.from_der(inner), s))
+            # torus and inner terms of one degree act together
+            out.append((GElement(spec, inner, TorusElement.monomial(spec, s, coeff())), s))
+        witt = DerElement.witt_term(spec, u, r)
+        out.append((GElement.from_der(witt), r))
+        out.append((GElement(spec, witt, TorusElement.monomial(spec, r, coeff())), r))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,modulus,exps",
+    [(SPEC_I, 2, (1, 0)), (SPEC_II, 3, (1, 2)), (SPEC_III, 4, (3, 0, 0))],
+    ids=["i", "ii", "iii"],
+)
+def test_symbol_columns_match_act_on_basis_vectors(spec, modulus, exps):
+    rng = sub_rng(20260819, f"symbol-{spec.d}-{spec.N}")
+    box = (6,) * spec.d
+    alpha = [Fraction(1, 2)] + [Fraction(-1, 3)] * (spec.d - 1)
+    twist = TwistCharacter(spec, modulus, exps)
+    for V in (natural(spec.d), sym_power(spec.d, 2)):
+        for flavor in FLAVORS:
+            g = TwistCharacter.trivial(spec) if flavor == "F" else twist
+            ms = ModuleSpec(spec, V, alpha, g, flavor)
+            for x, k in _random_homogeneous(rng, spec):
+                for n in rng.sample(box_points(box, k), 2):
+                    M = symbol(x, n, ms)
+                    for t in range(V.dim):
+                        w = BoxVector.basis_vector(box, V.dim, n, t)
+                        image = act(x, w, ms).get(tuple(a + b for a, b in zip(n, k)))
+                        assert [row[t] for row in M] == list(image), (flavor, V.name, n, t)
 
 
 def test_truncation_flag_and_drop():
