@@ -11,6 +11,17 @@ failure).  All randomness flows from one base seed; each check derives its
 own sub-seed by hashing the check name, so adding or reordering checks never
 perturbs the samples that other checks draw.
 
+Each check is declared once, in the check table `CHECKS`, by decorating its
+probe with `_check(suite, draws, applies, skip)`; the check's name is the
+probe's name without its leading underscore.  A sampled probe (`draws` maps
+the sample budget to a number of draws) takes one draw from the check's rng
+and returns a defect, None, or `_VACUOUS` for a draw that tests nothing and
+is left out of `samples`.  A one-shot probe (`draws` is None) returns its
+report fields itself.  One runner, `_run_check`, derives the check's rng,
+writes the skip row (with the `skip` note) when `applies` says the check does
+not hold on the instance, runs the draws keeping the first defect, and builds
+the row.  Each suite function runs its suite's checks in table order.
+
 Suites (selector strings are part of the CLI contract): cocycle, lie,
 module, section3, section4, irreducibility.
 """
@@ -19,12 +30,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _iproduct
+from typing import Callable, NamedTuple
 
 from .algebra import TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber
 from .derivations import DerElement, dact, dbracket
-from .errors import NotCharacter, NotScalar, SpecMismatch
+from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
 from .fmodule import (
     ModuleSpec,
     TwistCharacter,
@@ -45,7 +59,7 @@ from .fmodule import (
     zero_mode_scalar,
     zero_modes_commute_check,
 )
-from .glmodules import GlModule, cyclic_from_every_start, direct_sum, natural
+from .glmodules import GlModule, cyclic_from_every_start, direct_sum, mat_sub, natural
 from .semidirect import (
     GElement,
     gbracket,
@@ -57,6 +71,9 @@ from .semidirect import (
 from .torus import TorusSpec, enumerate_radical_residues
 
 SUITE_NAMES = ("cocycle", "lie", "module", "section3", "section4", "irreducibility")
+
+# radius of the inner box on which the irreducibility suite probes cyclicity
+INNER_RADIUS = 2
 
 
 def sub_seed(seed: int, label: str) -> int:
@@ -94,6 +111,101 @@ def report(check, instance, seed, samples, defect=None, passed=None, note=None):
     return row
 
 
+# -- the check table and its runner ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Instance:
+    """What a probe sees: the row label, the torus, the suite's sample budget
+    and, for the module suites, the module and its degree box."""
+
+    label: str
+    spec: TorusSpec
+    samples: int
+    ms: ModuleSpec | None = None
+    box: tuple | None = None
+
+
+class Check(NamedTuple):
+    suite: str
+    name: str
+    draws: Callable[[int], int] | None  # sample budget -> draws; None: one-shot
+    probe: Callable
+    applies: Callable[[_Instance], bool] | None
+    skip: str | None  # the note of the row written when `applies` is false
+
+
+CHECKS: list[Check] = []
+
+_VACUOUS = object()
+
+
+def _check(suite, draws=None, applies=None, skip=None):
+    """Declare the decorated probe as the next check of `suite`."""
+
+    def declare(probe):
+        CHECKS.append(Check(suite, probe.__name__[1:], draws, probe, applies, skip))
+        return probe
+
+    return declare
+
+
+def _tally(defects):
+    """Report fields of a run of probes: how many were not vacuous, and the
+    first defect among them."""
+    count, first = 0, None
+    for defect in defects:
+        if defect is _VACUOUS:
+            continue
+        count += 1
+        if first is None:
+            first = defect
+    return {"samples": count, "defect": first}
+
+
+def _run_check(check, inst: _Instance, seed: int):
+    rng = sub_rng(seed, check.name)
+    if check.applies is not None and not check.applies(inst):
+        fields = {"samples": 0, "note": check.skip}
+    elif check.draws is None:
+        fields = check.probe(inst, rng)
+    else:
+        fields = _tally(check.probe(inst, rng) for _ in range(check.draws(inst.samples)))
+    return report(check.name, inst.label, seed, **fields)
+
+
+def _run(suite, seed, samples, spec, ms=None, box=None):
+    label = spec_label(spec) if ms is None else ms.label()
+    inst = _Instance(label, spec, samples, ms, box)
+    return [_run_check(c, inst, seed) for c in CHECKS if c.suite == suite]
+
+
+def _all(samples):
+    return samples
+
+
+def _quarter(samples):
+    return max(1, samples // 4)
+
+
+def _eighth(samples):
+    return max(1, samples // 8)
+
+
+def _eighth_at_most_10(samples):
+    return min(_eighth(samples), 10)
+
+
+def _plain_or_right_twist(inst):
+    return inst.ms.flavor != "F_g"
+
+
+_PLAIN_OR_RIGHT_TWIST_ONLY = "skipped: holds for the plain and G-twist flavors only"
+
+
+# -- random draws and defect witnesses ---------------------------------------------
+
+
 def _rand_point(rng, d, radius=3):
     return tuple(rng.randint(-radius, radius) for _ in range(d))
 
@@ -107,8 +219,6 @@ def _rand_radical_point(rng, spec, radius=1):
 
 
 def _rand_coeff(rng, spec):
-    from fractions import Fraction
-
     return spec.root(rng.randrange(spec.N)) * Fraction(
         rng.randint(-2, 2), rng.randint(1, 2)
     )
@@ -135,6 +245,10 @@ def _rand_pair_elt(rng, spec):
     return GElement(spec, _rand_der(rng, spec), _rand_torus_elt(rng, spec))
 
 
+def _first_nonzero(values):
+    return next((c for c in values if not c.is_zero()), None)
+
+
 def _torus_first_nonzero(a: TorusElement):
     for n in sorted(a.terms):
         return a.terms[n]
@@ -144,11 +258,7 @@ def _torus_first_nonzero(a: TorusElement):
 def _der_first_nonzero(x: DerElement):
     for s in sorted(x.inner):
         return x.inner[s]
-    for r in sorted(x.witt):
-        for c in x.witt[r]:
-            if not c.is_zero():
-                return c
-    return None
+    return _first_nonzero(c for r in sorted(x.witt) for c in x.witt[r])
 
 
 def _pair_first_nonzero(x: GElement):
@@ -158,612 +268,454 @@ def _pair_first_nonzero(x: GElement):
     return _torus_first_nonzero(x.torus)
 
 
-def _matrix_first_nonzero(m):
-    for row in m:
-        for c in row:
-            if not c.is_zero():
-                return c
-    return None
+def _unit_defect(failed):
+    """The defect of a yes/no test: 1 when it failed."""
+    return CycNumber.one() if failed else None
+
+
+def _shifted_in_box(n, s, box):
+    return all(-b <= a + c <= b for a, c, b in zip(n, s, box))
 
 
 # -- cocycle suite -------------------------------------------------------------
 
 
-def cocycle_suite(spec: TorusSpec, seed: int, samples: int):
-    label = spec_label(spec)
-    out = []
+@_check("cocycle", _all)
+def _sigma_bicharacter(inst, rng):
+    spec = inst.spec
+    n = _rand_point(rng, spec.d)
+    m = _rand_point(rng, spec.d)
+    k = _rand_point(rng, spec.d)
+    nm = tuple(a + b for a, b in zip(n, m))
+    left = spec.sigma(nm, k) - spec.sigma(n, k) * spec.sigma(m, k)
+    right = spec.sigma(k, nm) - spec.sigma(k, n) * spec.sigma(k, m)
+    return _first_nonzero((left, right))
 
-    rng = sub_rng(seed, "sigma_bicharacter")
-    defect = None
-    for _ in range(samples):
-        n = _rand_point(rng, spec.d)
-        m = _rand_point(rng, spec.d)
-        k = _rand_point(rng, spec.d)
-        nm = tuple(a + b for a, b in zip(n, m))
-        left = spec.sigma(nm, k) - spec.sigma(n, k) * spec.sigma(m, k)
-        right = spec.sigma(k, nm) - spec.sigma(k, n) * spec.sigma(k, m)
-        for diff in (left, right):
-            if not diff.is_zero() and defect is None:
-                defect = diff
-    out.append(report("sigma_bicharacter", label, seed, samples, defect))
 
-    rng = sub_rng(seed, "comm_factor_multiplicative")
-    defect = None
-    for _ in range(samples):
-        n = _rand_point(rng, spec.d)
-        m = _rand_point(rng, spec.d)
-        k = _rand_point(rng, spec.d)
-        nm = tuple(a + b for a, b in zip(n, m))
-        diff = spec.comm_factor(nm, k) - spec.comm_factor(n, k) * spec.comm_factor(m, k)
-        if not diff.is_zero() and defect is None:
-            defect = diff
-        # f must also agree with the sigma quotient
-        quot = spec.sigma(n, m) * spec.sigma(m, n).inverse()
-        diff = spec.comm_factor(n, m) - quot
-        if not diff.is_zero() and defect is None:
-            defect = diff
-    out.append(report("comm_factor_multiplicative", label, seed, samples, defect))
+@_check("cocycle", _all)
+def _comm_factor_multiplicative(inst, rng):
+    spec = inst.spec
+    n = _rand_point(rng, spec.d)
+    m = _rand_point(rng, spec.d)
+    k = _rand_point(rng, spec.d)
+    nm = tuple(a + b for a, b in zip(n, m))
+    diff = spec.comm_factor(nm, k) - spec.comm_factor(n, k) * spec.comm_factor(m, k)
+    # f must also agree with the sigma quotient
+    quot = spec.sigma(n, m) * spec.sigma(m, n).inverse()
+    return _first_nonzero((diff, spec.comm_factor(n, m) - quot))
 
-    rng = sub_rng(seed, "comm_factor_alternating")
-    defect = None
+
+@_check("cocycle", _all)
+def _comm_factor_alternating(inst, rng):
+    spec = inst.spec
+    n = _rand_point(rng, spec.d)
+    neg = tuple(-x for x in n)
     one = CycNumber.one()
-    for _ in range(samples):
-        n = _rand_point(rng, spec.d)
-        neg = tuple(-x for x in n)
-        for diff in (spec.comm_factor(n, n) - one, spec.comm_factor(n, neg) - one):
-            if not diff.is_zero() and defect is None:
-                defect = diff
-    out.append(report("comm_factor_alternating", label, seed, samples, defect))
+    return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, neg) - one))
 
-    # radical versus brute-force residue enumeration
+
+@_check("cocycle")
+def _radical_brute_force(inst, rng):
+    """The radical against a brute-force residue enumeration."""
+    spec = inst.spec
     rad = spec.radical()
     residues = {
         tuple(x % spec.N for x in n)
-        for n in _iproduct(*[range(spec.N)] * spec.d)
+        for n in _iproduct(range(spec.N), repeat=spec.d)
         if rad.contains(n)
     }
     brute = set(enumerate_radical_residues(spec))
     ok = residues == brute and rad.index == (spec.N**spec.d) // len(brute)
-    out.append(
-        report(
-            "radical_brute_force",
-            label,
-            seed,
-            len(brute),
-            passed=ok,
-            defect=None if ok else CycNumber.one(),
-        )
-    )
-    return out
+    return {"samples": len(brute), "defect": _unit_defect(not ok)}
 
 
 # -- lie suite -------------------------------------------------------------------
 
 
-def lie_suite(spec: TorusSpec, seed: int, samples: int):
-    label = spec_label(spec)
-    out = []
+@_check("lie", _all)
+def _torus_associativity(inst, rng):
+    spec = inst.spec
+    a = _rand_torus_elt(rng, spec)
+    b = _rand_torus_elt(rng, spec)
+    c = _rand_torus_elt(rng, spec)
+    return _torus_first_nonzero(tmul(tmul(a, b), c) - tmul(a, tmul(b, c)))
 
-    rng = sub_rng(seed, "torus_associativity")
-    defect = None
-    for _ in range(samples):
-        a = _rand_torus_elt(rng, spec)
-        b = _rand_torus_elt(rng, spec)
-        c = _rand_torus_elt(rng, spec)
-        diff = tmul(tmul(a, b), c) - tmul(a, tmul(b, c))
-        bad = _torus_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("torus_associativity", label, seed, samples, defect))
 
-    rng = sub_rng(seed, "torus_commutation_rule")
-    defect = None
-    for _ in range(samples):
-        n = _rand_point(rng, spec.d)
-        m = _rand_point(rng, spec.d)
-        tn = TorusElement.monomial(spec, n)
-        tm = TorusElement.monomial(spec, m)
-        diff = tmul(tn, tm) - tmul(tm, tn).scale(spec.comm_factor(n, m))
-        bad = _torus_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("torus_commutation_rule", label, seed, samples, defect))
+@_check("lie", _all)
+def _torus_commutation_rule(inst, rng):
+    spec = inst.spec
+    n = _rand_point(rng, spec.d)
+    m = _rand_point(rng, spec.d)
+    tn = TorusElement.monomial(spec, n)
+    tm = TorusElement.monomial(spec, m)
+    return _torus_first_nonzero(tmul(tn, tm) - tmul(tm, tn).scale(spec.comm_factor(n, m)))
 
-    rng = sub_rng(seed, "torus_commutator_jacobi")
-    defect = None
-    for _ in range(samples):
-        a = _rand_torus_elt(rng, spec)
-        b = _rand_torus_elt(rng, spec)
-        c = _rand_torus_elt(rng, spec)
-        diff = (
-            tcomm(tcomm(a, b), c) + tcomm(tcomm(b, c), a) + tcomm(tcomm(c, a), b)
+
+@_check("lie", _all)
+def _torus_commutator_jacobi(inst, rng):
+    spec = inst.spec
+    a = _rand_torus_elt(rng, spec)
+    b = _rand_torus_elt(rng, spec)
+    c = _rand_torus_elt(rng, spec)
+    diff = tcomm(tcomm(a, b), c) + tcomm(tcomm(b, c), a) + tcomm(tcomm(c, a), b)
+    return _torus_first_nonzero(diff)
+
+
+@_check("lie", _all)
+def _derivation_leibniz(inst, rng):
+    spec = inst.spec
+    x = _rand_der(rng, spec)
+    a = _rand_torus_elt(rng, spec)
+    b = _rand_torus_elt(rng, spec)
+    diff = dact(x, tmul(a, b)) - tmul(dact(x, a), b) - tmul(a, dact(x, b))
+    return _torus_first_nonzero(diff)
+
+
+@_check("lie", _all)
+def _derivation_jacobi(inst, rng):
+    spec = inst.spec
+    x = _rand_der(rng, spec)
+    y = _rand_der(rng, spec)
+    z = _rand_der(rng, spec)
+    diff = (
+        dbracket(dbracket(x, y), z)
+        + dbracket(dbracket(y, z), x)
+        + dbracket(dbracket(z, x), y)
+    )
+    return _der_first_nonzero(diff)
+
+
+@_check("lie", _all)
+def _inner_action_is_commutator(inst, rng):
+    spec = inst.spec
+    s = _rand_point(rng, spec.d, 2)
+    a = _rand_torus_elt(rng, spec)
+    ts = TorusElement.monomial(spec, s)
+    return _torus_first_nonzero(dact(DerElement.ad(spec, s), a) - tcomm(ts, a))
+
+
+@_check("lie", _all)
+def _pair_jacobi(inst, rng):
+    spec = inst.spec
+    x = _rand_pair_elt(rng, spec)
+    y = _rand_pair_elt(rng, spec)
+    z = _rand_pair_elt(rng, spec)
+    diff = (
+        gbracket(gbracket(x, y), z)
+        + gbracket(gbracket(y, z), x)
+        + gbracket(gbracket(z, x), y)
+    )
+    return _pair_first_nonzero(diff)
+
+
+@_check("lie")
+def _torus_copies_commute(inst, rng):
+    """The two torus copies commute: exhaustive over the degree window."""
+    spec = inst.spec
+    window = list(_iproduct(range(-3, 4), repeat=spec.d))
+
+    def probes():
+        for m in window:
+            c1 = plain_torus(spec, m)
+            for n in window:
+                yield _pair_first_nonzero(gbracket(c1, inner_minus(spec, n)))
+
+    return _tally(probes())
+
+
+@_check("lie", _all)
+def _center_detection(inst, rng):
+    spec = inst.spec
+    n = _rand_radical_point(rng, spec, 2)
+    m = _rand_point(rng, spec.d, 2)
+    ok = is_central(TorusElement.monomial(spec, n))
+    expected_m = spec.in_radical(m)
+    got_m = is_central(TorusElement.monomial(spec, m))
+    return _unit_defect(not ok or got_m != expected_m)
+
+
+@_check(
+    "lie",
+    _all,
+    applies=lambda inst: inst.spec.radical().diagonal,
+    skip="skipped: radical not diagonal",
+)
+def _untwisted_map_homomorphism(inst, rng):
+    """The comparison map from the untwisted model is a homomorphism: only
+    meaningful on instances with diagonal radical."""
+    spec = inst.spec
+    model = untwisted_spec(spec.d)
+    xs = []
+    for _ in range(2):
+        x0 = GElement.zero(model)
+        r = _rand_radical_point(rng, spec, 1)
+        u = [_rand_coeff(rng, model) for _ in range(spec.d)]
+        x0 = x0 + GElement.from_der(DerElement.witt_term(model, u, r))
+        s = _rand_radical_point(rng, spec, 1)
+        x0 = x0 + GElement.from_torus(
+            TorusElement.monomial(model, s, _rand_coeff(rng, model))
         )
-        bad = _torus_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("torus_commutator_jacobi", label, seed, samples, defect))
-
-    rng = sub_rng(seed, "derivation_leibniz")
-    defect = None
-    for _ in range(samples):
-        x = _rand_der(rng, spec)
-        a = _rand_torus_elt(rng, spec)
-        b = _rand_torus_elt(rng, spec)
-        diff = dact(x, tmul(a, b)) - tmul(dact(x, a), b) - tmul(a, dact(x, b))
-        bad = _torus_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("derivation_leibniz", label, seed, samples, defect))
-
-    rng = sub_rng(seed, "derivation_jacobi")
-    defect = None
-    for _ in range(samples):
-        x = _rand_der(rng, spec)
-        y = _rand_der(rng, spec)
-        z = _rand_der(rng, spec)
-        diff = (
-            dbracket(dbracket(x, y), z)
-            + dbracket(dbracket(y, z), x)
-            + dbracket(dbracket(z, x), y)
-        )
-        bad = _der_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("derivation_jacobi", label, seed, samples, defect))
-
-    rng = sub_rng(seed, "inner_action_is_commutator")
-    defect = None
-    for _ in range(samples):
-        s = _rand_point(rng, spec.d, 2)
-        a = _rand_torus_elt(rng, spec)
-        ts = TorusElement.monomial(spec, s)
-        diff = dact(DerElement.ad(spec, s), a) - tcomm(ts, a)
-        bad = _torus_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("inner_action_is_commutator", label, seed, samples, defect))
-
-    rng = sub_rng(seed, "pair_jacobi")
-    defect = None
-    for _ in range(samples):
-        x = _rand_pair_elt(rng, spec)
-        y = _rand_pair_elt(rng, spec)
-        z = _rand_pair_elt(rng, spec)
-        diff = (
-            gbracket(gbracket(x, y), z)
-            + gbracket(gbracket(y, z), x)
-            + gbracket(gbracket(z, x), y)
-        )
-        bad = _pair_first_nonzero(diff)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("pair_jacobi", label, seed, samples, defect))
-
-    # the two torus copies commute: exhaustive over the degree window
-    defect = None
-    window = [
-        tuple(p) for p in _iproduct(*[range(-3, 4)] * spec.d)
-    ]
-    count = 0
-    for m in window:
-        c1 = plain_torus(spec, m)
-        for n in window:
-            count += 1
-            diff = gbracket(c1, inner_minus(spec, n))
-            bad = _pair_first_nonzero(diff)
-            if bad is not None and defect is None:
-                defect = bad
-    out.append(report("torus_copies_commute", label, seed, count, defect))
-
-    rng = sub_rng(seed, "center_detection")
-    defect = None
-    for _ in range(samples):
-        n = _rand_radical_point(rng, spec, 2)
-        m = _rand_point(rng, spec.d, 2)
-        ok = is_central(TorusElement.monomial(spec, n))
-        expected_m = spec.in_radical(m)
-        got_m = is_central(TorusElement.monomial(spec, m))
-        if (not ok or got_m != expected_m) and defect is None:
-            defect = CycNumber.one()
-    out.append(report("center_detection", label, seed, samples, defect))
-
-    # untwisted comparison: only meaningful on instances with diagonal radical
-    if spec.radical().diagonal:
-        rng = sub_rng(seed, "untwisted_map_homomorphism")
-        model = untwisted_spec(spec.d)
-        rad = spec.radical()
-        defect = None
-        pairs = 0
-        for _ in range(samples):
-            xs = []
-            for _k in range(2):
-                x0 = GElement.zero(model)
-                r = _rand_radical_point(rng, spec, 1)
-                u = [_rand_coeff(rng, model) for _ in range(spec.d)]
-                x0 = x0 + GElement.from_der(DerElement.witt_term(model, u, r))
-                s = _rand_radical_point(rng, spec, 1)
-                x0 = x0 + GElement.from_torus(
-                    TorusElement.monomial(model, s, _rand_coeff(rng, model))
-                )
-                xs.append(x0)
-            pairs += 1
-            diff = untwisted_homomorphism_defect(spec, xs[0], xs[1])
-            bad = _pair_first_nonzero(diff)
-            if bad is not None and defect is None:
-                defect = bad
-        out.append(report("untwisted_map_homomorphism", label, seed, pairs, defect))
-    else:
-        out.append(
-            report(
-                "untwisted_map_homomorphism",
-                label,
-                seed,
-                0,
-                passed=True,
-                note="skipped: radical not diagonal",
-            )
-        )
-    return out
+        xs.append(x0)
+    return _pair_first_nonzero(untwisted_homomorphism_defect(spec, xs[0], xs[1]))
 
 
 # -- module suite ----------------------------------------------------------------
 
 
-def module_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    label = ms.label()
-    spec = ms.spec
-    out = []
-
-    # re-run the bracket-law validation of V from scratch
+@_check("module")
+def _gl_bracket_law(inst, rng):
+    """Re-run the bracket-law validation of V from scratch."""
+    V = inst.ms.V
     try:
-        GlModule(ms.V.d, ms.V.dim, ms.V.E, ms.V.name)
-        out.append(report("gl_bracket_law", label, seed, ms.V.d**4, passed=True))
+        GlModule(V.d, V.dim, V.E, V.name)
+        failed = False
     except SpecMismatch:
-        out.append(
-            report("gl_bracket_law", label, seed, ms.V.d**4, passed=False,
-                   defect=CycNumber.one())
-        )
+        failed = True
+    return {"samples": V.d**4, "defect": _unit_defect(failed)}
 
-    cyc = cyclic_from_every_start(ms.V)
-    out.append(
-        report(
-            "gl_cyclicity_probe",
-            label,
-            seed,
-            ms.V.dim,
-            passed=True,
-            note="cyclic" if cyc else "not cyclic from every start",
-        )
-    )
 
-    rng = sub_rng(seed, "module_axiom")
-    rep = module_axiom_check(ms, box, rng, samples)
-    out.append(report("module_axiom", label, seed, rep["samples"], rep["defect"]))
+@_check("module")
+def _gl_cyclicity_probe(inst, rng):
+    cyc = cyclic_from_every_start(inst.ms.V)
+    return {
+        "samples": inst.ms.V.dim,
+        "note": "cyclic" if cyc else "not cyclic from every start",
+    }
 
-    rep = weight_eigenvalue_check(ms, tuple(min(2, b) for b in box))
-    out.append(report("weight_eigenvalue", label, seed, ms.V.dim, rep["defect"]))
 
-    quadratic = ms.flavor != "F_g"
-    rng = sub_rng(seed, "ideal_relations")
-    rep = ideal_relations_vanish(ms, box, rng, samples, quadratic=quadratic)
-    out.append(
-        report(
-            "ideal_relations",
-            label,
-            seed,
-            rep["samples"],
-            rep["defect"],
-            note=None if quadratic else "quadratic family skipped: it needs the "
-            "twist on the right-translation term",
-        )
-    )
+@_check("module")
+def _module_axiom(inst, rng):
+    rep = module_axiom_check(inst.ms, inst.box, rng, inst.samples)
+    return {"samples": rep["samples"], "defect": rep["defect"]}
 
-    if quadratic:
-        rng = sub_rng(seed, "c2_product")
-        defect = None
-        for _ in range(max(1, samples // 4)):
-            n = _rand_point(rng, spec.d, 2)
-            m = _rand_point(rng, spec.d, 2)
-            bad = c2_product_check(ms, n, m, box, rng=rng, limit=4)
-            if bad is not None and defect is None:
-                defect = bad
-        out.append(report("c2_product", label, seed, max(1, samples // 4), defect))
-    else:
-        out.append(
-            report(
-                "c2_product",
-                label,
-                seed,
-                0,
-                passed=True,
-                note="skipped: holds for the plain and G-twist flavors only",
-            )
-        )
-    return out
+
+@_check("module")
+def _weight_eigenvalue(inst, rng):
+    rep = weight_eigenvalue_check(inst.ms, tuple(min(2, b) for b in inst.box))
+    return {"samples": inst.ms.V.dim, "defect": rep["defect"]}
+
+
+@_check("module")
+def _ideal_relations(inst, rng):
+    quadratic = _plain_or_right_twist(inst)
+    rep = ideal_relations_vanish(inst.ms, inst.box, rng, inst.samples, quadratic=quadratic)
+    return {
+        "samples": rep["samples"],
+        "defect": rep["defect"],
+        "note": None if quadratic else "quadratic family skipped: it needs the "
+        "twist on the right-translation term",
+    }
+
+
+@_check("module", _quarter, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
+def _c2_product(inst, rng):
+    n = _rand_point(rng, inst.spec.d, 2)
+    m = _rand_point(rng, inst.spec.d, 2)
+    return c2_product_check(inst.ms, n, m, inst.box, rng=rng, limit=4)
 
 
 # -- section3 suite ----------------------------------------------------------------
 
 
-def section3_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    label = ms.label()
-    spec = ms.spec
+@_check("section3", _eighth, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
+def _inner_quadratic_relation(inst, rng):
+    r = _rand_point(rng, inst.spec.d, 2)
+    s = _rand_point(rng, inst.spec.d, 2)
+    return inner_quadratic_relation_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
+
+
+@_check("section3", _eighth)
+def _zero_modes_commute(inst, rng):
+    r = _rand_point(rng, inst.spec.d, 2)
+    s = _rand_point(rng, inst.spec.d, 2)
+    return zero_modes_commute_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
+
+
+@_check("section3", _eighth)
+def _zero_mode_ideal(inst, rng):
+    d = inst.spec.d
+    r = _rand_radical_point(rng, inst.spec, 1)
+    s = _rand_point(rng, d, 2)
+    u = [rng.randint(-2, 2) for _ in range(d)]
+    return zero_mode_ideal_check(inst.ms, u, r, s, inst.box, rng=rng, limit=4)
+
+
+@_check("section3", _eighth)
+def _weight_op_bracket(inst, rng):
+    d = inst.spec.d
+    r = _rand_radical_point(rng, inst.spec, 1)
+    s = _rand_radical_point(rng, inst.spec, 1)
+    u = [rng.randint(-2, 2) for _ in range(d)]
+    v = [rng.randint(-2, 2) for _ in range(d)]
+    return weight_op_bracket_check(inst.ms, u, r, v, s, inst.box, rng=rng, limit=4)
+
+
+@_check("section3")
+def _weight_op_constancy(inst, rng):
+    """Weight operators: matrices constant in n and equal to the closed form."""
+    ms, spec, box = inst.ms, inst.spec, inst.box
     d = spec.d
-    out = []
-    nsmall = max(1, samples // 8)
-
-    if ms.flavor != "F_g":
-        rng = sub_rng(seed, "inner_quadratic_relation")
-        defect = None
-        for _ in range(nsmall):
-            r = _rand_point(rng, d, 2)
-            s = _rand_point(rng, d, 2)
-            bad = inner_quadratic_relation_check(ms, r, s, box, rng=rng, limit=4)
-            if bad is not None and defect is None:
-                defect = bad
-        out.append(report("inner_quadratic_relation", label, seed, nsmall, defect))
-    else:
-        out.append(
-            report(
-                "inner_quadratic_relation",
-                label,
-                seed,
-                0,
-                passed=True,
-                note="skipped: holds for the plain and G-twist flavors only",
-            )
-        )
-
-    rng = sub_rng(seed, "zero_modes_commute")
-    defect = None
-    for _ in range(nsmall):
-        r = _rand_point(rng, d, 2)
-        s = _rand_point(rng, d, 2)
-        bad = zero_modes_commute_check(ms, r, s, box, rng=rng, limit=4)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("zero_modes_commute", label, seed, nsmall, defect))
-
-    rng = sub_rng(seed, "zero_mode_ideal")
-    defect = None
-    for _ in range(nsmall):
-        r = _rand_radical_point(rng, spec, 1)
-        s = _rand_point(rng, d, 2)
-        u = [rng.randint(-2, 2) for _ in range(d)]
-        bad = zero_mode_ideal_check(ms, u, r, s, box, rng=rng, limit=4)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("zero_mode_ideal", label, seed, nsmall, defect))
-
-    rng = sub_rng(seed, "weight_op_bracket")
-    defect = None
-    for _ in range(nsmall):
-        r = _rand_radical_point(rng, spec, 1)
-        s = _rand_radical_point(rng, spec, 1)
-        u = [rng.randint(-2, 2) for _ in range(d)]
-        v = [rng.randint(-2, 2) for _ in range(d)]
-        bad = weight_op_bracket_check(ms, u, r, v, s, box, rng=rng, limit=4)
-        if bad is not None and defect is None:
-            defect = bad
-    out.append(report("weight_op_bracket", label, seed, nsmall, defect))
-
-    # weight operators: matrices constant in n and equal to the closed form
-    rng = sub_rng(seed, "weight_op_constancy")
-    defect = None
-    rad = spec.radical()
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    checked = 0
-    for rr in [tuple(row) for row in rad.basis] + [(0,) * d]:
-        for u in units:
-            pts = box_points(box, rr)
-            if not pts:
-                continue
-            sample_pts = pts if len(pts) <= 8 else [
-                pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
-            ]
-            scale = spec.sigma(tuple(-x for x in rr), rr)
-            expect = ms.V.matrix_of(
-                [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
-            )
-            for n in sample_pts:
-                checked += 1
-                got = weight_op_matrix(ms, u, rr, n, box)
-                diff = [
-                    [got[i][j] - expect[i][j] for j in range(ms.V.dim)]
-                    for i in range(ms.V.dim)
-                ]
-                bad = _matrix_first_nonzero(diff)
-                if bad is not None and defect is None:
-                    defect = bad
-    out.append(report("weight_op_constancy", label, seed, checked, defect))
 
-    rng = sub_rng(seed, "weight_shift")
-    defect = None
-    shifts = 0
-    for _ in range(min(nsmall, 10)):
-        r = _rand_point(rng, d, min(box))
-        s = _rand_point(rng, d, min(box))
-        shifts += 1
-        rep = weight_shift_check(ms, r, s, box)
-        if rep["defect"] is not None and defect is None:
-            defect = rep["defect"]
-    out.append(report("weight_shift", label, seed, shifts, defect))
-    return out
+    def probes():
+        for rr in [tuple(row) for row in spec.radical().basis] + [(0,) * d]:
+            for u in units:
+                pts = box_points(box, rr)
+                if not pts:
+                    continue
+                sample_pts = pts if len(pts) <= 8 else [
+                    pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
+                ]
+                scale = spec.sigma(tuple(-x for x in rr), rr)
+                expect = ms.V.matrix_of(
+                    [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
+                )
+                for n in sample_pts:
+                    got = weight_op_matrix(ms, u, rr, n, box)
+                    yield _first_nonzero(c for row in mat_sub(got, expect) for c in row)
+
+    return _tally(probes())
+
+
+@_check("section3", _eighth_at_most_10)
+def _weight_shift(inst, rng):
+    r = _rand_point(rng, inst.spec.d, min(inst.box))
+    s = _rand_point(rng, inst.spec.d, min(inst.box))
+    return weight_shift_check(inst.ms, r, s, inst.box)["defect"]
 
 
 # -- section4 suite ----------------------------------------------------------------
 
 
-def section4_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    label = ms.label()
-    spec = ms.spec
-    d = spec.d
-    out = []
-    nsmall = max(1, samples // 8)
-
-    rng = sub_rng(seed, "zero_mode_scalar")
-    defect = None
-    count = 0
-    for _ in range(nsmall):
-        s = _rand_point(rng, d, 2)
-        n = _rand_point(rng, d, 1)
-        if not all(-b <= a + c <= b for a, c, b in zip(n, s, box)):
-            continue
-        count += 1
-        try:
-            zero_mode_scalar(ms, s, n, box)
-        except NotScalar:
-            if defect is None:
-                defect = CycNumber.one()
-    out.append(report("zero_mode_scalar", label, seed, count, defect))
-
-    if ms.flavor in ("F", "G_g"):
-        rng = sub_rng(seed, "zero_mode_recursion")
-        defect = None
-        count = 0
-        for _ in range(nsmall):
-            s = _rand_point(rng, d, 2)
-            pts = [
-                p
-                for p in (_rand_point(rng, d, 1) for _ in range(4))
-                if all(-b <= a + c <= b for a, c, b in zip(p, s, box))
-            ]
-            if not pts:
-                continue
-            count += 1
-            bad = zero_mode_recursion_check(ms, s, box, pts)
-            if bad is not None and defect is None:
-                defect = bad
-        out.append(report("zero_mode_recursion", label, seed, count, defect))
-    else:
-        out.append(
-            report(
-                "zero_mode_recursion",
-                label,
-                seed,
-                0,
-                passed=True,
-                note="skipped: recursion is a plain/G-twist identity; this "
-                "flavor's zero modes follow the opposite sign convention",
-            )
-        )
-
-    rng = sub_rng(seed, "extract_twist_round_trip")
+@_check("section4", _eighth)
+def _zero_mode_scalar(inst, rng):
+    s = _rand_point(rng, inst.spec.d, 2)
+    n = _rand_point(rng, inst.spec.d, 1)
+    if not _shifted_in_box(n, s, inst.box):
+        return _VACUOUS
     try:
-        got = extract_twist(ms, box, rng)
-        ok = got == ms.twist if not ms.twist.is_trivial else got.is_trivial
-        out.append(
-            report(
-                "extract_twist_round_trip",
-                label,
-                seed,
-                d + 8,
-                passed=ok,
-                defect=None if ok else CycNumber.one(),
-            )
-        )
-    except NotCharacter:
-        out.append(
-            report(
-                "extract_twist_round_trip", label, seed, d + 8,
-                passed=False, defect=CycNumber.one(),
-            )
-        )
+        zero_mode_scalar(inst.ms, s, n, inst.box)
+    except NotScalar:
+        return CycNumber.one()
+    return None
 
-    if ms.flavor == "F_g":
-        out.append(
-            report(
-                "diagonal_intertwiner",
-                label,
-                seed,
-                0,
-                passed=True,
-                note="skipped: the diagonal comparison starts from the G-twist "
-                "flavor",
-            )
-        )
-    else:
-        rng = sub_rng(seed, "diagonal_intertwiner")
-        msG = (
-            ms
-            if ms.flavor == "G_g"
-            else ModuleSpec(spec, ms.V, ms.alpha, ms.twist, "G_g")
-        )
-        rep = intertwiner_check(msG, box, rng)
-        out.append(
-            report("diagonal_intertwiner", label, seed, samples, rep["defect"])
-        )
-    return out
+
+@_check(
+    "section4",
+    _eighth,
+    _plain_or_right_twist,
+    "skipped: recursion is a plain/G-twist identity; this flavor's zero modes "
+    "follow the opposite sign convention",
+)
+def _zero_mode_recursion(inst, rng):
+    d = inst.spec.d
+    s = _rand_point(rng, d, 2)
+    pts = [
+        p
+        for p in (_rand_point(rng, d, 1) for _ in range(4))
+        if _shifted_in_box(p, s, inst.box)
+    ]
+    if not pts:
+        return _VACUOUS
+    return zero_mode_recursion_check(inst.ms, s, inst.box, pts)
+
+
+@_check("section4")
+def _extract_twist_round_trip(inst, rng):
+    ms = inst.ms
+    try:
+        got = extract_twist(ms, inst.box, rng)
+        ok = got == ms.twist if not ms.twist.is_trivial else got.is_trivial
+    except NotCharacter:
+        ok = False
+    return {"samples": inst.spec.d + 8, "defect": _unit_defect(not ok)}
+
+
+@_check(
+    "section4",
+    applies=_plain_or_right_twist,
+    skip="skipped: the diagonal comparison starts from the G-twist flavor",
+)
+def _diagonal_intertwiner(inst, rng):
+    ms = inst.ms
+    msG = ms if ms.flavor == "G_g" else ModuleSpec(ms.spec, ms.V, ms.alpha, ms.twist, "G_g")
+    return {"samples": inst.samples, "defect": intertwiner_check(msG, inst.box, rng)["defect"]}
 
 
 # -- irreducibility suite -------------------------------------------------------
 
 
-def irreducibility_suite(ms: ModuleSpec, box, seed: int, samples: int, inner_radius=2):
-    label = ms.label()
-    out = []
-    rng = sub_rng(seed, "irreducibility_evidence")
-    rep = irreducibility_evidence(ms, box, inner_radius, rng)
-    cyclic_starts = sum(1 for r in rep["starts"] if r["cyclic"])
-    out.append(
-        report(
-            "irreducibility_evidence",
-            label,
-            seed,
-            len(rep["starts"]),
-            passed=rep["pass"],
-            defect=None if rep["pass"] else CycNumber.one(),
-            note=f"cyclic from {cyclic_starts} of {len(rep['starts'])} starts",
-        )
-    )
+@_check("irreducibility")
+def _irreducibility_evidence(inst, rng):
+    rep = irreducibility_evidence(inst.ms, inst.box, INNER_RADIUS, rng)
+    starts = rep["starts"]
+    cyclic_starts = sum(1 for r in starts if r["cyclic"])
+    return {
+        "samples": len(starts),
+        "defect": _unit_defect(not rep["pass"]),
+        "note": f"cyclic from {cyclic_starts} of {len(starts)} starts",
+    }
 
-    # distinguishing power: a reducible fixture must fail the same probe
-    rng = sub_rng(seed, "reducible_fixture_detected")
+
+@_check("irreducibility")
+def _reducible_fixture_detected(inst, rng):
+    """Distinguishing power: a reducible fixture must fail the same probe."""
+    d = inst.spec.d
     fixture = ModuleSpec(
-        ms.spec,
-        direct_sum(natural(ms.spec.d), natural(ms.spec.d)),
-        ms.alpha,
-        TwistCharacter.trivial(ms.spec),
+        inst.spec,
+        direct_sum(natural(d), natural(d)),
+        inst.ms.alpha,
+        TwistCharacter.trivial(inst.spec),
         "F",
     )
-    rep2 = irreducibility_evidence(fixture, box, inner_radius, rng)
-    out.append(
-        report(
-            "reducible_fixture_detected",
-            label,
-            seed,
-            len(rep2["starts"]),
-            passed=not rep2["pass"],
-            defect=None if not rep2["pass"] else CycNumber.one(),
-        )
-    )
-    return out
+    rep = irreducibility_evidence(fixture, inst.box, INNER_RADIUS, rng)
+    return {"samples": len(rep["starts"]), "defect": _unit_defect(rep["pass"])}
 
 
-# -- orchestration ---------------------------------------------------------------
+# -- suites and orchestration -----------------------------------------------------
+
+
+def cocycle_suite(spec: TorusSpec, seed: int, samples: int):
+    return _run("cocycle", seed, samples, spec)
+
+
+def lie_suite(spec: TorusSpec, seed: int, samples: int):
+    return _run("lie", seed, samples, spec)
+
+
+def module_suite(ms: ModuleSpec, box, seed: int, samples: int):
+    return _run("module", seed, samples, ms.spec, ms, box)
+
+
+def section3_suite(ms: ModuleSpec, box, seed: int, samples: int):
+    return _run("section3", seed, samples, ms.spec, ms, box)
+
+
+def section4_suite(ms: ModuleSpec, box, seed: int, samples: int):
+    return _run("section4", seed, samples, ms.spec, ms, box)
+
+
+def irreducibility_suite(ms: ModuleSpec, box, seed: int, samples: int):
+    return _run("irreducibility", seed, samples, ms.spec, ms, box)
 
 
 def run_suites(spec: TorusSpec, ms: ModuleSpec, box, seed: int, samples: int, names):
-    reports = []
+    """Run each named suite once; the rows come back sorted by check name."""
+    # the suite functions are looked up when called, so a wrapped one is used
+    suites = {
+        "cocycle": lambda: cocycle_suite(spec, seed, samples),
+        "lie": lambda: lie_suite(spec, seed, samples),
+        "module": lambda: module_suite(ms, box, seed, samples),
+        "section3": lambda: section3_suite(ms, box, seed, samples),
+        "section4": lambda: section4_suite(ms, box, seed, samples),
+        "irreducibility": lambda: irreducibility_suite(ms, box, seed, samples),
+    }
     for name in names:
-        if name == "cocycle":
-            reports.extend(cocycle_suite(spec, seed, samples))
-        elif name == "lie":
-            reports.extend(lie_suite(spec, seed, samples))
-        elif name == "module":
-            reports.extend(module_suite(ms, box, seed, samples))
-        elif name == "section3":
-            reports.extend(section3_suite(ms, box, seed, samples))
-        elif name == "section4":
-            reports.extend(section4_suite(ms, box, seed, samples))
-        elif name == "irreducibility":
-            reports.extend(irreducibility_suite(ms, box, seed, samples))
-        else:
-            from .errors import ConfigError
-
+        if name not in suites:
             raise ConfigError(
                 f"unknown suite {name!r}; valid suites: {', '.join(SUITE_NAMES)}"
             )
+    reports = [row for name in dict.fromkeys(names) for row in suites[name]()]
     reports.sort(key=lambda r: (r["check"], r["instance"]))
     return reports
 

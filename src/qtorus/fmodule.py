@@ -918,7 +918,11 @@ def weight_shift_check(ms: ModuleSpec, r, s, box):
     return {"pass": defect is None, "defect": defect, "scale": scale}
 
 
-def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None, random_starts: int = 5):
+# random start vectors probed by irreducibility_evidence when given an rng
+RANDOM_STARTS = 5
+
+
+def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     """Cyclicity probe: does every start vector generate every inner weight space?
 
     The probe factors through three computationally verified facts:
@@ -987,7 +991,7 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None, ra
     ]
     all_cyclic = all(basis_closes)
     if rng is not None:
-        for idx in range(random_starts):
+        for idx in range(RANDOM_STARTS):
             n = tuple(rng.randint(-inner_radius, inner_radius) for _ in range(d))
             v0 = [CycNumber.rational(rng.randint(-3, 3)) for _ in range(dim)]
             if all(x.is_zero() for x in v0):

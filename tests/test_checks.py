@@ -1,6 +1,10 @@
 """Tests for the verification-suite layer: reports, sub-seeds, suite runs."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from qtorus import checks
 from qtorus.fmodule import ModuleSpec, TwistCharacter
@@ -138,6 +142,9 @@ def test_run_suites_sorted_and_unknown_name_raises():
     summary = checks.summarize(reports)
     assert summary["total"] == len(reports)
     assert summary["pass"] is True
+    # the selector is a set: a repeated name runs its suite once
+    twice = checks.run_suites(SPEC_I, ms, BOX2, 19, 25, ["cocycle", "lie", "cocycle"])
+    assert twice == reports
 
     import pytest
     from qtorus.errors import ConfigError
@@ -153,3 +160,34 @@ def test_reports_are_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     c = checks.run_suites(SPEC_I, ms, BOX2, 24, 30, ["cocycle", "module"])
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
+
+
+def test_tracer_sees_every_suite_and_check(tmp_path):
+    """perfbench/tracer.py wraps the suite functions and `report` by name, so
+    every suite and every check must go through them exactly once."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = tmp_path / "inst.json"
+    cfg.write_text(json.dumps(
+        {"torus": {"d": 2, "N": 2, "A": [[0, 1], [1, 0]]}, "box": [2, 2], "seed": 1, "samples": 4}
+    ))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), "--",
+         "verify", "--config", str(cfg)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [json.loads(line) for line in res.stdout.splitlines()][:-1]
+    spans = json.loads(trace.read_text())["spans"]
+    suites = {s["name"][len("suite:"):]: s["id"] for s in spans if s["name"].startswith("suite:")}
+    assert sorted(suites) == sorted(checks.SUITE_NAMES)
+    assert len(suites) == sum(s["name"].startswith("suite:") for s in spans)
+    traced = [s for s in spans if s["name"].startswith("check:")]
+    names = [s["name"][len("check:"):] for s in traced]
+    assert sorted(names) == [r["check"] for r in rows]
+    table = [c.name for c in checks.CHECKS]
+    assert len(table) == len(set(table)) == 32
+    assert sorted(table) == sorted(names)
+    suite_of = {c.name: c.suite for c in checks.CHECKS}
+    assert all(s["parent"] == suites[suite_of[n]] for s, n in zip(traced, names))

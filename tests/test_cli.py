@@ -332,6 +332,15 @@ GOLDEN = {
         1,
         "9d4d31c94e71623195966ea0ba263ddbcd675385f196a43f05ff961286537586",
     ),
+    # thirteen failing rows across all six suites, the cocycle and lie ones included
+    "verify-i-F-corrupt": (
+        {"torus": dict(INSTANCE_I["torus"], _corrupt_sigma=True),
+         "module": {"V": "natural", "flavor": "F"},
+         "box": [3, 3], "seed": 7, "samples": 20},
+        ["verify"],
+        1,
+        "9f38ba6a8b6a3aa640b0ea32f61fd4b5e7dbc3a94abe19ea3271a792164fd978",
+    ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
          "module": {"V": "natural", "alpha": [0, 0, 0],
