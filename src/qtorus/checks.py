@@ -60,6 +60,7 @@ from .fmodule import (
     zero_modes_commute_check,
 )
 from .glmodules import GlModule, cyclic_from_every_start, direct_sum, mat_sub, natural
+from .lattice import rand_point, rand_radical_point, units
 from .semidirect import (
     GElement,
     gbracket,
@@ -95,16 +96,14 @@ def _defect_json(defect):
     return defect.to_json()
 
 
-def report(check, instance, seed, samples, defect=None, passed=None, note=None):
-    if passed is None:
-        passed = defect is None
+def report(check, instance, seed, samples, defect=None, note=None):
     row = {
         "check": check,
         "instance": instance,
         "seed": sub_seed(seed, check),
         "samples": samples,
         "defect": _defect_json(defect),
-        "pass": bool(passed),
+        "pass": defect is None,
     }
     if note is not None:
         row["note"] = note
@@ -206,18 +205,6 @@ _PLAIN_OR_RIGHT_TWIST_ONLY = "skipped: holds for the plain and G-twist flavors o
 # -- random draws and defect witnesses ---------------------------------------------
 
 
-def _rand_point(rng, d, radius=3):
-    return tuple(rng.randint(-radius, radius) for _ in range(d))
-
-
-def _rand_radical_point(rng, spec, radius=1):
-    rad = spec.radical()
-    coeffs = [rng.randint(-radius, radius) for _ in rad.basis]
-    return tuple(
-        sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(spec.d)
-    )
-
-
 def _rand_coeff(rng, spec):
     return spec.root(rng.randrange(spec.N)) * Fraction(
         rng.randint(-2, 2), rng.randint(1, 2)
@@ -228,16 +215,16 @@ def _rand_torus_elt(rng, spec, nterms=2):
     out = TorusElement.zero(spec)
     for _ in range(nterms):
         out = out + TorusElement.monomial(
-            spec, _rand_point(rng, spec.d), _rand_coeff(rng, spec)
+            spec, rand_point(rng, spec.d), _rand_coeff(rng, spec)
         )
     return out
 
 
 def _rand_der(rng, spec):
     x = DerElement.zero(spec)
-    x = x + DerElement.ad(spec, _rand_point(rng, spec.d, 2), _rand_coeff(rng, spec))
+    x = x + DerElement.ad(spec, rand_point(rng, spec.d, 2), _rand_coeff(rng, spec))
     u = [_rand_coeff(rng, spec) for _ in range(spec.d)]
-    x = x + DerElement.witt_term(spec, u, _rand_radical_point(rng, spec))
+    x = x + DerElement.witt_term(spec, u, rand_radical_point(rng, spec))
     return x
 
 
@@ -283,9 +270,9 @@ def _shifted_in_box(n, s, box):
 @_check("cocycle", _all)
 def _sigma_bicharacter(inst, rng):
     spec = inst.spec
-    n = _rand_point(rng, spec.d)
-    m = _rand_point(rng, spec.d)
-    k = _rand_point(rng, spec.d)
+    n = rand_point(rng, spec.d)
+    m = rand_point(rng, spec.d)
+    k = rand_point(rng, spec.d)
     nm = tuple(a + b for a, b in zip(n, m))
     left = spec.sigma(nm, k) - spec.sigma(n, k) * spec.sigma(m, k)
     right = spec.sigma(k, nm) - spec.sigma(k, n) * spec.sigma(k, m)
@@ -295,9 +282,9 @@ def _sigma_bicharacter(inst, rng):
 @_check("cocycle", _all)
 def _comm_factor_multiplicative(inst, rng):
     spec = inst.spec
-    n = _rand_point(rng, spec.d)
-    m = _rand_point(rng, spec.d)
-    k = _rand_point(rng, spec.d)
+    n = rand_point(rng, spec.d)
+    m = rand_point(rng, spec.d)
+    k = rand_point(rng, spec.d)
     nm = tuple(a + b for a, b in zip(n, m))
     diff = spec.comm_factor(nm, k) - spec.comm_factor(n, k) * spec.comm_factor(m, k)
     # f must also agree with the sigma quotient
@@ -308,7 +295,7 @@ def _comm_factor_multiplicative(inst, rng):
 @_check("cocycle", _all)
 def _comm_factor_alternating(inst, rng):
     spec = inst.spec
-    n = _rand_point(rng, spec.d)
+    n = rand_point(rng, spec.d)
     neg = tuple(-x for x in n)
     one = CycNumber.one()
     return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, neg) - one))
@@ -344,8 +331,8 @@ def _torus_associativity(inst, rng):
 @_check("lie", _all)
 def _torus_commutation_rule(inst, rng):
     spec = inst.spec
-    n = _rand_point(rng, spec.d)
-    m = _rand_point(rng, spec.d)
+    n = rand_point(rng, spec.d)
+    m = rand_point(rng, spec.d)
     tn = TorusElement.monomial(spec, n)
     tm = TorusElement.monomial(spec, m)
     return _torus_first_nonzero(tmul(tn, tm) - tmul(tm, tn).scale(spec.comm_factor(n, m)))
@@ -388,7 +375,7 @@ def _derivation_jacobi(inst, rng):
 @_check("lie", _all)
 def _inner_action_is_commutator(inst, rng):
     spec = inst.spec
-    s = _rand_point(rng, spec.d, 2)
+    s = rand_point(rng, spec.d, 2)
     a = _rand_torus_elt(rng, spec)
     ts = TorusElement.monomial(spec, s)
     return _torus_first_nonzero(dact(DerElement.ad(spec, s), a) - tcomm(ts, a))
@@ -426,8 +413,8 @@ def _torus_copies_commute(inst, rng):
 @_check("lie", _all)
 def _center_detection(inst, rng):
     spec = inst.spec
-    n = _rand_radical_point(rng, spec, 2)
-    m = _rand_point(rng, spec.d, 2)
+    n = rand_radical_point(rng, spec, 2)
+    m = rand_point(rng, spec.d, 2)
     ok = is_central(TorusElement.monomial(spec, n))
     expected_m = spec.in_radical(m)
     got_m = is_central(TorusElement.monomial(spec, m))
@@ -448,10 +435,10 @@ def _untwisted_map_homomorphism(inst, rng):
     xs = []
     for _ in range(2):
         x0 = GElement.zero(model)
-        r = _rand_radical_point(rng, spec, 1)
+        r = rand_radical_point(rng, spec, 1)
         u = [_rand_coeff(rng, model) for _ in range(spec.d)]
         x0 = x0 + GElement.from_der(DerElement.witt_term(model, u, r))
-        s = _rand_radical_point(rng, spec, 1)
+        s = rand_radical_point(rng, spec, 1)
         x0 = x0 + GElement.from_torus(
             TorusElement.monomial(model, s, _rand_coeff(rng, model))
         )
@@ -509,8 +496,8 @@ def _ideal_relations(inst, rng):
 
 @_check("module", _quarter, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
 def _c2_product(inst, rng):
-    n = _rand_point(rng, inst.spec.d, 2)
-    m = _rand_point(rng, inst.spec.d, 2)
+    n = rand_point(rng, inst.spec.d, 2)
+    m = rand_point(rng, inst.spec.d, 2)
     return c2_product_check(inst.ms, n, m, inst.box, rng=rng, limit=4)
 
 
@@ -519,23 +506,23 @@ def _c2_product(inst, rng):
 
 @_check("section3", _eighth, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
 def _inner_quadratic_relation(inst, rng):
-    r = _rand_point(rng, inst.spec.d, 2)
-    s = _rand_point(rng, inst.spec.d, 2)
+    r = rand_point(rng, inst.spec.d, 2)
+    s = rand_point(rng, inst.spec.d, 2)
     return inner_quadratic_relation_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
 def _zero_modes_commute(inst, rng):
-    r = _rand_point(rng, inst.spec.d, 2)
-    s = _rand_point(rng, inst.spec.d, 2)
+    r = rand_point(rng, inst.spec.d, 2)
+    s = rand_point(rng, inst.spec.d, 2)
     return zero_modes_commute_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
 def _zero_mode_ideal(inst, rng):
     d = inst.spec.d
-    r = _rand_radical_point(rng, inst.spec, 1)
-    s = _rand_point(rng, d, 2)
+    r = rand_radical_point(rng, inst.spec, 1)
+    s = rand_point(rng, d, 2)
     u = [rng.randint(-2, 2) for _ in range(d)]
     return zero_mode_ideal_check(inst.ms, u, r, s, inst.box, rng=rng, limit=4)
 
@@ -543,8 +530,8 @@ def _zero_mode_ideal(inst, rng):
 @_check("section3", _eighth)
 def _weight_op_bracket(inst, rng):
     d = inst.spec.d
-    r = _rand_radical_point(rng, inst.spec, 1)
-    s = _rand_radical_point(rng, inst.spec, 1)
+    r = rand_radical_point(rng, inst.spec, 1)
+    s = rand_radical_point(rng, inst.spec, 1)
     u = [rng.randint(-2, 2) for _ in range(d)]
     v = [rng.randint(-2, 2) for _ in range(d)]
     return weight_op_bracket_check(inst.ms, u, r, v, s, inst.box, rng=rng, limit=4)
@@ -555,11 +542,10 @@ def _weight_op_constancy(inst, rng):
     """Weight operators: matrices constant in n and equal to the closed form."""
     ms, spec, box = inst.ms, inst.spec, inst.box
     d = spec.d
-    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
 
     def probes():
         for rr in [tuple(row) for row in spec.radical().basis] + [(0,) * d]:
-            for u in units:
+            for u in units(d):
                 pts = box_points(box, rr)
                 if not pts:
                     continue
@@ -579,8 +565,8 @@ def _weight_op_constancy(inst, rng):
 
 @_check("section3", _eighth_at_most_10)
 def _weight_shift(inst, rng):
-    r = _rand_point(rng, inst.spec.d, min(inst.box))
-    s = _rand_point(rng, inst.spec.d, min(inst.box))
+    r = rand_point(rng, inst.spec.d, min(inst.box))
+    s = rand_point(rng, inst.spec.d, min(inst.box))
     return weight_shift_check(inst.ms, r, s, inst.box)["defect"]
 
 
@@ -589,8 +575,8 @@ def _weight_shift(inst, rng):
 
 @_check("section4", _eighth)
 def _zero_mode_scalar(inst, rng):
-    s = _rand_point(rng, inst.spec.d, 2)
-    n = _rand_point(rng, inst.spec.d, 1)
+    s = rand_point(rng, inst.spec.d, 2)
+    n = rand_point(rng, inst.spec.d, 1)
     if not _shifted_in_box(n, s, inst.box):
         return _VACUOUS
     try:
@@ -609,10 +595,10 @@ def _zero_mode_scalar(inst, rng):
 )
 def _zero_mode_recursion(inst, rng):
     d = inst.spec.d
-    s = _rand_point(rng, d, 2)
+    s = rand_point(rng, d, 2)
     pts = [
         p
-        for p in (_rand_point(rng, d, 1) for _ in range(4))
+        for p in (rand_point(rng, d, 1) for _ in range(4))
         if _shifted_in_box(p, s, inst.box)
     ]
     if not pts:

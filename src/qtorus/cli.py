@@ -36,6 +36,7 @@ from itertools import product as _iproduct
 
 from . import checks
 from .algebra import TorusElement
+from .cyclotomic import _parse_fraction
 from .derivations import DerElement
 from .errors import ConfigError, NotScalar, QTorusError
 from .fmodule import (
@@ -49,6 +50,7 @@ from .fmodule import (
     zero_mode_scalar,
 )
 from .glmodules import parse_module
+from .lattice import units
 from .semidirect import GElement, gbracket
 from .torus import TorusSpec
 
@@ -58,14 +60,10 @@ def _dump(obj) -> str:
 
 
 def _fraction(x) -> Fraction:
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ConfigError(f"expected an integer or a 'p/q' string, got {x!r}")
+    try:
+        return _parse_fraction(x)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str) -> dict:
@@ -176,8 +174,7 @@ def cmd_structure(args) -> int:
     for n in window:
         if not spec.in_radical(n):
             gens.append((f"ad t{list(n)}", GElement.from_der(DerElement.ad(spec, n))))
-    for i in range(spec.d):
-        u = [1 if j == i else 0 for j in range(spec.d)]
+    for i, u in enumerate(units(spec.d)):
         gens.append(
             (f"D(e{i},0)", GElement.from_der(DerElement.witt_term(spec, u, (0,) * spec.d)))
         )

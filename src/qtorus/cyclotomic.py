@@ -3,11 +3,13 @@
 Every scalar in the package is a CycNumber: a vector of rationals over the
 power basis 1, z, ..., z^(phi(M)-1) of Q[x]/Phi_M(x), kept fully reduced.
 Equality is plain coefficient comparison once both operands share a
-conductor; mixed conductors lift to the lcm first.  No floating point is
-used anywhere (a complex embedding exists purely for debug printing).
+conductor; mixed conductors lift to the lcm first, and a product of two
+non-rational operands is one convolution reduced mod Phi_M at that lcm.
+No floating point is used anywhere.
 
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
-(default 240) so runaway lcm chains fail loudly instead of thrashing.
+(default 240) so runaway lcm chains fail loudly instead of thrashing; a
+serialized number is checked against the cap before its field is built.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ def max_conductor() -> int:
 
 
 def _check_conductor(m: int) -> None:
+    if m < 1:
+        raise ValueError("conductor must be >= 1")
     cap = max_conductor()
     if m > cap:
         raise ConductorLimitExceeded(
@@ -278,13 +282,6 @@ class CycNumber:
             if q == 1:
                 return self
             return CycNumber(self.M, tuple(q * c for c in self.coeffs))
-        # product of two pure roots of unity: add exponents at the lcm conductor
-        k1 = self.as_root_exponent()
-        if k1 is not None:
-            k2 = o.as_root_exponent()
-            if k2 is not None:
-                m = self.M * o.M // gcd(self.M, o.M)
-                return root_of_unity(m, k1 * (m // self.M) + k2 * (m // o.M))
         a, b = CycNumber._common(self, o)
         f = _field(a.M)
         phi = f.phi
@@ -414,14 +411,9 @@ class CycNumber:
         if "zeta" in obj:
             m, k = obj["zeta"]
             return root_of_unity(int(m), int(k))
-        return CycNumber(int(obj["M"]), tuple(_parse_fraction(c) for c in obj["coeffs"]))
-
-    def to_complex(self) -> complex:
-        # debug printer only; nothing downstream consumes floats
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.M)
-        return sum(complex(c) * z**i for i, c in enumerate(self.coeffs))
+        m = int(obj["M"])
+        _check_conductor(m)
+        return CycNumber(m, tuple(_parse_fraction(c) for c in obj["coeffs"]))
 
     def __repr__(self):
         k = self.as_root_exponent()
@@ -438,16 +430,20 @@ class CycNumber:
         return f"Cyc({self.M}: " + " + ".join(terms) + ")"
 
 
-def _parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
+def _parse_fraction(x) -> Fraction:
+    """An integer or a "p/q" string as a Fraction; ValueError otherwise."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
 
 
 def root_of_unity(M: int, k: int) -> CycNumber:
     """zeta_M^k as a reduced CycNumber (k taken mod M)."""
-    if M < 1:
-        raise ValueError("conductor must be >= 1")
     _check_conductor(M)
     f = _field(M)
     k %= M

@@ -14,12 +14,16 @@ act (g is a multiplicative twist character, trivial on rad(f)):
 
 Every weight space is a copy of V, so a homogeneous element x of degree k
 maps the weight space at n to the one at n+k by one dim x dim matrix, its
-symbol(x, n, ms).  An operator expression sum_t c_t * (x_1 ... x_k) acts by
-the sum of c_t times the products of its factors' symbols at the shifted
-points, and every verification helper is a matrix identity between symbols,
-evaluated only at start points whose every intermediate weight stays inside
-a finite box (the expression "interior"), so each reported defect is an
-exact statement.  BoxVector and act() apply one element to an arbitrary
+symbol(x, n, ms).  An operator expression sum_t c_t * (x_1 ... x_k) is
+built from one-term compositions expr_of(x_1, ..., x_k), empty when a factor
+is zero, and acts by the sum of c_t times the products of its factors'
+symbols at the shifted points.  Every verification helper is a matrix
+identity between symbols, evaluated only at start points whose every
+intermediate weight stays inside a finite box (the expression "interior"),
+so each reported defect is an exact statement.  The irreducibility probe
+closes start vectors under the weight-operator matrices with
+glmodules.generates, and random lattice points come from the samplers of
+qtorus.lattice.  BoxVector and act() apply one element to an arbitrary
 box-truncated vector, dropping (and flagging) coefficients pushed outside.
 """
 
@@ -39,8 +43,9 @@ from .errors import (
     OutOfBox,
     SpecMismatch,
 )
-from .glmodules import GlModule, Span, identity_matrix, mat_add, mat_eq, mat_mul
+from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
 from .glmodules import mat_scale, mat_sub, mat_vec, zero_matrix
+from .lattice import rand_point, rand_radical_point, units
 from .semidirect import GElement
 from .torus import TorusSpec
 
@@ -79,11 +84,7 @@ class DiagonalCharacter:
             return NotImplemented
         if len(self.exponents) != len(other.exponents):
             return False
-        d = len(self.exponents)
-        return all(
-            self.value(pt) == other.value(pt)
-            for pt in ([0] * i + [1] + [0] * (d - i - 1) for i in range(d))
-        )
+        return all(self.value(e) == other.value(e) for e in units(len(self.exponents)))
 
     __hash__ = None
 
@@ -309,7 +310,7 @@ class BoxVector:
 # -- the action ---------------------------------------------------------------
 
 
-def _as_gelement(x, spec) -> GElement:
+def _as_gelement(x) -> GElement:
     if isinstance(x, GElement):
         return x
     if isinstance(x, DerElement):
@@ -346,7 +347,7 @@ def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
 
 def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
     """Apply one algebra element to a box vector under the flavor rules."""
-    x = _as_gelement(x, ms.spec)
+    x = _as_gelement(x)
     if x.spec != ms.spec:
         raise SpecMismatch("element and module live over different torus specs")
     if w.dim != ms.V.dim:
@@ -423,8 +424,13 @@ def _degree_of(x: GElement):
     return next(iter(degs))
 
 
-def expr_of(x, spec) -> list:
-    return [(CycNumber.one(), [_as_gelement(x, spec)])]
+def expr_of(*factors) -> list:
+    """The one-term composition of the factors (applied right to left), or
+    the empty expression when any factor is the zero element."""
+    factors = [_as_gelement(x) for x in factors]
+    if any(x.is_zero() for x in factors):
+        return []
+    return [(CycNumber.one(), factors)]
 
 
 def expr_scale(e, c) -> list:
@@ -603,8 +609,8 @@ def weight_op_expr(ms: ModuleSpec, u, r) -> list:
     if all(x.is_zero() for x in u):
         return []
     zero = (0,) * spec.d
-    head = [(CycNumber.one(), [op_torus(spec, _neg(r)), op_witt(spec, u, r)])]
-    tail = expr_scale([(CycNumber.one(), [op_witt(spec, u, zero)])], spec.sigma(_neg(r), r))
+    head = expr_of(op_torus(spec, _neg(r)), op_witt(spec, u, r))
+    tail = expr_scale(expr_of(op_witt(spec, u, zero)), spec.sigma(_neg(r), r))
     return expr_sum(head, expr_neg(tail))
 
 
@@ -617,9 +623,7 @@ def zero_mode_expr(ms: ModuleSpec, s) -> list:
     """t^(-s) ad t^s; the empty expression (zero operator) for radical s."""
     spec = ms.spec
     s = spec._point(s)
-    if spec.in_radical(s):
-        return []
-    return [(CycNumber.one(), [op_torus(spec, _neg(s)), op_inner(spec, s)])]
+    return expr_of(op_torus(spec, _neg(s)), op_inner(spec, s))
 
 
 def zero_mode_scalar(ms: ModuleSpec, s, n, box) -> CycNumber:
@@ -645,20 +649,15 @@ def torus_product_relation_expr(ms: ModuleSpec, m, n) -> list:
     m, n = spec._point(m), spec._point(n)
     mn = _shift(m, n)
     return expr_sum(
-        [(CycNumber.one(), [op_torus(spec, m), op_torus(spec, n)])],
-        expr_scale([(CycNumber.one(), [op_torus(spec, mn)])], -spec.sigma(m, n)),
+        expr_of(op_torus(spec, m), op_torus(spec, n)),
+        expr_scale(expr_of(op_torus(spec, mn)), -spec.sigma(m, n)),
     )
 
 
 def _inner_minus_torus_expr(ms: ModuleSpec, k) -> list:
     spec = ms.spec
-    e = []
-    kk = spec._point(k)
-    inner = op_inner(spec, kk)
-    if not inner.is_zero():
-        e.append((CycNumber.one(), [inner]))
-    e.append((-CycNumber.one(), [op_torus(spec, kk)]))
-    return e
+    k = spec._point(k)
+    return expr_sum(expr_of(op_inner(spec, k)), expr_neg(expr_of(op_torus(spec, k))))
 
 
 def c2_product_expr(ms: ModuleSpec, n, m) -> list:
@@ -677,31 +676,28 @@ def c2_product_check(ms: ModuleSpec, n, m, box, rng=None, limit=None):
     return expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=limit)
 
 
-def ideal_relations_vanish(
-    ms: ModuleSpec, box, rng, samples: int, limit: int = 6, quadratic: bool = True
-):
+def ideal_relations_vanish(ms: ModuleSpec, box, rng, samples: int, quadratic: bool = True):
     """Sample the relation families and report the first defect.
 
     Families: the torus product rule; the quadratic rule for ad t^k - t^k
     (only when ``quadratic`` is set -- it holds when the twist multiplies
     the right-translation term, i.e. for the plain and G-twist flavors);
-    and t^0 acting as the identity."""
+    and t^0 acting as the identity.  Each expression is probed at 6 sampled
+    interior points."""
     spec = ms.spec
     radius = max(box)
     defect = None
     count = 0
     for _ in range(samples):
-        m = tuple(rng.randint(-radius, radius) for _ in range(spec.d))
-        n = tuple(rng.randint(-radius, radius) for _ in range(spec.d))
+        m = rand_point(rng, spec.d, radius)
+        n = rand_point(rng, spec.d, radius)
         count += 1
-        d1 = expr_first_defect(
-            torus_product_relation_expr(ms, m, n), ms, box, rng=rng, limit=limit
-        )
+        d1 = expr_first_defect(torus_product_relation_expr(ms, m, n), ms, box, rng=rng, limit=6)
         if d1 is not None and defect is None:
             defect = d1
         if not quadratic:
             continue
-        d2 = expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=limit)
+        d2 = expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=6)
         if d2 is not None and defect is None:
             defect = d2
     # identity family: t^0 acts as Id on every weight space of the box
@@ -717,19 +713,12 @@ def inner_quadratic_relation_check(ms: ModuleSpec, r, s, box, rng=None, limit=No
     """ad t^r ad t^s - (t^r ad t^s + t^s ad t^r) + sigma(s,r) ad t^(r+s)."""
     spec = ms.spec
     r, s = spec._point(r), spec._point(s)
-    rs = _shift(r, s)
-    def inner_expr(k):
-        x = op_inner(spec, k)
-        return [] if x.is_zero() else [(CycNumber.one(), [x])]
-    def compose(head, tail):
-        if not head or not tail:
-            return []
-        return expr_mul(head, tail)
+    ad_r, ad_s = op_inner(spec, r), op_inner(spec, s)
     terms = expr_sum(
-        compose(inner_expr(r), inner_expr(s)),
-        expr_neg(compose([(CycNumber.one(), [op_torus(spec, r)])], inner_expr(s))),
-        expr_neg(compose([(CycNumber.one(), [op_torus(spec, s)])], inner_expr(r))),
-        expr_scale(inner_expr(rs), spec.sigma(s, r)),
+        expr_of(ad_r, ad_s),
+        expr_neg(expr_of(op_torus(spec, r), ad_s)),
+        expr_neg(expr_of(op_torus(spec, s), ad_r)),
+        expr_scale(expr_of(op_inner(spec, _shift(r, s))), spec.sigma(s, r)),
     )
     if not terms:
         return None
@@ -799,13 +788,14 @@ def zero_mode_recursion_check(ms: ModuleSpec, s, box, points):
     return None
 
 
-def extract_twist(ms: ModuleSpec, box, rng=None, extra_points=()) -> TwistCharacter:
+def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
     """Recover the twist character from zero-mode scalars at the origin.
 
     For flavors F and G_g: g(s) = 1 - sigma(s,s) lambda(s,0); flavor F_g
     carries the opposite sign: g(s) = 1 + sigma(s,s) lambda(s,0).  Values
     are taken on the unit vectors, fitted to a character, then verified
-    multiplicatively on the radical basis and any extra sample points."""
+    multiplicatively on the radical basis and, given an rng, on 8 sampled
+    points."""
     spec = ms.spec
     zero = (0,) * spec.d
     one = CycNumber.one()
@@ -819,14 +809,11 @@ def extract_twist(ms: ModuleSpec, box, rng=None, extra_points=()) -> TwistCharac
             raise NotCharacter(f"recovered twist value at {list(s)} is not a root of unity")
         return out
 
-    units = [tuple(1 if j == i else 0 for j in range(spec.d)) for i in range(spec.d)]
-    char = TwistCharacter.from_values(spec, [g_at(e) for e in units])
+    char = TwistCharacter.from_values(spec, [g_at(e) for e in units(spec.d)])
     check_points = [tuple(r) for r in spec.radical().basis]
-    check_points += [tuple(p) for p in extra_points]
     if rng is not None:
         radius = max(1, min(box) - 1)
-        for _ in range(8):
-            check_points.append(tuple(rng.randint(-radius, radius) for _ in range(spec.d)))
+        check_points += [rand_point(rng, spec.d, radius) for _ in range(8)]
     for p in check_points:
         if not _in_box(box, p) or not _in_box(box, _neg(p)):
             continue
@@ -850,9 +837,8 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     ginv = ms_G.twist.inverse()
     ms_F = ModuleSpec(spec, ms_G.V, ms_G.alpha, ginv, "F_g")
     gens = []
-    units = [tuple(1 if j == i else 0 for j in range(spec.d)) for i in range(spec.d)]
     zero = (0,) * spec.d
-    for e in units:
+    for e in units(spec.d):
         gens.append(op_witt(spec, e, zero))
         for row in spec.radical().basis:
             gens.append(op_witt(spec, e, tuple(row)))
@@ -860,19 +846,12 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
         if not g_el.is_zero():
             gens.append(g_el)
     if rng is not None:
-        rad = spec.radical()
         for _ in range(6):
             u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
             if all(x.is_zero() for x in u):
                 u[0] = CycNumber.one()
-            coeffs = [rng.randint(-1, 1) for _ in rad.basis]
-            r = tuple(
-                sum(c * row[i] for c, row in zip(coeffs, rad.basis))
-                for i in range(spec.d)
-            )
-            gens.append(op_witt(spec, u, r))
-            s = tuple(rng.randint(-2, 2) for _ in range(spec.d))
-            x = op_inner(spec, s)
+            gens.append(op_witt(spec, u, rand_radical_point(rng, spec)))
+            x = op_inner(spec, rand_point(rng, spec.d, 2))
             if not x.is_zero():
                 gens.append(x)
     for x in gens:
@@ -907,9 +886,8 @@ def weight_shift_check(ms: ModuleSpec, r, s, box):
     if defect is None:
         defect = bad
     # transport commutes with the weight operators
-    units = [tuple(1 if j == i else 0 for j in range(spec.d)) for i in range(spec.d)]
     rad_rows = [tuple(row) for row in spec.radical().basis]
-    for e in units:
+    for e in units(spec.d):
         for rr in rad_rows:
             if defect is None and _in_box(box, _shift(r, rr)) and _in_box(box, _shift(s, rr)):
                 Ms = weight_op_matrix(ms, e, rr, s, box)
@@ -938,13 +916,8 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
     inner = box_points((inner_radius,) * d)
-    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rad_rows = [tuple(row) for row in spec.radical().basis]
-    generators = []
-    for rr in rad_rows:
-        for e in units:
-            u = [1 if x else 0 for x in e]
-            generators.append((u, rr))
+    generators = [(e, rr) for rr in rad_rows for e in units(d)]
     # (1) matrices constant across the inner box
     mats = []
     constant = True
@@ -960,43 +933,29 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
-    for e in units:
+    for e in units(d):
         for n in inner:
             if not _in_box(box, _shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
             if _scalar_defect(symbol(op_torus(spec, e), n, ms), c) is not None:
                 transports_ok = False
-    # (3) closure of V-coordinates under the weight-operator matrices
-    def closes(v0) -> bool:
-        span = Span(dim)
-        span.insert(v0)
-        frontier = [list(v0)]
-        while frontier and span.dim < dim:
-            new = []
-            for v in frontier:
-                for M in mats:
-                    w = mat_vec(M, v)
-                    if span.insert(w):
-                        new.append(w)
-            frontier = new
-        return span.dim == dim
-
-    # the closure of a start vector does not depend on its weight point
-    basis_closes = [closes(row) for row in identity_matrix(dim)]
+    # (3) closure of V-coordinates under the weight-operator matrices; the
+    # closure of a start vector does not depend on its weight point
+    basis_cyclic = [generates(row, mats) for row in identity_matrix(dim)]
     rows = [
-        {"n": list(n), "start": t, "cyclic": basis_closes[t]}
+        {"n": list(n), "start": t, "cyclic": basis_cyclic[t]}
         for n in inner
         for t in range(dim)
     ]
-    all_cyclic = all(basis_closes)
+    all_cyclic = all(basis_cyclic)
     if rng is not None:
         for idx in range(RANDOM_STARTS):
-            n = tuple(rng.randint(-inner_radius, inner_radius) for _ in range(d))
+            n = rand_point(rng, d, inner_radius)
             v0 = [CycNumber.rational(rng.randint(-3, 3)) for _ in range(dim)]
             if all(x.is_zero() for x in v0):
                 v0[0] = CycNumber.one()
-            ok = closes(v0)
+            ok = generates(v0, mats)
             rows.append({"n": list(n), "start": f"random{idx}", "cyclic": ok})
             all_cyclic = all_cyclic and ok
     return {
@@ -1016,26 +975,20 @@ def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
 
     spec = ms.spec
     d = spec.d
-    radius = max(box)
-    rad = spec.radical()
     include_torus = ms.flavor != "F_g"
 
     def rand_hom():
         kinds = ["inner", "witt"] + (["torus"] if include_torus else [])
         kind = kinds[rng.randrange(len(kinds))]
         if kind == "torus":
-            m = tuple(rng.randint(-2, 2) for _ in range(d))
-            return op_torus(spec, m)
+            return op_torus(spec, rand_point(rng, d, 2))
         if kind == "inner":
             for _ in range(20):
-                s = tuple(rng.randint(-2, 2) for _ in range(d))
+                s = rand_point(rng, d, 2)
                 if not spec.in_radical(s):
                     return op_inner(spec, s)
-            return op_inner(spec, (1,) + (0,) * (d - 1))
-        coeffs = [rng.randint(-1, 1) for _ in rad.basis]
-        r = tuple(
-            sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d)
-        )
+            return op_inner(spec, units(d)[0])
+        r = rand_radical_point(rng, spec)
         u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(d)]
         if all(x.is_zero() for x in u):
             u[0] = CycNumber.one()
@@ -1067,10 +1020,8 @@ def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
 def weight_eigenvalue_check(ms: ModuleSpec, box):
     """D(u,0) acts on v(n) by the scalar (u, n+alpha), for u = unit vectors."""
     spec = ms.spec
-    d = spec.d
-    zero = (0,) * d
-    for i in range(d):
-        u = [1 if j == i else 0 for j in range(d)]
+    zero = (0,) * spec.d
+    for i, u in enumerate(units(spec.d)):
         x = op_witt(spec, u, zero)
         for n in box_points(box):
             defect = _scalar_defect(symbol(x, n, ms), ms.alpha[i] + n[i])
@@ -1079,13 +1030,14 @@ def weight_eigenvalue_check(ms: ModuleSpec, box):
     return {"pass": True, "defect": None}
 
 
-def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_conductor: int = 64):
+def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
     """Search for a re-labelled plain-flavor module matching an F_g module.
 
     For each candidate beta with integral delta = alpha - beta, and each
     diagonal character c of conductor dividing lcm(N, twist conductor), test
     whether v(n) |-> c(n) v(n + delta) intertwines the derivation action
-    with the flavor-F module at weight shift beta.  Returns the first match
+    with the flavor-F module at weight shift beta; a family of more than
+    64^3 characters is refused as too large.  Returns the first match
     as {'found': True, 'beta': ..., 'delta': ..., 'c': ...} or
     {'found': False}."""
     if ms_source.flavor != "F_g":
@@ -1093,18 +1045,17 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box, max_co
     spec = ms_source.spec
     d = spec.d
     conductor = _lcm(spec.N, ms_source.twist.modulus)
-    if conductor ** d > max_conductor ** 3:
+    if conductor ** d > 64 ** 3:
         raise ConfigError("candidate character family too large to enumerate")
-    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rad_rows = [tuple(row) for row in spec.radical().basis]
     gens = []
     zero = (0,) * d
-    for e in units:
+    for e in units(d):
         gens.append(op_witt(spec, e, zero))
         for rr in rad_rows:
             if _in_box(box, rr):
                 gens.append(op_witt(spec, e, rr))
-    for e in units:
+    for e in units(d):
         x = op_inner(spec, e)
         if not x.is_zero():
             gens.append(x)

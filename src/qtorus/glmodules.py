@@ -13,7 +13,9 @@ Provided constructions: natural column vectors, their dual, symmetric and
 exterior powers of the natural module, a scalar trace twist of any module,
 and the one-dimensional trivial module.  matrix_of() assembles the image of
 an arbitrary coefficient matrix, which is how the weight-module layer uses
-these objects.
+these objects.  generates() is the one span closure of the package: it
+decides whether a vector generates the whole space under a set of matrices,
+for the cyclicity probe here and for the weight-module irreducibility probe.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _parse_fraction
 from .errors import BadPower, SpecMismatch
 
 
@@ -91,10 +93,6 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 class Span:
     """Row space in reduced echelon form over the cyclotomic field."""
 
@@ -143,7 +141,7 @@ class Span:
 class GlModule:
     __slots__ = ("d", "dim", "name", "E", "basis_labels")
 
-    def __init__(self, d: int, dim: int, E, name: str, basis_labels=None, check: bool = True):
+    def __init__(self, d: int, dim: int, E, name: str, basis_labels=None):
         self.d = d
         self.dim = dim
         self.name = name
@@ -152,8 +150,7 @@ class GlModule:
             for i in range(d)
         ]
         self.basis_labels = list(basis_labels) if basis_labels is not None else list(range(dim))
-        if check:
-            self._verify_bracket_law()
+        self._verify_bracket_law()
 
     def _verify_bracket_law(self):
         for i in range(self.d):
@@ -303,38 +300,34 @@ def direct_sum(a: GlModule, b: GlModule) -> GlModule:
                     M[a.dim + r][a.dim + c] = b.E[i][j][r][c]
             row.append(M)
         E.append(row)
-    return GlModule(a.d, dim, E, f"({a.name})+({b.name})", check=True)
+    return GlModule(a.d, dim, E, f"({a.name})+({b.name})")
 
 
-def cyclic_from_every_start(module: GlModule, extra_starts=(), max_rounds: int = 64) -> bool:
-    """True when every listed start vector generates the whole space under
-    repeated application of the matrix-unit images.  Starts are the basis
-    vectors plus any extra vectors given."""
+def generates(v0, mats) -> bool:
+    """True when v0 generates the whole space under repeated application of
+    the matrices.  Each round applies every matrix to every vector that
+    enlarged the span in the round before, so it stops within len(v0)
+    rounds."""
+    dim = len(v0)
+    span = Span(dim)
+    span.insert(v0)
+    frontier = [v0]
+    while frontier and span.dim < dim:
+        new = []
+        for v in frontier:
+            for M in mats:
+                w = mat_vec(M, v)
+                if span.insert(w):
+                    new.append(w)
+        frontier = new
+    return span.dim == dim
+
+
+def cyclic_from_every_start(module: GlModule) -> bool:
+    """True when every basis vector generates the whole space under the
+    matrix-unit images."""
     gens = [module.E[i][j] for i in range(module.d) for j in range(module.d)]
-    starts = [
-        [CycNumber.one() if t == s else CycNumber.zero() for t in range(module.dim)]
-        for s in range(module.dim)
-    ]
-    starts += [[_coeff(x) for x in v] for v in extra_starts]
-    for v0 in starts:
-        if all(x.is_zero() for x in v0):
-            continue
-        span = Span(module.dim)
-        span.insert(v0)
-        frontier = [v0]
-        rounds = 0
-        while frontier and span.dim < module.dim and rounds < max_rounds:
-            rounds += 1
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = mat_vec(g, v)
-                    if span.insert(w):
-                        new.append(w)
-            frontier = new
-        if span.dim < module.dim:
-            return False
-    return True
+    return all(generates(v0, gens) for v0 in identity_matrix(module.dim))
 
 
 def parse_module(d: int, selector: str) -> GlModule:
@@ -360,8 +353,8 @@ def parse_module(d: int, selector: str) -> GlModule:
         if not tail:
             raise BadPower(f"twist selector needs a scalar and a base: {selector!r}")
         try:
-            scalar = Fraction(head)
-        except (ValueError, ZeroDivisionError):
+            scalar = _parse_fraction(head)
+        except ValueError:
             raise BadPower(f"twist scalar must be rational, got {head!r}") from None
         return trace_twist(parse_module(d, tail), scalar)
     raise BadPower(f"unknown module selector: {selector!r}")

@@ -1,4 +1,5 @@
-"""Small exact integer-lattice helpers: Hermite forms, membership, kernels.
+"""Small exact integer-lattice helpers: Hermite forms, membership, kernels,
+and the unit vectors and seeded random points every layer above draws from.
 
 Everything runs on plain Python ints (arbitrary precision); the matrices
 involved are tiny (rank <= the torus rank d), so clarity beats asymptotics.
@@ -116,3 +117,24 @@ def det_of_hnf(basis) -> int:
     for row in basis:
         det *= next(a for a in row if a)
     return det
+
+
+# -- lattice samplers ------------------------------------------------------
+
+
+def units(d: int) -> list[tuple[int, ...]]:
+    """The unit vectors e_0, ..., e_(d-1) of Z^d."""
+    return [tuple(int(j == i) for j in range(d)) for i in range(d)]
+
+
+def rand_point(rng, d: int, radius: int = 3) -> tuple[int, ...]:
+    """A point of Z^d with coordinates drawn from [-radius, radius]."""
+    return tuple(rng.randint(-radius, radius) for _ in range(d))
+
+
+def rand_radical_point(rng, spec, radius: int = 1) -> tuple[int, ...]:
+    """A combination of the radical basis rows of `spec` with coefficients
+    drawn from [-radius, radius]."""
+    basis = spec.radical().basis
+    coeffs = [rng.randint(-radius, radius) for _ in basis]
+    return tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(spec.d))

@@ -40,7 +40,7 @@ def test_report_shape():
     assert set(row) == {"check", "instance", "seed", "samples", "defect", "pass"}
     assert row["defect"] == "0"
     assert row["pass"] is True
-    noted = checks.report("demo", "d=2,N=2", 7, 0, passed=True, note="skipped")
+    noted = checks.report("demo", "d=2,N=2", 7, 0, note="skipped")
     assert noted["note"] == "skipped"
     assert json.dumps(noted, sort_keys=True)  # JSON-serializable
 

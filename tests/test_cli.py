@@ -367,6 +367,42 @@ GOLDEN = {
         0,
         "921c1ecc69fb39ba4838de6b1897b51cec4b1d099a92a078df6ba70358c9d1ef",
     ),
+    "iso-iii-Gg": (
+        {"torus": INSTANCE_III_TORUS,
+         "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
+                    "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
+         "box": [2, 2, 2], "seed": 5},
+        ["iso"],
+        0,
+        "36ed3ac0bfbb7bc1cf5e90308f4ff8bd2d82ece3ff563fd7e6eb18675dad1d0d",
+    ),
+    "irreducible-ii-Fg": (
+        {"torus": INSTANCE_II_TORUS,
+         "module": {"V": "sym:2", "alpha": ["1/2", 0],
+                    "twist": {"modulus": 3, "exponents": [1, 0]}, "flavor": "F_g"},
+         "box": [2, 2], "seed": 4},
+        ["irreducible"],
+        0,
+        "dd5c9a78db5c95e9879f20222911f83b8783e45da305491d9f57d377ef9c609c",
+    ),
+    "irreducible-ii-Gg-corrupt": (
+        {"torus": dict(INSTANCE_II_TORUS, _corrupt_sigma=True),
+         "module": {"V": "sym:2", "alpha": [0, "1/3"],
+                    "twist": {"modulus": 3, "exponents": [0, 2]}, "flavor": "G_g"},
+         "box": [2, 2], "seed": 6},
+        ["irreducible"],
+        1,
+        "9f2e8b0a01be2127661e5feb421654c419a32dbd6dd8f4d66179dc798e8ee424",
+    ),
+    "lambda-ii-Fg": (
+        {"torus": INSTANCE_II_TORUS,
+         "module": {"V": "sym:2", "alpha": ["1/2", 0],
+                    "twist": {"modulus": 3, "exponents": [1, 0]}, "flavor": "F_g"},
+         "box": [2, 2], "seed": 4},
+        ["lambda", "--s", "1,0", "--n", "0,1"],
+        0,
+        "17b73eabf873443f81b3d94505074970dfcde292e45cd72b369bc1abccc54439",
+    ),
 }
 
 
@@ -406,3 +442,37 @@ def test_malformed_config_is_usage_error(tmp_path, cfg):
     res = run_cli("verify", "--config", write_config(tmp_path, cfg), "--suite", "cocycle")
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "element, entry",
+    [
+        ({"torus": [{"n": [1, 0], "c": "1/0"}]}, _ONE),
+        ({"torus": [{"n": [1, 0], "c": {"M": 1, "coeffs": ["1/0"]}}]}, _ONE),
+        ({"torus": [{"n": [1, 0], "c": _ONE}]}, "1/0"),
+    ],
+    ids=["element-coefficient", "coeffs", "vector-entry"],
+)
+def test_malformed_act_input_is_usage_error(tmp_path, element, entry):
+    cfg = write_config(tmp_path, INSTANCE_I)
+    vec = {"box": [3, 3], "dim": 2, "entries": [{"n": [0, 0], "w": [entry, _ONE]}]}
+    res = run_cli(
+        "act", "--config", cfg, "--element", json.dumps(element), "--vector", json.dumps(vec)
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+def test_act_conductor_above_the_cap_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("QTORUS_MAX_CONDUCTOR", raising=False)
+    cfg = write_config(
+        tmp_path, {"torus": {"d": 1, "N": 1, "A": [[0]]}, "module": {"V": "trivial"}}
+    )
+    entry = {"M": 241, "coeffs": ["1/1"] + ["0/1"] * 239}
+    vec = {"box": [3], "dim": 1, "entries": [{"n": [0], "w": [entry]}]}
+    element = {"torus": [{"n": [0], "c": _ONE}]}
+    res = run_cli(
+        "act", "--config", cfg, "--element", json.dumps(element), "--vector", json.dumps(vec)
+    )
+    assert res.returncode == 2
+    assert res.stderr == "error: conductor 241 exceeds QTORUS_MAX_CONDUCTOR=240\n"

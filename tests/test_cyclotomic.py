@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtorus import cyclotomic
 from qtorus.cyclotomic import CycNumber, root_of_unity, totient
 from qtorus.errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
 
@@ -130,6 +131,22 @@ def test_conductor_cap(monkeypatch):
         root_of_unity(8, 1) * root_of_unity(3, 1)  # lcm 24 > 10
     monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "240")
     assert root_of_unity(8, 1) * root_of_unity(3, 1) == root_of_unity(24, 11)
+
+
+def test_serialized_conductor_is_checked_before_its_field_is_built(monkeypatch):
+    monkeypatch.delenv("QTORUS_MAX_CONDUCTOR", raising=False)
+    blob = {"M": 241, "coeffs": ["1/1"] + ["0/1"] * 239}
+    with pytest.raises(ConductorLimitExceeded, match="conductor 241 exceeds"):
+        CycNumber.from_json(blob)
+    assert 241 not in cyclotomic._FIELDS
+    with pytest.raises(ValueError, match="conductor must be >= 1"):
+        CycNumber.from_json({"M": 0, "coeffs": []})
+
+
+@pytest.mark.parametrize("bad", [0.5, True, None, "x", "1/0", [1]])
+def test_from_json_accepts_only_integers_and_fraction_strings(bad):
+    with pytest.raises(ValueError):
+        CycNumber.from_json({"M": 1, "coeffs": [bad]})
 
 
 def test_totient_small():

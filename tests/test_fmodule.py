@@ -288,19 +288,19 @@ def test_expr_interior_accounts_for_intermediates():
     # (0,1), (1,1), so valid starts lose the top edge of the box on each axis
     ms = plain_module(SPEC_I)
     e = expr_commutator(
-        expr_of(op_torus(SPEC_I, (1, 0)), SPEC_I),
-        expr_of(op_torus(SPEC_I, (0, 1)), SPEC_I),
+        expr_of(op_torus(SPEC_I, (1, 0))),
+        expr_of(op_torus(SPEC_I, (0, 1))),
     )
     ranges = expr_interior(BOX2, e)
     assert ranges == [(-3, 2), (-3, 2)]
     pts = interior_points(ranges)
     assert len(pts) == 36
     with pytest.raises(SpecMismatch):
-        expr_weight_matrix(expr_of(op_torus(SPEC_I, (1, 0)), SPEC_I), ms, BOX2, (0, 0))
+        expr_weight_matrix(expr_of(op_torus(SPEC_I, (1, 0))), ms, BOX2, (0, 0))
     # a degree-zero round trip through (3,0) cannot start at the box edge
     round_trip = expr_mul(
-        expr_of(op_torus(SPEC_I, (-3, 0)), SPEC_I),
-        expr_of(op_torus(SPEC_I, (3, 0)), SPEC_I),
+        expr_of(op_torus(SPEC_I, (-3, 0))),
+        expr_of(op_torus(SPEC_I, (3, 0))),
     )
     with pytest.raises(OutOfBox):
         expr_weight_matrix(round_trip, ms, BOX2, (3, 3))
@@ -544,7 +544,7 @@ def test_search_second_instance():
 def test_defect_reporting_is_first_nonzero():
     # a deliberately wrong expression reports its first nonzero coefficient
     ms = plain_module(SPEC_I)
-    e = expr_of(op_torus(SPEC_I, (0, 0)), SPEC_I) + [
+    e = expr_of(op_torus(SPEC_I, (0, 0))) + [
         (CycNumber.rational(-2), [op_torus(SPEC_I, (0, 0))])
     ]
     d = expr_first_defect(e, ms, BOX2)
