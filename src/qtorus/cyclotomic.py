@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-Every scalar in the package is a CycNumber: a vector of rationals over the
-power basis 1, z, ..., z^(phi(M)-1) of Q[x]/Phi_M(x), kept fully reduced.
-Equality is plain coefficient comparison once both operands share a
-conductor; mixed conductors lift to the lcm first, and a product of two
-non-rational operands is one convolution reduced mod Phi_M at that lcm.
-No floating point is used anywhere.
+Every scalar in the package is a CycNumber: a vector of integer numerators
+over one positive integer denominator, num / den, in the power basis
+1, z, ..., z^(phi(M)-1) of Q[x]/Phi_M(x).  The form is canonical: den > 0,
+the gcd of den and all numerators is 1, and zero is (0, ..., 0) / 1.  So
+equality is a tuple comparison once both operands share a conductor, and
+sums, products and lifts run on Python ints with one gcd per result.  Mixed
+conductors lift to the lcm first, and a product of two non-rational
+operands is one convolution reduced mod Phi_M at that lcm.  No floating
+point is used anywhere.
 
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
 (default 240) so runaway lcm chains fail loudly instead of thrashing; a
@@ -17,7 +20,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
 
@@ -93,7 +96,7 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 class _Field:
     """Cached per-conductor data: Phi_M, power table, exponent lookup."""
 
-    __slots__ = ("M", "phi", "poly", "powers", "powers_frac", "exp_of", "embeds", "units")
+    __slots__ = ("M", "phi", "poly", "powers", "exp_of", "embeds", "units")
 
     def __init__(self, M: int):
         self.M = M
@@ -120,7 +123,6 @@ class _Field:
                 row = [a + carry * b for a, b in zip(row, top)]
             powers.append(tuple(row))
         self.powers = powers
-        self.powers_frac = [tuple(Fraction(c) for c in p) for p in powers]
         self.exp_of = {powers[k]: k for k in range(M)}
         self.embeds: dict[int, list[tuple[int, ...]]] = {}
         self.units: list["CycNumber" | None] = [None] * M
@@ -171,43 +173,82 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return q, a[: da + 1]
 
 
-class CycNumber:
-    """An element of Q(zeta_M), reduced mod the M-th cyclotomic polynomial."""
+_new = object.__new__
 
-    __slots__ = ("M", "coeffs")
+
+def _make(M: int, num: tuple[int, ...], den: int) -> "CycNumber":
+    """A CycNumber from numerators and a denominator already in canonical form."""
+    x = _new(CycNumber)
+    x.M = M
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(M: int, num: tuple[int, ...], den: int) -> "CycNumber":
+    """num / den (den > 0) in canonical form: one gcd, skipped when den is 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _make(M, num, den)
+
+
+class CycNumber:
+    """An element of Q(zeta_M), reduced mod the M-th cyclotomic polynomial.
+
+    `num` holds the integer numerators and `den` the positive common
+    denominator, in the canonical form described in the module docstring.
+    """
+
+    __slots__ = ("M", "num", "den")
 
     def __init__(self, M: int, coeffs):
-        self.M = M
-        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        if len(self.coeffs) != _field(M).phi:
+        fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        if len(fracs) != _field(M).phi:
             raise ValueError("coefficient vector has wrong length for conductor")
+        # the lcm of reduced denominators leaves no common factor with the numerators
+        den = lcm(*(c.denominator for c in fracs))
+        self.M = M
+        self.num = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(q) -> "CycNumber":
-        return CycNumber(1, (Fraction(q),))
+        if type(q) is int:
+            return _make(1, (q,), 1)
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "CycNumber":
-        return CycNumber(1, (_ZERO,))
+        return _make(1, (0,), 1)
 
     @staticmethod
     def one() -> "CycNumber":
-        return CycNumber(1, (_ONE,))
+        return _make(1, (1,), 1)
 
     # -- basics --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def lift(self, M2: int) -> "CycNumber":
         """Re-express in Q(zeta_M2); M must divide M2."""
@@ -217,14 +258,16 @@ class CycNumber:
             raise NotDivisible(f"conductor {self.M} does not divide {M2}")
         _check_conductor(M2)
         rows = _embed_rows(_field(self.M), M2)
-        phi2 = _field(M2).phi
-        out = [_ZERO] * phi2
-        for c, row in zip(self.coeffs, rows):
+        out = [0] * _field(M2).phi
+        for c, row in zip(self.num, rows):
             if c:
                 for i, r in enumerate(row):
                     if r:
                         out[i] += c * r
-        return CycNumber(M2, out)
+        # Z[zeta_M] is the ring of integers of Q(zeta_M) and its power basis
+        # an integral basis, so a numerator vector with no common factor with
+        # den keeps none at M2: the lifted form is already canonical.
+        return _make(M2, tuple(out), self.den)
 
     @staticmethod
     def _common(a: "CycNumber", b: "CycNumber"):
@@ -236,8 +279,11 @@ class CycNumber:
     def _coerce(self, other):
         if isinstance(other, CycNumber):
             return other
+        if type(other) is int:
+            return _make(1, (other,), 1)
         if isinstance(other, (int, Fraction)):
-            return CycNumber(1, (Fraction(other),))
+            q = Fraction(other)
+            return _make(1, (q.numerator,), q.denominator)
         return None
 
     # -- arithmetic ----------------------------------------------------
@@ -247,7 +293,14 @@ class CycNumber:
         if o is None:
             return NotImplemented
         a, b = CycNumber._common(self, o)
-        return CycNumber(a.M, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _reduced(a.M, tuple([x + y for x, y in zip(a.num, b.num)]), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _reduced(
+            a.M, tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]), da * fa
+        )
 
     __radd__ = __add__
 
@@ -256,7 +309,14 @@ class CycNumber:
         if o is None:
             return NotImplemented
         a, b = CycNumber._common(self, o)
-        return CycNumber(a.M, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _reduced(a.M, tuple([x - y for x, y in zip(a.num, b.num)]), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _reduced(
+            a.M, tuple([x * fa - y * fb for x, y in zip(a.num, b.num)]), da * fa
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -265,7 +325,7 @@ class CycNumber:
         return o - self
 
     def __neg__(self):
-        return CycNumber(self.M, tuple(-x for x in self.coeffs))
+        return _make(self.M, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -273,34 +333,34 @@ class CycNumber:
             return NotImplemented
         # rational fast paths keep the hot loops cheap
         if self.M == 1:
-            q = self.coeffs[0]
-            if q == 1:
+            q, d = self.num[0], self.den
+            if q == 1 and d == 1:
                 return o
-            return CycNumber(o.M, tuple(q * c for c in o.coeffs))
+            return _reduced(o.M, tuple([q * c for c in o.num]), d * o.den)
         if o.M == 1:
-            q = o.coeffs[0]
-            if q == 1:
+            q, d = o.num[0], o.den
+            if q == 1 and d == 1:
                 return self
-            return CycNumber(self.M, tuple(q * c for c in self.coeffs))
+            return _reduced(self.M, tuple([q * c for c in self.num]), d * self.den)
         a, b = CycNumber._common(self, o)
         f = _field(a.M)
         phi = f.phi
-        conv = [_ZERO] * (2 * phi - 1)
-        bc = b.coeffs
-        for i, x in enumerate(a.coeffs):
+        conv = [0] * (2 * phi - 1)
+        bn = b.num
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(bc):
+                for j, y in enumerate(bn):
                     if y:
                         conv[i + j] += x * y
-        out = list(conv[:phi])
+        out = conv[:phi]
+        powers = f.powers
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = f.powers[k]
-                for i, r in enumerate(row):
+                for i, r in enumerate(powers[k]):
                     if r:
                         out[i] += c * r
-        return CycNumber(a.M, out)
+        return _reduced(a.M, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -308,7 +368,8 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.M == 1:
-            return CycNumber(1, (1 / self.coeffs[0],))
+            q = self.num[0]
+            return _make(1, (self.den,), q) if q > 0 else _make(1, (-self.den,), -q)
         k = self.as_root_exponent()
         if k is not None:
             return root_of_unity(self.M, -k)
@@ -373,9 +434,9 @@ class CycNumber:
         if o is None:
             return NotImplemented
         if self.M == o.M:
-            return self.coeffs == o.coeffs
+            return self.den == o.den and self.num == o.num
         a, b = CycNumber._common(self, o)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # mutable-free but conductor-sensitive; not a dict key
 
@@ -383,7 +444,9 @@ class CycNumber:
 
     def as_root_exponent(self):
         """Return k with self = zeta_M^k, or None if self is no such power."""
-        return _field(self.M).exp_of.get(self.coeffs)
+        if self.den != 1:
+            return None
+        return _field(self.M).exp_of.get(self.num)
 
     def sqrt_root(self) -> "CycNumber":
         """Canonical square-root branch for roots of unity:
@@ -409,11 +472,20 @@ class CycNumber:
         if not isinstance(obj, dict):
             raise ValueError(f"cannot parse CycNumber from {obj!r}")
         if "zeta" in obj:
-            m, k = obj["zeta"]
-            return root_of_unity(int(m), int(k))
-        m = int(obj["M"])
+            z = obj["zeta"]
+            if not (
+                isinstance(z, (list, tuple)) and len(z) == 2 and all(type(v) is int for v in z)
+            ):
+                raise ValueError(f"expected 'zeta' as two integers [M, k], got {z!r}")
+            return root_of_unity(z[0], z[1])
+        m = obj["M"]
+        if type(m) is not int:
+            raise ValueError(f"expected an integer conductor 'M', got {m!r}")
         _check_conductor(m)
-        return CycNumber(m, tuple(_parse_fraction(c) for c in obj["coeffs"]))
+        coeffs = obj["coeffs"]
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError(f"expected 'coeffs' as a list, got {coeffs!r}")
+        return CycNumber(m, tuple(_parse_fraction(c) for c in coeffs))
 
     def __repr__(self):
         k = self.as_root_exponent()
@@ -421,10 +493,11 @@ class CycNumber:
             if k == 0:
                 return "1"
             return f"zeta({self.M})^{k}"
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c:
                 terms.append(f"{c}*z^{i}" if i else str(c))
         return f"Cyc({self.M}: " + " + ".join(terms) + ")"
@@ -449,6 +522,6 @@ def root_of_unity(M: int, k: int) -> CycNumber:
     k %= M
     unit = f.units[k]
     if unit is None:
-        unit = CycNumber(M, f.powers_frac[k])
+        unit = _make(M, f.powers[k], 1)
         f.units[k] = unit
     return unit

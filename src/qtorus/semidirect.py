@@ -119,10 +119,7 @@ def inner_minus(spec: TorusSpec, a) -> GElement:
     """Second torus copy: t^n |-> (ad t^n, -t^n), extended linearly."""
     if not isinstance(a, TorusElement):
         a = TorusElement.monomial(spec, a)
-    der = DerElement.zero(spec)
-    for n, c in a.terms.items():
-        der = der + DerElement.ad(spec, n, c)
-    return GElement(spec, der, -a)
+    return GElement(spec, DerElement(spec, inner=a.terms), -a)
 
 
 def decompose(x: GElement):

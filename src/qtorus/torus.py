@@ -87,7 +87,7 @@ class TorusSpec:
         return cls(d, N, rows)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, TorusSpec)
             and self.d == other.d
             and self.N == other.N

@@ -450,8 +450,10 @@ def test_malformed_config_is_usage_error(tmp_path, cfg):
         ({"torus": [{"n": [1, 0], "c": "1/0"}]}, _ONE),
         ({"torus": [{"n": [1, 0], "c": {"M": 1, "coeffs": ["1/0"]}}]}, _ONE),
         ({"torus": [{"n": [1, 0], "c": _ONE}]}, "1/0"),
+        ({"torus": [{"n": [1, 0], "c": {"M": 2.5, "coeffs": ["1/1"]}}]}, _ONE),
+        ({"torus": [{"n": [1, 0], "c": _ONE}]}, {"zeta": [6.9, 5.5]}),
     ],
-    ids=["element-coefficient", "coeffs", "vector-entry"],
+    ids=["element-coefficient", "coeffs", "vector-entry", "float-conductor", "float-zeta"],
 )
 def test_malformed_act_input_is_usage_error(tmp_path, element, entry):
     cfg = write_config(tmp_path, INSTANCE_I)

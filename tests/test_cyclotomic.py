@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
+import _cyc_oracle as oracle
 import pytest
 
 from qtorus import cyclotomic
@@ -149,5 +151,101 @@ def test_from_json_accepts_only_integers_and_fraction_strings(bad):
         CycNumber.from_json({"M": 1, "coeffs": [bad]})
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"M": 2.5, "coeffs": ["1/1"]},
+        {"M": True, "coeffs": ["1/1"]},
+        {"M": "3", "coeffs": ["0/1", "1/1"]},
+        {"zeta": [6.9, 5.5]},
+        {"zeta": [6, 5.0]},
+        {"zeta": [True, 0]},
+        {"zeta": [6]},
+        {"M": 3, "coeffs": "12"},
+    ],
+    ids=[
+        "float-M", "bool-M", "string-M", "float-zeta", "float-zeta-k", "bool-zeta", "short-zeta",
+        "string-coeffs",
+    ],
+)
+def test_from_json_rejects_a_malformed_conductor_exponent_or_coefficient_list(blob):
+    with pytest.raises(ValueError):
+        CycNumber.from_json(blob)
+
+
 def test_totient_small():
     assert [totient(m) for m in (1, 2, 3, 4, 6, 8, 12, 240)] == [1, 1, 2, 2, 2, 4, 4, 64]
+
+
+# -- differential test against the Fraction-backed oracle -----------------------
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12, 24)
+
+
+def _twin(rng, M):
+    """One random value of Q(zeta_M), built by both implementations."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.randrange(M)
+        q = rng.choice((1, 1, -1, Fraction(1, 2), Fraction(-3, 4)))
+        return root_of_unity(M, k) * q, oracle.root_of_unity(M, k) * q
+    if kind == 1:
+        coeffs = [0] * totient(M)
+    else:
+        coeffs = [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(totient(M))
+        ]
+    return CycNumber(M, coeffs), oracle.CycNumber(M, coeffs)
+
+
+def _same(new, old):
+    assert new.M == old.M
+    assert new.coeffs == old.coeffs
+    assert new.to_json() == old.to_json()
+    assert repr(new) == repr(old)
+    assert new.as_root_exponent() == old.as_root_exponent()
+    assert new.den > 0 and gcd(new.den, *new.num) == 1
+
+
+def test_matches_the_fraction_backed_oracle():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        ma, mb = rng.choice(ORACLE_CONDUCTORS), rng.choice(ORACLE_CONDUCTORS)
+        (a, a0), (b, b0) = _twin(rng, ma), _twin(rng, mb)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        n = rng.randint(-3, 3)
+        _same(a, a0)
+        _same(a + b, a0 + b0)
+        _same(a - b, a0 - b0)
+        _same(-a, -a0)
+        _same(a * b, a0 * b0)
+        _same(a * q, a0 * q)
+        _same(n - a, n - a0)
+        _same(a + n, a0 + n)
+        _same(a.lift(lcm(ma, mb)), a0.lift(lcm(ma, mb)))
+        _same(a.lift(2 * ma), a0.lift(2 * ma))
+        assert (a == b) == (a0 == b0)
+        assert (a == q) == (a0 == q)
+        assert ((a + b) - b == a) and ((a0 + b0) - b0 == a0)
+        if not b.is_zero():
+            _same(b.inverse(), b0.inverse())
+            back, back0 = (a * b) * b.inverse(), (a0 * b0) * b0.inverse()
+            _same(back, back0)
+            assert (back == a) and (back0 == a0)
+
+
+def test_cyclotomic_polynomial_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for M in (5, 7, 8, 9, 12, 15, 24):
+        phi_poly = sympy.Poly(sympy.cyclotomic_poly(M, x), x, domain="QQ")
+        assert [int(c) for c in reversed(phi_poly.all_coeffs())] == cyclotomic._field(M).poly
+        for _ in range(4):
+            a = rand_cyc(rng, M)
+            if a.is_zero():
+                continue
+            inv = sympy.invert(sympy.Poly(list(reversed(a.coeffs)), x, domain="QQ"), phi_poly)
+            expected = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+            expected += [Fraction(0)] * (totient(M) - len(expected))
+            assert a.inverse().coeffs == tuple(expected)
