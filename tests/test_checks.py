@@ -75,6 +75,23 @@ def test_lie_suite_passes_and_skips_untwisted_on_non_diagonal_radical():
     assert skipped and skipped[0]["note"] == "skipped: radical not diagonal"
 
 
+def test_torus_copies_commute_stays_exhaustive(monkeypatch):
+    """The 7**d window is walked in full, one public bracket per pair, so a
+    faster bracket cannot pass the check by skipping pairs."""
+    calls = []
+    bracket = checks.gbracket
+
+    def counting(x, y):
+        calls.append(None)
+        return bracket(x, y)
+
+    monkeypatch.setattr(checks, "gbracket", counting)
+    (check,) = [c for c in checks.CHECKS if c.name == "torus_copies_commute"]
+    row = checks._run_check(check, checks._Instance("(i)", SPEC_I, 40), 5)
+    assert row["pass"] and row["samples"] == 49**2
+    assert len(calls) == 49**2
+
+
 def test_module_suite_passes_for_plain_flavor():
     ms = plain_module(SPEC_I)
     reports = checks.module_suite(ms, BOX2, 9, 40)

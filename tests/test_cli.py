@@ -403,6 +403,19 @@ GOLDEN = {
         0,
         "17b73eabf873443f81b3d94505074970dfcde292e45cd72b369bc1abccc54439",
     ),
+    # every bracket of two generators in the window: 56**2 rows on (iii)
+    "structure-iii": (
+        {"torus": INSTANCE_III_TORUS},
+        ["structure", "--radius", "1"],
+        0,
+        "410efb4e912204434fc7f696043763605de82ae31aa7956d46a23153e980e098",
+    ),
+    "structure-i-text": (
+        {"torus": INSTANCE_I["torus"]},
+        ["structure", "--radius", "2", "--text"],
+        0,
+        "9a404aad56c7b5d4ebe2de1640d078fb39bd66892a3ed40635935e4ac169dcbf",
+    ),
 }
 
 
