@@ -10,6 +10,11 @@ conductors lift to the lcm first, and a product of two non-rational
 operands is one convolution reduced mod Phi_M at that lcm.  No floating
 point is used anywhere.
 
+Arithmetic never lowers a conductor, so one value can be held at several
+conductors.  Serialization and repr write it at its minimal conductor (the
+least M' with the value in Q(zeta_M')), so their bytes depend only on the
+value, not on the arithmetic that made it.
+
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
 (default 240) so runaway lcm chains fail loudly instead of thrashing; a
 serialized number is checked against the cap before its field is built.
@@ -93,10 +98,24 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 class _Field:
     """Cached per-conductor data: Phi_M, power table, exponent lookup."""
 
-    __slots__ = ("M", "phi", "poly", "powers", "exp_of", "embeds", "units")
+    __slots__ = ("M", "phi", "poly", "powers", "exp_of", "embeds", "units", "descents")
 
     def __init__(self, M: int):
         self.M = M
@@ -126,6 +145,7 @@ class _Field:
         self.exp_of = {powers[k]: k for k in range(M)}
         self.embeds: dict[int, list[tuple[int, ...]]] = {}
         self.units: list["CycNumber" | None] = [None] * M
+        self.descents: dict[int, tuple] = {}
 
 
 _FIELDS: dict[int, _Field] = {}
@@ -151,6 +171,78 @@ def _embed_rows(src: _Field, M2: int) -> list[tuple[int, ...]]:
         rows = [tgt.powers[i * ratio] for i in range(src.phi)]
         src.embeds[M2] = rows
     return rows
+
+
+def _descent(src: _Field, p: int):
+    """(rows, pivots, inverse) for reading Q(zeta_M) numerators in Q(zeta_{M/p}).
+
+    `rows` embed the power basis of Q(zeta_{M/p}) into that of Q(zeta_M).  They
+    are independent, so they restrict to an invertible square at some pivot
+    columns, and y = x[pivots] * inverse is the only candidate for y * rows == x.
+    """
+    cached = src.descents.get(p)
+    if cached is None:
+        rows = _embed_rows(_field(src.M // p), src.M)
+        k = len(rows)
+        # pivot columns by elimination on the transpose (columns of rows)
+        cols = [[Fraction(row[j]) for row in rows] for j in range(src.phi)]
+        pivots, basis = [], []
+        for j, col in enumerate(cols):
+            v = list(col)
+            for piv, b in basis:
+                if v[piv]:
+                    f = v[piv]
+                    v = [x - f * y for x, y in zip(v, b)]
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is not None:
+                inv = 1 / v[lead]
+                basis.append((lead, [x * inv for x in v]))
+                pivots.append(j)
+                if len(pivots) == k:
+                    break
+        # invert the k x k square rows[:, pivots] by Gauss-Jordan
+        aug = [[Fraction(rows[i][j]) for j in pivots] + [_ONE if c == i else _ZERO for c in range(k)]
+               for i in range(k)]
+        for c in range(k):
+            r = next(i for i in range(c, k) if aug[i][c])
+            aug[c], aug[r] = aug[r], aug[c]
+            inv = 1 / aug[c][c]
+            aug[c] = [x * inv for x in aug[c]]
+            for i in range(k):
+                if i != c and aug[i][c]:
+                    f = aug[i][c]
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+        cached = (rows, pivots, [row[k:] for row in aug])
+        src.descents[p] = cached
+    return cached
+
+
+def _minimal(x: "CycNumber") -> "CycNumber":
+    """x at its minimal conductor.
+
+    Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so dropping one prime
+    factor at a time while the value stays inside reaches the least conductor.
+    """
+    M, num = x.M, x.num
+    while M > 1:
+        for p in _prime_factors(M):
+            rows, pivots, inverse = _descent(_field(M), p)
+            picked = [num[j] for j in pivots]
+            y = [sum(c * inv[i] for c, inv in zip(picked, inverse)) for i in range(len(rows))]
+            if any(c.denominator != 1 for c in y):
+                continue
+            y = [int(c) for c in y]
+            back = [0] * len(num)
+            for c, row in zip(y, rows):
+                if c:
+                    for j, r in enumerate(row):
+                        back[j] += c * r
+            if tuple(back) == num:
+                M, num = M // p, tuple(y)
+                break
+        else:
+            break
+    return x if M == x.M else _make(M, num, x.den)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -460,9 +552,11 @@ class CycNumber:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
+        """The value at its minimal conductor, coefficients as "p/q" strings."""
+        x = _minimal(self)
         return {
-            "M": self.M,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "M": x.M,
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in x.coeffs],
         }
 
     @staticmethod
@@ -488,19 +582,22 @@ class CycNumber:
         return CycNumber(m, tuple(_parse_fraction(c) for c in coeffs))
 
     def __repr__(self):
-        k = self.as_root_exponent()
-        if k is not None:
-            if k == 0:
-                return "1"
-            return f"zeta({self.M})^{k}"
-        coeffs = self.coeffs
-        if self.is_rational():
+        x = _minimal(self)
+        coeffs = x.coeffs
+        if x.is_rational():
             return str(coeffs[0])
+        k = x.as_root_exponent()
+        if k is not None:
+            return f"zeta({x.M})^{k}"
+        if x.M % 2:  # -zeta_M^k = zeta_2M^(2k+M), a root that Q(zeta_M) holds
+            k = (-x).as_root_exponent()
+            if k is not None:
+                return f"zeta({2 * x.M})^{(2 * k + x.M) % (2 * x.M)}"
         terms = []
         for i, c in enumerate(coeffs):
             if c:
                 terms.append(f"{c}*z^{i}" if i else str(c))
-        return f"Cyc({self.M}: " + " + ".join(terms) + ")"
+        return f"Cyc({x.M}: " + " + ".join(terms) + ")"
 
 
 def _parse_fraction(x) -> Fraction:

@@ -330,7 +330,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 6, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         1,
-        "9d4d31c94e71623195966ea0ba263ddbcd675385f196a43f05ff961286537586",
+        "59487c31e3c56d74912057469772592537a79e01fcfc795738a7485e03c2f729",
     ),
     # thirteen failing rows across all six suites, the cocycle and lie ones included
     "verify-i-F-corrupt": (
@@ -339,7 +339,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 7, "samples": 20},
         ["verify"],
         1,
-        "9f38ba6a8b6a3aa640b0ea32f61fd4b5e7dbc3a94abe19ea3271a792164fd978",
+        "35e99d551fa9e85d0ca2301f8ae599f6442d5495e2bf288e60ca9dfef75655bd",
     ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
@@ -365,7 +365,7 @@ GOLDEN = {
              "entries": [{"n": [1, -1], "w": [_ONE, _HALF, _ZETA3]},
                          {"n": [2, 0], "w": [_ZETA3, _ONE, _ONE]}]})],
         0,
-        "921c1ecc69fb39ba4838de6b1897b51cec4b1d099a92a078df6ba70358c9d1ef",
+        "3dad88192550e0f8d426fbda74c320244d569ba15e1f1fa27ae49615712d32d2",
     ),
     "iso-iii-Gg": (
         {"torus": INSTANCE_III_TORUS,
@@ -408,13 +408,13 @@ GOLDEN = {
         {"torus": INSTANCE_III_TORUS},
         ["structure", "--radius", "1"],
         0,
-        "410efb4e912204434fc7f696043763605de82ae31aa7956d46a23153e980e098",
+        "f1c07a3b1ed252a06fb85da79308dbe13049b904c3e2ccde34def2e7dc30e624",
     ),
     "structure-i-text": (
         {"torus": INSTANCE_I["torus"]},
         ["structure", "--radius", "2", "--text"],
         0,
-        "9a404aad56c7b5d4ebe2de1640d078fb39bd66892a3ed40635935e4ac169dcbf",
+        "0b0020d0d94cd2df822317ca57719a501366fcd9da72d95cf08b41a24c485c8b",
     ),
 }
 

@@ -201,10 +201,53 @@ def _twin(rng, M):
 def _same(new, old):
     assert new.M == old.M
     assert new.coeffs == old.coeffs
-    assert new.to_json() == old.to_json()
-    assert repr(new) == repr(old)
     assert new.as_root_exponent() == old.as_root_exponent()
     assert new.den > 0 and gcd(new.den, *new.num) == 1
+    # the oracle serializes at the arithmetic conductor, qtorus at the minimal
+    # one: each side parses the other's form back to the same value
+    assert CycNumber.from_json(old.to_json()) == new
+    assert _oracle_parse(new.to_json()) == old
+
+
+def _oracle_parse(blob):
+    return oracle.CycNumber(blob["M"], [Fraction(c) for c in blob["coeffs"]])
+
+
+def _in_subfield(x0, m):
+    """Galois test on an oracle value at conductor M, m | M: x0 lies in
+    Q(zeta_m) exactly when every zeta -> zeta^a with a = 1 (mod m) fixes it."""
+    M = x0.M
+    for a in range(1, M, m):
+        if gcd(a, M) == 1:
+            image = oracle.CycNumber(1, [0])
+            for j, c in enumerate(x0.coeffs):
+                if c:
+                    image = image + oracle.root_of_unity(M, a * j) * c
+            if image != x0:
+                return False
+    return True
+
+
+def test_serialization_round_trips_at_the_minimal_conductor():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        x, x0 = _twin(rng, rng.choice(ORACLE_CONDUCTORS))
+        if rng.randrange(2):
+            y, y0 = _twin(rng, rng.choice(ORACLE_CONDUCTORS))
+            x, x0 = x * y, x0 * y0
+        big = lcm(x.M, rng.choice(ORACLE_CONDUCTORS))
+        x, x0 = x.lift(big), x0.lift(big)  # one value, held above its conductor
+        blob = x.to_json()
+        m = blob["M"]
+        assert big % m == 0
+        assert _in_subfield(x0, m)
+        assert not any(_in_subfield(x0, m // p) for p in (2, 3, 5, 7) if m % p == 0)
+        assert _oracle_parse(blob) == x0
+        assert CycNumber.from_json(blob) == x
+        assert CycNumber.from_json(x0.to_json()) == x
+        # bytes and repr depend on the value only
+        low = CycNumber.from_json(blob)
+        assert low.to_json() == blob and repr(low) == repr(x)
 
 
 def test_matches_the_fraction_backed_oracle():

@@ -25,9 +25,10 @@ def test_library_example_prints_its_two_lines():
     (code,) = _blocks("python")
     res = _run("-c", code)
     assert res.returncode == 0, res.stderr
+    # the values 2 and 0, written at their minimal conductor 1
     assert res.stdout.splitlines() == [
         "{'box': [3, 3], 'dim': 2, 'truncated': False, 'entries': [{'n': [2, 1], "
-        "'w': [{'M': 2, 'coeffs': ['2/1']}, {'M': 2, 'coeffs': ['0/1']}]}]}",
+        "'w': [{'M': 1, 'coeffs': ['2/1']}, {'M': 1, 'coeffs': ['0/1']}]}]}",
         "2",
     ]
 
