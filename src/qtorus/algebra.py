@@ -1,21 +1,167 @@
-"""Elements of the quantum torus: exact Laurent combinations of monomials.
+"""Elements of the quantum torus, and the one bracket kernel of the pair algebra.
 
 A TorusElement is a finite sum  sum_n  c_n * t^n  with cyclotomic
 coefficients, stored sparsely as {lattice point: coefficient}.  The product
 twists by the cocycle:  t^n * t^m = sigma(n, m) * t^(n+m).
+
+Every product, bracket and sum of the pair algebra Der(C_q) + C_q is computed
+here, on its basis: t^n, ad t^s (s outside rad(f)) and t^r d_i (r in
+rad(f)), the basis kinds TORUS, INNER and WITT + i.  An element is flattened
+once into basis terms (kind, degree, coefficient).  The bracket of two basis
+terms is a short list of (kind, integer factor, root exponent k): the
+constant is the factor times sigma = zeta_N^k, at degree a + b (_constants).
+tmul and tcomm below, dact and dbracket in derivations and gbracket in
+semidirect are its bilinear extension (_extend).
+
+All sums go into one graded store (_Graded): (kind, degree) -> counts in
+the group ring Z[Z/L] over one common denominator, with L the lcm of N and
+the conductors of the coefficients.  A coefficient enters as its power-basis
+numerators at the multiples of L/M, and multiplying by zeta_N^k rotates the
+counts by k L/N.  A component is reduced mod Phi_L only when it is read out,
+by CycNumber.from_root_counts; zero components and inner terms at radical
+degrees are dropped there.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from operator import add
+
 from .cyclotomic import CycNumber
 from .errors import SpecMismatch
 from .torus import TorusSpec
+
+TORUS, INNER, WITT = 0, 1, 2  # basis kinds; WITT + i is the term t^r d_i
+
+_new = object.__new__
+_ZERO = CycNumber.zero()
 
 
 def _as_coeff(c) -> CycNumber:
     if isinstance(c, CycNumber):
         return c
     return CycNumber.rational(c)
+
+
+def _constants(spec: TorusSpec, kx, a, ky, b, product):
+    """[x, y] for basis terms x of kind kx at degree a and y of kind ky at
+    degree b (x * y for two torus terms when `product`), as (kind, factor,
+    root exponent) triples at degree a + b:
+
+        [t^a, t^b] = [ad t^a, t^b] = [t^a, ad t^b]
+                                   = (sigma(a,b) - sigma(b,a)) t^(a+b)
+        [ad t^a, ad t^b]           = (sigma(a,b) - sigma(b,a)) ad t^(a+b)
+        [t^a d_i, t^b]             =  b_i sigma(a,b) t^(a+b)
+        [t^a d_i, ad t^b]          =  b_i sigma(a,b) ad t^(a+b)
+        [t^a d_i, t^b d_j]         =  sigma(a,b) (b_i t^(a+b) d_j - a_j t^(a+b) d_i)
+
+    and a torus or inner term times t^b d_j on the right is minus the
+    mirrored rule.
+    """
+    sigma_exp = spec.sigma_exp
+    if kx < WITT and ky < WITT:
+        if product:
+            return ((TORUS, 1, sigma_exp(a, b)),)
+        kind = INNER if kx == ky == INNER else TORUS
+        return ((kind, 1, sigma_exp(a, b)), (kind, -1, sigma_exp(b, a)))
+    if ky < WITT:
+        return ((ky, b[kx - WITT], sigma_exp(a, b)),)
+    if kx < WITT:
+        return ((kx, -a[ky - WITT], sigma_exp(b, a)),)
+    k = sigma_exp(a, b)
+    return ((ky, b[kx - WITT], k), (kx, -a[ky - WITT], k))
+
+
+class _Graded:
+    """The graded store: (kind, degree) -> counts over Z/L, over one denominator."""
+
+    __slots__ = ("spec", "L", "den", "sums")
+
+    def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict):
+        self.spec = spec
+        self.L = L
+        self.den = den
+        self.sums = sums
+
+    def read(self):
+        """(torus terms, inner terms, witt vectors) of the nonzero components."""
+        spec, L, den = self.spec, self.L, self.den
+        torus, inner, witt = {}, {}, {}
+        for (kind, deg), counts in self.sums.items():
+            if not any(counts) or (kind == INNER and spec._radical_point(deg)):
+                continue
+            c = CycNumber.from_root_counts(L, counts, den)
+            if c.is_zero():
+                continue
+            if kind == TORUS:
+                torus[deg] = c
+            elif kind == INNER:
+                inner[deg] = c
+            else:
+                witt.setdefault(deg, [_ZERO] * spec.d)[kind - WITT] = c
+        return torus, inner, {r: tuple(u) for r, u in witt.items()}
+
+
+def _size(spec: TorusSpec, terms):
+    """(L, den): the lcm of N and the coefficients' conductors, and the lcm of
+    their denominators."""
+    L, den = spec.N, 1
+    for _, _, c in terms:
+        if L % c.M:
+            L = lcm(L, c.M)
+        if den % c.den:
+            den = lcm(den, c.den)
+    return L, den
+
+
+def _ring(terms, L: int, den: int):
+    """Each coefficient as (index, count) pairs of Z[Z/L] over the denominator den."""
+    return [
+        (kind, n, [(j * (L // c.M), a * (den // c.den)) for j, a in enumerate(c.num) if a])
+        for kind, n, c in terms
+    ]
+
+
+def _combine(spec: TorusSpec, terms) -> _Graded:
+    """The graded store of a sum of basis terms."""
+    L, den = _size(spec, terms)
+    sums = {}
+    for kind, n, pairs in _ring(terms, L, den):
+        key = (kind, n)
+        counts = sums.get(key)
+        if counts is None:
+            counts = sums[key] = [0] * L
+        for j, a in pairs:
+            counts[j] += a
+    return _Graded(spec, L, den, sums)
+
+
+def _extend(spec: TorusSpec, xs, ys, product=False) -> _Graded:
+    """The graded store of [x, y] (x * y when `product`) for x and y given as
+    basis terms."""
+    (lx, dx), (ly, dy) = _size(spec, xs), _size(spec, ys)
+    L = lcm(lx, ly)
+    shift = L // spec.N
+    gy = _ring(ys, L, dy)
+    sums = {}
+    for kx, a, cx in _ring(xs, L, dx):
+        for ky, b, cy in gy:
+            deg = None
+            for kind, p, k in _constants(spec, kx, a, ky, b, product):
+                if not p:
+                    continue
+                if deg is None:
+                    deg = tuple(map(add, a, b))
+                key = (kind, deg)
+                counts = sums.get(key)
+                if counts is None:
+                    counts = sums[key] = [0] * L
+                k *= shift
+                for i, u in cx:
+                    pu = p * u
+                    for j, v in cy:
+                        counts[(i + j + k) % L] += pu * v
+    return _Graded(spec, L, dx * dy, sums)
 
 
 class TorusElement:
@@ -43,9 +189,24 @@ class TorusElement:
     def one(cls, spec) -> "TorusElement":
         return cls.monomial(spec, (0,) * spec.d)
 
+    @classmethod
+    def _of(cls, spec, terms) -> "TorusElement":
+        """An element from terms already validated and nonzero."""
+        res = _new(cls)
+        res.spec = spec
+        res.terms = terms
+        return res
+
+    @classmethod
+    def _read(cls, store) -> "TorusElement":
+        return cls._of(store.spec, store.read()[0])
+
     def _check(self, other: "TorusElement"):
         if self.spec != other.spec:
             raise SpecMismatch("operands live over different torus specs")
+
+    def _basis(self):
+        return [(TORUS, n, c) for n, c in self.terms.items()]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -57,22 +218,10 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            acc = out.get(n)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        res = TorusElement(self.spec)
-        res.terms = out
-        return res
+        return TorusElement._read(_combine(self.spec, self._basis() + other._basis()))
 
     def __neg__(self):
-        res = TorusElement(self.spec)
-        res.terms = {n: -c for n, c in self.terms.items()}
-        return res
+        return TorusElement._of(self.spec, {n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TorusElement):
@@ -119,34 +268,19 @@ class TorusElement:
 
     @classmethod
     def from_json(cls, spec, obj) -> "TorusElement":
-        out = cls.zero(spec)
-        for row in obj:
-            out = out + cls.monomial(spec, row["n"], CycNumber.from_json(row["c"]))
-        return out
+        terms = [(TORUS, spec._point(row["n"]), CycNumber.from_json(row["c"])) for row in obj]
+        return cls._read(_combine(spec, terms))
 
 
 def tmul(a: TorusElement, b: TorusElement) -> TorusElement:
     a._check(b)
-    spec = a.spec
-    out: dict = {}
-    for n, cn in a.terms.items():
-        for m, cm in b.terms.items():
-            tgt = tuple(x + y for x, y in zip(n, m))
-            c = cn * cm * spec.sigma(n, m)
-            acc = out.get(tgt)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = s
-    res = TorusElement(spec)
-    res.terms = out
-    return res
+    return TorusElement._read(_extend(a.spec, a._basis(), b._basis(), product=True))
 
 
 def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
     """Commutator bracket [a, b] = a*b - b*a."""
-    return tmul(a, b) - tmul(b, a)
+    a._check(b)
+    return TorusElement._read(_extend(a.spec, a._basis(), b._basis()))
 
 
 def is_central(a: TorusElement) -> bool:

@@ -322,6 +322,26 @@ class CycNumber:
         return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
+    def from_root_counts(M: int, counts, den: int = 1) -> "CycNumber":
+        """sum_j counts[j] * zeta_M^j / den, reduced mod Phi_M.
+
+        `counts` is an element of the group ring Z[Z/M] (M integers) and den
+        a positive integer.  This is the read-out of sums kept as root counts.
+        """
+        _check_conductor(M)
+        f = _field(M)
+        phi = f.phi
+        out = list(counts[:phi])
+        powers = f.powers
+        for j in range(phi, M):
+            c = counts[j]
+            if c:
+                for i, r in enumerate(powers[j]):
+                    if r:
+                        out[i] += c * r
+        return _reduced(M, tuple(out), den)
+
+    @staticmethod
     def zero() -> "CycNumber":
         return _make(1, (0,), 1)
 

@@ -19,11 +19,27 @@ and the action on the torus:
 
     ad t^s . t^n     = (sigma(s,n) - sigma(n,s)) t^(s+n)
     witt(u,r) . t^n  = <u,n> sigma(r,n) t^(r+n)
+
+dbracket and dact do not loop over these rules themselves.  A DerElement is
+flattened into basis terms ad t^s and t^r d_i (witt(u, r) is the sum of
+u_i t^r d_i), and both are the bilinear extension of the one basis-bracket
+kernel in qtorus.algebra.  Its table, in exponent form (k in sigma = zeta_N^k):
+
+    ad t^a  x ad t^b      ->  ad t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
+    ad t^a  x t^b         ->  t^(a+b):      +1 at sigma(a,b), -1 at sigma(b,a)
+    t^a d_i x ad t^b      ->  ad t^(a+b):   b_i at sigma(a,b)
+    t^a d_i x t^b         ->  t^(a+b):      b_i at sigma(a,b)
+    t^a d_i x t^b d_j     ->  t^(a+b) d_j:  b_i at sigma(a,b)
+                              t^(a+b) d_i: -a_j at sigma(a,b)
+
+Sums of terms, including DerElement addition, are kept as counts over the
+roots of unity and reduced once per component; inner components at radical
+degrees are dropped there.
 """
 
 from __future__ import annotations
 
-from .algebra import TorusElement, _as_coeff
+from .algebra import INNER, WITT, TorusElement, _as_coeff, _combine, _extend, _new
 from .cyclotomic import CycNumber
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
@@ -45,6 +61,14 @@ def _as_vector(spec, u) -> tuple[CycNumber, ...]:
     return vec
 
 
+def _witt(spec, r, u):
+    """A validated Witt term: its degree r in rad(f) and its vector u."""
+    r, u = spec._point(r), _as_vector(spec, u)
+    if not spec._radical_point(r):
+        raise NotInRadical(f"witt degree {r} is not in rad(f)")
+    return r, u
+
+
 class DerElement:
     __slots__ = ("spec", "inner", "witt")
 
@@ -54,30 +78,35 @@ class DerElement:
         self.witt = {}
         if inner:
             for s, c in inner.items():
-                self._add_inner(spec._point(s), _as_coeff(c))
+                s, c = spec._point(s), _as_coeff(c)
+                if not c.is_zero() and not spec._radical_point(s):
+                    self.inner[s] = c
         if witt:
             for r, u in witt.items():
-                self._add_witt(spec._point(r), _as_vector(spec, u))
+                r, u = _witt(spec, r, u)
+                if any(not x.is_zero() for x in u):
+                    self.witt[r] = u
 
-    def _add_inner(self, s, c):
-        if c.is_zero() or self.spec.in_radical(s):
-            return
-        acc = self.inner.get(s)
-        v = c if acc is None else acc + c
-        if v.is_zero():
-            self.inner.pop(s, None)
-        else:
-            self.inner[s] = v
+    @classmethod
+    def _of(cls, spec, inner, witt) -> "DerElement":
+        """An element from terms already validated, nonzero and non-radical."""
+        out = _new(cls)
+        out.spec = spec
+        out.inner = inner
+        out.witt = witt
+        return out
 
-    def _add_witt(self, r, u):
-        if not self.spec.in_radical(r):
-            raise NotInRadical(f"witt degree {r} is not in rad(f)")
-        acc = self.witt.get(r)
-        v = u if acc is None else tuple(a + b for a, b in zip(acc, u))
-        if any(not x.is_zero() for x in v):
-            self.witt[r] = v
-        else:
-            self.witt.pop(r, None)
+    @classmethod
+    def _read(cls, store) -> "DerElement":
+        _, inner, witt = store.read()
+        return cls._of(store.spec, inner, witt)
+
+    def _basis(self):
+        """The basis terms: (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0."""
+        terms = [(INNER, s, c) for s, c in self.inner.items()]
+        for r, u in self.witt.items():
+            terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
+        return terms
 
     # -- constructors ----------------------------------------------------
 
@@ -114,14 +143,7 @@ class DerElement:
         if not isinstance(other, DerElement):
             return NotImplemented
         self._check(other)
-        out = DerElement(self.spec)
-        out.inner = dict(self.inner)
-        out.witt = dict(self.witt)
-        for s, c in other.inner.items():
-            out._add_inner(s, c)
-        for r, u in other.witt.items():
-            out._add_witt(r, u)
-        return out
+        return DerElement._read(_combine(self.spec, self._basis() + other._basis()))
 
     def __neg__(self):
         out = DerElement(self.spec)
@@ -188,76 +210,24 @@ class DerElement:
 
     @classmethod
     def from_json(cls, spec, obj) -> "DerElement":
-        out = cls.zero(spec)
-        for row in obj.get("inner", ()):
-            out._add_inner(spec._point(row["s"]), CycNumber.from_json(row["c"]))
+        terms = [
+            (INNER, spec._point(row["s"]), CycNumber.from_json(row["c"]))
+            for row in obj.get("inner", ())
+        ]
         for row in obj.get("witt", ()):
-            out._add_witt(
-                spec._point(row["r"]),
-                _as_vector(spec, [CycNumber.from_json(x) for x in row["u"]]),
-            )
-        return out
+            r, u = _witt(spec, row["r"], [CycNumber.from_json(x) for x in row["u"]])
+            terms += [(WITT + i, r, c) for i, c in enumerate(u)]
+        return cls._read(_combine(spec, terms))
 
 
 def dbracket(x: DerElement, y: DerElement) -> DerElement:
     """Lie bracket of derivations."""
     x._check(y)
-    spec = x.spec
-    out = DerElement(spec)
-    # inner with inner
-    for s, cs in x.inner.items():
-        for r, cr in y.inner.items():
-            c = cs * cr * (spec.sigma(s, r) - spec.sigma(r, s))
-            out._add_inner(tuple(a + b for a, b in zip(s, r)), c)
-    # witt with inner, both orders
-    for r, u in x.witt.items():
-        for s, cs in y.inner.items():
-            c = cs * pairing(u, s) * spec.sigma(r, s)
-            out._add_inner(tuple(a + b for a, b in zip(r, s)), c)
-    for s, cs in x.inner.items():
-        for r, u in y.witt.items():
-            c = cs * pairing(u, s) * spec.sigma(r, s)
-            out._add_inner(tuple(a + b for a, b in zip(r, s)), -c)
-    # witt with witt
-    for r, u in x.witt.items():
-        for r2, v in y.witt.items():
-            sig = spec.sigma(r, r2)
-            cu = pairing(u, r2)
-            cv = pairing(v, r)
-            w = tuple(sig * (cu * vi - cv * ui) for ui, vi in zip(u, v))
-            if any(not t.is_zero() for t in w):
-                out._add_witt(tuple(a + b for a, b in zip(r, r2)), w)
-    return out
+    return DerElement._read(_extend(x.spec, x._basis(), y._basis()))
 
 
 def dact(x: DerElement, a: TorusElement) -> TorusElement:
     """Apply a derivation to a torus element."""
     if x.spec != a.spec:
         raise SpecMismatch("derivation and torus element specs differ")
-    spec = x.spec
-    out = TorusElement.zero(spec)
-    acc: dict = {}
-
-    def add(tgt, c):
-        if c.is_zero():
-            return
-        cur = acc.get(tgt)
-        s = c if cur is None else cur + c
-        if s.is_zero():
-            acc.pop(tgt, None)
-        else:
-            acc[tgt] = s
-
-    for n, cn in a.terms.items():
-        for s, cs in x.inner.items():
-            add(
-                tuple(p + q for p, q in zip(s, n)),
-                cs * cn * (spec.sigma(s, n) - spec.sigma(n, s)),
-            )
-        for r, u in x.witt.items():
-            add(
-                tuple(p + q for p, q in zip(r, n)),
-                cn * pairing(u, n) * spec.sigma(r, n),
-            )
-    out.terms = acc
-    return out
+    return TorusElement._read(_extend(x.spec, x._basis(), a._basis()))

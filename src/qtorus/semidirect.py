@@ -5,6 +5,21 @@ torus carrying its commutator bracket.  The bracket is
 
     [(T, a), (S, b)] = ([T, S],  T.b - S.a + (ab - ba)).
 
+gbracket computes it in one pass, as the bilinear extension of the
+basis-bracket kernel in qtorus.algebra over the basis t^n, ad t^s and
+t^r d_i of the pair algebra.  In exponent form (factor at sigma = zeta_N^k),
+the torus rows of its table are
+
+    t^a     x t^b      ->  t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
+    ad t^a  x t^b      ->  t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
+    t^a d_i x t^b      ->  t^(a+b):   b_i at sigma(a,b)
+
+with a torus term on the left giving minus the mirrored row, and the
+derivation rows are those of dbracket (see qtorus.derivations).  Each pair
+of basis terms adds its rows to one graded store, degree -> counts over the
+roots of unity, and every component is reduced once, when read out.  Sums
+of pairs use the same store.
+
 Two embeddings of the torus lattice are provided:
 
     plain_torus(n)   = (0, t^n)
@@ -23,9 +38,8 @@ canonical square root of sigma(r, r); degrees must lie in rad(f).
 
 from __future__ import annotations
 
-from .algebra import TorusElement, tcomm
-from .cyclotomic import CycNumber
-from .derivations import DerElement, dact, dbracket
+from .algebra import TorusElement, _combine, _extend
+from .derivations import DerElement
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
 
@@ -59,11 +73,20 @@ class GElement:
     def is_zero(self) -> bool:
         return self.der.is_zero() and self.torus.is_zero()
 
+    def _basis(self):
+        return self.der._basis() + self.torus._basis()
+
+    @classmethod
+    def _read(cls, store) -> "GElement":
+        spec = store.spec
+        torus, inner, witt = store.read()
+        return cls(spec, DerElement._of(spec, inner, witt), TorusElement._of(spec, torus))
+
     def __add__(self, other):
         if not isinstance(other, GElement):
             return NotImplemented
         self._check(other)
-        return GElement(self.spec, self.der + other.der, self.torus + other.torus)
+        return GElement._read(_combine(self.spec, self._basis() + other._basis()))
 
     def __neg__(self):
         return GElement(self.spec, -self.der, -self.torus)
@@ -104,8 +127,7 @@ class GElement:
 
 def gbracket(x: GElement, y: GElement) -> GElement:
     x._check(y)
-    torus = dact(x.der, y.torus) - dact(y.der, x.torus) + tcomm(x.torus, y.torus)
-    return GElement(x.spec, dbracket(x.der, y.der), torus)
+    return GElement._read(_extend(x.spec, x._basis(), y._basis()))
 
 
 def plain_torus(spec: TorusSpec, a) -> GElement:
@@ -119,7 +141,8 @@ def inner_minus(spec: TorusSpec, a) -> GElement:
     """Second torus copy: t^n |-> (ad t^n, -t^n), extended linearly."""
     if not isinstance(a, TorusElement):
         a = TorusElement.monomial(spec, a)
-    return GElement(spec, DerElement(spec, inner=a.terms), -a)
+    inner = {s: c for s, c in a.terms.items() if not spec._radical_point(s)}
+    return GElement(spec, DerElement._of(spec, inner, {}), -a)
 
 
 def decompose(x: GElement):

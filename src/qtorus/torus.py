@@ -49,7 +49,7 @@ class RadicalBasis:
 class TorusSpec:
     """Validated (d, N, A) triple; immutable once constructed."""
 
-    __slots__ = ("d", "N", "A", "corrupt_sigma", "_radical", "_roots")
+    __slots__ = ("d", "N", "A", "corrupt_sigma", "_radical", "_roots", "_lower", "_rows")
 
     def __init__(self, d: int, N: int, A, corrupt_sigma: bool = False):
         if d < 1:
@@ -71,6 +71,11 @@ class TorusSpec:
         object.__setattr__(self, "corrupt_sigma", bool(corrupt_sigma))
         object.__setattr__(self, "_radical", None)
         object.__setattr__(self, "_roots", [root_of_unity(N, k) for k in range(N)])
+        # the nonzero terms of the cocycle exponent and of A n, found once
+        lower = tuple((j, i, rows[j][i]) for j in range(d) for i in range(j) if rows[j][i])
+        nonzero = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows if any(r))
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "_rows", nonzero)
 
     def __setattr__(self, *a):
         raise AttributeError("TorusSpec is immutable")
@@ -110,15 +115,9 @@ class TorusSpec:
         return t
 
     def sigma_exp(self, n, m) -> int:
-        a = self.A
         e = 0
-        for j in range(1, self.d):
-            nj = n[j]
-            if nj:
-                row = a[j]
-                for i in range(j):
-                    if m[i]:
-                        e += row[i] * nj * m[i]
+        for j, i, a in self._lower:
+            e += a * n[j] * m[i]
         if self.corrupt_sigma and any(n) and any(m):
             e += 1  # deliberate cocycle-law breakage for harness fixtures
         return e % self.N
@@ -150,11 +149,18 @@ class TorusSpec:
     # -- radical ---------------------------------------------------------
 
     def in_radical(self, n) -> bool:
-        n = self._point(n)
-        return all(
-            sum(self.A[i][j] * n[j] for j in range(self.d)) % self.N == 0
-            for i in range(self.d)
-        )
+        return self._radical_point(self._point(n))
+
+    def _radical_point(self, n) -> bool:
+        """A n == 0 (mod N) for a validated lattice point n."""
+        N = self.N
+        for row in self._rows:
+            e = 0
+            for j, a in row:
+                e += a * n[j]
+            if e % N:
+                return False
+        return True
 
     def radical(self) -> RadicalBasis:
         cached = self._radical

@@ -1,0 +1,106 @@
+"""Differential test: the basis-bracket kernel against the three-class oracle.
+
+tmul, tcomm, dact, dbracket, gbracket, the element sums and parsing are compared with
+tests/_pair_oracle.py on seeded elements of mixed degree over the reference
+instances, a corrupted cocycle and the untwisted model, with coefficients
+that carry roots of unity of order N and 8 and Fraction denominators.
+"""
+
+import random
+from fractions import Fraction
+
+import _pair_oracle as oracle
+import pytest
+
+from qtorus.algebra import TorusElement, tcomm, tmul
+from qtorus.cyclotomic import root_of_unity
+from qtorus.derivations import DerElement, dact, dbracket
+from qtorus.semidirect import GElement, gbracket, untwisted_spec
+from qtorus.torus import TorusSpec
+
+A_III = [[0, 1, 2], [3, 0, 0], [2, 0, 0]]
+SPECS = {
+    "i": TorusSpec.from_upper(2, 2, {(0, 1): 1}),
+    "ii": TorusSpec.from_upper(2, 3, {(0, 1): 1}),
+    "iii": TorusSpec(3, 4, A_III),
+    "iii-corrupt": TorusSpec(3, 4, A_III, corrupt_sigma=True),
+    "untwisted": untwisted_spec(2),
+}
+PAIRS = 400
+
+
+def _coeff(rng, spec):
+    q = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return q
+    if kind == 1:
+        return spec.root(rng.randrange(spec.N)) * q
+    return root_of_unity(8, rng.randrange(8)) * q
+
+
+def _point(rng, d, radius=2):
+    return tuple(rng.randint(-radius, radius) for _ in range(d))
+
+
+def _radical_point(rng, spec):
+    rad = spec.radical()
+    c = [rng.randint(-1, 1) for _ in rad.basis]
+    return tuple(sum(a * row[i] for a, row in zip(c, rad.basis)) for i in range(spec.d))
+
+
+def _element(rng, spec):
+    """A pair element of mixed degree, built without element arithmetic."""
+    torus = {_point(rng, spec.d): _coeff(rng, spec) for _ in range(rng.randint(0, 3))}
+    inner = {_point(rng, spec.d): _coeff(rng, spec) for _ in range(rng.randint(0, 2))}
+    witt = {
+        _radical_point(rng, spec): [_coeff(rng, spec) if rng.randrange(3) else 0 for _ in range(spec.d)]
+        for _ in range(rng.randint(0, 2))
+    }
+    return GElement(spec, DerElement(spec, inner, witt), TorusElement(spec, torus))
+
+
+def _same(new, old):
+    assert new == old
+    assert new.to_json() == old.to_json()
+
+
+def _rows(rng, spec, x, y):
+    """The JSON rows of x and y concatenated, so shared degrees repeat, plus
+    inner rows at radical degrees, which parse to nothing."""
+    a, b = x.to_json(), y.to_json()
+    inner = a["der"]["inner"] + b["der"]["inner"]
+    inner += [
+        {"s": list(_radical_point(rng, spec)), "c": root_of_unity(8, rng.randrange(8)).to_json()}
+        for _ in range(2)
+    ]
+    rng.shuffle(inner)
+    der = {"inner": inner, "witt": a["der"]["witt"] + b["der"]["witt"]}
+    return der, a["torus"] + b["torus"]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_kernel_matches_the_three_class_oracle(name):
+    spec = SPECS[name]
+    rng = random.Random(f"pair-kernel:{name}")
+    for _ in range(PAIRS):
+        x, y = _element(rng, spec), _element(rng, spec)
+        if rng.randrange(3) == 0:
+            # overlapping supports: y shares every degree of x
+            y = GElement(
+                spec,
+                oracle.der_sum(spec, (1, x.der), (1, y.der)),
+                oracle.torus_sum(spec, (1, x.torus), (1, y.torus)),
+            )
+            _same(x + (y - x), y)
+        _same(x.torus + y.torus, oracle.torus_sum(spec, (1, x.torus), (1, y.torus)))
+        _same(x.torus - y.torus, oracle.torus_sum(spec, (1, x.torus), (-1, y.torus)))
+        _same(x.der + y.der, oracle.der_sum(spec, (1, x.der), (1, y.der)))
+        _same(tmul(x.torus, y.torus), oracle.tmul(x.torus, y.torus))
+        _same(tcomm(x.torus, y.torus), oracle.tcomm(x.torus, y.torus))
+        _same(dact(x.der, y.torus), oracle.dact(x.der, y.torus))
+        _same(dbracket(x.der, y.der), oracle.dbracket(x.der, y.der))
+        _same(gbracket(x, y), oracle.gbracket(x, y))
+        der, torus = _rows(rng, spec, x, y)
+        _same(DerElement.from_json(spec, der), oracle.der_from_json(spec, der))
+        _same(TorusElement.from_json(spec, torus), oracle.torus_from_json(spec, torus))
