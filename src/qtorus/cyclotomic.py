@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
+from .lattice import _invert_fraction_matrix
 
 DEFAULT_MAX_CONDUCTOR = 240
 
@@ -174,46 +175,17 @@ def _embed_rows(src: _Field, M2: int) -> list[tuple[int, ...]]:
 
 
 def _descent(src: _Field, p: int):
-    """(rows, pivots, inverse) for reading Q(zeta_M) numerators in Q(zeta_{M/p}).
+    """(rows, inverse) for reading Q(zeta_M) numerators in Q(zeta_{M/p}).
 
     `rows` embed the power basis of Q(zeta_{M/p}) into that of Q(zeta_M).  They
-    are independent, so they restrict to an invertible square at some pivot
-    columns, and y = x[pivots] * inverse is the only candidate for y * rows == x.
+    are independent, so their Gram matrix G = rows rows^T is invertible, and
+    y = (x rows^T) G^-1 is the only candidate for y rows == x.
     """
     cached = src.descents.get(p)
     if cached is None:
         rows = _embed_rows(_field(src.M // p), src.M)
-        k = len(rows)
-        # pivot columns by elimination on the transpose (columns of rows)
-        cols = [[Fraction(row[j]) for row in rows] for j in range(src.phi)]
-        pivots, basis = [], []
-        for j, col in enumerate(cols):
-            v = list(col)
-            for piv, b in basis:
-                if v[piv]:
-                    f = v[piv]
-                    v = [x - f * y for x, y in zip(v, b)]
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is not None:
-                inv = 1 / v[lead]
-                basis.append((lead, [x * inv for x in v]))
-                pivots.append(j)
-                if len(pivots) == k:
-                    break
-        # invert the k x k square rows[:, pivots] by Gauss-Jordan
-        aug = [[Fraction(rows[i][j]) for j in pivots] + [_ONE if c == i else _ZERO for c in range(k)]
-               for i in range(k)]
-        for c in range(k):
-            r = next(i for i in range(c, k) if aug[i][c])
-            aug[c], aug[r] = aug[r], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(k):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        cached = (rows, pivots, [row[k:] for row in aug])
-        src.descents[p] = cached
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        cached = src.descents[p] = (rows, _invert_fraction_matrix(gram))
     return cached
 
 
@@ -226,9 +198,9 @@ def _minimal(x: "CycNumber") -> "CycNumber":
     M, num = x.M, x.num
     while M > 1:
         for p in _prime_factors(M):
-            rows, pivots, inverse = _descent(_field(M), p)
-            picked = [num[j] for j in pivots]
-            y = [sum(c * inv[i] for c, inv in zip(picked, inverse)) for i in range(len(rows))]
+            rows, inverse = _descent(_field(M), p)
+            proj = [sum(a * b for a, b in zip(num, r)) for r in rows]
+            y = [sum(c * g[i] for c, g in zip(proj, inverse)) for i in range(len(rows))]
             if any(c.denominator != 1 for c in y):
                 continue
             y = [int(c) for c in y]
