@@ -57,18 +57,24 @@ def _check_conductor(m: int) -> None:
         )
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def totient(m: int) -> int:
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
@@ -96,20 +102,6 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
                 num[k + i] -= c * d
     if any(num[: len(den) - 1]):
         raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
     return out
 
 
