@@ -14,22 +14,34 @@ act (g is a multiplicative twist character, trivial on rad(f)):
 
 Every weight space is a copy of V, so a homogeneous element x of degree k
 maps the weight space at n to the one at n+k by one dim x dim matrix, its
-symbol(x, n, ms).  An operator expression sum_t c_t * (x_1 ... x_k) is
-built from one-term compositions expr_of(x_1, ..., x_k), empty when a factor
-is zero, and acts by the sum of c_t times the products of its factors'
-symbols at the shifted points.  Every verification helper is a matrix
-identity between symbols, evaluated only at start points whose every
-intermediate weight stays inside a finite box (the expression "interior"),
-so each reported defect is an exact statement.  The irreducibility probe
-closes start vectors under the weight-operator matrices with
-glmodules.generates, and random lattice points come from the samplers of
-qtorus.lattice.  BoxVector and act() apply one element to an arbitrary
-box-truncated vector, dropping (and flagging) coefficients pushed outside.
+symbol(x, n, ms).  That matrix is a*Id + b*W: the torus and inner terms and
+the weight pairing give the scalar a, and the Witt term D(u, k) gives
+b = sigma(k,n) and W, the image of k u^T on V, which does not depend on n.
+V builds each W once per (k, u) and holds it (GlModule.outer_image); a W
+that is a scalar matrix, 0 included, is folded into a.  So two symbols
+that share one W are equal exactly when their (a, b) are, and the module
+code scales, adds, composes and compares symbols on these parts.  A dense
+matrix is built only where two Witt parts meet (a sum of two symbols with
+different W, or a product of two symbols that both have one; the result is
+folded back when it is a scalar matrix), or where a result is read: the
+public symbol(), weight_op_matrix() and expr_weight_matrix(), the matrices
+handed to glmodules.generates, and the witness of a nonzero defect.
+
+An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
+compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
+by the sum of c_t times the products of its factors' symbols at the shifted
+points.  Every verification helper is a symbol identity, evaluated only at
+start points whose every intermediate weight stays inside a finite box (the
+expression "interior"), so each reported defect is an exact statement.  The
+irreducibility probe closes start vectors under the weight-operator
+matrices with glmodules.generates, and random lattice points come from the
+samplers of qtorus.lattice.  BoxVector is a box-truncated vector, and act()
+applies one element to it as the sum over n of symbol(x_k, n) w(n) over the
+homogeneous parts x_k, dropping (and flagging) images pushed outside.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
@@ -44,7 +56,7 @@ from .errors import (
     SpecMismatch,
 )
 from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
-from .glmodules import mat_scale, mat_sub, mat_vec, zero_matrix
+from .glmodules import mat_vec, matrix_as_scalar
 from .lattice import rand_point, rand_radical_point, units
 from .semidirect import GElement
 from .torus import TorusSpec
@@ -303,7 +315,10 @@ class BoxVector:
     def from_json(cls, obj) -> "BoxVector":
         out = cls(obj["box"], int(obj["dim"]), truncated=bool(obj.get("truncated", False)))
         for row in obj.get("entries", ()):
-            out._add(tuple(row["n"]), tuple(CycNumber.from_json(x) for x in row["w"]))
+            n = tuple(row["n"])
+            if len(n) != len(out.box) or any(type(x) is not int for x in n):
+                raise ConfigError(f"vector point {row['n']!r} must have one integer per box axis")
+            out._add(n, tuple(CycNumber.from_json(x) for x in row["w"]))
         return out
 
 
@@ -320,65 +335,148 @@ def _as_gelement(x) -> GElement:
     raise SpecMismatch(f"cannot act by {type(x).__name__}")
 
 
-def _outer_matrix(ms: ModuleSpec, r, u):
-    """Matrix of sum_ij r_i u_j E_ij on V."""
-    d = ms.spec.d
-    coeffs = [[u[j] * r[i] for j in range(d)] for i in range(d)]
-    return ms.V.matrix_of(coeffs)
-
-
-def _inner_phase(ms: ModuleSpec, s, n) -> CycNumber:
-    """The scalar by which ad t^s maps v(n) to v(s+n), per flavor."""
-    spec = ms.spec
+def _inner_phase(ms: ModuleSpec, s, n, sig) -> CycNumber:
+    """The scalar by which ad t^s maps v(n) to v(s+n), per flavor, given
+    sig = sigma(s,n)."""
+    rev = ms.spec.sigma(n, s)
     if ms.flavor == "F":
-        return spec.sigma(s, n) - spec.sigma(n, s)
+        return sig - rev
     if ms.flavor == "F_g":
-        return spec.sigma(s, n) * ms.twist.value(s) - spec.sigma(n, s)
-    return spec.sigma(s, n) - ms.twist.value(s) * spec.sigma(n, s)  # G_g
+        return sig * ms.twist.value(s) - rev
+    return sig - ms.twist.value(s) * rev  # G_g
 
 
 def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
     """(u, n + alpha): the scalar part of D(u, r) on v(n)."""
     out = CycNumber.zero()
     for ui, ni, ai in zip(u, n, ms.alpha):
-        out = out + ui * (ai + ni)
+        if not ui.is_zero():
+            out = out + ui * (ai + ni)
     return out
 
 
+_ZERO = CycNumber.zero()
+_ONE = CycNumber.one()
+
+
+class _Symbol:
+    """The matrix a*Id + b*W by which an operator maps one weight space to
+    another.  W is None for a scalar matrix (b is then 0); otherwise W is
+    never a scalar matrix and b is nonzero, so two symbols sharing one W are
+    equal exactly when their (a, b) are.  W is the image of k u^T that V
+    holds (GlModule.outer_image), or the dense matrix made where two Witt
+    parts meet."""
+
+    __slots__ = ("a", "b", "W")
+
+    def __init__(self, a, b=_ZERO, W=None):
+        if W is None or b.is_zero():
+            b, W = _ZERO, None
+        self.a, self.b, self.W = a, b, W
+
+    @classmethod
+    def of_matrix(cls, M) -> "_Symbol":
+        c = matrix_as_scalar(M)
+        return cls(c) if c is not None else cls(_ZERO, _ONE, M)
+
+    def is_zero(self) -> bool:
+        return self.W is None and self.a.is_zero()
+
+    def matrix(self, dim: int):
+        """The dense dim x dim matrix."""
+        a, b, W = self.a, self.b, self.W
+        if W is None:
+            return [[a if i == j else _ZERO for j in range(dim)] for i in range(dim)]
+        return [
+            [a + b * x if i == j else b * x for j, x in enumerate(row)]
+            for i, row in enumerate(W)
+        ]
+
+    def scale(self, c) -> "_Symbol":
+        if self.W is None:
+            return _Symbol(c * self.a)
+        return _Symbol(c * self.a, c * self.b, self.W)
+
+    def __neg__(self):
+        return _Symbol(-self.a, -self.b, self.W)
+
+    def __add__(self, o):
+        if o.W is None:
+            return _Symbol(self.a + o.a, self.b, self.W)
+        if self.W is None:
+            return _Symbol(self.a + o.a, o.b, o.W)
+        if self.W is o.W:
+            return _Symbol(self.a + o.a, self.b + o.b, self.W)
+        dim = len(self.W)
+        return _Symbol.of_matrix(mat_add(self.matrix(dim), o.matrix(dim)))
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        """Composition: self applied after o."""
+        if self.W is None:
+            return o.scale(self.a)
+        if o.W is None:
+            return self.scale(o.a)
+        dim = len(self.W)
+        return _Symbol.of_matrix(mat_mul(self.matrix(dim), o.matrix(dim)))
+
+    def __eq__(self, o):
+        if self.W is o.W:
+            return self.a == o.a and self.b == o.b
+        if self.W is None or o.W is None:
+            return False
+        dim = len(self.W)
+        return mat_eq(self.matrix(dim), o.matrix(dim))
+
+    __hash__ = None
+
+
+_ZERO_SYMBOL = _Symbol(_ZERO)
+
+
+def _part_symbol(x: GElement, k, n, ms: ModuleSpec) -> _Symbol:
+    """Symbol of the degree-k part of x at n: its torus and inner terms give
+    a scalar, its Witt term sigma(k,n)((u, n+alpha) Id + W)."""
+    sig = ms.spec.sigma(k, n)
+    a, b, W = _ZERO, _ZERO, None
+    c = x.torus.terms.get(k)
+    if c is not None:
+        a = c * sig
+    c = x.der.inner.get(k)
+    if c is not None:
+        a = a + c * _inner_phase(ms, k, n, sig)
+    u = x.der.witt.get(k)
+    if u is not None:
+        w, W = ms.V.outer_image(k, u)
+        a = a + sig * (_weight_pairing(ms, u, n) + w)
+        b = sig
+    return _Symbol(a, b, W)
+
+
+def _symbol(x: GElement, n, ms: ModuleSpec) -> _Symbol:
+    return _ZERO_SYMBOL if x.is_zero() else _part_symbol(x, _degree_of(x), n, ms)
+
+
 def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
-    """Apply one algebra element to a box vector under the flavor rules."""
+    """Apply one algebra element to a box vector: each homogeneous part x_k
+    of x maps w(n) to symbol(x_k, n) w(n) at n + k.  An image outside the box
+    is dropped and marks the result truncated, unless it comes from a lone
+    inner term that vanishes at n (that term does not act there)."""
     x = _as_gelement(x)
     if x.spec != ms.spec:
         raise SpecMismatch("element and module live over different torus specs")
     if w.dim != ms.V.dim:
         raise SpecMismatch("vector dimension does not match V")
-    spec = ms.spec
     out = BoxVector(w.box, w.dim, truncated=w.truncated)
-    witt_mats = {
-        r: _outer_matrix(ms, r, u) for r, u in x.der.witt.items()
-    }
+    acting = set(x.torus.terms) | set(x.der.witt)
+    degrees = acting | set(x.der.inner)
     for n, coords in w.entries.items():
-        for m, c in x.torus.terms.items():
-            coeff = c * spec.sigma(m, n)
-            out._add(
-                _shift(m, n),
-                tuple(coeff * y for y in coords),
-            )
-        for s, c in x.der.inner.items():
-            coeff = c * _inner_phase(ms, s, n)
-            if not coeff.is_zero():
-                out._add(
-                    _shift(s, n),
-                    tuple(coeff * y for y in coords),
-                )
-        for r, u in x.der.witt.items():
-            sig = spec.sigma(r, n)
-            scalar = _weight_pairing(ms, u, n)
-            moved = mat_vec(witt_mats[r], coords)
-            out._add(
-                _shift(r, n),
-                tuple(sig * (scalar * y + z) for y, z in zip(coords, moved)),
-            )
+        for k in degrees:
+            S = _part_symbol(x, k, n, ms)
+            if k in acting or not S.is_zero():
+                out._add(_shift(k, n), tuple(mat_vec(S.matrix(w.dim), coords)))
     return out
 
 
@@ -388,26 +486,10 @@ def symbol(x, n, ms: ModuleSpec):
 
     A homogeneous x has at most one torus, one inner and one Witt term, all
     of degree k, so the matrix is a scalar times Id plus sigma(k,n) times the
-    image of k u^T on V; column t is act(x, v_t(n)) read at n + k."""
+    image W of k u^T on V; column t is act(x, v_t(n)) read at n + k."""
     if x.spec != ms.spec:
         raise SpecMismatch("element and module live over different torus specs")
-    dim = ms.V.dim
-    if x.is_zero():
-        return zero_matrix(dim, dim)
-    k = _degree_of(x)
-    spec = ms.spec
-    scalar = CycNumber.zero()
-    outer = None
-    for c in x.torus.terms.values():
-        scalar = scalar + c * spec.sigma(k, n)
-    for c in x.der.inner.values():
-        scalar = scalar + c * _inner_phase(ms, k, n)
-    for u in x.der.witt.values():
-        sig = spec.sigma(k, n)
-        scalar = scalar + sig * _weight_pairing(ms, u, n)
-        outer = mat_scale(_outer_matrix(ms, k, u), sig)
-    M = mat_scale(identity_matrix(dim), scalar)
-    return M if outer is None else mat_add(M, outer)
+    return _symbol(x, n, ms).matrix(ms.V.dim)
 
 
 # -- formal operator expressions ----------------------------------------------
@@ -506,18 +588,18 @@ def expr_net_degrees(expr):
 
 
 def _expr_symbols(expr, ms: ModuleSpec, n):
-    """{target point: matrix} of the expression on the weight space at n:
+    """{target point: symbol} of the expression on the weight space at n:
     each term is c times the product of its factors' symbols at the points
     it passes through; terms with the same target add up."""
     out = {}
     for c, factors in expr:
-        p, M = tuple(n), None
+        p, S = tuple(n), None
         for f in reversed(factors):
-            S = symbol(f, p, ms)
-            M = S if M is None else mat_mul(S, M)
+            T = _symbol(f, p, ms)
+            S = T if S is None else T * S
             p = _shift(p, _degree_of(f))
-        M = mat_scale(M, c)
-        out[p] = mat_add(out[p], M) if p in out else M
+        S = S.scale(c)
+        out[p] = out[p] + S if p in out else S
     return out
 
 
@@ -533,9 +615,15 @@ def _first_nonzero(*mats):
     return None
 
 
-def _scalar_defect(M, c):
-    """Witness that M differs from c Id, or None."""
-    return _first_nonzero(mat_sub(M, mat_scale(identity_matrix(len(M)), c)))
+def _witness(S: _Symbol, dim: int):
+    """First nonzero entry of the symbol's matrix, column by column, or None;
+    the matrix is only built for a nonzero symbol."""
+    return None if S.is_zero() else _first_nonzero(S.matrix(dim))
+
+
+def _scalar_defect(S: _Symbol, c, dim: int):
+    """Witness that the symbol differs from c Id, or None."""
+    return _witness(S - _Symbol(_as_coeff(c)), dim)
 
 
 def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
@@ -549,14 +637,18 @@ def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
         pts = [pts[i] for i in sorted(rng.sample(range(len(pts)), limit))]
     for n in pts:
         images = _expr_symbols(expr, ms, n)
-        defect = _first_nonzero(*(images[p] for p in sorted(images)))
-        if defect is not None:
-            return defect
+        if all(S.is_zero() for S in images.values()):
+            continue
+        return _first_nonzero(*(images[p].matrix(ms.V.dim) for p in sorted(images)))
     return None
 
 
 def expr_weight_matrix(expr, ms: ModuleSpec, box, n):
     """Matrix of a net-degree-zero expression on the weight space at n."""
+    return _expr_weight_symbol(expr, ms, box, n).matrix(ms.V.dim)
+
+
+def _expr_weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
     degs = expr_net_degrees(expr)
     if degs != {(0,) * ms.spec.d}:
         raise SpecMismatch("expression does not preserve the weight grading")
@@ -565,21 +657,6 @@ def expr_weight_matrix(expr, ms: ModuleSpec, box, n):
     if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
         raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
     return _expr_symbols(expr, ms, n)[n]
-
-
-def matrix_as_scalar(M):
-    """The scalar c with M = c*Id, or None; compares against trace/dim."""
-    dim = len(M)
-    tr = CycNumber.zero()
-    for i in range(dim):
-        tr = tr + M[i][i]
-    c = tr * Fraction(1, dim)
-    for i in range(dim):
-        for j in range(dim):
-            expect = c if i == j else CycNumber.zero()
-            if M[i][j] != expect:
-                return None
-    return c
 
 
 # -- named operators -----------------------------------------------------------
@@ -616,7 +693,11 @@ def weight_op_expr(ms: ModuleSpec, u, r) -> list:
 
 def weight_op_matrix(ms: ModuleSpec, u, r, n, box):
     """Matrix of the degree-zero weight operator on the weight space at n."""
-    return expr_weight_matrix(weight_op_expr(ms, u, r), ms, box, n)
+    return _weight_op_symbol(ms, u, r, n, box).matrix(ms.V.dim)
+
+
+def _weight_op_symbol(ms: ModuleSpec, u, r, n, box) -> _Symbol:
+    return _expr_weight_symbol(weight_op_expr(ms, u, r), ms, box, n)
 
 
 def zero_mode_expr(ms: ModuleSpec, s) -> list:
@@ -633,11 +714,10 @@ def zero_mode_scalar(ms: ModuleSpec, s, n, box) -> CycNumber:
     e = zero_mode_expr(ms, s)
     if not e:
         return CycNumber.zero()
-    M = expr_weight_matrix(e, ms, box, n)
-    c = matrix_as_scalar(M)
-    if c is None:
+    S = _expr_weight_symbol(e, ms, box, n)
+    if S.W is not None:
         raise NotScalar(f"zero-mode operator at degree {list(s)} is not scalar")
-    return c
+    return S.a
 
 
 # -- identity checks -----------------------------------------------------------
@@ -705,7 +785,7 @@ def ideal_relations_vanish(ms: ModuleSpec, box, rng, samples: int, quadratic: bo
     for p in box_points(box):
         if defect is not None:
             break
-        defect = _scalar_defect(symbol(one, p, ms), CycNumber.one())
+        defect = _scalar_defect(_symbol(one, p, ms), _ONE, ms.V.dim)
     return {"pass": defect is None, "defect": defect, "samples": count}
 
 
@@ -857,9 +937,9 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     for x in gens:
         deg = _degree_of(x)
         for n in box_points(box, deg):
-            lhs = mat_scale(symbol(x, n, ms_G), ginv.value(_shift(n, deg)))
-            rhs = mat_scale(symbol(x, n, ms_F), ginv.value(n))
-            defect = _first_nonzero(mat_sub(lhs, rhs))
+            lhs = _symbol(x, n, ms_G).scale(ginv.value(_shift(n, deg)))
+            rhs = _symbol(x, n, ms_F).scale(ginv.value(n))
+            defect = _witness(lhs - rhs, ms_G.V.dim)
             if defect is not None:
                 return {"pass": False, "defect": defect}
     return {"pass": True, "defect": None}
@@ -877,12 +957,13 @@ def weight_shift_check(ms: ModuleSpec, r, s, box):
     if not (_in_box(box, r) and _in_box(box, s)):
         raise OutOfBox("both weight points must lie in the box")
     scale = spec.sigma(delta, s)  # a root of unity, hence invertible
+    dim = ms.V.dim
     # transport acts on V'_s as the expected scalar
-    there = symbol(op_torus(spec, delta), s, ms)
-    defect = _scalar_defect(there, scale)
+    there = _symbol(op_torus(spec, delta), s, ms)
+    defect = _scalar_defect(there, scale, dim)
     # round trip is the scalar sigma(r-s, s-r)
-    back = mat_mul(symbol(op_torus(spec, _neg(delta)), r, ms), there)
-    bad = _scalar_defect(back, spec.sigma(delta, _neg(delta)))
+    back = _symbol(op_torus(spec, _neg(delta)), r, ms) * there
+    bad = _scalar_defect(back, spec.sigma(delta, _neg(delta)), dim)
     if defect is None:
         defect = bad
     # transport commutes with the weight operators
@@ -890,9 +971,9 @@ def weight_shift_check(ms: ModuleSpec, r, s, box):
     for e in units(spec.d):
         for rr in rad_rows:
             if defect is None and _in_box(box, _shift(r, rr)) and _in_box(box, _shift(s, rr)):
-                Ms = weight_op_matrix(ms, e, rr, s, box)
-                diff = mat_sub(Ms, weight_op_matrix(ms, e, rr, r, box))
-                defect = next((x for row in diff for x in row if not x.is_zero()), None)
+                diff = _weight_op_symbol(ms, e, rr, s, box) - _weight_op_symbol(ms, e, rr, r, box)
+                if not diff.is_zero():
+                    defect = next(x for row in diff.matrix(dim) for x in row if not x.is_zero())
     return {"pass": defect is None, "defect": defect, "scale": scale}
 
 
@@ -925,11 +1006,10 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
         usable = [n for n in inner if _in_box(box, _shift(n, rr))]
         if not usable:
             continue
-        M0 = weight_op_matrix(ms, u, rr, usable[0], box)
-        mats.append(M0)
+        S0 = _weight_op_symbol(ms, u, rr, usable[0], box)
+        mats.append(S0.matrix(dim))
         for n in usable[1:]:
-            M = weight_op_matrix(ms, u, rr, n, box)
-            if not mat_eq(M, M0):
+            if _weight_op_symbol(ms, u, rr, n, box) != S0:
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
@@ -938,7 +1018,7 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
             if not _in_box(box, _shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
-            if _scalar_defect(symbol(op_torus(spec, e), n, ms), c) is not None:
+            if _scalar_defect(_symbol(op_torus(spec, e), n, ms), c, dim) is not None:
                 transports_ok = False
     # (3) closure of V-coordinates under the weight-operator matrices; the
     # closure of a start vector does not depend on its weight point
@@ -1009,9 +1089,9 @@ def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
             continue
         count += 1
         n = pts[rng.randrange(len(pts))]
-        xy = mat_mul(symbol(x, _shift(n, dy), ms), symbol(y, n, ms))
-        yx = mat_mul(symbol(y, _shift(n, dx), ms), symbol(x, n, ms))
-        bad = _first_nonzero(mat_sub(symbol(br, n, ms), mat_sub(xy, yx)))
+        xy = _symbol(x, _shift(n, dy), ms) * _symbol(y, n, ms)
+        yx = _symbol(y, _shift(n, dx), ms) * _symbol(x, n, ms)
+        bad = _witness(_symbol(br, n, ms) - (xy - yx), ms.V.dim)
         if defect is None:
             defect = bad
     return {"pass": defect is None, "defect": defect, "samples": count}
@@ -1024,7 +1104,7 @@ def weight_eigenvalue_check(ms: ModuleSpec, box):
     for i, u in enumerate(units(spec.d)):
         x = op_witt(spec, u, zero)
         for n in box_points(box):
-            defect = _scalar_defect(symbol(x, n, ms), ms.alpha[i] + n[i])
+            defect = _scalar_defect(_symbol(x, n, ms), ms.alpha[i] + n[i], ms.V.dim)
             if defect is not None:
                 return {"pass": False, "defect": defect}
     return {"pass": True, "defect": None}
@@ -1095,13 +1175,13 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
                 probes.append((
                     _shift(n, deg),
                     n,
-                    symbol(x, n, ms_source),
-                    symbol(x, _shift(n, delta), ms_target),
+                    _symbol(x, n, ms_source),
+                    _symbol(x, _shift(n, delta), ms_target),
                 ))
         for k in _iproduct(range(conductor), repeat=d):
             c = DiagonalCharacter(conductor, k)
             if all(
-                mat_eq(mat_scale(src, c.value(nk)), mat_scale(tgt, c.value(n)))
+                src.scale(c.value(nk)) == tgt.scale(c.value(n))
                 for nk, n, src, tgt in probes
             ):
                 return {

@@ -93,6 +93,16 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def matrix_as_scalar(M):
+    """The scalar c with M = c*Id, or None."""
+    c = M[0][0]
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if not (x == c if i == j else x.is_zero()):
+                return None
+    return c
+
+
 class Span:
     """Row space in reduced echelon form over the cyclotomic field."""
 
@@ -139,7 +149,7 @@ class Span:
 
 
 class GlModule:
-    __slots__ = ("d", "dim", "name", "E", "basis_labels")
+    __slots__ = ("d", "dim", "name", "E", "basis_labels", "_outer")
 
     def __init__(self, d: int, dim: int, E, name: str, basis_labels=None):
         self.d = d
@@ -150,6 +160,7 @@ class GlModule:
             for i in range(d)
         ]
         self.basis_labels = list(basis_labels) if basis_labels is not None else list(range(dim))
+        self._outer = {}
         self._verify_bracket_law()
 
     def _verify_bracket_law(self):
@@ -180,6 +191,19 @@ class GlModule:
                 if not c.is_zero():
                     out = mat_add(out, mat_scale(self.E[i][j], c))
         return out
+
+    def outer_image(self, r, u):
+        """The image of r u^T = sum_ij r_i u_j E_ij for an integer vector r
+        and a coefficient vector u, split as (c, W): the scalar matrix c*Id
+        when W is None, else W itself, which is then not a scalar matrix.
+        Built once per (r, u) and held here, so every caller shares one W."""
+        key = (tuple(r), tuple((x.M, x.num, x.den) for x in u))
+        hit = self._outer.get(key)
+        if hit is None:
+            W = self.matrix_of([[uj * ri for uj in u] for ri in r])
+            c = matrix_as_scalar(W)
+            hit = self._outer[key] = (c, None) if c is not None else (CycNumber.zero(), W)
+        return hit
 
     def __repr__(self):
         return f"GlModule({self.name}, d={self.d}, dim={self.dim})"

@@ -109,9 +109,11 @@ class TorusSpec:
     # -- cocycle and commutation form -----------------------------------
 
     def _point(self, n) -> tuple[int, ...]:
-        t = tuple(int(x) for x in n)
+        t = tuple(n)
         if len(t) != self.d:
             raise ConfigError(f"lattice point {n!r} has wrong length for rank {self.d}")
+        if any(type(x) is not int for x in t):
+            raise ConfigError(f"lattice point {n!r} must have integer coordinates")
         return t
 
     def sigma_exp(self, n, m) -> int:

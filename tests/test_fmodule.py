@@ -51,9 +51,25 @@ from qtorus.fmodule import (
     zero_mode_scalar,
     zero_modes_commute_check,
 )
-from qtorus.glmodules import direct_sum, ext_power, natural, sym_power, trivial
+from qtorus.fmodule import _symbol, _weight_op_symbol
+from qtorus.glmodules import (
+    direct_sum,
+    dual,
+    ext_power,
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_scale,
+    matrix_as_scalar,
+    natural,
+    parse_module,
+    sym_power,
+    trivial,
+)
 from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
+
+from _act_oracle import act as oracle_act
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
 SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
@@ -188,8 +204,161 @@ def test_symbol_columns_match_act_on_basis_vectors(spec, modulus, exps):
                     M = symbol(x, n, ms)
                     for t in range(V.dim):
                         w = BoxVector.basis_vector(box, V.dim, n, t)
-                        image = act(x, w, ms).get(tuple(a + b for a, b in zip(n, k)))
+                        image = oracle_act(x, w, ms).get(tuple(a + b for a, b in zip(n, k)))
                         assert [row[t] for row in M] == list(image), (flavor, V.name, n, t)
+
+
+def _oracle_matrix(x, n, k, ms, box):
+    """The symbol's matrix read column by column off the oracle action."""
+    target = tuple(a + b for a, b in zip(n, k))
+    cols = [
+        oracle_act(x, BoxVector.basis_vector(box, ms.V.dim, n, t), ms).get(target)
+        for t in range(ms.V.dim)
+    ]
+    return [[col[i] for col in cols] for i in range(ms.V.dim)]
+
+
+def _is_zero_matrix(M):
+    return all(x.is_zero() for row in M for x in row)
+
+
+@pytest.mark.parametrize(
+    "spec,modulus,exps",
+    [(SPEC_I, 2, (1, 0)), (SPEC_II, 3, (1, 2)), (SPEC_III, 4, (3, 0, 0))],
+    ids=["i", "ii", "iii"],
+)
+def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
+    """Scaled, added and composed symbols read out the matrices that
+    mat_scale, mat_add and mat_mul give on symbol()'s dense matrices; a
+    symbol with a Witt part W is never a scalar matrix, so symbol equality
+    and zero tests agree with the dense ones.  Every module acts by the same
+    elements, so natural and dual meet the same (k, u) and a W held by
+    anything but V would show up against the oracle."""
+    rng = sub_rng(20261018, f"symbol-algebra-{spec.d}-{spec.N}")
+    d = spec.d
+    box = (6,) * d
+    alpha = [Fraction(1, 2)] + [0] * (d - 1)
+    twist = TwistCharacter(spec, modulus, exps)
+    modules = [
+        natural(d),
+        dual(d),
+        sym_power(d, 2),
+        trivial(d),
+        parse_module(d, "twist:1/2:trivial"),
+        direct_sum(natural(d), natural(d)),
+    ]
+    rad = spec.radical()
+    elements = _random_homogeneous(rng, spec)
+    for V in modules:
+        dim = V.dim
+        for flavor in FLAVORS:
+            g = TwistCharacter.trivial(spec) if flavor == "F" else twist
+            ms = ModuleSpec(spec, V, alpha, g, flavor)
+            pairs = []
+            for x, k in elements:
+                for n in rng.sample(box_points(box, k), 2):
+                    D = symbol(x, n, ms)
+                    assert D == _oracle_matrix(x, n, k, ms, box), (V.name, flavor, n)
+                    pairs.append((_symbol(x, n, ms), D))
+            # weight operators are constant in n: equal symbols sharing one W
+            for _ in range(3):
+                coeffs = [rng.randint(-1, 1) for _ in rad.basis]
+                r = tuple(sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d))
+                u = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 2)]
+                for n in rng.sample(box_points((3,) * d, r), 2):
+                    S = _weight_op_symbol(ms, u, r, n, (3,) * d)
+                    pairs.append((S, S.matrix(dim)))
+            c = spec.root(rng.randrange(spec.N)) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for i, (S, D) in enumerate(pairs):
+                results = [(S.scale(c), mat_scale(D, c))]
+                for S2, D2 in [pairs[i - 1], pairs[-1 - i], rng.choice(pairs)]:
+                    assert (S == S2) == mat_eq(D, D2), (V.name, flavor)
+                    results += [(S + S2, mat_add(D, D2)), (S * S2, mat_mul(D, D2))]
+                results.append((S - S, mat_add(D, mat_scale(D, -1))))
+                for R, want in [(S, D)] + results:
+                    assert R.matrix(dim) == want, (V.name, flavor)
+                    assert (R.W is None) == (matrix_as_scalar(want) is not None), (V.name, flavor)
+                    assert R.is_zero() == _is_zero_matrix(want), (V.name, flavor)
+
+
+def _edge_cases(spec, g, flavor):
+    """(x, w, ms) cases that pin the truncated flag at the box edge: a Witt
+    term with a zero image pushed out (flagged), lone inner terms pushed out,
+    vanishing ones not flagged, and torus and inner terms of one degree that
+    cancel outside the box (flagged)."""
+    d = spec.d
+    box = (2,) * d
+    zero = (0,) * d
+    far = tuple(3 * x for x in spec.radical().basis[0])
+    e1 = tuple(1 if i == 0 else 0 for i in range(d))
+    ms = ModuleSpec(spec, trivial(d), zero, g, flavor)
+    yield op_witt(spec, e1, far), BoxVector.basis_vector(box, 1, zero, 0), ms
+    ms = ModuleSpec(spec, natural(d), zero, g, flavor)
+    edge = (2,) + (0,) * (d - 1)
+    w = BoxVector.basis_vector(box, d, edge, 0)
+    for s in box_points((1,) * d):
+        if spec.in_radical(s):
+            continue
+        inner = op_inner(spec, s)
+        yield inner, w, ms
+        phase = symbol(inner, edge, ms)[0][0]
+        if not phase.is_zero():
+            torus = TorusElement.monomial(spec, s, -phase / spec.sigma(s, edge))
+            yield inner + GElement.from_torus(torus), w, ms
+
+
+@pytest.mark.parametrize(
+    "spec,modulus,exps",
+    [(SPEC_I, 2, (1, 0)), (SPEC_II, 3, (1, 2)), (SPEC_III, 4, (3, 0, 0))],
+    ids=["i", "ii", "iii"],
+)
+def test_act_matches_the_oracle_on_random_box_vectors(spec, modulus, exps):
+    """act, the sum over n of symbol(x_k, n) w(n), gives the oracle's vector,
+    truncated flag included, on seeded sums of homogeneous elements and box
+    vectors near the edge, on partial sums that cancel to zero, and on the
+    edge cases of the truncated flag."""
+    rng = sub_rng(20261018, f"act-oracle-{spec.d}-{spec.N}")
+    d = spec.d
+    box = (2,) * d
+    twist = TwistCharacter(spec, modulus, exps)
+    pts = box_points(box)
+    seen = {"truncated": 0, "cancelled": 0}
+
+    def coeff():
+        return spec.root(rng.randrange(spec.N)) * rng.choice([1, -1, 2, Fraction(1, 2)])
+
+    def check(x, w, ms):
+        got, want = act(x, w, ms), oracle_act(x, w, ms)
+        assert got.to_json() == want.to_json(), (ms.flavor, ms.V.name)
+        seen["truncated"] += want.truncated
+        return got
+
+    for flavor in FLAVORS:
+        g = TwistCharacter.trivial(spec) if flavor == "F" else twist
+        for sel, alpha in (("natural", [Fraction(1, 2)] + [0] * (d - 1)), ("trivial", [0] * d)):
+            ms = ModuleSpec(spec, parse_module(d, sel), alpha, g, flavor)
+            dim = ms.V.dim
+            pool = [x for x, _ in _random_homogeneous(rng, spec)]
+            for _ in range(12):
+                x = pool[0]
+                for y in rng.sample(pool, rng.randint(1, 3)):
+                    x = x + y
+                w = BoxVector(box, dim)
+                for n in rng.sample(pts, rng.randint(1, 4)):
+                    w = w + BoxVector(box, dim, {n: [coeff() for _ in range(dim)]})
+                check(x, w, ms)
+            # two entries whose images meet at one point and cancel there
+            m1, m2 = (1,) + (0,) * (d - 1), (0,) * (d - 1) + (1,)
+            n1, n2 = (0,) * d, tuple(a - b for a, b in zip(m1, m2))
+            x = op_torus(spec, m1) + op_torus(spec, m2)
+            c2 = -spec.sigma(m1, n1) / spec.sigma(m2, n2)
+            w = BoxVector(box, dim, {n1: [1] * dim, n2: [c2] * dim})
+            got = check(x, w, ms)
+            assert m1 not in got.entries and not got.is_zero()
+            seen["cancelled"] += 1
+        for x, w, ms in _edge_cases(spec, g, flavor):
+            check(x, w, ms)
+    assert seen["truncated"] > 10 and seen["cancelled"] == 6
 
 
 def test_truncation_flag_and_drop():
