@@ -595,9 +595,10 @@ def _expr_symbols(expr, ms: ModuleSpec, n):
     for c, factors in expr:
         p, S = tuple(n), None
         for f in reversed(factors):
-            T = _symbol(f, p, ms)
+            k = _degree_of(f)
+            T = _part_symbol(f, k, p, ms)
             S = T if S is None else T * S
-            p = _shift(p, _degree_of(f))
+            p = _shift(p, k)
         S = S.scale(c)
         out[p] = out[p] + S if p in out else S
     return out
@@ -1006,10 +1007,11 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
         usable = [n for n in inner if _in_box(box, _shift(n, rr))]
         if not usable:
             continue
-        S0 = _weight_op_symbol(ms, u, rr, usable[0], box)
+        e = weight_op_expr(ms, u, rr)
+        S0 = _expr_weight_symbol(e, ms, box, usable[0])
         mats.append(S0.matrix(dim))
         for n in usable[1:]:
-            if _weight_op_symbol(ms, u, rr, n, box) != S0:
+            if _expr_weight_symbol(e, ms, box, n) != S0:
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
