@@ -6,20 +6,27 @@ twists by the cocycle:  t^n * t^m = sigma(n, m) * t^(n+m).
 
 Every product, bracket and sum of the pair algebra Der(C_q) + C_q is computed
 here, on its basis: t^n, ad t^s (s outside rad(f)) and t^r d_i (r in
-rad(f)), the basis kinds TORUS, INNER and WITT + i.  An element is flattened
-once into basis terms (kind, degree, coefficient).  The bracket of two basis
-terms is a short list of (kind, integer factor, root exponent k): the
+rad(f)), the basis kinds TORUS, INNER and WITT + i.  The bracket of two
+basis terms is a short list of (kind, integer factor, root exponent k): the
 constant is the factor times sigma = zeta_N^k, at degree a + b (_constants).
 tmul and tcomm below, dact and dbracket in derivations and gbracket in
 semidirect are its bilinear extension (_extend).
 
-All sums go into one graded store (_Graded): (kind, degree) -> counts in
-the group ring Z[Z/L] over one common denominator, with L the lcm of N and
-the conductors of the coefficients.  A coefficient enters as its power-basis
+The kernel reads each operand in its ring form (_flatten): its basis terms
+(kind, degree, coefficient), each coefficient as (index, count) pairs of the
+group ring Z[Z/L] over one common denominator, with L the lcm of N and the
+conductors of the coefficients.  A coefficient enters as its power-basis
 numerators at the multiples of L/M, and multiplying by zeta_N^k rotates the
-counts by k L/N.  A component is reduced mod Phi_L only when it is read out,
-by CycNumber.from_root_counts; zero components and inner terms at radical
-degrees are dropped there.
+counts by k L/N.  Every TorusElement, DerElement and GElement builds its
+form on first use and holds it (_form); a GElement's form is the join of its
+components' forms.  An element is never changed once built, so the form
+cannot go stale.  When the two operands' L differ, _extend lifts one or both
+to the lcm by multiplying the indices.
+
+All sums go into one graded store (_Graded): (kind, degree) -> counts over
+Z/L at one denominator.  A component is reduced mod Phi_L only when it is
+read out, by CycNumber.from_root_counts; zero components and inner terms at
+radical degrees are dropped there.
 """
 
 from __future__ import annotations
@@ -102,31 +109,45 @@ class _Graded:
         return torus, inner, {r: tuple(u) for r, u in witt.items()}
 
 
-def _size(spec: TorusSpec, terms):
-    """(L, den): the lcm of N and the coefficients' conductors, and the lcm of
-    their denominators."""
+def _flatten(spec: TorusSpec, terms):
+    """The ring form of a sum of basis terms (kind, degree, coefficient):
+    (L, den, ring terms), with L the lcm of N and the coefficients'
+    conductors, den the lcm of their denominators, and each coefficient as
+    (index, count) pairs of Z[Z/L] over den."""
     L, den = spec.N, 1
     for _, _, c in terms:
         if L % c.M:
             L = lcm(L, c.M)
         if den % c.den:
             den = lcm(den, c.den)
-    return L, den
-
-
-def _ring(terms, L: int, den: int):
-    """Each coefficient as (index, count) pairs of Z[Z/L] over the denominator den."""
-    return [
+    ring = [
         (kind, n, [(j * (L // c.M), a * (den // c.den)) for j, a in enumerate(c.num) if a])
         for kind, n, c in terms
     ]
+    return L, den, ring
 
 
-def _combine(spec: TorusSpec, terms) -> _Graded:
-    """The graded store of a sum of basis terms."""
-    L, den = _size(spec, terms)
+def _lift(ring, s: int, t: int = 1):
+    """Ring terms with every index multiplied by s and every count by t."""
+    return [(kind, n, [(j * s, a * t) for j, a in pairs]) for kind, n, pairs in ring]
+
+
+def _join(*forms):
+    """The ring form of the terms of several forms together, at the lcm of
+    their L and of their denominators."""
+    L = lcm(*(f[0] for f in forms))
+    den = lcm(*(f[1] for f in forms))
+    ring = []
+    for lx, dx, rx in forms:
+        ring += rx if lx == L and dx == den else _lift(rx, L // lx, den // dx)
+    return L, den, ring
+
+
+def _combine(spec: TorusSpec, *forms) -> _Graded:
+    """The graded store of the sum of the terms of the given ring forms."""
+    L, den, ring = _join(*forms)
     sums = {}
-    for kind, n, pairs in _ring(terms, L, den):
+    for kind, n, pairs in ring:
         key = (kind, n)
         counts = sums.get(key)
         if counts is None:
@@ -136,15 +157,20 @@ def _combine(spec: TorusSpec, terms) -> _Graded:
     return _Graded(spec, L, den, sums)
 
 
-def _extend(spec: TorusSpec, xs, ys, product=False) -> _Graded:
-    """The graded store of [x, y] (x * y when `product`) for x and y given as
-    basis terms."""
-    (lx, dx), (ly, dy) = _size(spec, xs), _size(spec, ys)
-    L = lcm(lx, ly)
+def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
+    """The graded store of [x, y] (x * y when `product`) for x and y given by
+    their ring forms; an operand is lifted only when the two L differ."""
+    (lx, dx, gx), (ly, dy, gy) = fx, fy
+    L = lx
+    if lx != ly:
+        L = lcm(lx, ly)
+        if L != lx:
+            gx = _lift(gx, L // lx)
+        if L != ly:
+            gy = _lift(gy, L // ly)
     shift = L // spec.N
-    gy = _ring(ys, L, dy)
     sums = {}
-    for kx, a, cx in _ring(xs, L, dx):
+    for kx, a, cx in gx:
         for ky, b, cy in gy:
             deg = None
             for kind, p, k in _constants(spec, kx, a, ky, b, product):
@@ -165,7 +191,7 @@ def _extend(spec: TorusSpec, xs, ys, product=False) -> _Graded:
 
 
 class TorusElement:
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "terms", "_ring_form")
 
     def __init__(self, spec: TorusSpec, terms=None):
         self.spec = spec
@@ -176,6 +202,7 @@ class TorusElement:
                 if not c.is_zero():
                     data[spec._point(n)] = c
         self.terms = data
+        self._ring_form = None
 
     @classmethod
     def zero(cls, spec) -> "TorusElement":
@@ -195,6 +222,7 @@ class TorusElement:
         res = _new(cls)
         res.spec = spec
         res.terms = terms
+        res._ring_form = None
         return res
 
     @classmethod
@@ -205,8 +233,13 @@ class TorusElement:
         if self.spec != other.spec:
             raise SpecMismatch("operands live over different torus specs")
 
-    def _basis(self):
-        return [(TORUS, n, c) for n, c in self.terms.items()]
+    def _form(self):
+        """The ring form of the element (see _flatten), built on first use."""
+        form = self._ring_form
+        if form is None:
+            terms = [(TORUS, n, c) for n, c in self.terms.items()]
+            form = self._ring_form = _flatten(self.spec, terms)
+        return form
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -218,7 +251,7 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check(other)
-        return TorusElement._read(_combine(self.spec, self._basis() + other._basis()))
+        return TorusElement._read(_combine(self.spec, self._form(), other._form()))
 
     def __neg__(self):
         return TorusElement._of(self.spec, {n: -c for n, c in self.terms.items()})
@@ -230,10 +263,8 @@ class TorusElement:
 
     def scale(self, c) -> "TorusElement":
         c = _as_coeff(c)
-        res = TorusElement(self.spec)
-        if not c.is_zero():
-            res.terms = {n: c * v for n, v in self.terms.items()}
-        return res
+        terms = {n: c * v for n, v in self.terms.items()} if not c.is_zero() else {}
+        return TorusElement._of(self.spec, terms)
 
     def __mul__(self, other):
         """Twisted product; scalars also accepted."""
@@ -269,18 +300,18 @@ class TorusElement:
     @classmethod
     def from_json(cls, spec, obj) -> "TorusElement":
         terms = [(TORUS, spec._point(row["n"]), CycNumber.from_json(row["c"])) for row in obj]
-        return cls._read(_combine(spec, terms))
+        return cls._read(_combine(spec, _flatten(spec, terms)))
 
 
 def tmul(a: TorusElement, b: TorusElement) -> TorusElement:
     a._check(b)
-    return TorusElement._read(_extend(a.spec, a._basis(), b._basis(), product=True))
+    return TorusElement._read(_extend(a.spec, a._form(), b._form(), product=True))
 
 
 def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
     """Commutator bracket [a, b] = a*b - b*a."""
     a._check(b)
-    return TorusElement._read(_extend(a.spec, a._basis(), b._basis()))
+    return TorusElement._read(_extend(a.spec, a._form(), b._form()))
 
 
 def is_central(a: TorusElement) -> bool:

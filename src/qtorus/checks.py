@@ -400,12 +400,13 @@ def _torus_copies_commute(inst, rng):
     """The two torus copies commute: exhaustive over the degree window."""
     spec = inst.spec
     window = list(_iproduct(range(-3, 4), repeat=spec.d))
+    copies = [inner_minus(spec, n) for n in window]
 
     def probes():
         for m in window:
             c1 = plain_torus(spec, m)
-            for n in window:
-                yield _pair_first_nonzero(gbracket(c1, inner_minus(spec, n)))
+            for c2 in copies:
+                yield _pair_first_nonzero(gbracket(c1, c2))
 
     return _tally(probes())
 

@@ -39,7 +39,7 @@ degrees are dropped there.
 
 from __future__ import annotations
 
-from .algebra import INNER, WITT, TorusElement, _as_coeff, _combine, _extend, _new
+from .algebra import INNER, WITT, TorusElement, _as_coeff, _combine, _extend, _flatten, _new
 from .cyclotomic import CycNumber
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
@@ -70,12 +70,13 @@ def _witt(spec, r, u):
 
 
 class DerElement:
-    __slots__ = ("spec", "inner", "witt")
+    __slots__ = ("spec", "inner", "witt", "_ring_form")
 
     def __init__(self, spec: TorusSpec, inner=None, witt=None):
         self.spec = spec
         self.inner = {}
         self.witt = {}
+        self._ring_form = None
         if inner:
             for s, c in inner.items():
                 s, c = spec._point(s), _as_coeff(c)
@@ -94,6 +95,7 @@ class DerElement:
         out.spec = spec
         out.inner = inner
         out.witt = witt
+        out._ring_form = None
         return out
 
     @classmethod
@@ -101,12 +103,16 @@ class DerElement:
         _, inner, witt = store.read()
         return cls._of(store.spec, inner, witt)
 
-    def _basis(self):
-        """The basis terms: (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0."""
-        terms = [(INNER, s, c) for s, c in self.inner.items()]
-        for r, u in self.witt.items():
-            terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
-        return terms
+    def _form(self):
+        """The ring form (see qtorus.algebra._flatten) of the basis terms
+        (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0, built on first use."""
+        form = self._ring_form
+        if form is None:
+            terms = [(INNER, s, c) for s, c in self.inner.items()]
+            for r, u in self.witt.items():
+                terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
+            form = self._ring_form = _flatten(self.spec, terms)
+        return form
 
     # -- constructors ----------------------------------------------------
 
@@ -143,13 +149,12 @@ class DerElement:
         if not isinstance(other, DerElement):
             return NotImplemented
         self._check(other)
-        return DerElement._read(_combine(self.spec, self._basis() + other._basis()))
+        return DerElement._read(_combine(self.spec, self._form(), other._form()))
 
     def __neg__(self):
-        out = DerElement(self.spec)
-        out.inner = {s: -c for s, c in self.inner.items()}
-        out.witt = {r: tuple(-x for x in u) for r, u in self.witt.items()}
-        return out
+        inner = {s: -c for s, c in self.inner.items()}
+        witt = {r: tuple(-x for x in u) for r, u in self.witt.items()}
+        return DerElement._of(self.spec, inner, witt)
 
     def __sub__(self, other):
         if not isinstance(other, DerElement):
@@ -158,11 +163,11 @@ class DerElement:
 
     def scale(self, c) -> "DerElement":
         c = _as_coeff(c)
-        out = DerElement(self.spec)
-        if not c.is_zero():
-            out.inner = {s: c * v for s, v in self.inner.items()}
-            out.witt = {r: tuple(c * x for x in u) for r, u in self.witt.items()}
-        return out
+        if c.is_zero():
+            return DerElement._of(self.spec, {}, {})
+        inner = {s: c * v for s, v in self.inner.items()}
+        witt = {r: tuple(c * x for x in u) for r, u in self.witt.items()}
+        return DerElement._of(self.spec, inner, witt)
 
     def __eq__(self, other):
         if not isinstance(other, DerElement):
@@ -180,12 +185,9 @@ class DerElement:
     def grade(self, n) -> "DerElement":
         """Homogeneous component of lattice degree n."""
         n = self.spec._point(n)
-        out = DerElement(self.spec)
-        if n in self.inner:
-            out.inner[n] = self.inner[n]
-        if n in self.witt:
-            out.witt[n] = self.witt[n]
-        return out
+        inner = {n: self.inner[n]} if n in self.inner else {}
+        witt = {n: self.witt[n]} if n in self.witt else {}
+        return DerElement._of(self.spec, inner, witt)
 
     def degrees(self):
         return sorted(set(self.inner) | set(self.witt))
@@ -217,17 +219,17 @@ class DerElement:
         for row in obj.get("witt", ()):
             r, u = _witt(spec, row["r"], [CycNumber.from_json(x) for x in row["u"]])
             terms += [(WITT + i, r, c) for i, c in enumerate(u)]
-        return cls._read(_combine(spec, terms))
+        return cls._read(_combine(spec, _flatten(spec, terms)))
 
 
 def dbracket(x: DerElement, y: DerElement) -> DerElement:
     """Lie bracket of derivations."""
     x._check(y)
-    return DerElement._read(_extend(x.spec, x._basis(), y._basis()))
+    return DerElement._read(_extend(x.spec, x._form(), y._form()))
 
 
 def dact(x: DerElement, a: TorusElement) -> TorusElement:
     """Apply a derivation to a torus element."""
     if x.spec != a.spec:
         raise SpecMismatch("derivation and torus element specs differ")
-    return TorusElement._read(_extend(x.spec, x._basis(), a._basis()))
+    return TorusElement._read(_extend(x.spec, x._form(), a._form()))

@@ -38,19 +38,20 @@ canonical square root of sigma(r, r); degrees must lie in rad(f).
 
 from __future__ import annotations
 
-from .algebra import TorusElement, _combine, _extend
+from .algebra import TorusElement, _combine, _extend, _join, _new
 from .derivations import DerElement
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
 
 
 class GElement:
-    __slots__ = ("spec", "der", "torus")
+    __slots__ = ("spec", "der", "torus", "_ring_form")
 
     def __init__(self, spec: TorusSpec, der: DerElement = None, torus: TorusElement = None):
         self.spec = spec
         self.der = der if der is not None else DerElement.zero(spec)
         self.torus = torus if torus is not None else TorusElement.zero(spec)
+        self._ring_form = None
         if self.der.spec != spec or self.torus.spec != spec:
             raise SpecMismatch("component specs differ from the pair spec")
 
@@ -73,20 +74,32 @@ class GElement:
     def is_zero(self) -> bool:
         return self.der.is_zero() and self.torus.is_zero()
 
-    def _basis(self):
-        return self.der._basis() + self.torus._basis()
+    def _form(self):
+        """The ring form of the pair: the join of its components' forms,
+        built on first use."""
+        form = self._ring_form
+        if form is None:
+            form = self._ring_form = _join(self.der._form(), self.torus._form())
+        return form
 
     @classmethod
     def _read(cls, store) -> "GElement":
+        """The pair read out of a graded store; its components share the
+        store's spec, so the constructor's checks are not rerun."""
         spec = store.spec
         torus, inner, witt = store.read()
-        return cls(spec, DerElement._of(spec, inner, witt), TorusElement._of(spec, torus))
+        res = _new(cls)
+        res.spec = spec
+        res.der = DerElement._of(spec, inner, witt)
+        res.torus = TorusElement._of(spec, torus)
+        res._ring_form = None
+        return res
 
     def __add__(self, other):
         if not isinstance(other, GElement):
             return NotImplemented
         self._check(other)
-        return GElement._read(_combine(self.spec, self._basis() + other._basis()))
+        return GElement._read(_combine(self.spec, self._form(), other._form()))
 
     def __neg__(self):
         return GElement(self.spec, -self.der, -self.torus)
@@ -127,7 +140,7 @@ class GElement:
 
 def gbracket(x: GElement, y: GElement) -> GElement:
     x._check(y)
-    return GElement._read(_extend(x.spec, x._basis(), y._basis()))
+    return GElement._read(_extend(x.spec, x._form(), y._form()))
 
 
 def plain_torus(spec: TorusSpec, a) -> GElement:
@@ -152,8 +165,7 @@ def decompose(x: GElement):
     with  x == from_der(witt) + plain_torus(c1) + inner_minus(c2).
     """
     spec = x.spec
-    witt = DerElement.zero(spec)
-    witt.witt = dict(x.der.witt)
+    witt = DerElement._of(spec, {}, dict(x.der.witt))
     c2 = TorusElement(spec, dict(x.der.inner))
     c1 = x.torus + c2
     return {"witt": witt, "c1": c1, "c2": c2}

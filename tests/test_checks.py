@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 
-from qtorus import checks
+from qtorus import algebra, checks
 from qtorus.fmodule import ModuleSpec, TwistCharacter
 from qtorus.glmodules import parse_module
 from qtorus.torus import TorusSpec
@@ -75,21 +75,49 @@ def test_lie_suite_passes_and_skips_untwisted_on_non_diagonal_radical():
     assert skipped and skipped[0]["note"] == "skipped: radical not diagonal"
 
 
+def _torus_copies_row():
+    (check,) = [c for c in checks.CHECKS if c.name == "torus_copies_commute"]
+    return checks._run_check(check, checks._Instance("(i)", SPEC_I, 40), 5)
+
+
 def test_torus_copies_commute_stays_exhaustive(monkeypatch):
     """The 7**d window is walked in full, one public bracket per pair, so a
-    faster bracket cannot pass the check by skipping pairs."""
+    faster bracket cannot pass the check by skipping pairs; the second copy
+    of each window point is built once."""
     calls = []
+    copies = []
     bracket = checks.gbracket
+    copy = checks.inner_minus
 
     def counting(x, y):
         calls.append(None)
         return bracket(x, y)
 
+    def counting_copy(spec, a):
+        copies.append(None)
+        return copy(spec, a)
+
     monkeypatch.setattr(checks, "gbracket", counting)
-    (check,) = [c for c in checks.CHECKS if c.name == "torus_copies_commute"]
-    row = checks._run_check(check, checks._Instance("(i)", SPEC_I, 40), 5)
+    monkeypatch.setattr(checks, "inner_minus", counting_copy)
+    row = _torus_copies_row()
     assert row["pass"] and row["samples"] == 49**2
     assert len(calls) == 49**2
+    assert len(copies) == 49
+
+
+def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch):
+    """Negative control.  A corrupted cocycle cannot break this check, since
+    the copies commute for any sigma; a kernel that drops the sigma(b, a) row
+    of the mixed rule [ad t^a, t^b] = [t^a, ad t^b] must."""
+    constants = algebra._constants
+
+    def mutant(spec, kx, a, ky, b, product):
+        rows = constants(spec, kx, a, ky, b, product)
+        return rows[:1] if {kx, ky} == {algebra.TORUS, algebra.INNER} else rows
+
+    monkeypatch.setattr(algebra, "_constants", mutant)
+    row = _torus_copies_row()
+    assert row["pass"] is False and row["defect"] != "0"
 
 
 def test_module_suite_passes_for_plain_flavor():

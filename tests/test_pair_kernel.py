@@ -4,6 +4,12 @@ tmul, tcomm, dact, dbracket, gbracket, the element sums and parsing are compared
 tests/_pair_oracle.py on seeded elements of mixed degree over the reference
 instances, a corrupted cocycle and the untwisted model, with coefficients
 that carry roots of unity of order N and 8 and Fraction denominators.
+
+Every element holds its ring form once it has been used, so a second test
+reuses operands: one element against many in both slots, operands whose
+coefficients lie in different cyclotomic fields (so one or both are lifted
+to the common conductor), and elements made by neg, scale, grade,
+decompose and sums from operands that were already bracketed.
 """
 
 import random
@@ -15,7 +21,7 @@ import pytest
 from qtorus.algebra import TorusElement, tcomm, tmul
 from qtorus.cyclotomic import root_of_unity
 from qtorus.derivations import DerElement, dact, dbracket
-from qtorus.semidirect import GElement, gbracket, untwisted_spec
+from qtorus.semidirect import GElement, decompose, gbracket, untwisted_spec
 from qtorus.torus import TorusSpec
 
 A_III = [[0, 1, 2], [3, 0, 0], [2, 0, 0]]
@@ -29,8 +35,12 @@ SPECS = {
 PAIRS = 400
 
 
-def _coeff(rng, spec):
+def _coeff(rng, spec, order=None):
+    """A Fraction times a root of unity of order N or 8, or of the given
+    order only."""
     q = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+    if order is not None:
+        return root_of_unity(order, rng.randrange(order)) * q
     kind = rng.randrange(3)
     if kind == 0:
         return q
@@ -49,12 +59,15 @@ def _radical_point(rng, spec):
     return tuple(sum(a * row[i] for a, row in zip(c, rad.basis)) for i in range(spec.d))
 
 
-def _element(rng, spec):
+def _element(rng, spec, order=None):
     """A pair element of mixed degree, built without element arithmetic."""
-    torus = {_point(rng, spec.d): _coeff(rng, spec) for _ in range(rng.randint(0, 3))}
-    inner = {_point(rng, spec.d): _coeff(rng, spec) for _ in range(rng.randint(0, 2))}
+    def coeff():
+        return _coeff(rng, spec, order)
+
+    torus = {_point(rng, spec.d): coeff() for _ in range(rng.randint(0, 3))}
+    inner = {_point(rng, spec.d): coeff() for _ in range(rng.randint(0, 2))}
     witt = {
-        _radical_point(rng, spec): [_coeff(rng, spec) if rng.randrange(3) else 0 for _ in range(spec.d)]
+        _radical_point(rng, spec): [coeff() if rng.randrange(3) else 0 for _ in range(spec.d)]
         for _ in range(rng.randint(0, 2))
     }
     return GElement(spec, DerElement(spec, inner, witt), TorusElement(spec, torus))
@@ -104,3 +117,54 @@ def test_kernel_matches_the_three_class_oracle(name):
         der, torus = _rows(rng, spec, x, y)
         _same(DerElement.from_json(spec, der), oracle.der_from_json(spec, der))
         _same(TorusElement.from_json(spec, torus), oracle.torus_from_json(spec, torus))
+
+
+def _all_products(x, y):
+    """Every product and bracket of x and y, in both slots, against the oracle."""
+    for a, b in ((x, y), (y, x)):
+        _same(tmul(a.torus, b.torus), oracle.tmul(a.torus, b.torus))
+        _same(tcomm(a.torus, b.torus), oracle.tcomm(a.torus, b.torus))
+        _same(dact(a.der, b.torus), oracle.dact(a.der, b.torus))
+        _same(dbracket(a.der, b.der), oracle.dbracket(a.der, b.der))
+        _same(gbracket(a, b), oracle.gbracket(a, b))
+    spec = x.spec
+    der = oracle.der_sum(spec, (1, x.der), (1, y.der))
+    _same(x + y, GElement(spec, der, oracle.torus_sum(spec, (1, x.torus), (1, y.torus))))
+
+
+def _derived(rng, spec, x, y):
+    """Elements made from x and y, which have already been bracketed."""
+    n = rng.choice(x.der.degrees() or [_point(rng, spec.d)])
+    parts = decompose(x)
+    c = _coeff(rng, spec, rng.choice((None, 3)))
+    return [
+        -x,
+        x.scale(c),
+        GElement(spec, x.der.scale(c), -y.torus),
+        GElement(spec, x.der.grade(n), y.torus.scale(c)),
+        GElement(spec, parts["witt"], parts["c1"]),
+        GElement(spec, -parts["witt"], parts["c2"]),
+        GElement(spec, y.der, x.torus),
+        x + y,
+        x - y,
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_held_forms_match_the_oracle_on_reused_operands(name):
+    spec = SPECS[name]
+    rng = random.Random(f"pair-kernel-reuse:{name}")
+    # one operand against many others; the others lie in Q(zeta_8),
+    # Q(zeta_3) or Q(zeta_N), so the kernel lifts one side, the other or both
+    pivot = _element(rng, spec, 8)
+    others = [_element(rng, spec, rng.choice((None, 3, 8, spec.N))) for _ in range(12)]
+    for y in others:
+        _all_products(pivot, y)
+    for _ in range(6):
+        x, y = rng.sample(others, 2)
+        _all_products(x, y)
+        for z in _derived(rng, spec, x, y):
+            _all_products(z, pivot)
+            _all_products(z, rng.choice(others))
+    for y in others:
+        _all_products(pivot, y)
