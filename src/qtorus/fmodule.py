@@ -650,10 +650,20 @@ def expr_weight_matrix(expr, ms: ModuleSpec, box, n):
 
 
 def _expr_weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
-    degs = expr_net_degrees(expr)
-    if degs != {(0,) * ms.spec.d}:
+    return _weight_symbol_at(expr, ms, _weight_expr_interior(expr, ms, box), n)
+
+
+def _weight_expr_interior(expr, ms: ModuleSpec, box):
+    """Check that the expression has net degree zero, and return its box
+    interior (see expr_interior); neither depends on the weight point."""
+    if expr_net_degrees(expr) != {(0,) * ms.spec.d}:
         raise SpecMismatch("expression does not preserve the weight grading")
-    ranges = expr_interior(box, expr)
+    return expr_interior(box, expr)
+
+
+def _weight_symbol_at(expr, ms: ModuleSpec, ranges, n) -> _Symbol:
+    """Symbol of a checked net-degree-zero expression, with box interior
+    `ranges`, on the weight space at n."""
     n = tuple(n)
     if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
         raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
@@ -1008,10 +1018,11 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
         if not usable:
             continue
         e = weight_op_expr(ms, u, rr)
-        S0 = _expr_weight_symbol(e, ms, box, usable[0])
+        ranges = _weight_expr_interior(e, ms, box)
+        S0 = _weight_symbol_at(e, ms, ranges, usable[0])
         mats.append(S0.matrix(dim))
         for n in usable[1:]:
-            if _expr_weight_symbol(e, ms, box, n) != S0:
+            if _weight_symbol_at(e, ms, ranges, n) != S0:
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
