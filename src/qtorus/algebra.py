@@ -17,16 +17,21 @@ The kernel reads each operand in its ring form (_flatten): its basis terms
 group ring Z[Z/L] over one common denominator, with L the lcm of N and the
 conductors of the coefficients.  A coefficient enters as its power-basis
 numerators at the multiples of L/M, and multiplying by zeta_N^k rotates the
-counts by k L/N.  Every TorusElement, DerElement and GElement builds its
-form on first use and holds it (_form); a GElement's form is the join of its
-components' forms.  An element is never changed once built, so the form
-cannot go stale.  When the two operands' L differ, _extend lifts one or both
+counts by k L/N.  When the two operands' L differ, _extend lifts one or both
 to the lcm by multiplying the indices.
 
+TorusElement, DerElement (qtorus.derivations) and GElement
+(qtorus.semidirect) are views on this one form and share one base, _Element.
+Each class lists its basis terms (_terms) and reads a store out (_read); the
+base builds the form on first use and holds it (_form), checks specs, and
+defines zero, + and -, the sum of a list of terms (_sum) and the one kernel
+entry, _bracket.  An element is never changed once built, so the form cannot
+go stale.
+
 All sums go into one graded store (_Graded): (kind, degree) -> counts over
-Z/L at one denominator.  A component is reduced mod Phi_L only when it is
-read out, by CycNumber.from_root_counts; zero components and inner terms at
-radical degrees are dropped there.
+Z/L at one denominator.  A component is reduced only when it is read out,
+by CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need;
+zero components and inner terms at radical degrees are dropped there.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from math import lcm
 from operator import add
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _as_coeff
 from .errors import SpecMismatch
 from .torus import TorusSpec
 
@@ -42,12 +47,6 @@ TORUS, INNER, WITT = 0, 1, 2  # basis kinds; WITT + i is the term t^r d_i
 
 _new = object.__new__
 _ZERO = CycNumber.zero()
-
-
-def _as_coeff(c) -> CycNumber:
-    if isinstance(c, CycNumber):
-        return c
-    return CycNumber.rational(c)
 
 
 def _constants(spec: TorusSpec, kx, a, ky, b, product):
@@ -132,28 +131,22 @@ def _lift(ring, s: int, t: int = 1):
     return [(kind, n, [(j * s, a * t) for j, a in pairs]) for kind, n, pairs in ring]
 
 
-def _join(*forms):
-    """The ring form of the terms of several forms together, at the lcm of
-    their L and of their denominators."""
+def _combine(spec: TorusSpec, *forms) -> _Graded:
+    """The graded store of the sum of the terms of the given ring forms, at
+    the lcm of their L and of their denominators."""
     L = lcm(*(f[0] for f in forms))
     den = lcm(*(f[1] for f in forms))
-    ring = []
-    for lx, dx, rx in forms:
-        ring += rx if lx == L and dx == den else _lift(rx, L // lx, den // dx)
-    return L, den, ring
-
-
-def _combine(spec: TorusSpec, *forms) -> _Graded:
-    """The graded store of the sum of the terms of the given ring forms."""
-    L, den, ring = _join(*forms)
     sums = {}
-    for kind, n, pairs in ring:
-        key = (kind, n)
-        counts = sums.get(key)
-        if counts is None:
-            counts = sums[key] = [0] * L
-        for j, a in pairs:
-            counts[j] += a
+    for lx, dx, ring in forms:
+        if lx != L or dx != den:
+            ring = _lift(ring, L // lx, den // dx)
+        for kind, n, pairs in ring:
+            key = (kind, n)
+            counts = sums.get(key)
+            if counts is None:
+                counts = sums[key] = [0] * L
+            for j, a in pairs:
+                counts[j] += a
     return _Graded(spec, L, den, sums)
 
 
@@ -190,8 +183,54 @@ def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
     return _Graded(spec, L, dx * dy, sums)
 
 
-class TorusElement:
-    __slots__ = ("spec", "terms", "_ring_form")
+class _Element:
+    """What TorusElement, DerElement and GElement share: a spec, a sum of basis
+    terms (_terms, per class), its held ring form, and the sums and brackets
+    that go through the graded store.  Each class reads a store out with its
+    own _read."""
+
+    __slots__ = ("spec", "_ring_form")
+
+    @classmethod
+    def _sum(cls, spec, terms):
+        """The element summing basis terms (kind, degree, coefficient)."""
+        return cls._read(_combine(spec, _flatten(spec, terms)))
+
+    @classmethod
+    def zero(cls, spec):
+        return cls(spec)
+
+    def _form(self):
+        """The ring form of the element (see _flatten), built on first use."""
+        form = self._ring_form
+        if form is None:
+            form = self._ring_form = _flatten(self.spec, self._terms())
+        return form
+
+    def _check(self, other):
+        if self.spec != other.spec:
+            raise SpecMismatch("operands live over different torus specs")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._read(_combine(self.spec, self._form(), other._form()))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+
+def _bracket(x: _Element, y: _Element, out, product=False):
+    """[x, y] (x * y when `product`) read out as an element of class `out`."""
+    x._check(y)
+    return out._read(_extend(x.spec, x._form(), y._form(), product))
+
+
+class TorusElement(_Element):
+    __slots__ = ("terms",)
 
     def __init__(self, spec: TorusSpec, terms=None):
         self.spec = spec
@@ -203,10 +242,6 @@ class TorusElement:
                     data[spec._point(n)] = c
         self.terms = data
         self._ring_form = None
-
-    @classmethod
-    def zero(cls, spec) -> "TorusElement":
-        return cls(spec)
 
     @classmethod
     def monomial(cls, spec, n, coeff=1) -> "TorusElement":
@@ -229,17 +264,8 @@ class TorusElement:
     def _read(cls, store) -> "TorusElement":
         return cls._of(store.spec, store.read()[0])
 
-    def _check(self, other: "TorusElement"):
-        if self.spec != other.spec:
-            raise SpecMismatch("operands live over different torus specs")
-
-    def _form(self):
-        """The ring form of the element (see _flatten), built on first use."""
-        form = self._ring_form
-        if form is None:
-            terms = [(TORUS, n, c) for n, c in self.terms.items()]
-            form = self._ring_form = _flatten(self.spec, terms)
-        return form
+    def _terms(self):
+        return [(TORUS, n, c) for n, c in self.terms.items()]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -247,19 +273,8 @@ class TorusElement:
     def support(self):
         return sorted(self.terms)
 
-    def __add__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        self._check(other)
-        return TorusElement._read(_combine(self.spec, self._form(), other._form()))
-
     def __neg__(self):
         return TorusElement._of(self.spec, {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c) -> "TorusElement":
         c = _as_coeff(c)
@@ -278,13 +293,7 @@ class TorusElement:
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        if self.spec != other.spec:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[n] for n, c in self.terms.items())
-
-    __hash__ = None
+        return self.spec == other.spec and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -300,18 +309,16 @@ class TorusElement:
     @classmethod
     def from_json(cls, spec, obj) -> "TorusElement":
         terms = [(TORUS, spec._point(row["n"]), CycNumber.from_json(row["c"])) for row in obj]
-        return cls._read(_combine(spec, _flatten(spec, terms)))
+        return cls._sum(spec, terms)
 
 
 def tmul(a: TorusElement, b: TorusElement) -> TorusElement:
-    a._check(b)
-    return TorusElement._read(_extend(a.spec, a._form(), b._form(), product=True))
+    return _bracket(a, b, TorusElement, product=True)
 
 
 def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
     """Commutator bracket [a, b] = a*b - b*a."""
-    a._check(b)
-    return TorusElement._read(_extend(a.spec, a._form(), b._form()))
+    return _bracket(a, b, TorusElement)
 
 
 def is_central(a: TorusElement) -> bool:

@@ -11,9 +11,10 @@ operands is one convolution reduced mod Phi_M at that lcm.  No floating
 point is used anywhere.
 
 Arithmetic never lowers a conductor, so one value can be held at several
-conductors.  Serialization and repr write it at its minimal conductor (the
-least M' with the value in Q(zeta_M')), so their bytes depend only on the
-value, not on the arithmetic that made it.
+conductors; only the read-out of root counts (from_root_counts) picks the
+conductor its indices need.  Serialization and repr write a value at its
+minimal conductor (the least M' with the value in Q(zeta_M')), so their
+bytes depend only on the value, not on the arithmetic that made it.
 
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
 (default 240) so runaway lcm chains fail loudly instead of thrashing; a
@@ -291,7 +292,14 @@ class CycNumber:
 
         `counts` is an element of the group ring Z[Z/M] (M integers) and den
         a positive integer.  This is the read-out of sums kept as root counts.
+        When every nonzero index is a multiple of g = gcd(M, indices), the
+        value lies in Q(zeta_(M/g)) and is read there, so the cap applies to
+        M/g, not to M.
         """
+        g = gcd(M, *[j for j, c in enumerate(counts) if c])
+        if g > 1:
+            M //= g
+            counts = counts[::g]
         _check_conductor(M)
         f = _field(M)
         phi = f.phi
@@ -594,6 +602,13 @@ def _parse_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
+
+
+def _as_coeff(c) -> CycNumber:
+    """A CycNumber as is; an int, Fraction or other rational as a CycNumber."""
+    if isinstance(c, CycNumber):
+        return c
+    return CycNumber.rational(c)
 
 
 def root_of_unity(M: int, k: int) -> CycNumber:

@@ -21,26 +21,17 @@ and the action on the torus:
     witt(u,r) . t^n  = <u,n> sigma(r,n) t^(r+n)
 
 dbracket and dact do not loop over these rules themselves.  A DerElement is
-flattened into basis terms ad t^s and t^r d_i (witt(u, r) is the sum of
+the sum of the basis terms ad t^s and t^r d_i (witt(u, r) is the sum of
 u_i t^r d_i), and both are the bilinear extension of the one basis-bracket
-kernel in qtorus.algebra.  Its table, in exponent form (k in sigma = zeta_N^k):
-
-    ad t^a  x ad t^b      ->  ad t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
-    ad t^a  x t^b         ->  t^(a+b):      +1 at sigma(a,b), -1 at sigma(b,a)
-    t^a d_i x ad t^b      ->  ad t^(a+b):   b_i at sigma(a,b)
-    t^a d_i x t^b         ->  t^(a+b):      b_i at sigma(a,b)
-    t^a d_i x t^b d_j     ->  t^(a+b) d_j:  b_i at sigma(a,b)
-                              t^(a+b) d_i: -a_j at sigma(a,b)
-
-Sums of terms, including DerElement addition, are kept as counts over the
-roots of unity and reduced once per component; inner components at radical
-degrees are dropped there.
+table of the pair algebra, qtorus.algebra._constants.  DerElement shares its
+ring form, sums and kernel entry with TorusElement and GElement through
+their base class in qtorus.algebra.
 """
 
 from __future__ import annotations
 
-from .algebra import INNER, WITT, TorusElement, _as_coeff, _combine, _extend, _flatten, _new
-from .cyclotomic import CycNumber
+from .algebra import INNER, WITT, TorusElement, _bracket, _Element, _new
+from .cyclotomic import CycNumber, _as_coeff
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
 
@@ -69,8 +60,8 @@ def _witt(spec, r, u):
     return r, u
 
 
-class DerElement:
-    __slots__ = ("spec", "inner", "witt", "_ring_form")
+class DerElement(_Element):
+    __slots__ = ("inner", "witt")
 
     def __init__(self, spec: TorusSpec, inner=None, witt=None):
         self.spec = spec
@@ -103,22 +94,14 @@ class DerElement:
         _, inner, witt = store.read()
         return cls._of(store.spec, inner, witt)
 
-    def _form(self):
-        """The ring form (see qtorus.algebra._flatten) of the basis terms
-        (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0, built on first use."""
-        form = self._ring_form
-        if form is None:
-            terms = [(INNER, s, c) for s, c in self.inner.items()]
-            for r, u in self.witt.items():
-                terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
-            form = self._ring_form = _flatten(self.spec, terms)
-        return form
+    def _terms(self):
+        """The basis terms (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0."""
+        terms = [(INNER, s, c) for s, c in self.inner.items()]
+        for r, u in self.witt.items():
+            terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
+        return terms
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, spec) -> "DerElement":
-        return cls(spec)
 
     @classmethod
     def ad(cls, spec, s, coeff=1) -> "DerElement":
@@ -138,28 +121,13 @@ class DerElement:
 
     # -- vector-space structure -------------------------------------------
 
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("operands live over different torus specs")
-
     def is_zero(self) -> bool:
         return not self.inner and not self.witt
-
-    def __add__(self, other):
-        if not isinstance(other, DerElement):
-            return NotImplemented
-        self._check(other)
-        return DerElement._read(_combine(self.spec, self._form(), other._form()))
 
     def __neg__(self):
         inner = {s: -c for s, c in self.inner.items()}
         witt = {r: tuple(-x for x in u) for r, u in self.witt.items()}
         return DerElement._of(self.spec, inner, witt)
-
-    def __sub__(self, other):
-        if not isinstance(other, DerElement):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c) -> "DerElement":
         c = _as_coeff(c)
@@ -172,15 +140,7 @@ class DerElement:
     def __eq__(self, other):
         if not isinstance(other, DerElement):
             return NotImplemented
-        if self.spec != other.spec:
-            return False
-        if set(self.inner) != set(other.inner) or set(self.witt) != set(other.witt):
-            return False
-        return all(c == other.inner[s] for s, c in self.inner.items()) and all(
-            all(a == b for a, b in zip(u, other.witt[r])) for r, u in self.witt.items()
-        )
-
-    __hash__ = None
+        return self.spec == other.spec and self.inner == other.inner and self.witt == other.witt
 
     def grade(self, n) -> "DerElement":
         """Homogeneous component of lattice degree n."""
@@ -219,17 +179,14 @@ class DerElement:
         for row in obj.get("witt", ()):
             r, u = _witt(spec, row["r"], [CycNumber.from_json(x) for x in row["u"]])
             terms += [(WITT + i, r, c) for i, c in enumerate(u)]
-        return cls._read(_combine(spec, _flatten(spec, terms)))
+        return cls._sum(spec, terms)
 
 
 def dbracket(x: DerElement, y: DerElement) -> DerElement:
     """Lie bracket of derivations."""
-    x._check(y)
-    return DerElement._read(_extend(x.spec, x._form(), y._form()))
+    return _bracket(x, y, DerElement)
 
 
 def dact(x: DerElement, a: TorusElement) -> TorusElement:
     """Apply a derivation to a torus element."""
-    if x.spec != a.spec:
-        raise SpecMismatch("derivation and torus element specs differ")
-    return TorusElement._read(_extend(x.spec, x._form(), a._form()))
+    return _bracket(x, a, TorusElement)

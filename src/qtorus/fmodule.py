@@ -43,10 +43,10 @@ homogeneous parts x_k, dropping (and flagging) images pushed outside.
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, lcm
 
-from .algebra import TorusElement, _as_coeff
-from .cyclotomic import CycNumber, root_of_unity
+from .algebra import TorusElement
+from .cyclotomic import CycNumber, _as_coeff, root_of_unity
 from .derivations import DerElement, pairing
 from .errors import (
     ConfigError,
@@ -60,10 +60,6 @@ from .glmodules import mat_vec, matrix_as_scalar
 from .lattice import rand_point, rand_radical_point, units
 from .semidirect import GElement
 from .torus import TorusSpec
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # -- characters of the degree lattice ---------------------------------------
@@ -147,9 +143,7 @@ class TwistCharacter(DiagonalCharacter):
             g = gcd(k, v.M) if k else v.M
             orders.append(v.M // g)
             residues.append((k // g) % (v.M // g) if v.M // g > 1 else 0)
-        m = 1
-        for o in orders:
-            m = _lcm(m, o)
+        m = lcm(*orders)
         exps = [r * (m // o) for r, o in zip(residues, orders)]
         return cls(spec, m, exps)
 
@@ -1137,7 +1131,7 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
         raise ConfigError("twist-equivalence search starts from an F_g module")
     spec = ms_source.spec
     d = spec.d
-    conductor = _lcm(spec.N, ms_source.twist.modulus)
+    conductor = lcm(spec.N, ms_source.twist.modulus)
     if conductor ** d > 64 ** 3:
         raise ConfigError("candidate character family too large to enumerate")
     rad_rows = [tuple(row) for row in spec.radical().basis]

@@ -23,14 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .cyclotomic import CycNumber, _parse_fraction
+from .cyclotomic import CycNumber, _as_coeff, _parse_fraction
 from .errors import BadPower, SpecMismatch
-
-
-def _coeff(x) -> CycNumber:
-    if isinstance(x, CycNumber):
-        return x
-    return CycNumber.rational(x)
 
 
 # -- small exact-matrix toolkit -------------------------------------------
@@ -55,7 +49,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    c = _coeff(c)
+    c = _as_coeff(c)
     return [[c * x for x in row] for row in a]
 
 
@@ -122,7 +116,7 @@ class Span:
 
     def insert(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
-        vec = self._reduce([_coeff(x) for x in vec])
+        vec = self._reduce([_as_coeff(x) for x in vec])
         piv = next((j for j in range(self.length) if not vec[j].is_zero()), None)
         if piv is None:
             return False
@@ -138,7 +132,7 @@ class Span:
         return True
 
     def contains(self, vec) -> bool:
-        return all(x.is_zero() for x in self._reduce([_coeff(v) for v in vec]))
+        return all(x.is_zero() for x in self._reduce([_as_coeff(v) for v in vec]))
 
     @property
     def dim(self) -> int:
@@ -156,7 +150,7 @@ class GlModule:
         self.dim = dim
         self.name = name
         self.E = [
-            [[[_coeff(x) for x in row] for row in E[i][j]] for j in range(d)]
+            [[[_as_coeff(x) for x in row] for row in E[i][j]] for j in range(d)]
             for i in range(d)
         ]
         self.basis_labels = list(basis_labels) if basis_labels is not None else list(range(dim))
@@ -187,7 +181,7 @@ class GlModule:
         out = zero_matrix(self.dim, self.dim)
         for i in range(self.d):
             for j in range(self.d):
-                c = _coeff(coeffs[i][j])
+                c = _as_coeff(coeffs[i][j])
                 if not c.is_zero():
                     out = mat_add(out, mat_scale(self.E[i][j], c))
         return out
@@ -294,7 +288,7 @@ def ext_power(d: int, k: int) -> GlModule:
 
 def trace_twist(base: GlModule, c) -> GlModule:
     """Shift every diagonal action E_ii by c * Id; off-diagonal unchanged."""
-    c = _coeff(c)
+    c = _as_coeff(c)
     ident = identity_matrix(base.dim)
     E = [
         [

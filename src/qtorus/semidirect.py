@@ -6,19 +6,9 @@ torus carrying its commutator bracket.  The bracket is
     [(T, a), (S, b)] = ([T, S],  T.b - S.a + (ab - ba)).
 
 gbracket computes it in one pass, as the bilinear extension of the
-basis-bracket kernel in qtorus.algebra over the basis t^n, ad t^s and
-t^r d_i of the pair algebra.  In exponent form (factor at sigma = zeta_N^k),
-the torus rows of its table are
-
-    t^a     x t^b      ->  t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
-    ad t^a  x t^b      ->  t^(a+b):   +1 at sigma(a,b), -1 at sigma(b,a)
-    t^a d_i x t^b      ->  t^(a+b):   b_i at sigma(a,b)
-
-with a torus term on the left giving minus the mirrored row, and the
-derivation rows are those of dbracket (see qtorus.derivations).  Each pair
-of basis terms adds its rows to one graded store, degree -> counts over the
-roots of unity, and every component is reduced once, when read out.  Sums
-of pairs use the same store.
+basis-bracket table of the pair algebra (qtorus.algebra._constants) over the
+basis t^n, ad t^s and t^r d_i.  A pair's ring form is its derivation terms
+followed by its torus terms; sums of pairs use the same graded store.
 
 Two embeddings of the torus lattice are provided:
 
@@ -38,14 +28,14 @@ canonical square root of sigma(r, r); degrees must lie in rad(f).
 
 from __future__ import annotations
 
-from .algebra import TorusElement, _combine, _extend, _join, _new
+from .algebra import TorusElement, _bracket, _Element, _new
 from .derivations import DerElement
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
 
 
-class GElement:
-    __slots__ = ("spec", "der", "torus", "_ring_form")
+class GElement(_Element):
+    __slots__ = ("der", "torus")
 
     def __init__(self, spec: TorusSpec, der: DerElement = None, torus: TorusElement = None):
         self.spec = spec
@@ -56,10 +46,6 @@ class GElement:
             raise SpecMismatch("component specs differ from the pair spec")
 
     @classmethod
-    def zero(cls, spec) -> "GElement":
-        return cls(spec)
-
-    @classmethod
     def from_der(cls, x: DerElement) -> "GElement":
         return cls(x.spec, der=x)
 
@@ -67,20 +53,11 @@ class GElement:
     def from_torus(cls, a: TorusElement) -> "GElement":
         return cls(a.spec, torus=a)
 
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("operands live over different torus specs")
-
     def is_zero(self) -> bool:
         return self.der.is_zero() and self.torus.is_zero()
 
-    def _form(self):
-        """The ring form of the pair: the join of its components' forms,
-        built on first use."""
-        form = self._ring_form
-        if form is None:
-            form = self._ring_form = _join(self.der._form(), self.torus._form())
-        return form
+    def _terms(self):
+        return self.der._terms() + self.torus._terms()
 
     @classmethod
     def _read(cls, store) -> "GElement":
@@ -95,19 +72,8 @@ class GElement:
         res._ring_form = None
         return res
 
-    def __add__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        self._check(other)
-        return GElement._read(_combine(self.spec, self._form(), other._form()))
-
     def __neg__(self):
         return GElement(self.spec, -self.der, -self.torus)
-
-    def __sub__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c) -> "GElement":
         return GElement(self.spec, self.der.scale(c), self.torus.scale(c))
@@ -120,8 +86,6 @@ class GElement:
             and self.der == other.der
             and self.torus == other.torus
         )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"({self.der!r} ; {self.torus!r})"
@@ -139,8 +103,7 @@ class GElement:
 
 
 def gbracket(x: GElement, y: GElement) -> GElement:
-    x._check(y)
-    return GElement._read(_extend(x.spec, x._form(), y._form()))
+    return _bracket(x, y, GElement)
 
 
 def plain_torus(spec: TorusSpec, a) -> GElement:

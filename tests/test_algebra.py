@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qtorus.algebra import TorusElement, is_central, tcomm, tmul
-from qtorus.cyclotomic import CycNumber
-from qtorus.errors import SpecMismatch
+from qtorus.cyclotomic import CycNumber, root_of_unity
+from qtorus.errors import ConductorLimitExceeded, SpecMismatch
 from qtorus.torus import TorusSpec
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
@@ -137,6 +137,21 @@ def test_spec_mismatch_rejected():
         tmul(a, b)
     with pytest.raises(SpecMismatch):
         a + b
+
+
+def test_sums_and_products_read_each_term_at_its_own_conductor(monkeypatch):
+    # zeta_8 and zeta_3 meet in one store at L = 24, but each term fits a cap of 20
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "20")
+    x = TorusElement.monomial(SPEC_III, (1, 0, 0), root_of_unity(8, 1))
+    y = TorusElement.monomial(SPEC_III, (0, 1, 0), root_of_unity(3, 1))
+    s = x + y
+    assert s.terms == {(1, 0, 0): root_of_unity(8, 1), (0, 1, 0): root_of_unity(3, 1)}
+    t = TorusElement.monomial(SPEC_III, (0, 0, 1))
+    assert tmul(s, t) == tmul(x, t) + tmul(y, t)
+    assert (s - x) == y
+    # a term whose value needs conductor 24 still exceeds the cap
+    with pytest.raises(ConductorLimitExceeded, match="conductor 24 exceeds"):
+        x + TorusElement.monomial(SPEC_III, (1, 0, 0), root_of_unity(3, 1))
 
 
 def test_coefficients_merge_and_cancel():

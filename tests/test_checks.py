@@ -7,8 +7,11 @@ import subprocess
 import sys
 
 from qtorus import algebra, checks
+from qtorus.algebra import TorusElement
+from qtorus.derivations import DerElement
 from qtorus.fmodule import ModuleSpec, TwistCharacter
 from qtorus.glmodules import parse_module
+from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
@@ -118,6 +121,20 @@ def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch)
     monkeypatch.setattr(algebra, "_constants", mutant)
     row = _torus_copies_row()
     assert row["pass"] is False and row["defect"] != "0"
+
+
+def test_the_first_coefficient_is_inner_then_witt_by_degree_and_index_then_torus():
+    spec = SPEC_I  # rad(f) = 2Z^2
+    witt = DerElement.witt_term(spec, [0, 5], (0, 0)) + DerElement.witt_term(spec, [7, 0], (2, 0))
+    torus = TorusElement(spec, {(1, 0): 4, (-1, 0): 9})
+    inner = DerElement.ad(spec, (1, 1), 3)
+    first = checks._first_coeff
+    assert first(witt) == 5  # degree (0, 0) before (2, 0), though index 1 > 0
+    assert first(torus) == 9
+    assert first(GElement(spec, witt + inner, torus)) == 3
+    assert first(GElement(spec, witt, torus)) == 5
+    assert first(GElement.from_torus(torus)) == 9
+    assert first(GElement.zero(spec)) is None
 
 
 def test_module_suite_passes_for_plain_flavor():

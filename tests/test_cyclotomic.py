@@ -131,6 +131,15 @@ def test_conductor_cap(monkeypatch):
         root_of_unity(11, 1)
     with pytest.raises(ConductorLimitExceeded):
         root_of_unity(8, 1) * root_of_unity(3, 1)  # lcm 24 > 10
+    # root counts over Z/24 whose indices are all multiples of 3 lie in Q(zeta_8)
+    counts = [0] * 24
+    counts[3], counts[9] = 2, -1
+    x = CycNumber.from_root_counts(24, counts, 5)
+    assert x.M == 8
+    assert x == (root_of_unity(8, 1) * 2 - root_of_unity(8, 3)) / 5
+    counts[8] = 1
+    with pytest.raises(ConductorLimitExceeded, match="conductor 24 exceeds"):
+        CycNumber.from_root_counts(24, counts)
     monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "240")
     assert root_of_unity(8, 1) * root_of_unity(3, 1) == root_of_unity(24, 11)
 

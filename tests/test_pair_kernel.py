@@ -10,10 +10,15 @@ reuses operands: one element against many in both slots, operands whose
 coefficients lie in different cyclotomic fields (so one or both are lifted
 to the common conductor), and elements made by neg, scale, grade,
 decompose and sums from operands that were already bracketed.
+
+Every kernel entry and every sum shares one spec check, and a sum of two
+different element classes is refused.
 """
 
+import operator
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import _pair_oracle as oracle
 import pytest
@@ -21,6 +26,7 @@ import pytest
 from qtorus.algebra import TorusElement, tcomm, tmul
 from qtorus.cyclotomic import root_of_unity
 from qtorus.derivations import DerElement, dact, dbracket
+from qtorus.errors import SpecMismatch
 from qtorus.semidirect import GElement, decompose, gbracket, untwisted_spec
 from qtorus.torus import TorusSpec
 
@@ -168,3 +174,41 @@ def test_held_forms_match_the_oracle_on_reused_operands(name):
             _all_products(z, rng.choice(others))
     for y in others:
         _all_products(pivot, y)
+
+
+def _one(kind, spec):
+    """A nonzero torus, derivation or pair element over a rank-2 spec."""
+    a = TorusElement.monomial(spec, (1, 0), 2)
+    x = DerElement.ad(spec, (0, 1)) + DerElement.degree_derivation(spec, 0)
+    return {"torus": a, "der": x, "pair": GElement(spec, x, a)}[kind]
+
+
+ENTRIES = {
+    "tmul": (tmul, "torus", "torus"),
+    "tcomm": (tcomm, "torus", "torus"),
+    "dact": (dact, "der", "torus"),
+    "dbracket": (dbracket, "der", "der"),
+    "gbracket": (gbracket, "pair", "pair"),
+    **{
+        f"{cls} {sym}": (op, kind, kind)
+        for cls, kind in (("TorusElement", "torus"), ("DerElement", "der"), ("GElement", "pair"))
+        for sym, op in (("+", operator.add), ("-", operator.sub))
+    },
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_kernel_entry_and_sum_rejects_operands_over_different_specs(entry):
+    op, kx, ky = ENTRIES[entry]
+    x = _one(kx, SPECS["i"])
+    op(x, _one(ky, SPECS["i"]))  # one spec: accepted
+    with pytest.raises(SpecMismatch, match="^operands live over different torus specs$"):
+        op(x, _one(ky, SPECS["ii"]))
+
+
+def test_a_sum_of_two_element_classes_is_a_type_error():
+    spec = SPECS["i"]
+    for kx, ky in permutations(("torus", "der", "pair"), 2):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(_one(kx, spec), _one(ky, spec))
