@@ -6,9 +6,15 @@ over one positive integer denominator, num / den, in the power basis
 the gcd of den and all numerators is 1, and zero is (0, ..., 0) / 1.  So
 equality is a tuple comparison once both operands share a conductor, and
 sums, products and lifts run on Python ints with one gcd per result.  Mixed
-conductors lift to the lcm first, and a product of two non-rational
-operands is one convolution reduced mod Phi_M at that lcm.  No floating
-point is used anywhere.
+conductors lift to the lcm first.  No floating point is used anywhere.
+
+Reduction mod Phi_M is written once (_fold): a sum of powers zeta^j is
+folded onto the power basis by the table of zeta^j for j >= phi(M).  A
+product of two non-rational operands is one convolution followed by that
+fold, and so is the read-out of root counts.  Division uses the same fold:
+1/x is den * R / N for x = num / den, where R is the product of the Galois
+conjugates of num other than num itself (each one an index map on root
+counts, then the fold) and N = num * R is the norm of num, an integer.
 
 Arithmetic never lowers a conductor, so one value can be held at several
 conductors; only the read-out of root counts (from_root_counts) picks the
@@ -32,10 +38,6 @@ from .errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
 from .lattice import _invert_fraction_matrix
 
 DEFAULT_MAX_CONDUCTOR = 240
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def max_conductor() -> int:
     raw = os.environ.get("QTORUS_MAX_CONDUCTOR")
@@ -79,18 +81,6 @@ def totient(m: int) -> int:
     return result
 
 
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # num and den are ascending-coefficient integer polynomials, den monic.
     num = list(num)
@@ -106,6 +96,24 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _stretch(poly: list[int], k: int) -> list[int]:
+    """poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
+def _cyclotomic_poly(M: int) -> list[int]:
+    """Phi_M, ascending coefficients.  Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for
+    a prime p not dividing m builds Phi of the radical r of M from
+    Phi_1 = x - 1, and Phi_M(x) = Phi_r(x^(M/r))."""
+    poly, rad = [-1, 1], 1
+    for p in _prime_factors(M):
+        poly = _poly_div_exact(_stretch(poly, p), poly)
+        rad *= p
+    return _stretch(poly, M // rad)
+
+
 class _Field:
     """Cached per-conductor data: Phi_M, power table, exponent lookup."""
 
@@ -113,14 +121,7 @@ class _Field:
 
     def __init__(self, M: int):
         self.M = M
-        polys: dict[int, list[int]] = {}
-        for d in _divisors(M):
-            p = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-            for e in _divisors(d):
-                if e != d:
-                    p = _poly_div_exact(p, polys[e])
-            polys[d] = p
-        self.poly = polys[M]
+        self.poly = _cyclotomic_poly(M)
         self.phi = len(self.poly) - 1
         phi = self.phi
         top = [-c for c in self.poly[:phi]]  # x^phi reduced
@@ -210,24 +211,32 @@ def _minimal(x: "CycNumber") -> "CycNumber":
     return x if M == x.M else _make(M, num, x.den)
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    while db >= 0 and b[db] == 0:
-        db -= 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - db, 1)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / b[db]
-        q[k] = c
+def _fold(f: _Field, counts) -> tuple[int, ...]:
+    """Power-basis numerators of sum_j counts[j] * zeta^j: each zeta^j with
+    j >= phi(M) is replaced by its row of the power table.  This is the one
+    reduction mod Phi_M."""
+    phi = f.phi
+    out = list(counts[:phi])
+    powers = f.powers
+    for j in range(phi, len(counts)):
+        c = counts[j]
         if c:
-            for i in range(db + 1):
-                a[k + i] -= c * b[i]
-    da = len(a) - 1
-    while da >= 0 and a[da] == 0:
-        da -= 1
-    return q, a[: da + 1]
+            for i, r in enumerate(powers[j]):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
+
+
+def _times(f: _Field, a, b) -> tuple[int, ...]:
+    """Power-basis numerators of a * b, for numerator vectors a and b at f:
+    one convolution, then the fold."""
+    conv = [0] * (2 * f.phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _fold(f, conv)
 
 
 _new = object.__new__
@@ -301,17 +310,7 @@ class CycNumber:
             M //= g
             counts = counts[::g]
         _check_conductor(M)
-        f = _field(M)
-        phi = f.phi
-        out = list(counts[:phi])
-        powers = f.powers
-        for j in range(phi, M):
-            c = counts[j]
-            if c:
-                for i, r in enumerate(powers[j]):
-                    if r:
-                        out[i] += c * r
-        return _reduced(M, tuple(out), den)
+        return _reduced(M, _fold(_field(M), counts), den)
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -363,11 +362,8 @@ class CycNumber:
     def _coerce(self, other):
         if isinstance(other, CycNumber):
             return other
-        if type(other) is int:
-            return _make(1, (other,), 1)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return _make(1, (q.numerator,), q.denominator)
+            return CycNumber.rational(other)
         return None
 
     # -- arithmetic ----------------------------------------------------
@@ -427,24 +423,7 @@ class CycNumber:
                 return self
             return _reduced(self.M, tuple([q * c for c in self.num]), d * self.den)
         a, b = CycNumber._common(self, o)
-        f = _field(a.M)
-        phi = f.phi
-        conv = [0] * (2 * phi - 1)
-        bn = b.num
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        powers = f.powers
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                for i, r in enumerate(powers[k]):
-                    if r:
-                        out[i] += c * r
-        return _reduced(a.M, tuple(out), a.den * b.den)
+        return _reduced(a.M, _times(_field(a.M), a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -457,36 +436,23 @@ class CycNumber:
         k = self.as_root_exponent()
         if k is not None:
             return root_of_unity(self.M, -k)
-        f = _field(self.M)
-        modulus = [Fraction(c) for c in f.poly]
-        # extended Euclid for s with a*s = 1 mod Phi_M
-        r0, r1 = modulus, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            d1 = len(r1) - 1
-            while d1 >= 0 and r1[d1] == 0:
-                d1 -= 1
-            if d1 < 0:
-                raise ZeroDivisionError("cyclotomic division by zero")
-            if d1 == 0:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                while len(out) > f.phi:
-                    if out[-1] != 0:
-                        raise ArithmeticError("inverse exceeds power-basis degree")
-                    out.pop()
-                out += [_ZERO] * (f.phi - len(out))
-                return CycNumber(self.M, out)
-            q, r = _poly_divmod(r0, r1[: d1 + 1])
-            s_new = list(s0)
-            s_new += [_ZERO] * (len(q) + len(s1) - 1 - len(s_new))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            s_new[i + j] -= qc * sc
-            r0, r1 = r1, r
-            s0, s1 = s1, s_new
+        # x = num / den: with R the product of the conjugates sigma_a(num),
+        # zeta -> zeta^a for the units a != 1 mod M, num * R is the norm of
+        # num, an integer N, so 1/x = den * R / N
+        M, num = self.M, self.num
+        f = _field(M)
+        R = (1,) + (0,) * (f.phi - 1)
+        for a in range(2, M):
+            if gcd(a, M) == 1:
+                counts = [0] * M
+                for j, c in enumerate(num):
+                    if c:
+                        counts[a * j % M] += c
+                R = _times(f, R, _fold(f, counts))
+        norm, den = _times(f, num, R)[0], self.den
+        if norm < 0:
+            norm, den = -norm, -den
+        return _reduced(M, tuple([den * r for r in R]), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)

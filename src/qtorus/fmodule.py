@@ -1172,25 +1172,22 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
         ms_target = ModuleSpec(
             spec, ms_source.V, [_as_coeff(b) for b in beta], TwistCharacter.trivial(spec), "F"
         )
-        # theta: v(n) |-> c(n) v(n + delta) intertwines x exactly when
-        # c(n + k) M_src(x, n) = c(n) M_tgt(x, n + delta); neither symbol
-        # depends on c
+        # theta: v(n) |-> c(n) v(n + delta) intertwines x of degree k exactly
+        # when c(n + k) M_src(x, n) = c(n) M_tgt(x, n + delta); c is a
+        # character and c(n) != 0, so that is c(k) M_src(x, n) = M_tgt(x,
+        # n + delta), and neither symbol depends on c
         probes = []
         for x in gens:
             deg = _degree_of(x)
             for n in box_points(box, deg, delta, _shift(deg, delta)):
                 probes.append((
-                    _shift(n, deg),
-                    n,
+                    deg,
                     _symbol(x, n, ms_source),
                     _symbol(x, _shift(n, delta), ms_target),
                 ))
         for k in _iproduct(range(conductor), repeat=d):
             c = DiagonalCharacter(conductor, k)
-            if all(
-                src.scale(c.value(nk)) == tgt.scale(c.value(n))
-                for nk, n, src, tgt in probes
-            ):
+            if all(src.scale(c.value(deg)) == tgt for deg, src, tgt in probes):
                 return {
                     "found": True,
                     "beta": [_as_coeff(b) for b in beta],

@@ -286,11 +286,27 @@ def test_matches_the_fraction_backed_oracle():
             assert (back == a) and (back0 == a0)
 
 
+def test_inverse_keeps_the_conductor_a_value_is_held_at():
+    rng = random.Random(20261020)
+    for _ in range(120):
+        M = rng.choice(ORACLE_CONDUCTORS)
+        a, a0 = _twin(rng, M)
+        if a.is_zero():
+            continue
+        big = M * rng.choice((2, 3, 4, 5))
+        x, x0 = a.lift(big), a0.lift(big)  # one value, held above its conductor
+        inv, inv0 = x.inverse(), x0.inverse()
+        assert inv.M == inv0.M == big
+        assert inv.coeffs == inv0.coeffs
+        assert inv.den > 0 and gcd(inv.den, *inv.num) == 1
+        assert inv * x == 1 and inv == a.inverse()
+
+
 def test_cyclotomic_polynomial_and_inverse_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(11)
-    for M in (5, 7, 8, 9, 12, 15, 24):
+    for M in (5, 7, 8, 9, 12, 15, 16, 24, 27, 60, 120):
         phi_poly = sympy.Poly(sympy.cyclotomic_poly(M, x), x, domain="QQ")
         assert [int(c) for c in reversed(phi_poly.all_coeffs())] == cyclotomic._field(M).poly
         for _ in range(4):
