@@ -22,6 +22,12 @@ writes the skip row (with the `skip` note) when `applies` says the check does
 not hold on the instance, runs the draws keeping the first defect, and builds
 the row.  Each suite function runs its suite's checks in table order.
 
+A module probe writes the identity it tests once, next to its draws, as an
+operator expression lhs - rhs over the builders of qtorus.fmodule, and reads
+it with fmodule's one evaluator: expr_defect_at on one weight space against
+c Id, or expr_first_defect over a seeded sample of the expression's box
+interior.
+
 Suites (selector strings are part of the CLI contract): cocycle, lie,
 module, section3, section4, irreducibility.
 """
@@ -37,27 +43,33 @@ from typing import Callable, NamedTuple
 
 from .algebra import INNER, TORUS, TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber
-from .derivations import DerElement, dact, dbracket
+from .derivations import DerElement, dact, dbracket, pairing
 from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
 from .fmodule import (
     ModuleSpec,
     TwistCharacter,
     box_points,
-    c2_product_check,
+    c2_product_expr,
+    expr_commutator,
+    expr_defect_at,
+    expr_first_defect,
+    expr_interior,
+    expr_neg,
+    expr_of,
+    expr_scale,
+    expr_sum,
     extract_twist,
-    ideal_relations_vanish,
-    inner_quadratic_relation_check,
+    interior_points,
     intertwiner_check,
     irreducibility_evidence,
-    module_axiom_check,
-    weight_eigenvalue_check,
-    weight_op_bracket_check,
+    op_inner,
+    op_torus,
+    op_witt,
+    torus_product_relation_expr,
+    weight_op_expr,
     weight_op_matrix,
-    weight_shift_check,
-    zero_mode_ideal_check,
-    zero_mode_recursion_check,
+    zero_mode_expr,
     zero_mode_scalar,
-    zero_modes_commute_check,
 )
 from .glmodules import GlModule, cyclic_from_every_start, direct_sum, mat_sub, natural
 from .lattice import rand_point, rand_radical_point, units
@@ -236,6 +248,10 @@ def _first_nonzero(values):
     return next((c for c in values if not c.is_zero()), None)
 
 
+def _first_defect(defects):
+    return next((d for d in defects if d is not None), None)
+
+
 def _first_coeff(x):
     """The first nonzero coefficient of a torus, derivation or pair element,
     None when it is zero: inner terms by degree, then Witt vectors by degree
@@ -255,6 +271,35 @@ def _shifted_in_box(n, s, box):
     return all(-b <= a + c <= b for a, c, b in zip(n, s, box))
 
 
+def _plus(n, m):
+    return tuple(a + b for a, b in zip(n, m))
+
+
+def _minus(n):
+    return tuple(-a for a in n)
+
+
+def _rand_hom(rng, spec, kinds):
+    """A homogeneous pair-algebra element of a kind drawn from `kinds`: a
+    torus monomial, an inner derivation off the radical, or a Witt term of
+    radical degree."""
+    d = spec.d
+    kind = kinds[rng.randrange(len(kinds))]
+    if kind == "torus":
+        return op_torus(spec, rand_point(rng, d, 2))
+    if kind == "inner":
+        for _ in range(20):
+            s = rand_point(rng, d, 2)
+            if not spec.in_radical(s):
+                return op_inner(spec, s)
+        return op_inner(spec, units(d)[0])
+    r = rand_radical_point(rng, spec)
+    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(d)]
+    if all(x.is_zero() for x in u):
+        u[0] = CycNumber.one()
+    return op_witt(spec, u, r)
+
+
 # -- cocycle suite -------------------------------------------------------------
 
 
@@ -264,7 +309,7 @@ def _sigma_bicharacter(inst, rng):
     n = rand_point(rng, spec.d)
     m = rand_point(rng, spec.d)
     k = rand_point(rng, spec.d)
-    nm = tuple(a + b for a, b in zip(n, m))
+    nm = _plus(n, m)
     left = spec.sigma(nm, k) - spec.sigma(n, k) * spec.sigma(m, k)
     right = spec.sigma(k, nm) - spec.sigma(k, n) * spec.sigma(k, m)
     return _first_nonzero((left, right))
@@ -276,7 +321,7 @@ def _comm_factor_multiplicative(inst, rng):
     n = rand_point(rng, spec.d)
     m = rand_point(rng, spec.d)
     k = rand_point(rng, spec.d)
-    nm = tuple(a + b for a, b in zip(n, m))
+    nm = _plus(n, m)
     diff = spec.comm_factor(nm, k) - spec.comm_factor(n, k) * spec.comm_factor(m, k)
     # f must also agree with the sigma quotient
     quot = spec.sigma(n, m) * spec.sigma(m, n).inverse()
@@ -287,9 +332,8 @@ def _comm_factor_multiplicative(inst, rng):
 def _comm_factor_alternating(inst, rng):
     spec = inst.spec
     n = rand_point(rng, spec.d)
-    neg = tuple(-x for x in n)
     one = CycNumber.one()
-    return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, neg) - one))
+    return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, _minus(n)) - one))
 
 
 @_check("cocycle")
@@ -464,33 +508,75 @@ def _gl_cyclicity_probe(inst, rng):
 
 @_check("module")
 def _module_axiom(inst, rng):
-    rep = module_axiom_check(inst.ms, inst.box, rng, inst.samples)
-    return {"samples": rep["samples"], "defect": rep["defect"]}
+    """act([x,y]) = act(x)act(y) - act(y)act(x) on sampled homogeneous pairs,
+    each at one start point where every composition stays in the box.  For
+    flavor F_g only the derivation part is sampled (its inner action is not
+    compatible with the torus action, by design of that flavor)."""
+    ms, spec = inst.ms, inst.spec
+    kinds = ["inner", "witt"] + (["torus"] if ms.flavor != "F_g" else [])
+    defects = []
+    attempts = 0
+    while len(defects) < inst.samples and attempts < inst.samples * 4:
+        attempts += 1
+        x = _rand_hom(rng, spec, kinds)
+        y = _rand_hom(rng, spec, kinds)
+        xy = expr_commutator(expr_of(x), expr_of(y))
+        pts = interior_points(expr_interior(inst.box, xy))
+        if not pts:
+            continue
+        n = pts[rng.randrange(len(pts))]
+        defects.append(expr_defect_at(expr_sum(expr_of(gbracket(x, y)), expr_neg(xy)), ms, n))
+    return _tally(defects)
 
 
 @_check("module")
 def _weight_eigenvalue(inst, rng):
-    rep = weight_eigenvalue_check(inst.ms, tuple(min(2, b) for b in inst.box))
-    return {"samples": inst.ms.V.dim, "defect": rep["defect"]}
+    """D(e_i, 0) acts on the weight space at n by (alpha_i + n_i) Id."""
+    ms, spec = inst.ms, inst.spec
+    pts = box_points(tuple(min(2, b) for b in inst.box))
+    ops = [expr_of(op_witt(spec, u, (0,) * spec.d)) for u in units(spec.d)]
+    defects = (
+        expr_defect_at(e, ms, n, ms.alpha[i] + n[i]) for i, e in enumerate(ops) for n in pts
+    )
+    return {"samples": ms.V.dim, "defect": _first_defect(defects)}
 
 
 @_check("module")
 def _ideal_relations(inst, rng):
+    """The relation families, each expression probed at 6 sampled interior
+    points: the torus product rule, and the quadratic rule for ad t^k - t^k
+    where it holds (the twist multiplies the right-translation term: the
+    plain and G-twist flavors).  Then t^0 acts as Id on every weight space
+    of the box."""
+    ms, spec, box = inst.ms, inst.spec, inst.box
     quadratic = _plain_or_right_twist(inst)
-    rep = ideal_relations_vanish(inst.ms, inst.box, rng, inst.samples, quadratic=quadratic)
-    return {
-        "samples": rep["samples"],
-        "defect": rep["defect"],
-        "note": None if quadratic else "quadratic family skipped: it needs the "
-        "twist on the right-translation term",
-    }
+    radius = max(box)
+
+    def draws():
+        for _ in range(inst.samples):
+            m = rand_point(rng, spec.d, radius)
+            n = rand_point(rng, spec.d, radius)
+            exprs = [torus_product_relation_expr(ms, m, n)]
+            if quadratic:
+                exprs.append(c2_product_expr(ms, n, m))
+            yield _first_defect([expr_first_defect(e, ms, box, rng=rng, limit=6) for e in exprs])
+
+    fields = _tally(draws())
+    if fields["defect"] is None:
+        one = expr_of(op_torus(spec, (0,) * spec.d))
+        fields["defect"] = _first_defect(expr_defect_at(one, ms, p, 1) for p in box_points(box))
+    if not quadratic:
+        fields["note"] = (
+            "quadratic family skipped: it needs the twist on the right-translation term"
+        )
+    return fields
 
 
 @_check("module", _quarter, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
 def _c2_product(inst, rng):
     n = rand_point(rng, inst.spec.d, 2)
     m = rand_point(rng, inst.spec.d, 2)
-    return c2_product_check(inst.ms, n, m, inst.box, rng=rng, limit=4)
+    return expr_first_defect(c2_product_expr(inst.ms, n, m), inst.ms, inst.box, rng=rng, limit=4)
 
 
 # -- section3 suite ----------------------------------------------------------------
@@ -498,35 +584,70 @@ def _c2_product(inst, rng):
 
 @_check("section3", _eighth, _plain_or_right_twist, _PLAIN_OR_RIGHT_TWIST_ONLY)
 def _inner_quadratic_relation(inst, rng):
-    r = rand_point(rng, inst.spec.d, 2)
-    s = rand_point(rng, inst.spec.d, 2)
-    return inner_quadratic_relation_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
+    """ad t^r ad t^s - (t^r ad t^s + t^s ad t^r) + sigma(s,r) ad t^(r+s) = 0."""
+    spec = inst.spec
+    r = rand_point(rng, spec.d, 2)
+    s = rand_point(rng, spec.d, 2)
+    ad_r, ad_s = op_inner(spec, r), op_inner(spec, s)
+    e = expr_sum(
+        expr_of(ad_r, ad_s),
+        expr_neg(expr_of(op_torus(spec, r), ad_s)),
+        expr_neg(expr_of(op_torus(spec, s), ad_r)),
+        expr_scale(expr_of(op_inner(spec, _plus(r, s))), spec.sigma(s, r)),
+    )
+    if not e:
+        return None
+    return expr_first_defect(e, inst.ms, inst.box, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
 def _zero_modes_commute(inst, rng):
+    """[t^(-s) ad t^s, t^(-r) ad t^r] = 0."""
+    ms = inst.ms
     r = rand_point(rng, inst.spec.d, 2)
     s = rand_point(rng, inst.spec.d, 2)
-    return zero_modes_commute_check(inst.ms, r, s, inst.box, rng=rng, limit=4)
+    e = expr_commutator(zero_mode_expr(ms, s), zero_mode_expr(ms, r))
+    return expr_first_defect(e, ms, inst.box, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
 def _zero_mode_ideal(inst, rng):
-    d = inst.spec.d
-    r = rand_radical_point(rng, inst.spec, 1)
-    s = rand_point(rng, d, 2)
-    u = [rng.randint(-2, 2) for _ in range(d)]
-    return zero_mode_ideal_check(inst.ms, u, r, s, inst.box, rng=rng, limit=4)
+    """[T'(u,r), t^(-s) ad t^s]
+        = sigma(s,r)(u,s)sigma(r,s) t^(-(s+r)) ad t^(r+s)
+          - sigma(-r,r)(u,s) t^(-s) ad t^s."""
+    ms, spec = inst.ms, inst.spec
+    r = rand_radical_point(rng, spec, 1)
+    s = rand_point(rng, spec.d, 2)
+    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
+    lhs = expr_commutator(weight_op_expr(ms, u, r), zero_mode_expr(ms, s))
+    us = pairing(u, s)
+    rhs = expr_sum(
+        expr_scale(zero_mode_expr(ms, _plus(s, r)), spec.sigma(s, r) * us * spec.sigma(r, s)),
+        expr_scale(zero_mode_expr(ms, s), -(spec.sigma(_minus(r), r) * us)),
+    )
+    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
 def _weight_op_bracket(inst, rng):
-    d = inst.spec.d
-    r = rand_radical_point(rng, inst.spec, 1)
-    s = rand_radical_point(rng, inst.spec, 1)
-    u = [rng.randint(-2, 2) for _ in range(d)]
-    v = [rng.randint(-2, 2) for _ in range(d)]
-    return weight_op_bracket_check(inst.ms, u, r, v, s, inst.box, rng=rng, limit=4)
+    """[T'(u,r), T'(v,s)] = (v,r) sigma(-s,s) T'(u,r) - (u,s) sigma(-r,r) T'(v,s)
+        + sigma(s,r) T'(w, r+s), w = sigma(r,s)((u,s) v - (v,r) u)."""
+    ms, spec = inst.ms, inst.spec
+    r = rand_radical_point(rng, spec, 1)
+    s = rand_radical_point(rng, spec, 1)
+    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
+    v = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
+    lhs = expr_commutator(weight_op_expr(ms, u, r), weight_op_expr(ms, v, s))
+    vr = pairing(v, r)
+    us = pairing(u, s)
+    srs = spec.sigma(r, s)
+    w = [srs * (us * vi - vr * ui) for ui, vi in zip(u, v)]
+    rhs = expr_sum(
+        expr_scale(weight_op_expr(ms, u, r), vr * spec.sigma(_minus(s), s)),
+        expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(_minus(r), r))),
+        expr_scale(weight_op_expr(ms, w, _plus(r, s)), spec.sigma(s, r)),
+    )
+    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
 
 
 @_check("section3")
@@ -544,7 +665,7 @@ def _weight_op_constancy(inst, rng):
                 sample_pts = pts if len(pts) <= 8 else [
                     pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
                 ]
-                scale = spec.sigma(tuple(-x for x in rr), rr)
+                scale = spec.sigma(_minus(rr), rr)
                 expect = ms.V.matrix_of(
                     [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
                 )
@@ -557,9 +678,28 @@ def _weight_op_constancy(inst, rng):
 
 @_check("section3", _eighth_at_most_10)
 def _weight_shift(inst, rng):
-    r = rand_point(rng, inst.spec.d, min(inst.box))
-    s = rand_point(rng, inst.spec.d, min(inst.box))
-    return weight_shift_check(inst.ms, r, s, inst.box)["defect"]
+    """The torus transport t^(r-s): V'_s -> V'_r scales by the root of unity
+    sigma(r-s, s), hence is bijective; the round trip t^(s-r) t^(r-s) is the
+    scalar sigma(r-s, s-r); and the transport commutes with the weight
+    operators T'(e_i, rr) for the radical rows rr that the box hosts at r
+    and s."""
+    ms, spec, box = inst.ms, inst.spec, inst.box
+    r = rand_point(rng, spec.d, min(box))
+    s = rand_point(rng, spec.d, min(box))
+    delta = tuple(a - b for a, b in zip(r, s))
+    there = expr_of(op_torus(spec, delta))
+    rad_rows = [tuple(row) for row in spec.radical().basis]
+
+    def defects():
+        yield expr_defect_at(there, ms, s, spec.sigma(delta, s))
+        back = expr_of(op_torus(spec, _minus(delta)), op_torus(spec, delta))
+        yield expr_defect_at(back, ms, s, spec.sigma(delta, _minus(delta)))
+        for e in units(spec.d):
+            for rr in rad_rows:
+                if _shifted_in_box(r, rr, box) and _shifted_in_box(s, rr, box):
+                    yield expr_defect_at(expr_commutator(there, weight_op_expr(ms, e, rr)), ms, s)
+
+    return _first_defect(defects())
 
 
 # -- section4 suite ----------------------------------------------------------------
@@ -586,7 +726,11 @@ def _zero_mode_scalar(inst, rng):
     "follow the opposite sign convention",
 )
 def _zero_mode_recursion(inst, rng):
-    d = inst.spec.d
+    """lambda(s, p) = f(p,s) lambda(s,0) + sigma(-s,s)(1 - f(p,s)) at up to
+    four sampled points p, lambda(s, p) being the scalar of t^(-s) ad t^s on
+    the weight space at p."""
+    ms, spec = inst.ms, inst.spec
+    d = spec.d
     s = rand_point(rng, d, 2)
     pts = [
         p
@@ -595,7 +739,16 @@ def _zero_mode_recursion(inst, rng):
     ]
     if not pts:
         return _VACUOUS
-    return zero_mode_recursion_check(inst.ms, s, inst.box, pts)
+    lam0 = zero_mode_scalar(ms, s, (0,) * d, inst.box)
+    base = spec.sigma(_minus(s), s)
+    zero_mode = zero_mode_expr(ms, s)
+
+    def defects():
+        for p in pts:
+            f = spec.comm_factor(p, s)
+            yield expr_defect_at(zero_mode, ms, p, f * lam0 + base * (1 - f))
+
+    return _first_defect(defects())
 
 
 @_check("section4")

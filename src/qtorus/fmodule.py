@@ -30,14 +30,17 @@ handed to glmodules.generates, and the witness of a nonzero defect.
 An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
 compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
 by the sum of c_t times the products of its factors' symbols at the shifted
-points.  Every verification helper is a symbol identity, evaluated only at
-start points whose every intermediate weight stays inside a finite box (the
-expression "interior"), so each reported defect is an exact statement.  The
-irreducibility probe closes start vectors under the weight-operator
-matrices with glmodules.generates, and random lattice points come from the
-samplers of qtorus.lattice.  BoxVector is a box-truncated vector, and act()
-applies one element to it as the sum over n of symbol(x_k, n) w(n) over the
-homogeneous parts x_k, dropping (and flagging) images pushed outside.
+points.  Every identity that qtorus.checks verifies on a module is written
+once as an expression, lhs - rhs, and read by one evaluator: expr_defect_at
+gives its first defect on the weight space at n against c Id, and
+expr_first_defect runs it over sampled start points whose every
+intermediate weight stays inside a finite box (the expression "interior"),
+so each reported defect is an exact statement.  The irreducibility probe
+closes start vectors under the weight-operator matrices with
+glmodules.generates, and random lattice points come from the samplers of
+qtorus.lattice.  BoxVector is a box-truncated vector, and act() applies one
+element to it as the sum over n of symbol(x_k, n) w(n) over the homogeneous
+parts x_k, dropping (and flagging) images pushed outside.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from math import gcd, lcm
 
 from .algebra import TorusElement
 from .cyclotomic import CycNumber, _as_coeff, root_of_unity
-from .derivations import DerElement, pairing
+from .derivations import DerElement
 from .errors import (
     ConfigError,
     NotCharacter,
@@ -593,7 +596,8 @@ def _expr_symbols(expr, ms: ModuleSpec, n):
             T = _part_symbol(f, k, p, ms)
             S = T if S is None else T * S
             p = _shift(p, k)
-        S = S.scale(c)
+        if c.M != 1 or c != _ONE:  # a rational c is compared without a lift
+            S = S.scale(c)
         out[p] = out[p] + S if p in out else S
     return out
 
@@ -616,25 +620,38 @@ def _witness(S: _Symbol, dim: int):
     return None if S.is_zero() else _first_nonzero(S.matrix(dim))
 
 
-def _scalar_defect(S: _Symbol, c, dim: int):
-    """Witness that the symbol differs from c Id, or None."""
-    return _witness(S - _Symbol(_as_coeff(c)), dim)
+def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
+    """The first defect of the expression on the weight space at n against
+    c Id, or None when they agree.  Every weight space is a copy of V, so a
+    nonzero c needs one net degree k, and Id maps v(n) to v(n + k).  The
+    defect is the first nonzero entry of the difference, by source basis
+    vector, target point and coordinate.  The caller keeps every
+    intermediate weight inside its box."""
+    n = tuple(n)
+    images = _expr_symbols(expr, ms, n)
+    c = _as_coeff(c)
+    if not c.is_zero():
+        if len(images) > 1:
+            raise SpecMismatch("an expression compared with c Id needs one net degree")
+        p = next(iter(images), n)
+        images[p] = images.get(p, _ZERO_SYMBOL) - _Symbol(c)
+    return _first_nonzero(
+        *(S.matrix(ms.V.dim) for _, S in sorted(images.items()) if not S.is_zero())
+    )
 
 
 def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
-    """Evaluate the expression on the weight spaces at the start points of its
-    interior and return the first nonzero matrix entry (point by point, then
-    by source basis vector, target point and coordinate), or None when the
-    expression vanishes on all of them.  With rng and limit set, a seeded
-    sample of interior points is probed instead of all of them."""
+    """The first defect (expr_defect_at) of the expression at the start points
+    of its interior, point by point, or None when it vanishes on all of
+    them.  With rng and limit set, a seeded sample of interior points is
+    probed instead of all of them."""
     pts = interior_points(expr_interior(box, expr))
     if rng is not None and limit is not None and len(pts) > limit:
         pts = [pts[i] for i in sorted(rng.sample(range(len(pts)), limit))]
     for n in pts:
-        images = _expr_symbols(expr, ms, n)
-        if all(S.is_zero() for S in images.values()):
-            continue
-        return _first_nonzero(*(images[p].matrix(ms.V.dim) for p in sorted(images)))
+        defect = expr_defect_at(expr, ms, n)
+        if defect is not None:
+            return defect
     return None
 
 
@@ -725,7 +742,7 @@ def zero_mode_scalar(ms: ModuleSpec, s, n, box) -> CycNumber:
     return S.a
 
 
-# -- identity checks -----------------------------------------------------------
+# -- relations of the ideal ----------------------------------------------------
 
 
 def torus_product_relation_expr(ms: ModuleSpec, m, n) -> list:
@@ -754,123 +771,6 @@ def c2_product_expr(ms: ModuleSpec, n, m) -> list:
         expr_mul(_inner_minus_torus_expr(ms, n), _inner_minus_torus_expr(ms, m)),
         expr_scale(_inner_minus_torus_expr(ms, nm), spec.sigma(m, n)),
     )
-
-
-def c2_product_check(ms: ModuleSpec, n, m, box, rng=None, limit=None):
-    """First defect of the quadratic product relation, or None."""
-    return expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=limit)
-
-
-def ideal_relations_vanish(ms: ModuleSpec, box, rng, samples: int, quadratic: bool = True):
-    """Sample the relation families and report the first defect.
-
-    Families: the torus product rule; the quadratic rule for ad t^k - t^k
-    (only when ``quadratic`` is set -- it holds when the twist multiplies
-    the right-translation term, i.e. for the plain and G-twist flavors);
-    and t^0 acting as the identity.  Each expression is probed at 6 sampled
-    interior points."""
-    spec = ms.spec
-    radius = max(box)
-    defect = None
-    count = 0
-    for _ in range(samples):
-        m = rand_point(rng, spec.d, radius)
-        n = rand_point(rng, spec.d, radius)
-        count += 1
-        d1 = expr_first_defect(torus_product_relation_expr(ms, m, n), ms, box, rng=rng, limit=6)
-        if d1 is not None and defect is None:
-            defect = d1
-        if not quadratic:
-            continue
-        d2 = expr_first_defect(c2_product_expr(ms, n, m), ms, box, rng=rng, limit=6)
-        if d2 is not None and defect is None:
-            defect = d2
-    # identity family: t^0 acts as Id on every weight space of the box
-    one = op_torus(spec, (0,) * spec.d)
-    for p in box_points(box):
-        if defect is not None:
-            break
-        defect = _scalar_defect(_symbol(one, p, ms), _ONE, ms.V.dim)
-    return {"pass": defect is None, "defect": defect, "samples": count}
-
-
-def inner_quadratic_relation_check(ms: ModuleSpec, r, s, box, rng=None, limit=None):
-    """ad t^r ad t^s - (t^r ad t^s + t^s ad t^r) + sigma(s,r) ad t^(r+s)."""
-    spec = ms.spec
-    r, s = spec._point(r), spec._point(s)
-    ad_r, ad_s = op_inner(spec, r), op_inner(spec, s)
-    terms = expr_sum(
-        expr_of(ad_r, ad_s),
-        expr_neg(expr_of(op_torus(spec, r), ad_s)),
-        expr_neg(expr_of(op_torus(spec, s), ad_r)),
-        expr_scale(expr_of(op_inner(spec, _shift(r, s))), spec.sigma(s, r)),
-    )
-    if not terms:
-        return None
-    return expr_first_defect(terms, ms, box, rng=rng, limit=limit)
-
-
-def zero_modes_commute_check(ms: ModuleSpec, r, s, box, rng=None, limit=None):
-    """[t^(-s) ad t^s, t^(-r) ad t^r] must vanish on the box interior."""
-    e = expr_commutator(zero_mode_expr(ms, s), zero_mode_expr(ms, r))
-    return expr_first_defect(e, ms, box, rng=rng, limit=limit)
-
-
-def zero_mode_ideal_check(ms: ModuleSpec, u, r, s, box, rng=None, limit=None):
-    """Bracket of a weight operator with a zero mode, against its closed form.
-
-    [T'(u,r), t^(-s) ad t^s]
-        = sigma(s,r)(u,s)sigma(r,s) t^(-(s+r)) ad t^(r+s)
-          - sigma(-r,r)(u,s) t^(-s) ad t^s
-    """
-    spec = ms.spec
-    r, s = spec._point(r), spec._point(s)
-    u = [_as_coeff(x) for x in u]
-    lhs = expr_commutator(weight_op_expr(ms, u, r), zero_mode_expr(ms, s))
-    us = pairing(u, s)
-    sr = _shift(s, r)
-    rhs = expr_sum(
-        expr_scale(zero_mode_expr(ms, sr), spec.sigma(s, r) * us * spec.sigma(r, s)),
-        expr_scale(zero_mode_expr(ms, s), -(spec.sigma(_neg(r), r) * us)),
-    )
-    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, box, rng=rng, limit=limit)
-
-
-def weight_op_bracket_check(ms: ModuleSpec, u, r, v, s, box, rng=None, limit=None):
-    """[T'(u,r), T'(v,s)] against its closed combination of weight operators."""
-    spec = ms.spec
-    r, s = spec._point(r), spec._point(s)
-    u = [_as_coeff(x) for x in u]
-    v = [_as_coeff(x) for x in v]
-    lhs = expr_commutator(weight_op_expr(ms, u, r), weight_op_expr(ms, v, s))
-    vr = pairing(v, r)
-    us = pairing(u, s)
-    srs = spec.sigma(r, s)
-    w = [srs * (us * vi - vr * ui) for ui, vi in zip(u, v)]
-    rs = _shift(r, s)
-    rhs = expr_sum(
-        expr_scale(weight_op_expr(ms, u, r), vr * spec.sigma(_neg(s), s)),
-        expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(_neg(r), r))),
-        expr_scale(weight_op_expr(ms, w, rs), spec.sigma(s, r)),
-    )
-    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, box, rng=rng, limit=limit)
-
-
-def zero_mode_recursion_check(ms: ModuleSpec, s, box, points):
-    """lambda(s, r) = f(r,s) lambda(s,0) + sigma(-s,s)(1 - f(r,s))."""
-    spec = ms.spec
-    s = spec._point(s)
-    zero = (0,) * spec.d
-    lam0 = zero_mode_scalar(ms, s, zero, box)
-    base = spec.sigma(_neg(s), s)
-    one = CycNumber.one()
-    for rpt in points:
-        lam = zero_mode_scalar(ms, s, rpt, box)
-        f = spec.comm_factor(rpt, s)
-        expect = f * lam0 + base * (one - f)
-        if lam != expect:
-            return lam - expect
-    return None
 
 
 def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
@@ -950,38 +850,6 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     return {"pass": True, "defect": None}
 
 
-def weight_shift_check(ms: ModuleSpec, r, s, box):
-    """The torus transport t^(r-s): V'_s -> V'_r.
-
-    Verified: it scales weight vectors by the single nonzero scalar
-    sigma(r-s, s) (hence bijective); it commutes with the weight operators;
-    and the round trip t^(s-r) t^(r-s) is the scalar sigma(r-s, s-r)."""
-    spec = ms.spec
-    r, s = spec._point(r), spec._point(s)
-    delta = tuple(a - b for a, b in zip(r, s))
-    if not (_in_box(box, r) and _in_box(box, s)):
-        raise OutOfBox("both weight points must lie in the box")
-    scale = spec.sigma(delta, s)  # a root of unity, hence invertible
-    dim = ms.V.dim
-    # transport acts on V'_s as the expected scalar
-    there = _symbol(op_torus(spec, delta), s, ms)
-    defect = _scalar_defect(there, scale, dim)
-    # round trip is the scalar sigma(r-s, s-r)
-    back = _symbol(op_torus(spec, _neg(delta)), r, ms) * there
-    bad = _scalar_defect(back, spec.sigma(delta, _neg(delta)), dim)
-    if defect is None:
-        defect = bad
-    # transport commutes with the weight operators
-    rad_rows = [tuple(row) for row in spec.radical().basis]
-    for e in units(spec.d):
-        for rr in rad_rows:
-            if defect is None and _in_box(box, _shift(r, rr)) and _in_box(box, _shift(s, rr)):
-                diff = _weight_op_symbol(ms, e, rr, s, box) - _weight_op_symbol(ms, e, rr, r, box)
-                if not diff.is_zero():
-                    defect = next(x for row in diff.matrix(dim) for x in row if not x.is_zero())
-    return {"pass": defect is None, "defect": defect, "scale": scale}
-
-
 # random start vectors probed by irreducibility_evidence when given an rng
 RANDOM_STARTS = 5
 
@@ -1021,11 +889,12 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
     for e in units(d):
+        transport = expr_of(op_torus(spec, e))
         for n in inner:
             if not _in_box(box, _shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
-            if _scalar_defect(_symbol(op_torus(spec, e), n, ms), c, dim) is not None:
+            if expr_defect_at(transport, ms, n, c) is not None:
                 transports_ok = False
     # (3) closure of V-coordinates under the weight-operator matrices; the
     # closure of a start vector does not depend on its weight point
@@ -1051,70 +920,6 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
         "transports_bijective": transports_ok,
         "starts": rows,
     }
-
-
-def module_axiom_check(ms: ModuleSpec, box, rng, samples: int):
-    """act([x,y]) = act(x)act(y) - act(y)act(x) on sampled homogeneous pairs.
-
-    For flavor F_g only the derivation part is sampled (its inner action is
-    not compatible with the torus action, by design of that flavor)."""
-    from .semidirect import gbracket
-
-    spec = ms.spec
-    d = spec.d
-    include_torus = ms.flavor != "F_g"
-
-    def rand_hom():
-        kinds = ["inner", "witt"] + (["torus"] if include_torus else [])
-        kind = kinds[rng.randrange(len(kinds))]
-        if kind == "torus":
-            return op_torus(spec, rand_point(rng, d, 2))
-        if kind == "inner":
-            for _ in range(20):
-                s = rand_point(rng, d, 2)
-                if not spec.in_radical(s):
-                    return op_inner(spec, s)
-            return op_inner(spec, units(d)[0])
-        r = rand_radical_point(rng, spec)
-        u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(d)]
-        if all(x.is_zero() for x in u):
-            u[0] = CycNumber.one()
-        return op_witt(spec, u, r)
-
-    defect = None
-    count = 0
-    attempts = 0
-    while count < samples and attempts < samples * 4:
-        attempts += 1
-        x = rand_hom()
-        y = rand_hom()
-        br = gbracket(x, y)
-        # start points where every composition stays in box
-        dx, dy = _degree_of(x), _degree_of(y)
-        pts = box_points(box, dx, dy, _shift(dx, dy))
-        if not pts:
-            continue
-        count += 1
-        n = pts[rng.randrange(len(pts))]
-        xy = _symbol(x, _shift(n, dy), ms) * _symbol(y, n, ms)
-        yx = _symbol(y, _shift(n, dx), ms) * _symbol(x, n, ms)
-        bad = _witness(_symbol(br, n, ms) - (xy - yx), ms.V.dim)
-        if defect is None:
-            defect = bad
-    return {"pass": defect is None, "defect": defect, "samples": count}
-
-
-def weight_eigenvalue_check(ms: ModuleSpec, box):
-    """D(u,0) acts on v(n) by the scalar (u, n+alpha), for u = unit vectors."""
-    spec = ms.spec
-    zero = (0,) * spec.d
-    for i, u in enumerate(units(spec.d)):
-        x = op_witt(spec, u, zero)
-        for n in box_points(box):
-            defect = _scalar_defect(_symbol(x, n, ms), ms.alpha[i] + n[i], ms.V.dim)
-            if defect is not None:
-                return {"pass": False, "defect": defect}
-    return {"pass": True, "defect": None}
 
 
 def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):

@@ -5,12 +5,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
-from qtorus import algebra, checks
+import pytest
+
+from qtorus import algebra, checks, fmodule
 from qtorus.algebra import TorusElement
+from qtorus.cyclotomic import CycNumber
 from qtorus.derivations import DerElement
 from qtorus.fmodule import ModuleSpec, TwistCharacter
-from qtorus.glmodules import parse_module
+from qtorus.glmodules import GlModule, mat_scale, parse_module
 from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
 
@@ -154,6 +158,67 @@ def test_module_suite_skips_quadratic_family_for_left_twist():
     assert c2 and "note" in c2[0] and c2[0]["samples"] == 0
 
 
+def _module_row(name, ms, box):
+    """One module check's row at seed 1 with a budget of 200 samples."""
+    (check,) = [c for c in checks.CHECKS if c.name == name]
+    return checks._run_check(check, checks._Instance(ms.label(), ms.spec, 200, ms, box), 1)
+
+
+def _control_modules():
+    """(ii) G_g at box 2, (iii) G_g at box 2 and (iii) F at box 3, each with a
+    nonzero weight shift alpha."""
+    alpha = [Fraction(1, 2), 0, Fraction(1, 3)]
+    natural = parse_module(3, "natural")
+    g3 = TwistCharacter(SPEC_III, 4, (3, 0, 0))
+    return [
+        (
+            ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
+                       TwistCharacter(SPEC_II, 3, (0, 2)), "G_g"),
+            (2, 2),
+        ),
+        (ModuleSpec(SPEC_III, natural, alpha, g3, "G_g"), (2, 2, 2)),
+        (ModuleSpec(SPEC_III, natural, alpha, TwistCharacter.trivial(SPEC_III), "F"), BOX3),
+    ]
+
+
+@pytest.mark.parametrize("name", ["weight_eigenvalue", "weight_op_bracket"])
+def test_the_controlled_module_checks_pass_unpatched(name):
+    for ms, box in _control_modules():
+        assert _module_row(name, ms, box)["pass"], ms.label()
+
+
+def test_weight_eigenvalue_fails_when_the_weight_pairing_drops_alpha(monkeypatch):
+    """Negative control.  A corrupted cocycle leaves alpha alone, and of the
+    module, section-3 and section-4 checks only weight_eigenvalue fails when
+    the weight pairing (u, n + alpha) loses alpha."""
+
+    def no_alpha(ms, u, n):
+        out = CycNumber.zero()
+        for ui, ni in zip(u, n):
+            out = out + ui * ni
+        return out
+
+    monkeypatch.setattr(fmodule, "_weight_pairing", no_alpha)
+    for ms, box in _control_modules():
+        row = _module_row("weight_eigenvalue", ms, box)
+        assert row["pass"] is False and row["defect"] != "0", ms.label()
+
+
+def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
+    """Negative control.  The image W of k u^T enters T'(u, r) linearly, so
+    doubling it breaks the closed form of [T'(u,r), T'(v,s)]."""
+    outer_image = GlModule.outer_image
+
+    def doubled(self, r, u):
+        c, W = outer_image(self, r, u)
+        return (c * 2, None) if W is None else (c, mat_scale(W, 2))
+
+    monkeypatch.setattr(GlModule, "outer_image", doubled)
+    for ms, box in _control_modules():
+        row = _module_row("weight_op_bracket", ms, box)
+        assert row["pass"] is False and row["defect"] != "0", ms.label()
+
+
 def test_section3_suite_passes_on_all_flavors():
     ms = plain_module(SPEC_I)
     assert all(r["pass"] for r in checks.section3_suite(ms, BOX2, 11, 40))
@@ -208,7 +273,6 @@ def test_run_suites_sorted_and_unknown_name_raises():
     twice = checks.run_suites(SPEC_I, ms, BOX2, 19, 25, ["cocycle", "lie", "cocycle"])
     assert twice == reports
 
-    import pytest
     from qtorus.errors import ConfigError
 
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtorus import checks
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.errors import (
     ConfigError,
@@ -23,33 +24,27 @@ from qtorus.fmodule import (
     TwistCharacter,
     act,
     box_points,
-    c2_product_check,
+    c2_product_expr,
     expr_commutator,
+    expr_defect_at,
     expr_first_defect,
     expr_interior,
     expr_mul,
     expr_of,
     expr_weight_matrix,
     extract_twist,
-    ideal_relations_vanish,
-    inner_quadratic_relation_check,
     interior_points,
     intertwiner_check,
     irreducibility_evidence,
-    module_axiom_check,
     op_inner,
     op_torus,
     op_witt,
     search_twist_equivalence,
     symbol,
-    weight_eigenvalue_check,
-    weight_op_bracket_check,
+    weight_op_expr,
     weight_op_matrix,
-    weight_shift_check,
-    zero_mode_ideal_check,
-    zero_mode_recursion_check,
+    zero_mode_expr,
     zero_mode_scalar,
-    zero_modes_commute_check,
 )
 from qtorus.fmodule import _symbol, _weight_op_symbol
 from qtorus.glmodules import (
@@ -87,6 +82,12 @@ def plain_module(spec, V=None, alpha=None):
     V = V if V is not None else natural(spec.d)
     alpha = alpha if alpha is not None else (0,) * spec.d
     return ModuleSpec(spec, V, alpha, TwistCharacter.trivial(spec), "F")
+
+
+def suite_row(suite, check, ms, box, samples, seed=20260819):
+    """The report row of one check from a seeded run of its suite."""
+    (row,) = [r for r in suite(ms, box, seed, samples) if r["check"] == check]
+    return row
 
 
 def test_act_inner_frozen_value():
@@ -484,19 +485,31 @@ def test_zero_mode_scalar_frozen_values():
     assert zero_mode_scalar(ms, (2, 0), (1, 1), BOX2).is_zero()
 
 
+def _recursion_defects(ms, s, pts):
+    """lambda(s,p) - f(p,s) lambda(s,0) - sigma(-s,s)(1 - f(p,s)) at each p."""
+    spec = ms.spec
+    lam0 = zero_mode_scalar(ms, s, (0, 0), BOX2)
+    base = spec.sigma(tuple(-x for x in s), s)
+    out = []
+    for p in pts:
+        f = spec.comm_factor(p, s)
+        out.append(zero_mode_scalar(ms, s, p, BOX2) - f * lam0 - base * (1 - f))
+    return out
+
+
 def test_zero_mode_recursion_all_flavors():
     pts = [(1, 1), (0, 2), (-1, 1), (2, -2), (1, 0)]
     ms = plain_module(SPEC_I)
-    assert zero_mode_recursion_check(ms, (1, 0), BOX2, pts) is None
+    assert all(x.is_zero() for x in _recursion_defects(ms, (1, 0), pts))
     g = TwistCharacter(SPEC_I, 2, (1, 0))
     msG = ModuleSpec(SPEC_I, natural(2), (0, 0), g, "G_g")
-    assert zero_mode_recursion_check(msG, (1, 0), BOX2, pts) is None
-    assert zero_mode_recursion_check(msG, (1, 1), BOX2, pts) is None
+    assert all(x.is_zero() for x in _recursion_defects(msG, (1, 0), pts))
+    assert all(x.is_zero() for x in _recursion_defects(msG, (1, 1), pts))
     # the F_g convention satisfies a different recursion: the shared one
     # must fail at a degree pair with f(r,s) != 1 and g(s) != -1... here it
     # reports a nonzero defect, documenting the convention split
     msFg = ModuleSpec(SPEC_I, natural(2), (0, 0), g, "F_g")
-    assert zero_mode_recursion_check(msFg, (1, 0), BOX2, pts) is not None
+    assert not all(x.is_zero() for x in _recursion_defects(msFg, (1, 0), pts))
 
 
 def test_lambda_g_relation_frozen():
@@ -561,64 +574,57 @@ def test_intertwiner_check_seeded_characters():
         intertwiner_check(plain_module(SPEC_I), BOX2, rng)
 
 
+def _zero_modes_commutator(ms, r, s):
+    return expr_commutator(zero_mode_expr(ms, s), zero_mode_expr(ms, r))
+
+
 def test_relation_checks_vanish_on_samples():
     rng = sub_rng(20260819, "relations")
     for spec, box in ((SPEC_I, BOX2), (SPEC_II, BOX2), (SPEC_III, BOX3)):
         ms = plain_module(spec)
-        rep = ideal_relations_vanish(ms, box, rng, 25)
-        assert rep["pass"] and rep["defect"] is None and rep["samples"] == 25
+        row = suite_row(checks.module_suite, "ideal_relations", ms, box, 25)
+        assert row["pass"] and row["defect"] == "0" and row["samples"] == 25
+        row = suite_row(checks.section3_suite, "inner_quadratic_relation", ms, box, 64)
+        assert row["pass"] and row["samples"] == 8
         d = spec.d
         for _ in range(8):
             r = tuple(rng.randint(-2, 2) for _ in range(d))
             s = tuple(rng.randint(-2, 2) for _ in range(d))
-            assert inner_quadratic_relation_check(ms, r, s, box, rng=rng, limit=5) is None
-            assert zero_modes_commute_check(ms, r, s, box, rng=rng, limit=5) is None
-            assert c2_product_check(ms, r, s, box, rng=rng, limit=5) is None
+            for e in (_zero_modes_commutator(ms, r, s), c2_product_expr(ms, r, s)):
+                assert expr_first_defect(e, ms, box, rng=rng, limit=5) is None
 
 
 def test_relation_checks_vanish_for_twisted_flavor():
     rng = sub_rng(20260819, "relations-g")
     g = TwistCharacter(SPEC_II, 3, (1, 2))
     ms = ModuleSpec(SPEC_II, natural(2), (0, 0), g, "G_g")
-    rep = ideal_relations_vanish(ms, BOX2, rng, 20)
-    assert rep["pass"]
+    assert suite_row(checks.module_suite, "ideal_relations", ms, BOX2, 20)["pass"]
     for _ in range(6):
         r = tuple(rng.randint(-2, 2) for _ in range(2))
         s = tuple(rng.randint(-2, 2) for _ in range(2))
-        assert c2_product_check(ms, r, s, BOX2, rng=rng, limit=5) is None
-        assert zero_modes_commute_check(ms, r, s, BOX2, rng=rng, limit=5) is None
+        for e in (c2_product_expr(ms, r, s), _zero_modes_commutator(ms, r, s)):
+            assert expr_first_defect(e, ms, BOX2, rng=rng, limit=5) is None
 
 
 def test_zero_mode_ideal_and_bracket_checks():
-    rng = sub_rng(20260819, "section3")
     for spec, box in ((SPEC_I, BOX2), (SPEC_II, BOX2), (SPEC_III, BOX3)):
         ms = plain_module(spec)
-        rad = spec.radical()
+        rows = {r["check"]: r for r in checks.section3_suite(ms, box, 20260819, 48)}
+        for name in ("zero_mode_ideal", "weight_op_bracket"):
+            assert rows[name]["pass"] and rows[name]["samples"] == 6, name
+        # degenerate cases: weight operators of degree zero commute, and a
+        # zero weight operator is the empty expression
         d = spec.d
-        for _ in range(6):
-            coeffs = [rng.randint(-1, 1) for _ in rad.basis]
-            r = tuple(
-                sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d)
-            )
-            coeffs = [rng.randint(-1, 1) for _ in rad.basis]
-            r2 = tuple(
-                sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d)
-            )
-            s = tuple(rng.randint(-2, 2) for _ in range(d))
-            u = [rng.randint(-2, 2) for _ in range(d)]
-            v = [rng.randint(-2, 2) for _ in range(d)]
-            assert zero_mode_ideal_check(ms, u, r, s, box, rng=rng, limit=5) is None
-            assert (
-                weight_op_bracket_check(ms, u, r, v, r2, box, rng=rng, limit=5) is None
-            )
-        # degenerate cases
         zero = (0,) * d
-        assert weight_op_bracket_check(ms, [1] * d, zero, [2] * d, zero, box) is None
-        assert zero_mode_ideal_check(ms, [0] * d, tuple(rad.basis[0]), (1,) + (0,) * (d - 1), box) is None
+        t_u, t_v = weight_op_expr(ms, [1] * d, zero), weight_op_expr(ms, [2] * d, zero)
+        assert expr_first_defect(expr_commutator(t_u, t_v), ms, box) is None
+        t_0 = weight_op_expr(ms, [0] * d, tuple(spec.radical().basis[0]))
+        assert t_0 == []
+        e1 = (1,) + zero[1:]
+        assert expr_first_defect(expr_commutator(t_0, zero_mode_expr(ms, e1)), ms, box) is None
 
 
 def test_module_axiom_all_flavors():
-    rng = sub_rng(20260819, "axiom")
     g2 = TwistCharacter(SPEC_I, 2, (1, 1))
     cases = [
         plain_module(SPEC_I),
@@ -629,26 +635,35 @@ def test_module_axiom_all_flavors():
     ]
     for ms in cases:
         box = (3,) * ms.spec.d
-        rep = module_axiom_check(ms, box, rng, 30)
-        assert rep["pass"] and rep["samples"] == 30
+        row = suite_row(checks.module_suite, "module_axiom", ms, box, 30)
+        assert row["pass"] and row["samples"] == 30
 
 
 def test_weight_eigenvalue_check_runs():
     alpha = (CycNumber.rational(Fraction(2, 3)), CycNumber.rational(-1))
     ms = plain_module(SPEC_II, alpha=alpha)
-    assert weight_eigenvalue_check(ms, (2, 2))["pass"]
+    assert suite_row(checks.module_suite, "weight_eigenvalue", ms, (2, 2), 8)["pass"]
 
 
 def test_weight_shift_bijection():
-    ms = plain_module(SPEC_I)
-    rep = weight_shift_check(ms, (1, 0), (0, 1), BOX2)
-    assert rep["pass"] and rep["defect"] is None
-    # scale is sigma(r-s, s): exponent A[1][0] * (-1) * 0 = 0, so 1
-    assert rep["scale"] == CycNumber.one()
-    rep = weight_shift_check(ms, (0, 0), (1, 1), BOX2)
-    assert rep["pass"]
-    rep = weight_shift_check(plain_module(SPEC_III), (1, 0, 0), (0, 1, 1), BOX3)
-    assert rep["pass"]
+    ms_i = plain_module(SPEC_I)
+    # the transport t^(r-s) from s = (0,1) to r = (1,0) scales by
+    # sigma(r-s, s): exponent A[1][0] * (-1) * 0 = 0, so 1
+    assert symbol(op_torus(SPEC_I, (1, -1)), (0, 1), ms_i) == [[1, 0], [0, 1]]
+    for ms, r, s, box in (
+        (ms_i, (1, 0), (0, 1), BOX2),
+        (ms_i, (0, 0), (1, 1), BOX2),
+        (plain_module(SPEC_III), (1, 0, 0), (0, 1, 1), BOX3),
+    ):
+        spec = ms.spec
+        delta = tuple(a - b for a, b in zip(r, s))
+        back = tuple(-x for x in delta)
+        there = expr_of(op_torus(spec, delta))
+        assert expr_defect_at(there, ms, s, spec.sigma(delta, s)) is None
+        round_trip = expr_of(op_torus(spec, back), op_torus(spec, delta))
+        assert expr_defect_at(round_trip, ms, s, spec.sigma(delta, back)) is None
+        row = suite_row(checks.section3_suite, "weight_shift", ms, box, 80)
+        assert row["pass"] and row["samples"] == 10
 
 
 def test_irreducibility_evidence_positive_and_negative():
@@ -718,3 +733,11 @@ def test_defect_reporting_is_first_nonzero():
     ]
     d = expr_first_defect(e, ms, BOX2)
     assert d == CycNumber.rational(-1)
+    # against c Id: t^0 is Id, so t^0 - 3 Id has defect -2; a transport is
+    # compared along its degree, and two net degrees have no single c Id
+    one = expr_of(op_torus(SPEC_I, (0, 0)))
+    assert expr_defect_at(one, ms, (1, 2), 1) is None
+    assert expr_defect_at(one, ms, (1, 2), 3) == CycNumber.rational(-2)
+    assert expr_defect_at(expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1) is None
+    with pytest.raises(SpecMismatch):
+        expr_defect_at(one + expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1)
