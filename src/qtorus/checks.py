@@ -81,7 +81,7 @@ from .semidirect import (
     untwisted_homomorphism_defect,
     untwisted_spec,
 )
-from .torus import TorusSpec, enumerate_radical_residues
+from .torus import _RESIDUE_LIMIT, TorusSpec, enumerate_radical_residues
 
 SUITE_NAMES = ("cocycle", "lie", "module", "section3", "section4", "irreducibility")
 
@@ -336,7 +336,11 @@ def _comm_factor_alternating(inst, rng):
     return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, _minus(n)) - one))
 
 
-@_check("cocycle")
+@_check(
+    "cocycle",
+    applies=lambda inst: inst.spec.N**inst.spec.d <= _RESIDUE_LIMIT,
+    skip=f"skipped: N^d exceeds {_RESIDUE_LIMIT} residues",
+)
 def _radical_brute_force(inst, rng):
     """The radical against a brute-force residue enumeration."""
     spec = inst.spec

@@ -14,13 +14,17 @@ product of two non-rational operands is one convolution followed by that
 fold, and so is the read-out of root counts.  Division uses the same fold:
 1/x is den * R / N for x = num / den, where R is the product of the Galois
 conjugates of num other than num itself (each one an index map on root
-counts, then the fold) and N = num * R is the norm of num, an integer.
+counts, then the fold) and N = num * R is the norm of num, an integer.  A
+lift to M2 reads each numerator's row zeta_M2^(j M2/M) off the power table.
 
 Arithmetic never lowers a conductor, so one value can be held at several
 conductors; only the read-out of root counts (from_root_counts) picks the
 conductor its indices need.  Serialization and repr write a value at its
 minimal conductor (the least M' with the value in Q(zeta_M')), so their
-bytes depend only on the value, not on the arithmetic that made it.
+bytes depend only on the value, not on the arithmetic that made it.  The
+descent to that conductor (_descend) drops one prime at a time by integer
+index maps and the fold.  No matrix is inverted, and of the package this
+module imports only errors.
 
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
 (default 240) so runaway lcm chains fail loudly instead of thrashing; a
@@ -35,7 +39,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
-from .lattice import _invert_fraction_matrix
 
 DEFAULT_MAX_CONDUCTOR = 240
 
@@ -117,7 +120,7 @@ def _cyclotomic_poly(M: int) -> list[int]:
 class _Field:
     """Cached per-conductor data: Phi_M, power table, exponent lookup."""
 
-    __slots__ = ("M", "phi", "poly", "powers", "exp_of", "embeds", "units", "descents")
+    __slots__ = ("M", "phi", "poly", "powers", "exp_of", "units")
 
     def __init__(self, M: int):
         self.M = M
@@ -138,9 +141,7 @@ class _Field:
             powers.append(tuple(row))
         self.powers = powers
         self.exp_of = {powers[k]: k for k in range(M)}
-        self.embeds: dict[int, list[tuple[int, ...]]] = {}
         self.units: list["CycNumber" | None] = [None] * M
-        self.descents: dict[int, tuple] = {}
 
 
 _FIELDS: dict[int, _Field] = {}
@@ -158,31 +159,6 @@ def _field(M: int) -> _Field:
     return f
 
 
-def _embed_rows(src: _Field, M2: int) -> list[tuple[int, ...]]:
-    rows = src.embeds.get(M2)
-    if rows is None:
-        ratio = M2 // src.M
-        tgt = _field(M2)
-        rows = [tgt.powers[i * ratio] for i in range(src.phi)]
-        src.embeds[M2] = rows
-    return rows
-
-
-def _descent(src: _Field, p: int):
-    """(rows, inverse) for reading Q(zeta_M) numerators in Q(zeta_{M/p}).
-
-    `rows` embed the power basis of Q(zeta_{M/p}) into that of Q(zeta_M).  They
-    are independent, so their Gram matrix G = rows rows^T is invertible, and
-    y = (x rows^T) G^-1 is the only candidate for y rows == x.
-    """
-    cached = src.descents.get(p)
-    if cached is None:
-        rows = _embed_rows(_field(src.M // p), src.M)
-        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
-        cached = src.descents[p] = (rows, _invert_fraction_matrix(gram))
-    return cached
-
-
 def _minimal(x: "CycNumber") -> "CycNumber":
     """x at its minimal conductor.
 
@@ -192,23 +168,39 @@ def _minimal(x: "CycNumber") -> "CycNumber":
     M, num = x.M, x.num
     while M > 1:
         for p in _prime_factors(M):
-            rows, inverse = _descent(_field(M), p)
-            proj = [sum(a * b for a, b in zip(num, r)) for r in rows]
-            y = [sum(c * g[i] for c, g in zip(proj, inverse)) for i in range(len(rows))]
-            if any(c.denominator != 1 for c in y):
-                continue
-            y = [int(c) for c in y]
-            back = [0] * len(num)
-            for c, row in zip(y, rows):
-                if c:
-                    for j, r in enumerate(row):
-                        back[j] += c * r
-            if tuple(back) == num:
-                M, num = M // p, tuple(y)
+            low = _descend(M, p, num)
+            if low is not None:
+                M, num = M // p, low
                 break
         else:
             break
     return x if M == x.M else _make(M, num, x.den)
+
+
+def _descend(M: int, p: int, num):
+    """The numerators in Q(zeta_m), m = M/p, of the value with numerators
+    `num` at M, or None when the value does not lie in Q(zeta_m)."""
+    m = M // p
+    if m % p == 0:
+        # zeta_M^p = zeta_m, and 1, zeta_M, ..., zeta_M^(p-1) is a basis of
+        # Q(zeta_M) over Q(zeta_m): the value is inside when its numerators
+        # vanish off the multiples of p
+        return None if any(num[j] for j in range(len(num)) if j % p) else num[::p]
+    # a p + b m = 1 splits zeta_M^j = zeta_m^(a j) zeta_p^(b j), so the value
+    # is sum_g G_g zeta_p^g with G_g the fold at m of the terms with b j = g
+    # (mod p); 1, zeta_p, ..., zeta_p^(p-2) is a basis over Q(zeta_m) and
+    # zeta_p^(p-1) is minus their sum, so the value is inside exactly when
+    # G_1 = ... = G_(p-1), and then it is G_0 - G_1
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    groups = [[0] * m for _ in range(p)]
+    for j, c in enumerate(num):
+        if c:
+            groups[b * j % p][a * j % m] += c
+    f = _field(m)
+    g0, g1, *rest = [_fold(f, g) for g in groups]
+    if any(g != g1 for g in rest):
+        return None
+    return tuple([u - v for u, v in zip(g0, g1)])
 
 
 def _fold(f: _Field, counts) -> tuple[int, ...]:
@@ -340,11 +332,11 @@ class CycNumber:
         if M2 % self.M:
             raise NotDivisible(f"conductor {self.M} does not divide {M2}")
         _check_conductor(M2)
-        rows = _embed_rows(_field(self.M), M2)
-        out = [0] * _field(M2).phi
-        for c, row in zip(self.num, rows):
+        f, ratio = _field(M2), M2 // self.M
+        out = [0] * f.phi
+        for j, c in enumerate(self.num):
             if c:
-                for i, r in enumerate(row):
+                for i, r in enumerate(f.powers[j * ratio]):
                     if r:
                         out[i] += c * r
         # Z[zeta_M] is the ring of integers of Q(zeta_M) and its power basis

@@ -1,13 +1,13 @@
 """Small exact integer-lattice helpers: Hermite forms, membership, kernels,
 and the unit vectors and seeded random points every layer above draws from.
 
-Everything runs on plain Python ints (arbitrary precision); the matrices
-involved are tiny (rank <= the torus rank d), so clarity beats asymptotics.
+Everything runs on plain Python ints (arbitrary precision), with no
+rational arithmetic: a kernel is read off a Hermite form that carries its
+unimodular part, so hnf_rows is the one reduction.  The matrices involved
+are tiny (rank <= the torus rank d), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf_rows(rows) -> list[tuple[int, ...]]:
@@ -66,49 +66,21 @@ def hnf_contains(basis, v) -> bool:
     return not any(v)
 
 
-def _invert_fraction_matrix(rows):
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def kernel_mod(a_rows, modulus: int) -> list[tuple[int, ...]]:
     """Canonical basis of the lattice {n in Z^d : A n == 0 (mod modulus)}.
 
-    The congruence lattice is dual to the row span R of [A; modulus*I]:
-    with H = hnf(R) one has L = column lattice of modulus * H^-1, which is
-    an integer matrix because R contains modulus * Z^d.
+    The pairs (n, k) with A n - modulus k = 0 are the integer kernel of
+    B = [A | -modulus I].  The rows (column j of B, e_j), j < 2d, span a
+    lattice whose vectors are (B x, x) for x in Z^2d, and its Hermite form
+    carries the unimodular part in the last 2d columns: the rows whose first
+    d entries vanish are a basis of the kernel of B (Cohen, GTM 138, section 2.4).
+    Their n-parts span the congruence lattice.
     """
     d = len(a_rows)
-    stacked = [list(r) for r in a_rows]
-    for i in range(d):
-        stacked.append([modulus if j == i else 0 for j in range(d)])
-    h = hnf_rows(stacked)
-    if len(h) != d:
-        raise ValueError("stacked matrix lost full rank")
-    inv = _invert_fraction_matrix(h)
-    cols = []
-    for j in range(d):
-        col = []
-        for i in range(d):
-            x = modulus * inv[i][j]
-            if x.denominator != 1:
-                raise ArithmeticError("kernel matrix should be integral")
-            col.append(x.numerator)
-        cols.append(col)
-    # the columns of modulus*H^-1 generate L; canonicalize them as rows
-    return hnf_rows(cols)
+    cols = [[r[j] for r in a_rows] for j in range(d)]
+    cols += [[-modulus if i == j else 0 for i in range(d)] for j in range(d)]
+    rows = [col + [int(i == j) for i in range(2 * d)] for j, col in enumerate(cols)]
+    return hnf_rows([r[d : 2 * d] for r in hnf_rows(rows) if not any(r[:d])])
 
 
 def det_of_hnf(basis) -> int:

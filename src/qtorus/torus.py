@@ -214,7 +214,11 @@ class TorusSpec:
         return cls(d, n_ord, a, corrupt_sigma=bool(obj.get("_corrupt_sigma", False)))
 
 
-def enumerate_radical_residues(spec: TorusSpec, limit: int = 100_000):
+# the most residues N^d that enumerate_radical_residues walks by default
+_RESIDUE_LIMIT = 100_000
+
+
+def enumerate_radical_residues(spec: TorusSpec, limit: int = _RESIDUE_LIMIT):
     """All residues n mod N with A n == 0 (mod N); guard against blowup."""
     if spec.N**spec.d > limit:
         raise ValueError("residue enumeration too large")

@@ -123,6 +123,19 @@ def test_verify_corrupted_sigma_fails_cocycle(tmp_path):
     assert any(r["check"] == "sigma_bicharacter" for r in failing)
 
 
+def test_verify_skips_the_residue_enumeration_past_its_limit(tmp_path):
+    # 47^3 = 103,823 residues: the brute-force radical check is skipped, not raised
+    torus = {"d": 3, "N": 47, "A": [[0, 1, 0], [46, 0, 0], [0, 0, 0]]}
+    cfg = write_config(tmp_path, {"torus": torus})
+    res = run_cli("verify", "--config", cfg, "--suite", "cocycle")
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
+    row = rows["radical_brute_force"]
+    assert row["pass"] and row["samples"] == 0
+    assert row["note"] == "skipped: N^d exceeds 100000 residues"
+    assert rows["summary"]["failed"] == 0
+
+
 def test_verify_suite_selector_errors(tmp_path):
     cfg = write_config(tmp_path, INSTANCE_I)
     assert run_cli("verify", "--config", cfg, "--suite", ",").returncode == 2
@@ -415,6 +428,19 @@ GOLDEN = {
         ["structure", "--radius", "2", "--text"],
         0,
         "0b0020d0d94cd2df822317ca57719a501366fcd9da72d95cf08b41a24c485c8b",
+    ),
+    "radical-iii": (
+        {"torus": INSTANCE_III_TORUS},
+        ["radical"],
+        0,
+        "63063b16d801bed4b2bf706115d1e0740c13f46bf79f834e0a8cadeda2ddee96",
+    ),
+    # a radical whose Hermite rows (7,0,0) and (0,0,7) fit no small box
+    "radical-d3-N7-text": (
+        {"torus": {"d": 3, "N": 7, "A": [[0, 1, 2], [6, 0, 0], [5, 0, 0]]}},
+        ["radical", "--text"],
+        0,
+        "1b74df85e787cfea9b7585855b1596472413396ad320abc599fc68bc20dabdaa",
     ),
 }
 

@@ -237,14 +237,31 @@ def _in_subfield(x0, m):
     return True
 
 
-def test_serialization_round_trips_at_the_minimal_conductor():
-    rng = random.Random(20261019)
+# descent through p^2 | M, and through p || M for an odd p, where the value
+# must also pass the test that its groups G_1, ..., G_(p-1) agree
+DESCENT_CONDUCTORS = (9, 25, 27, 15, 21, 35, 63)
+
+
+def _held_values(rng):
+    """(x, oracle twin, conductor held at): values held above their conductor."""
     for _ in range(300):
         x, x0 = _twin(rng, rng.choice(ORACLE_CONDUCTORS))
         if rng.randrange(2):
             y, y0 = _twin(rng, rng.choice(ORACLE_CONDUCTORS))
             x, x0 = x * y, x0 * y0
-        big = lcm(x.M, rng.choice(ORACLE_CONDUCTORS))
+        yield x, x0, lcm(x.M, rng.choice(ORACLE_CONDUCTORS))
+    for _ in range(120):
+        M = rng.choice(DESCENT_CONDUCTORS)
+        x, x0 = _twin(rng, M)
+        if rng.randrange(2):
+            m = rng.choice([m for m in range(1, M + 1) if M % m == 0])
+            y, y0 = _twin(rng, m)
+            x, x0 = x + y, x0 + y0
+        yield x, x0, M * rng.randint(1, 240 // M)
+
+
+def test_serialization_round_trips_at_the_minimal_conductor():
+    for x, x0, big in _held_values(random.Random(20261019)):
         x, x0 = x.lift(big), x0.lift(big)  # one value, held above its conductor
         blob = x.to_json()
         m = blob["M"]

@@ -5,7 +5,7 @@ import pytest
 
 from qtorus.errors import ConfigError
 from qtorus.cyclotomic import root_of_unity
-from qtorus.lattice import hnf_contains, hnf_rows
+from qtorus.lattice import hnf_contains, hnf_rows, kernel_mod
 from qtorus.torus import TorusSpec
 
 
@@ -14,16 +14,13 @@ SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
 SPEC_III = TorusSpec.from_upper(3, 4, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
 
 
-def brute_radical_residues(spec):
-    # independent oracle: direct congruence check over (Z/N)^d
-    hits = []
-    for n in product(range(spec.N), repeat=spec.d):
-        if all(
-            sum(spec.A[i][j] * n[j] for j in range(spec.d)) % spec.N == 0
-            for i in range(spec.d)
-        ):
-            hits.append(n)
-    return hits
+def brute_residues(a_rows, modulus):
+    # independent oracle: direct congruence check of A n == 0 over (Z/modulus)^d
+    return [
+        n
+        for n in product(range(modulus), repeat=len(a_rows))
+        if all(sum(a * x for a, x in zip(row, n)) % modulus == 0 for row in a_rows)
+    ]
 
 
 def sigma_oracle(spec, n, m):
@@ -85,7 +82,7 @@ def test_bicharacter_laws(spec):
 )
 def test_radical_against_enumeration(spec, orders, index):
     rad = spec.radical()
-    residues = brute_radical_residues(spec)
+    residues = brute_residues(spec.A, spec.N)
     assert rad.index == spec.N**spec.d // len(residues)
     assert rad.index == index
     assert rad.axis_orders == orders
@@ -109,13 +106,35 @@ def test_diagonal_reporting():
     assert rad3.contains((0, 2, 1))
 
 
+def hnf_of_residue_generators(a_rows, modulus):
+    # second oracle: HNF of the residue representatives plus modulus*Z^d
+    d = len(a_rows)
+    gens = [list(n) for n in brute_residues(a_rows, modulus)]
+    gens += [[modulus if j == i else 0 for j in range(d)] for i in range(d)]
+    return hnf_rows(gens)
+
+
+def _seeded_specs():
+    rng = random.Random(20261019)
+    grid = [(d, n) for d in (1, 2, 3) for n in range(1, 13)] + [(2, 30)]
+    for d, n in grid:
+        for _ in range(3):
+            upper = {(i, j): rng.randrange(n) for i in range(d) for j in range(i + 1, d)}
+            yield TorusSpec.from_upper(d, n, upper)
+    yield TorusSpec(3, 7, [[0, 1, 2], [6, 0, 0], [5, 0, 0]])
+
+
 def test_radical_matches_hnf_of_residue_generators():
-    # second oracle: HNF of residue representatives plus N*Z^d
-    for spec in (SPEC_I, SPEC_II, SPEC_III):
-        gens = [list(r) for r in brute_radical_residues(spec)]
-        gens += [[spec.N if j == i else 0 for j in range(spec.d)] for i in range(spec.d)]
-        expected = hnf_rows(gens)
-        assert list(spec.radical().basis) == expected
+    for spec in (SPEC_I, SPEC_II, SPEC_III, *_seeded_specs()):
+        expected = hnf_of_residue_generators([list(r) for r in spec.A], spec.N)
+        assert list(spec.radical().basis) == expected, spec
+    # kernel_mod on its own: non-skew matrices with negative entries, and modulus 1
+    rng = random.Random(20261020)
+    for _ in range(60):
+        d, modulus = rng.randint(1, 3), rng.choice((1, 2, 5, 6, 9, 12))
+        a_rows = [[rng.randint(-2 * modulus, 2 * modulus) for _ in range(d)] for _ in range(d)]
+        assert kernel_mod(a_rows, modulus) == hnf_of_residue_generators(a_rows, modulus)
+    assert kernel_mod([[3, -5], [-7, 2]], 1) == [(1, 0), (0, 1)]
 
 
 def test_corrupted_sigma_breaks_cocycle_law():
