@@ -226,7 +226,6 @@ def cmd_act(args) -> int:
         raise ConfigError("vector box/dimension does not match the instance")
     out = act(x, w, ms)
     result = out.to_json()
-    result["truncated"] = out.truncated
     if args.text:
         print(f"truncated: {out.truncated}")
         print(_dump(result))

@@ -41,6 +41,13 @@ glmodules.generates, and random lattice points come from the samplers of
 qtorus.lattice.  BoxVector is a box-truncated vector, and act() applies one
 element to it as the sum over n of symbol(x_k, n) w(n) over the homogeneous
 parts x_k, dropping (and flagging) images pushed outside.
+
+Two comparisons between modules are one diagonal-map test (_comparisons):
+for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
+action to the other exactly when c(k) symbol_a(x, n) = symbol_b(x, n + delta).
+intertwiner_check (iso, diagonal_intertwiner) takes G_g to F_(g^-1) with
+delta = 0 and c = g^-1; search_twist_equivalence (search-beta) takes F_g to
+the plain module at beta, delta = alpha - beta, and enumerates c.
 """
 
 from __future__ import annotations
@@ -214,9 +221,11 @@ class BoxVector:
     __slots__ = ("box", "dim", "entries", "truncated")
 
     def __init__(self, box, dim: int, entries=None, truncated: bool = False):
-        self.box = tuple(int(r) for r in box)
-        if any(r < 0 for r in self.box):
-            raise ConfigError("box radii must be nonnegative")
+        self.box = tuple(box)
+        if any(type(r) is not int or r < 0 for r in self.box):
+            raise ConfigError("box radii must be nonnegative integers")
+        if type(dim) is not int:
+            raise ConfigError("a box vector's dim must be an integer")
         self.dim = dim
         self.entries = {}
         self.truncated = truncated
@@ -310,7 +319,10 @@ class BoxVector:
 
     @classmethod
     def from_json(cls, obj) -> "BoxVector":
-        out = cls(obj["box"], int(obj["dim"]), truncated=bool(obj.get("truncated", False)))
+        truncated = obj.get("truncated", False)
+        if type(truncated) is not bool:
+            raise ConfigError('vector "truncated" must be true or false')
+        out = cls(obj["box"], obj["dim"], truncated=truncated)
         for row in obj.get("entries", ()):
             n = tuple(row["n"])
             if len(n) != len(out.box) or any(type(x) is not int for x in n):
@@ -795,7 +807,7 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
         return out
 
     char = TwistCharacter.from_values(spec, [g_at(e) for e in units(spec.d)])
-    check_points = [tuple(r) for r in spec.radical().basis]
+    check_points = list(spec.radical().basis)
     if rng is not None:
         radius = max(1, min(box) - 1)
         check_points += [rand_point(rng, spec.d, radius) for _ in range(8)]
@@ -809,27 +821,49 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
     return char
 
 
+def _generators(spec):
+    """The derivation generators that a diagonal map is tested on: for each
+    unit vector e, D(e, 0), then D(e, r) for each radical row r, then ad t^e
+    unless it is zero."""
+    zero = (0,) * spec.d
+    gens = []
+    for e in units(spec.d):
+        gens.append(op_witt(spec, e, zero))
+        gens += [op_witt(spec, e, r) for r in spec.radical().basis]
+        x = op_inner(spec, e)
+        if not x.is_zero():
+            gens.append(x)
+    return gens
+
+
+def _comparisons(gens, ms_a, ms_b, box, delta):
+    """(k, S_a(x, n), S_b(x, n + delta)) for each generator x, of degree k,
+    at each n with n, n + k, n + delta and n + k + delta inside the box.
+
+    The diagonal map v(n) |-> c(n) v(n + delta) from module a to module b,
+    for a character c, carries x from one action to the other exactly when
+    c(n + k) S_a = c(n) S_b at every n; c(n) != 0, so that is c(k) S_a = S_b,
+    and neither symbol depends on c.  Yields one probe at a time."""
+    for x in gens:
+        k = _degree_of(x)
+        for n in box_points(box, k, delta, _shift(k, delta)):
+            yield k, _symbol(x, n, ms_a), _symbol(x, _shift(n, delta), ms_b)
+
+
 def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     """Diagonal comparison of a G_g module with the matching F_(g^-1) module.
 
     The map v(n) |-> g(n)^(-1) v(n) must commute with the derivation action
     (Witt operators and inner operators; the torus action is deliberately
-    not part of the contract): g^-1(n+k) symbol_G(x, n) = g^-1(n) symbol_F(x, n)
-    for each generator x of degree k.  Returns {'pass', 'defect'}."""
+    not part of the contract), given an rng also on six seeded generators.
+    Returns {'pass', 'defect'}, the defect being the first nonzero entry of
+    g^-1(k) symbol_G(x, n) - symbol_F(x, n) (see _comparisons)."""
     spec = ms_G.spec
     if ms_G.flavor != "G_g":
         raise ConfigError("intertwiner check starts from a G_g module")
     ginv = ms_G.twist.inverse()
     ms_F = ModuleSpec(spec, ms_G.V, ms_G.alpha, ginv, "F_g")
-    gens = []
-    zero = (0,) * spec.d
-    for e in units(spec.d):
-        gens.append(op_witt(spec, e, zero))
-        for row in spec.radical().basis:
-            gens.append(op_witt(spec, e, tuple(row)))
-        g_el = op_inner(spec, e)
-        if not g_el.is_zero():
-            gens.append(g_el)
+    gens = _generators(spec)
     if rng is not None:
         for _ in range(6):
             u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
@@ -839,14 +873,10 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
             x = op_inner(spec, rand_point(rng, spec.d, 2))
             if not x.is_zero():
                 gens.append(x)
-    for x in gens:
-        deg = _degree_of(x)
-        for n in box_points(box, deg):
-            lhs = _symbol(x, n, ms_G).scale(ginv.value(_shift(n, deg)))
-            rhs = _symbol(x, n, ms_F).scale(ginv.value(n))
-            defect = _witness(lhs - rhs, ms_G.V.dim)
-            if defect is not None:
-                return {"pass": False, "defect": defect}
+    for k, S_G, S_F in _comparisons(gens, ms_G, ms_F, box, (0,) * spec.d):
+        defect = _witness(S_G.scale(ginv.value(k)) - S_F, ms_G.V.dim)
+        if defect is not None:
+            return {"pass": False, "defect": defect}
     return {"pass": True, "defect": None}
 
 
@@ -870,8 +900,7 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
     inner = box_points((inner_radius,) * d)
-    rad_rows = [tuple(row) for row in spec.radical().basis]
-    generators = [(e, rr) for rr in rad_rows for e in units(d)]
+    generators = [(e, rr) for rr in spec.radical().basis for e in units(d)]
     # (1) matrices constant across the inner box
     mats = []
     constant = True
@@ -939,64 +968,22 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
     conductor = lcm(spec.N, ms_source.twist.modulus)
     if conductor ** d > 64 ** 3:
         raise ConfigError("candidate character family too large to enumerate")
-    rad_rows = [tuple(row) for row in spec.radical().basis]
-    gens = []
-    zero = (0,) * d
-    for e in units(d):
-        gens.append(op_witt(spec, e, zero))
-        for rr in rad_rows:
-            if _in_box(box, rr):
-                gens.append(op_witt(spec, e, rr))
-    for e in units(d):
-        x = op_inner(spec, e)
-        if not x.is_zero():
-            gens.append(x)
-    mixed = tuple(1 for _ in range(d))
+    gens = [x for x in _generators(spec) if _in_box(box, _degree_of(x))]
+    mixed = (1,) * d
     if not spec.in_radical(mixed):
         gens.append(op_inner(spec, mixed))
-
-    def integral_delta(beta):
+    for beta in beta_candidates:
         beta = [_as_coeff(b) for b in beta]
         if len(beta) != d:
             raise ConfigError("beta candidates must have one entry per rank")
-        delta = []
-        for a, b in zip(ms_source.alpha, beta):
-            diff = a - b
-            if not diff.is_rational():
-                return None
-            q = diff.as_rational()
-            if q.denominator != 1:
-                return None
-            delta.append(int(q))
-        return tuple(delta)
-
-    for beta in beta_candidates:
-        delta = integral_delta(beta)
-        if delta is None:
+        diffs = [a - b for a, b in zip(ms_source.alpha, beta)]
+        if not all(x.is_rational() and x.as_rational().denominator == 1 for x in diffs):
             continue
-        ms_target = ModuleSpec(
-            spec, ms_source.V, [_as_coeff(b) for b in beta], TwistCharacter.trivial(spec), "F"
-        )
-        # theta: v(n) |-> c(n) v(n + delta) intertwines x of degree k exactly
-        # when c(n + k) M_src(x, n) = c(n) M_tgt(x, n + delta); c is a
-        # character and c(n) != 0, so that is c(k) M_src(x, n) = M_tgt(x,
-        # n + delta), and neither symbol depends on c
-        probes = []
-        for x in gens:
-            deg = _degree_of(x)
-            for n in box_points(box, deg, delta, _shift(deg, delta)):
-                probes.append((
-                    deg,
-                    _symbol(x, n, ms_source),
-                    _symbol(x, _shift(n, delta), ms_target),
-                ))
-        for k in _iproduct(range(conductor), repeat=d):
-            c = DiagonalCharacter(conductor, k)
-            if all(src.scale(c.value(deg)) == tgt for deg, src, tgt in probes):
-                return {
-                    "found": True,
-                    "beta": [_as_coeff(b) for b in beta],
-                    "delta": list(delta),
-                    "c": c,
-                }
+        delta = tuple(int(x.as_rational()) for x in diffs)
+        ms_target = ModuleSpec(spec, ms_source.V, beta, TwistCharacter.trivial(spec), "F")
+        probes = list(_comparisons(gens, ms_source, ms_target, box, delta))
+        for exps in _iproduct(range(conductor), repeat=d):
+            c = DiagonalCharacter(conductor, exps)
+            if all(S_a.scale(c.value(k)) == S_b for k, S_a, S_b in probes):
+                return {"found": True, "beta": beta, "delta": list(delta), "c": c}
     return {"found": False}

@@ -431,37 +431,46 @@ def test_criterion_10_irreducibility_evidence():
 
 def test_criterion_11_search_round_trip():
     bad = []
-    cases = {"(i)": (0, 1), "(ii)": (1, 0)}
-    for name, delta in cases.items():
+    # the decoy beta = (5, ..., 5) leaves no probe inside a box of radius 1
+    # or 2, so (iii) offers only the candidates of the search-iii benchmark
+    cases = [("(i)", (0, 1), 3, [[5, 5]]), ("(ii)", (1, 0), 3, [[5, 5]])] + [
+        ("(iii)", delta, radius, [])
+        for delta in ((0, 1, 1), (0, 1, -1), (-1, -1, 0), (1, -1, 0))
+        for radius in (1, 2)
+    ]
+    for name, delta, radius, decoys in cases:
         spec = INSTANCES[name]
-        V = parse_module(spec.d, "natural")
+        d = spec.d
+        box = (radius,) * d
+        V = parse_module(d, "natural")
         exps = tuple(
-            sum(spec.A[r][c] * delta[c] for c in range(spec.d)) % spec.N
-            for r in range(spec.d)
+            sum(spec.A[r][c] * delta[c] for c in range(d)) % spec.N
+            for r in range(d)
         )
         g = TwistCharacter(spec, spec.N, exps)
-        ms = ModuleSpec(spec, V, [0, 0], g, "F_g")
-        beta = [-delta[0], -delta[1]]
+        ms = ModuleSpec(spec, V, [0] * d, g, "F_g")
+        beta = [-x for x in delta]
         found = search_twist_equivalence(
-            ms, [[Fraction(1, 2), 0], [5, 5], beta], box_of(spec)
+            ms, [[Fraction(1, 2)] + [0] * (d - 1), *decoys, beta], box
         )
         if not (found["found"] and list(found["beta"]) == beta):
-            bad.append(f"{name}: beta not recovered")
+            bad.append(f"{name} {delta} box {radius}: beta not recovered")
             continue
         c = found["c"]
-        expect = [spec.sigma(delta, (1, 0)), spec.sigma(delta, (0, 1))]
-        got = [c.value((1, 0)), c.value((0, 1))]
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        expect = [spec.sigma(delta, e) for e in units]
+        got = [c.value(e) for e in units]
         if any(not (a - b).is_zero() for a, b in zip(expect, got)):
-            bad.append(f"{name}: character mismatch")
+            bad.append(f"{name} {delta} box {radius}: character mismatch")
 
-        trivial_ms = ModuleSpec(spec, V, [0, 0], TwistCharacter.trivial(spec), "F_g")
-        found = search_twist_equivalence(trivial_ms, [[0, 0], [1, 1]], box_of(spec))
+        trivial_ms = ModuleSpec(spec, V, [0] * d, TwistCharacter.trivial(spec), "F_g")
+        found = search_twist_equivalence(trivial_ms, [[0] * d, [1] * d], box)
         if not (
             found["found"]
-            and list(found["beta"]) == [0, 0]
+            and list(found["beta"]) == [0] * d
             and found["c"].is_trivial
         ):
-            bad.append(f"{name}: trivial twist should return (alpha, 1)")
+            bad.append(f"{name} box {radius}: trivial twist should return (alpha, 1)")
     conclude(
         11,
         not bad,

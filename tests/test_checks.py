@@ -11,9 +11,9 @@ import pytest
 
 from qtorus import algebra, checks, fmodule
 from qtorus.algebra import TorusElement
-from qtorus.cyclotomic import CycNumber
+from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.derivations import DerElement
-from qtorus.fmodule import ModuleSpec, TwistCharacter
+from qtorus.fmodule import ModuleSpec, TwistCharacter, intertwiner_check
 from qtorus.glmodules import GlModule, mat_scale, parse_module
 from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
@@ -216,6 +216,37 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
     monkeypatch.setattr(GlModule, "outer_image", doubled)
     for ms, box in _control_modules():
         row = _module_row("weight_op_bracket", ms, box)
+        assert row["pass"] is False and row["defect"] != "0", ms.label()
+
+
+def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatch):
+    """Negative control.  Under the F_g inner rule a G_g module no longer
+    matches F_(g^-1) through v(n) |-> g^-1(n) v(n).  The pinned witness is
+    the first nonzero entry of g^-1(k) S_G - S_F."""
+
+    def f_g_rule(ms, s, n, sig):
+        return sig * ms.twist.value(s) - ms.spec.sigma(n, s)
+
+    cases = [
+        (
+            ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
+                       TwistCharacter(SPEC_II, 3, (1, 0)), "G_g"),
+            (2, 2),
+            1 - root_of_unity(3, 1),
+        ),
+        (
+            ModuleSpec(SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
+                       TwistCharacter(SPEC_III, 4, (3, 0, 0)), "G_g"),
+            (2, 2, 2),
+            2 - 2 * root_of_unity(4, 1),
+        ),
+    ]
+    for ms, box, _ in cases:
+        assert _module_row("diagonal_intertwiner", ms, box)["pass"], ms.label()
+    monkeypatch.setattr(fmodule, "_inner_phase", f_g_rule)
+    for ms, box, witness in cases:
+        assert intertwiner_check(ms, box) == {"pass": False, "defect": witness}, ms.label()
+        row = _module_row("diagonal_intertwiner", ms, box)
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 

@@ -488,23 +488,28 @@ _INNER_FLOAT = {"der": {"inner": [{"s": [1.7, 0], "c": _ONE}], "witt": []}}
 
 
 @pytest.mark.parametrize(
-    "element, entry, point",
+    "element, entry, point, fields",
     [
-        ({"torus": [{"n": [1, 0], "c": "1/0"}]}, _ONE, [0, 0]),
-        ({"torus": [{"n": [1, 0], "c": {"M": 1, "coeffs": ["1/0"]}}]}, _ONE, [0, 0]),
-        (_T10, "1/0", [0, 0]),
-        ({"torus": [{"n": [1, 0], "c": {"M": 2.5, "coeffs": ["1/1"]}}]}, _ONE, [0, 0]),
-        (_T10, {"zeta": [6.9, 5.5]}, [0, 0]),
-        (_INNER_FLOAT, _ONE, [0, 0]),
-        (_T10, _ONE, [0.5, 0]),
-        (_T10, _ONE, [True, 0]),
+        ({"torus": [{"n": [1, 0], "c": "1/0"}]}, _ONE, [0, 0], {}),
+        ({"torus": [{"n": [1, 0], "c": {"M": 1, "coeffs": ["1/0"]}}]}, _ONE, [0, 0], {}),
+        (_T10, "1/0", [0, 0], {}),
+        ({"torus": [{"n": [1, 0], "c": {"M": 2.5, "coeffs": ["1/1"]}}]}, _ONE, [0, 0], {}),
+        (_T10, {"zeta": [6.9, 5.5]}, [0, 0], {}),
+        (_INNER_FLOAT, _ONE, [0, 0], {}),
+        (_T10, _ONE, [0.5, 0], {}),
+        (_T10, _ONE, [True, 0], {}),
+        (_T10, _ONE, [0, 0], {"box": [3.9, 3]}),
+        (_T10, _ONE, [0, 0], {"dim": 2.7}),
+        (_T10, _ONE, [0, 0], {"dim": "2"}),
+        (_T10, _ONE, [0, 0], {"truncated": "no"}),
     ],
     ids=["element-coefficient", "coeffs", "vector-entry", "float-conductor", "float-zeta",
-         "float-degree", "float-point", "bool-point"],
+         "float-degree", "float-point", "bool-point", "float-box", "float-dim", "str-dim",
+         "str-truncated"],
 )
-def test_malformed_act_input_is_usage_error(tmp_path, element, entry, point):
+def test_malformed_act_input_is_usage_error(tmp_path, element, entry, point, fields):
     cfg = write_config(tmp_path, INSTANCE_I)
-    vec = {"box": [3, 3], "dim": 2, "entries": [{"n": point, "w": [entry, _ONE]}]}
+    vec = {"box": [3, 3], "dim": 2, "entries": [{"n": point, "w": [entry, _ONE]}], **fields}
     res = run_cli(
         "act", "--config", cfg, "--element", json.dumps(element), "--vector", json.dumps(vec)
     )
