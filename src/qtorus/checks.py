@@ -67,12 +67,11 @@ from .fmodule import (
     op_witt,
     torus_product_relation_expr,
     weight_op_expr,
-    weight_op_matrix,
     zero_mode_expr,
     zero_mode_scalar,
 )
-from .glmodules import GlModule, cyclic_from_every_start, direct_sum, mat_sub, natural
-from .lattice import rand_point, rand_radical_point, units
+from .glmodules import GlModule, cyclic_from_every_start, direct_sum, natural
+from .lattice import in_box, neg, rand_point, rand_radical_point, shift, units
 from .semidirect import (
     GElement,
     gbracket,
@@ -267,18 +266,6 @@ def _unit_defect(failed):
     return CycNumber.one() if failed else None
 
 
-def _shifted_in_box(n, s, box):
-    return all(-b <= a + c <= b for a, c, b in zip(n, s, box))
-
-
-def _plus(n, m):
-    return tuple(a + b for a, b in zip(n, m))
-
-
-def _minus(n):
-    return tuple(-a for a in n)
-
-
 def _rand_hom(rng, spec, kinds):
     """A homogeneous pair-algebra element of a kind drawn from `kinds`: a
     torus monomial, an inner derivation off the radical, or a Witt term of
@@ -309,7 +296,7 @@ def _sigma_bicharacter(inst, rng):
     n = rand_point(rng, spec.d)
     m = rand_point(rng, spec.d)
     k = rand_point(rng, spec.d)
-    nm = _plus(n, m)
+    nm = shift(n, m)
     left = spec.sigma(nm, k) - spec.sigma(n, k) * spec.sigma(m, k)
     right = spec.sigma(k, nm) - spec.sigma(k, n) * spec.sigma(k, m)
     return _first_nonzero((left, right))
@@ -321,7 +308,7 @@ def _comm_factor_multiplicative(inst, rng):
     n = rand_point(rng, spec.d)
     m = rand_point(rng, spec.d)
     k = rand_point(rng, spec.d)
-    nm = _plus(n, m)
+    nm = shift(n, m)
     diff = spec.comm_factor(nm, k) - spec.comm_factor(n, k) * spec.comm_factor(m, k)
     # f must also agree with the sigma quotient
     quot = spec.sigma(n, m) * spec.sigma(m, n).inverse()
@@ -333,7 +320,7 @@ def _comm_factor_alternating(inst, rng):
     spec = inst.spec
     n = rand_point(rng, spec.d)
     one = CycNumber.one()
-    return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, _minus(n)) - one))
+    return _first_nonzero((spec.comm_factor(n, n) - one, spec.comm_factor(n, neg(n)) - one))
 
 
 @_check(
@@ -597,7 +584,7 @@ def _inner_quadratic_relation(inst, rng):
         expr_of(ad_r, ad_s),
         expr_neg(expr_of(op_torus(spec, r), ad_s)),
         expr_neg(expr_of(op_torus(spec, s), ad_r)),
-        expr_scale(expr_of(op_inner(spec, _plus(r, s))), spec.sigma(s, r)),
+        expr_scale(expr_of(op_inner(spec, shift(r, s))), spec.sigma(s, r)),
     )
     if not e:
         return None
@@ -630,8 +617,8 @@ def _zero_mode_ideal(inst, rng):
     lhs = expr_commutator(weight_op_expr(ms, u, r), zero_mode_expr(ms, s))
     us = pairing(u, s)
     rhs = expr_sum(
-        expr_scale(zero_mode_expr(ms, _plus(s, r)), spec.sigma(s, r) * us * spec.sigma(r, s)),
-        expr_scale(zero_mode_expr(ms, s), -(spec.sigma(_minus(r), r) * us)),
+        expr_scale(zero_mode_expr(ms, shift(s, r)), spec.sigma(s, r) * us * spec.sigma(r, s)),
+        expr_scale(zero_mode_expr(ms, s), -(spec.sigma(neg(r), r) * us)),
     )
     return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
 
@@ -651,9 +638,9 @@ def _weight_op_bracket(inst, rng):
     srs = spec.sigma(r, s)
     w = [srs * (us * vi - vr * ui) for ui, vi in zip(u, v)]
     rhs = expr_sum(
-        expr_scale(weight_op_expr(ms, u, r), vr * spec.sigma(_minus(s), s)),
-        expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(_minus(r), r))),
-        expr_scale(weight_op_expr(ms, w, _plus(r, s)), spec.sigma(s, r)),
+        expr_scale(weight_op_expr(ms, u, r), vr * spec.sigma(neg(s), s)),
+        expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(neg(r), r))),
+        expr_scale(weight_op_expr(ms, w, shift(r, s)), spec.sigma(s, r)),
     )
     return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
 
@@ -673,13 +660,13 @@ def _weight_op_constancy(inst, rng):
                 sample_pts = pts if len(pts) <= 8 else [
                     pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
                 ]
-                scale = spec.sigma(_minus(rr), rr)
+                scale = spec.sigma(neg(rr), rr)
                 expect = ms.V.matrix_of(
                     [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
                 )
+                e = weight_op_expr(ms, u, rr)
                 for n in sample_pts:
-                    got = weight_op_matrix(ms, u, rr, n, box)
-                    yield _first_nonzero(c for row in mat_sub(got, expect) for c in row)
+                    yield expr_defect_at(e, ms, n, expect)
 
     return _tally(probes())
 
@@ -699,11 +686,11 @@ def _weight_shift(inst, rng):
 
     def defects():
         yield expr_defect_at(there, ms, s, spec.sigma(delta, s))
-        back = expr_of(op_torus(spec, _minus(delta)), op_torus(spec, delta))
-        yield expr_defect_at(back, ms, s, spec.sigma(delta, _minus(delta)))
+        back = expr_of(op_torus(spec, neg(delta)), op_torus(spec, delta))
+        yield expr_defect_at(back, ms, s, spec.sigma(delta, neg(delta)))
         for e in units(spec.d):
             for rr in spec.radical().basis:
-                if _shifted_in_box(r, rr, box) and _shifted_in_box(s, rr, box):
+                if in_box(box, shift(r, rr)) and in_box(box, shift(s, rr)):
                     yield expr_defect_at(expr_commutator(there, weight_op_expr(ms, e, rr)), ms, s)
 
     return _first_defect(defects())
@@ -716,7 +703,7 @@ def _weight_shift(inst, rng):
 def _zero_mode_scalar(inst, rng):
     s = rand_point(rng, inst.spec.d, 2)
     n = rand_point(rng, inst.spec.d, 1)
-    if not _shifted_in_box(n, s, inst.box):
+    if not in_box(inst.box, shift(n, s)):
         return _VACUOUS
     try:
         zero_mode_scalar(inst.ms, s, n, inst.box)
@@ -742,12 +729,12 @@ def _zero_mode_recursion(inst, rng):
     pts = [
         p
         for p in (rand_point(rng, d, 1) for _ in range(4))
-        if _shifted_in_box(p, s, inst.box)
+        if in_box(inst.box, shift(p, s))
     ]
     if not pts:
         return _VACUOUS
     lam0 = zero_mode_scalar(ms, s, (0,) * d, inst.box)
-    base = spec.sigma(_minus(s), s)
+    base = spec.sigma(neg(s), s)
     zero_mode = zero_mode_expr(ms, s)
 
     def defects():

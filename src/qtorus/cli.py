@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_act)
 
     p = sub.add_parser("lambda", parents=[common], help="zero-mode scalar value")
-    p.add_argument("--s", required=True, help="degree, comma-separated integers")
-    p.add_argument("--n", required=True, help="weight point, comma-separated integers")
+    p.add_argument("--s", required=True, help="degree, comma-separated: 1,0 or --s=-1,0")
+    p.add_argument("--n", required=True, help="weight point, comma-separated: 0,1 or --n=0,-1")
     p.set_defaults(fn=cmd_lambda)
 
     p = sub.add_parser("iso", parents=[common], help="diagonal comparison check")

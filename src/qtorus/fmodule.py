@@ -24,30 +24,38 @@ code scales, adds, composes and compares symbols on these parts.  A dense
 matrix is built only where two Witt parts meet (a sum of two symbols with
 different W, or a product of two symbols that both have one; the result is
 folded back when it is a scalar matrix), or where a result is read: the
-public symbol(), weight_op_matrix() and expr_weight_matrix(), the matrices
-handed to glmodules.generates, and the witness of a nonzero defect.
+public symbol() and weight_op_matrix(), a comparison with an expected
+matrix, the matrices handed to glmodules.generates, and the witness of a
+nonzero defect.
 
 An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
 compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
 by the sum of c_t times the products of its factors' symbols at the shifted
 points.  Every identity that qtorus.checks verifies on a module is written
 once as an expression, lhs - rhs, and read by one evaluator: expr_defect_at
-gives its first defect on the weight space at n against c Id, and
-expr_first_defect runs it over sampled start points whose every
-intermediate weight stays inside a finite box (the expression "interior"),
-so each reported defect is an exact statement.  The irreducibility probe
-closes start vectors under the weight-operator matrices with
-glmodules.generates, and random lattice points come from the samplers of
-qtorus.lattice.  BoxVector is a box-truncated vector, and act() applies one
-element to it as the sum over n of symbol(x_k, n) w(n) over the homogeneous
-parts x_k, dropping (and flagging) images pushed outside.
+gives its first defect on the weight space at n against c Id, or against an
+expected dim x dim matrix, and expr_first_defect runs it over sampled start
+points whose every intermediate weight stays inside a finite box (the
+expression "interior"), so each reported defect is an exact statement.  A
+degree-zero expression, such as the weight operator T'(u, r) or the zero
+mode t^(-s) ad t^s, maps each weight space to itself; one private reader,
+_weight_symbol, returns its symbol at n (zero for the empty expression,
+OutOfBox outside the interior), and weight_op_matrix and zero_mode_scalar
+read through it.  The irreducibility probe closes start vectors under the
+weight-operator matrices with glmodules.generates, and lattice points,
+their sums and random draws come from qtorus.lattice.  BoxVector is a
+box-truncated vector, and act() applies one element to it as the sum over
+n of symbol(x_k, n) w(n) over the homogeneous parts x_k, dropping (and
+flagging) images pushed outside.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
 action to the other exactly when c(k) symbol_a(x, n) = symbol_b(x, n + delta).
 intertwiner_check (iso, diagonal_intertwiner) takes G_g to F_(g^-1) with
 delta = 0 and c = g^-1; search_twist_equivalence (search-beta) takes F_g to
-the plain module at beta, delta = alpha - beta, and enumerates c.
+the plain module at beta, delta = alpha - beta, and enumerates c.  Each
+generator comes with its degree k and its symbol pairs, so c(k) is computed
+once per generator.
 """
 
 from __future__ import annotations
@@ -66,8 +74,8 @@ from .errors import (
     SpecMismatch,
 )
 from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
-from .glmodules import mat_vec, matrix_as_scalar
-from .lattice import rand_point, rand_radical_point, units
+from .glmodules import mat_sub, mat_vec, matrix_as_scalar
+from .lattice import in_box, neg, rand_point, rand_radical_point, shift, units
 from .semidirect import GElement
 from .torus import TorusSpec
 
@@ -209,14 +217,6 @@ class ModuleSpec:
 # -- box-truncated vectors ---------------------------------------------------
 
 
-def _in_box(box, n) -> bool:
-    return all(-r <= x <= r for r, x in zip(box, n))
-
-
-def _shift(n, k):
-    return tuple(a + b for a, b in zip(n, k))
-
-
 class BoxVector:
     __slots__ = ("box", "dim", "entries", "truncated")
 
@@ -236,7 +236,7 @@ class BoxVector:
     def _add(self, n, w):
         if len(w) != self.dim:
             raise SpecMismatch("weight-space vector has the wrong dimension")
-        if not _in_box(self.box, n):
+        if not in_box(self.box, n):
             self.truncated = True
             return
         cur = self.entries.get(n)
@@ -485,7 +485,7 @@ def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
         for k in degrees:
             S = _part_symbol(x, k, n, ms)
             if k in acting or not S.is_zero():
-                out._add(_shift(k, n), tuple(mat_vec(S.matrix(w.dim), coords)))
+                out._add(shift(k, n), tuple(mat_vec(S.matrix(w.dim), coords)))
     return out
 
 
@@ -556,7 +556,7 @@ def _term_offsets(factors):
         raise SpecMismatch("empty factor list")
     offs = [(0,) * len(_degree_of(factors[-1]))]
     for f in reversed(factors):
-        offs.append(_shift(offs[-1], _degree_of(f)))
+        offs.append(shift(offs[-1], _degree_of(f)))
     return offs
 
 
@@ -592,10 +592,6 @@ def box_points(box, *offsets):
     return interior_points(_box_ranges(box, offsets))
 
 
-def expr_net_degrees(expr):
-    return {_term_offsets(fs)[-1] for _, fs in expr}
-
-
 def _expr_symbols(expr, ms: ModuleSpec, n):
     """{target point: symbol} of the expression on the weight space at n:
     each term is c times the product of its factors' symbols at the points
@@ -607,7 +603,7 @@ def _expr_symbols(expr, ms: ModuleSpec, n):
             k = _degree_of(f)
             T = _part_symbol(f, k, p, ms)
             S = T if S is None else T * S
-            p = _shift(p, k)
+            p = shift(p, k)
         if c.M != 1 or c != _ONE:  # a rational c is compared without a lift
             S = S.scale(c)
         out[p] = out[p] + S if p in out else S
@@ -634,19 +630,24 @@ def _witness(S: _Symbol, dim: int):
 
 def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     """The first defect of the expression on the weight space at n against
-    c Id, or None when they agree.  Every weight space is a copy of V, so a
-    nonzero c needs one net degree k, and Id maps v(n) to v(n + k).  The
+    c, or None when they agree.  c is a scalar, standing for c Id, or a
+    dim x dim matrix.  Every weight space is a copy of V, so a nonzero c
+    needs one net degree k, and c is the expected map from v(n) to v(n + k).
+    A scalar is compared on the symbol's parts, a matrix densely.  The
     defect is the first nonzero entry of the difference, by source basis
     vector, target point and coordinate.  The caller keeps every
     intermediate weight inside its box."""
     n = tuple(n)
     images = _expr_symbols(expr, ms, n)
-    c = _as_coeff(c)
-    if not c.is_zero():
+    dense = isinstance(c, list)
+    if not dense:
+        c = _as_coeff(c)
+    if dense or not c.is_zero():
         if len(images) > 1:
-            raise SpecMismatch("an expression compared with c Id needs one net degree")
+            raise SpecMismatch("an expression compared with c needs one net degree")
         p = next(iter(images), n)
-        images[p] = images.get(p, _ZERO_SYMBOL) - _Symbol(c)
+        S = images.get(p, _ZERO_SYMBOL)
+        images[p] = _Symbol.of_matrix(mat_sub(S.matrix(ms.V.dim), c)) if dense else S - _Symbol(c)
     return _first_nonzero(
         *(S.matrix(ms.V.dim) for _, S in sorted(images.items()) if not S.is_zero())
     )
@@ -667,37 +668,20 @@ def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
     return None
 
 
-def expr_weight_matrix(expr, ms: ModuleSpec, box, n):
-    """Matrix of a net-degree-zero expression on the weight space at n."""
-    return _expr_weight_symbol(expr, ms, box, n).matrix(ms.V.dim)
-
-
-def _expr_weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
-    return _weight_symbol_at(expr, ms, _weight_expr_interior(expr, ms, box), n)
-
-
-def _weight_expr_interior(expr, ms: ModuleSpec, box):
-    """Check that the expression has net degree zero, and return its box
-    interior (see expr_interior); neither depends on the weight point."""
-    if expr_net_degrees(expr) != {(0,) * ms.spec.d}:
-        raise SpecMismatch("expression does not preserve the weight grading")
-    return expr_interior(box, expr)
-
-
-def _weight_symbol_at(expr, ms: ModuleSpec, ranges, n) -> _Symbol:
-    """Symbol of a checked net-degree-zero expression, with box interior
-    `ranges`, on the weight space at n."""
+def _weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
+    """Symbol of a degree-zero expression on the weight space at n: the zero
+    symbol for the empty expression, else OutOfBox when n is outside the
+    expression's box interior."""
     n = tuple(n)
+    if not expr:
+        return _ZERO_SYMBOL
+    ranges = expr_interior(box, expr)
     if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
         raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
     return _expr_symbols(expr, ms, n)[n]
 
 
 # -- named operators -----------------------------------------------------------
-
-
-def _neg(n):
-    return tuple(-x for x in n)
 
 
 def op_torus(spec, m) -> GElement:
@@ -720,35 +704,28 @@ def weight_op_expr(ms: ModuleSpec, u, r) -> list:
     if all(x.is_zero() for x in u):
         return []
     zero = (0,) * spec.d
-    head = expr_of(op_torus(spec, _neg(r)), op_witt(spec, u, r))
-    tail = expr_scale(expr_of(op_witt(spec, u, zero)), spec.sigma(_neg(r), r))
+    head = expr_of(op_torus(spec, neg(r)), op_witt(spec, u, r))
+    tail = expr_scale(expr_of(op_witt(spec, u, zero)), spec.sigma(neg(r), r))
     return expr_sum(head, expr_neg(tail))
 
 
 def weight_op_matrix(ms: ModuleSpec, u, r, n, box):
     """Matrix of the degree-zero weight operator on the weight space at n."""
-    return _weight_op_symbol(ms, u, r, n, box).matrix(ms.V.dim)
-
-
-def _weight_op_symbol(ms: ModuleSpec, u, r, n, box) -> _Symbol:
-    return _expr_weight_symbol(weight_op_expr(ms, u, r), ms, box, n)
+    return _weight_symbol(weight_op_expr(ms, u, r), ms, box, n).matrix(ms.V.dim)
 
 
 def zero_mode_expr(ms: ModuleSpec, s) -> list:
     """t^(-s) ad t^s; the empty expression (zero operator) for radical s."""
     spec = ms.spec
     s = spec._point(s)
-    return expr_of(op_torus(spec, _neg(s)), op_inner(spec, s))
+    return expr_of(op_torus(spec, neg(s)), op_inner(spec, s))
 
 
 def zero_mode_scalar(ms: ModuleSpec, s, n, box) -> CycNumber:
     """The scalar by which t^(-s) ad t^s acts on the weight space at n.
 
     Raises NotScalar if the restricted operator is not a scalar matrix."""
-    e = zero_mode_expr(ms, s)
-    if not e:
-        return CycNumber.zero()
-    S = _expr_weight_symbol(e, ms, box, n)
+    S = _weight_symbol(zero_mode_expr(ms, s), ms, box, n)
     if S.W is not None:
         raise NotScalar(f"zero-mode operator at degree {list(s)} is not scalar")
     return S.a
@@ -761,7 +738,7 @@ def torus_product_relation_expr(ms: ModuleSpec, m, n) -> list:
     """t^m t^n - sigma(m,n) t^(m+n), as an operator expression."""
     spec = ms.spec
     m, n = spec._point(m), spec._point(n)
-    mn = _shift(m, n)
+    mn = shift(m, n)
     return expr_sum(
         expr_of(op_torus(spec, m), op_torus(spec, n)),
         expr_scale(expr_of(op_torus(spec, mn)), -spec.sigma(m, n)),
@@ -778,7 +755,7 @@ def c2_product_expr(ms: ModuleSpec, n, m) -> list:
     """(ad t^n - t^n)(ad t^m - t^m) + sigma(m,n)(ad t^(m+n) - t^(m+n))."""
     spec = ms.spec
     n, m = spec._point(n), spec._point(m)
-    nm = _shift(n, m)
+    nm = shift(n, m)
     return expr_sum(
         expr_mul(_inner_minus_torus_expr(ms, n), _inner_minus_torus_expr(ms, m)),
         expr_scale(_inner_minus_torus_expr(ms, nm), spec.sigma(m, n)),
@@ -812,7 +789,7 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
         radius = max(1, min(box) - 1)
         check_points += [rand_point(rng, spec.d, radius) for _ in range(8)]
     for p in check_points:
-        if not _in_box(box, p) or not _in_box(box, _neg(p)):
+        if not in_box(box, p):
             continue
         if g_at(p) != char.value(p):
             raise NotCharacter(
@@ -837,17 +814,23 @@ def _generators(spec):
 
 
 def _comparisons(gens, ms_a, ms_b, box, delta):
-    """(k, S_a(x, n), S_b(x, n + delta)) for each generator x, of degree k,
-    at each n with n, n + k, n + delta and n + k + delta inside the box.
+    """(k, pairs) for each generator x, of degree k: pairs yields
+    (S_a(x, n), S_b(x, n + delta)) at each n with n, n + k, n + delta and
+    n + k + delta inside the box.
 
     The diagonal map v(n) |-> c(n) v(n + delta) from module a to module b,
     for a character c, carries x from one action to the other exactly when
     c(n + k) S_a = c(n) S_b at every n; c(n) != 0, so that is c(k) S_a = S_b,
-    and neither symbol depends on c.  Yields one probe at a time."""
+    and neither symbol depends on c.  The pairs are computed one at a time,
+    as they are read."""
     for x in gens:
         k = _degree_of(x)
-        for n in box_points(box, k, delta, _shift(k, delta)):
-            yield k, _symbol(x, n, ms_a), _symbol(x, _shift(n, delta), ms_b)
+        yield k, _symbol_pairs(x, k, ms_a, ms_b, box, delta)
+
+
+def _symbol_pairs(x, k, ms_a, ms_b, box, delta):
+    for n in box_points(box, k, delta, shift(k, delta)):
+        yield _symbol(x, n, ms_a), _symbol(x, shift(n, delta), ms_b)
 
 
 def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
@@ -873,10 +856,12 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
             x = op_inner(spec, rand_point(rng, spec.d, 2))
             if not x.is_zero():
                 gens.append(x)
-    for k, S_G, S_F in _comparisons(gens, ms_G, ms_F, box, (0,) * spec.d):
-        defect = _witness(S_G.scale(ginv.value(k)) - S_F, ms_G.V.dim)
-        if defect is not None:
-            return {"pass": False, "defect": defect}
+    for k, pairs in _comparisons(gens, ms_G, ms_F, box, (0,) * spec.d):
+        ginv_k = ginv.value(k)
+        for S_G, S_F in pairs:
+            defect = _witness(S_G.scale(ginv_k) - S_F, ms_G.V.dim)
+            if defect is not None:
+                return {"pass": False, "defect": defect}
     return {"pass": True, "defect": None}
 
 
@@ -905,22 +890,22 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     mats = []
     constant = True
     for u, rr in generators:
-        usable = [n for n in inner if _in_box(box, _shift(n, rr))]
+        usable = [n for n in inner if in_box(box, shift(n, rr))]
         if not usable:
             continue
+        # the usable points lie inside the interior of e by construction
         e = weight_op_expr(ms, u, rr)
-        ranges = _weight_expr_interior(e, ms, box)
-        S0 = _weight_symbol_at(e, ms, ranges, usable[0])
+        S0 = _expr_symbols(e, ms, usable[0])[usable[0]]
         mats.append(S0.matrix(dim))
         for n in usable[1:]:
-            if _weight_symbol_at(e, ms, ranges, n) != S0:
+            if _expr_symbols(e, ms, n)[n] != S0:
                 constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
     for e in units(d):
         transport = expr_of(op_torus(spec, e))
         for n in inner:
-            if not _in_box(box, _shift(n, e)):
+            if not in_box(box, shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
             if expr_defect_at(transport, ms, n, c) is not None:
@@ -951,6 +936,11 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     }
 
 
+def _carries(c_k, pairs) -> bool:
+    """Whether c_k S_a = S_b for every symbol pair of one generator."""
+    return all(S_a.scale(c_k) == S_b for S_a, S_b in pairs)
+
+
 def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
     """Search for a re-labelled plain-flavor module matching an F_g module.
 
@@ -968,7 +958,7 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
     conductor = lcm(spec.N, ms_source.twist.modulus)
     if conductor ** d > 64 ** 3:
         raise ConfigError("candidate character family too large to enumerate")
-    gens = [x for x in _generators(spec) if _in_box(box, _degree_of(x))]
+    gens = [x for x in _generators(spec) if in_box(box, _degree_of(x))]
     mixed = (1,) * d
     if not spec.in_radical(mixed):
         gens.append(op_inner(spec, mixed))
@@ -981,9 +971,9 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
             continue
         delta = tuple(int(x.as_rational()) for x in diffs)
         ms_target = ModuleSpec(spec, ms_source.V, beta, TwistCharacter.trivial(spec), "F")
-        probes = list(_comparisons(gens, ms_source, ms_target, box, delta))
+        probes = [(k, list(ps)) for k, ps in _comparisons(gens, ms_source, ms_target, box, delta)]
         for exps in _iproduct(range(conductor), repeat=d):
             c = DiagonalCharacter(conductor, exps)
-            if all(S_a.scale(c.value(k)) == S_b for k, S_a, S_b in probes):
+            if all(_carries(c.value(k), pairs) for k, pairs in probes):
                 return {"found": True, "beta": beta, "delta": list(delta), "c": c}
     return {"found": False}

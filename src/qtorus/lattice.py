@@ -1,5 +1,6 @@
 """Small exact integer-lattice helpers: Hermite forms, membership, kernels,
-and the unit vectors and seeded random points every layer above draws from.
+point sums, negation and box membership, and the unit vectors and seeded
+random points every layer above draws from.
 
 Everything runs on plain Python ints (arbitrary precision), with no
 rational arithmetic: a kernel is read off a Hermite form that carries its
@@ -89,6 +90,24 @@ def det_of_hnf(basis) -> int:
     for row in basis:
         det *= next(a for a in row if a)
     return det
+
+
+# -- lattice points --------------------------------------------------------
+
+
+def shift(n, k) -> tuple[int, ...]:
+    """The point n + k."""
+    return tuple(a + b for a, b in zip(n, k))
+
+
+def neg(n) -> tuple[int, ...]:
+    """The point -n."""
+    return tuple(-a for a in n)
+
+
+def in_box(box, n) -> bool:
+    """Whether n lies in the symmetric box with per-axis radii `box`."""
+    return all(-r <= x <= r for r, x in zip(box, n))
 
 
 # -- lattice samplers ------------------------------------------------------

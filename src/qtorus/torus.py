@@ -127,23 +127,9 @@ class TorusSpec:
     def sigma(self, n, m) -> CycNumber:
         return self._roots[self.sigma_exp(n, m)]
 
-    def comm_exp(self, n, m) -> int:
-        a = self.A
-        e = 0
-        for i in range(self.d):
-            ni = n[i]
-            if ni:
-                row = a[i]
-                for j in range(self.d):
-                    if m[j]:
-                        e += ni * row[j] * m[j]
-        return e % self.N
-
     def comm_factor(self, n, m) -> CycNumber:
         """f(n, m) = sigma(n, m) / sigma(m, n) = zeta_N^(n^T A m)."""
-        if self.corrupt_sigma:
-            return self.sigma(n, m) * self.sigma(m, n).inverse()
-        return self._roots[self.comm_exp(n, m)]
+        return self.root(self.sigma_exp(n, m) - self.sigma_exp(m, n))
 
     def root(self, k: int) -> CycNumber:
         return self._roots[k % self.N]

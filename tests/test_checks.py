@@ -181,7 +181,7 @@ def _control_modules():
     ]
 
 
-@pytest.mark.parametrize("name", ["weight_eigenvalue", "weight_op_bracket"])
+@pytest.mark.parametrize("name", ["weight_eigenvalue", "weight_op_bracket", "weight_op_constancy"])
 def test_the_controlled_module_checks_pass_unpatched(name):
     for ms, box in _control_modules():
         assert _module_row(name, ms, box)["pass"], ms.label()
@@ -206,7 +206,9 @@ def test_weight_eigenvalue_fails_when_the_weight_pairing_drops_alpha(monkeypatch
 
 def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
     """Negative control.  The image W of k u^T enters T'(u, r) linearly, so
-    doubling it breaks the closed form of [T'(u,r), T'(v,s)]."""
+    doubling it breaks the closed form of [T'(u,r), T'(v,s)] and the closed
+    form sigma(-r,r) r u^T of T'(u, r) itself; the constancy check's
+    witnesses on the three control modules are pinned."""
     outer_image = GlModule.outer_image
 
     def doubled(self, r, u):
@@ -214,9 +216,13 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
         return (c * 2, None) if W is None else (c, mat_scale(W, 2))
 
     monkeypatch.setattr(GlModule, "outer_image", doubled)
-    for ms, box in _control_modules():
-        row = _module_row("weight_op_bracket", ms, box)
-        assert row["pass"] is False and row["defect"] != "0", ms.label()
+    for name, witnesses in [("weight_op_bracket", None), ("weight_op_constancy", [6, 4, 4])]:
+        for i, (ms, box) in enumerate(_control_modules()):
+            row = _module_row(name, ms, box)
+            assert row["pass"] is False and row["defect"] != "0", (name, ms.label())
+            if witnesses is not None:
+                want = CycNumber.rational(witnesses[i]).to_json()
+                assert row["defect"] == want, (name, ms.label())
 
 
 def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatch):

@@ -206,6 +206,12 @@ def test_lambda_command(tmp_path):
     assert out["scalar"] is True
     assert out["value"]["coeffs"] == ["2/1"]
 
+    # a point that starts with a minus sign is attached with "="
+    res = run_cli("lambda", "--config", cfg, "--s=-1,0", "--n=0,-1")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["s"] == [-1, 0] and out["n"] == [0, -1]
+
     res = run_cli("lambda", "--config", cfg, "--s", "1,0,0", "--n", "0,1")
     assert res.returncode == 2
     res = run_cli("lambda", "--config", cfg, "--s", "x,y", "--n", "0,1")

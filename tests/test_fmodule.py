@@ -29,9 +29,7 @@ from qtorus.fmodule import (
     expr_defect_at,
     expr_first_defect,
     expr_interior,
-    expr_mul,
     expr_of,
-    expr_weight_matrix,
     extract_twist,
     interior_points,
     intertwiner_check,
@@ -46,7 +44,7 @@ from qtorus.fmodule import (
     zero_mode_expr,
     zero_mode_scalar,
 )
-from qtorus.fmodule import _symbol, _weight_op_symbol
+from qtorus.fmodule import _symbol, _weight_symbol
 from qtorus.glmodules import (
     direct_sum,
     dual,
@@ -267,7 +265,7 @@ def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
                 r = tuple(sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d))
                 u = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 2)]
                 for n in rng.sample(box_points((3,) * d, r), 2):
-                    S = _weight_op_symbol(ms, u, r, n, (3,) * d)
+                    S = _weight_symbol(weight_op_expr(ms, u, r), ms, (3,) * d, n)
                     pairs.append((S, S.matrix(dim)))
             c = spec.root(rng.randrange(spec.N)) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             for i, (S, D) in enumerate(pairs):
@@ -420,8 +418,12 @@ def test_weight_op_matrix_frozen_and_constant():
     assert got == [[zero, zero], [two, zero]]
     for n in ((1, 0), (0, 1), (-2, 1), (1, -3)):
         assert weight_op_matrix(ms, [1, 0], (0, 2), n, BOX2) == got
-    # r = 0 gives the zero matrix
+    # r = 0 and u = 0 give the zero matrix
     assert weight_op_matrix(ms, [1, 0], (0, 0), (1, 1), BOX2) == [
+        [zero, zero],
+        [zero, zero],
+    ]
+    assert weight_op_matrix(ms, [0, 0], (0, 2), (0, 0), BOX2) == [
         [zero, zero],
         [zero, zero],
     ]
@@ -456,7 +458,6 @@ def test_weight_op_matrix_closed_form_sampled():
 def test_expr_interior_accounts_for_intermediates():
     # the commutator of t^(1,0) and t^(0,1) passes through offsets (1,0),
     # (0,1), (1,1), so valid starts lose the top edge of the box on each axis
-    ms = plain_module(SPEC_I)
     e = expr_commutator(
         expr_of(op_torus(SPEC_I, (1, 0))),
         expr_of(op_torus(SPEC_I, (0, 1))),
@@ -465,15 +466,6 @@ def test_expr_interior_accounts_for_intermediates():
     assert ranges == [(-3, 2), (-3, 2)]
     pts = interior_points(ranges)
     assert len(pts) == 36
-    with pytest.raises(SpecMismatch):
-        expr_weight_matrix(expr_of(op_torus(SPEC_I, (1, 0))), ms, BOX2, (0, 0))
-    # a degree-zero round trip through (3,0) cannot start at the box edge
-    round_trip = expr_mul(
-        expr_of(op_torus(SPEC_I, (-3, 0))),
-        expr_of(op_torus(SPEC_I, (3, 0))),
-    )
-    with pytest.raises(OutOfBox):
-        expr_weight_matrix(round_trip, ms, BOX2, (3, 3))
 
 
 def test_zero_mode_scalar_frozen_values():
@@ -483,6 +475,11 @@ def test_zero_mode_scalar_frozen_values():
     assert zero_mode_scalar(ms, (1, 0), (0, 0), BOX2).is_zero()
     # radical degree: the inner operator itself vanishes
     assert zero_mode_scalar(ms, (2, 0), (1, 1), BOX2).is_zero()
+    # t^(-s) ad t^s passes through n + s, so it cannot start at the box edge;
+    # the empty expression of a radical degree reads zero before any box test
+    with pytest.raises(OutOfBox):
+        zero_mode_scalar(ms, (1, 0), (3, 3), BOX2)
+    assert zero_mode_scalar(ms, (2, 0), (3, 3), BOX2).is_zero()
 
 
 def _recursion_defects(ms, s, pts):
