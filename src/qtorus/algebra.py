@@ -29,9 +29,16 @@ entry, _bracket.  An element is never changed once built, so the form cannot
 go stale.
 
 All sums go into one graded store (_Graded): (kind, degree) -> counts over
-Z/L at one denominator.  A component is reduced only when it is read out,
-by CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need;
-zero components and inner terms at radical degrees are dropped there.
+Z/L at one denominator.  A component is reduced only when its element is
+first read, by the fold of CycNumber.from_root_counts, in the least
+Q(zeta_(L/g)) its indices need, against a conductor cap read once per
+read-out; zero components and inner terms at radical degrees are dropped
+there.  TorusElement and DerElement read their store out when they are
+made.  A GElement made by the kernel holds its store until one of its
+components is first read, and its first nonzero coefficient in witness
+order (_witness_key: inner, then Witt, then torus terms) is found by
+folding components in that order up to the first nonzero one (_Graded.first),
+so a bracket that is zero is never read out.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 from math import lcm
 from operator import add
 
-from .cyclotomic import CycNumber, _as_coeff
+from .cyclotomic import CycNumber, _as_coeff, _from_root_counts, max_conductor
 from .errors import SpecMismatch
 from .torus import TorusSpec
 
@@ -47,6 +54,15 @@ TORUS, INNER, WITT = 0, 1, 2  # basis kinds; WITT + i is the term t^r d_i
 
 _new = object.__new__
 _ZERO = CycNumber.zero()
+
+
+def _witness_key(term):
+    """The witness order of basis terms, on the (kind, degree) that a store
+    key or a basis term (kind, degree, coefficient) starts with: inner terms,
+    then Witt terms, then torus terms, by degree within each and Witt terms
+    of one degree by index."""
+    kind = term[0]
+    return (kind == TORUS, kind != INNER, term[1], kind)
 
 
 def _constants(spec: TorusSpec, kx, a, ky, b, product):
@@ -89,16 +105,36 @@ class _Graded:
         self.den = den
         self.sums = sums
 
+    def _values(self, keys):
+        """((kind, degree), value) for each of `keys` whose component reads
+        nonzero, folded one at a time as the caller asks for the next; the
+        conductor cap is read once, at the first component folded."""
+        spec, L, den, sums = self.spec, self.L, self.den, self.sums
+        cap = None
+        for key in keys:
+            counts = sums[key]
+            if not any(counts) or (key[0] == INNER and spec._radical_point(key[1])):
+                continue
+            if cap is None:
+                cap = max_conductor()
+            c = _from_root_counts(L, counts, den, cap)
+            if not c.is_zero():
+                yield key, c
+
+    def first(self):
+        """The first nonzero value in witness order (_witness_key), None when
+        every component reads zero; the walk stops there."""
+        keys = [key for key, counts in self.sums.items() if any(counts)]
+        keys.sort(key=_witness_key)
+        for _, c in self._values(keys):
+            return c
+        return None
+
     def read(self):
         """(torus terms, inner terms, witt vectors) of the nonzero components."""
-        spec, L, den = self.spec, self.L, self.den
+        spec = self.spec
         torus, inner, witt = {}, {}, {}
-        for (kind, deg), counts in self.sums.items():
-            if not any(counts) or (kind == INNER and spec._radical_point(deg)):
-                continue
-            c = CycNumber.from_root_counts(L, counts, den)
-            if c.is_zero():
-                continue
+        for (kind, deg), c in self._values(self.sums):
             if kind == TORUS:
                 torus[deg] = c
             elif kind == INNER:
@@ -206,6 +242,12 @@ class _Element:
         if form is None:
             form = self._ring_form = _flatten(self.spec, self._terms())
         return form
+
+    def _first(self):
+        """The first nonzero coefficient in witness order (_witness_key), None
+        when the element is zero."""
+        term = min(self._terms(), key=_witness_key, default=None)
+        return None if term is None else term[2]
 
     def _check(self, other):
         if self.spec != other.spec:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Callable, NamedTuple
 
-from .algebra import INNER, TORUS, TorusElement, is_central, tcomm, tmul
+from .algebra import TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber
 from .derivations import DerElement, dact, dbracket, pairing
 from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
@@ -254,11 +254,9 @@ def _first_defect(defects):
 def _first_coeff(x):
     """The first nonzero coefficient of a torus, derivation or pair element,
     None when it is zero: inner terms by degree, then Witt vectors by degree
-    and index, then torus terms by degree."""
-    term = min(
-        x._terms(), key=lambda t: (t[0] == TORUS, t[0] != INNER, t[1], t[0]), default=None
-    )
-    return None if term is None else term[2]
+    and index, then torus terms by degree (algebra._witness_key).  A pair
+    made by the kernel is read off its held store without being opened."""
+    return x._first()
 
 
 def _unit_defect(failed):

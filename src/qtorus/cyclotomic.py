@@ -53,10 +53,13 @@ def max_conductor() -> int:
     return value if value >= 1 else DEFAULT_MAX_CONDUCTOR
 
 
-def _check_conductor(m: int) -> None:
+def _check_conductor(m: int, cap: int | None = None) -> None:
+    """Raise unless 1 <= m <= cap; the cap is read from the environment
+    unless the caller has read it already."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    cap = max_conductor()
+    if cap is None:
+        cap = max_conductor()
     if m > cap:
         raise ConductorLimitExceeded(
             f"conductor {m} exceeds QTORUS_MAX_CONDUCTOR={cap}"
@@ -253,6 +256,17 @@ def _reduced(M: int, num: tuple[int, ...], den: int) -> "CycNumber":
     return _make(M, num, den)
 
 
+def _from_root_counts(M: int, counts, den: int, cap: int) -> "CycNumber":
+    """CycNumber.from_root_counts against a conductor cap the caller has
+    read once for many read-outs."""
+    g = gcd(M, *[j for j, c in enumerate(counts) if c])
+    if g > 1:
+        M //= g
+        counts = counts[::g]
+    _check_conductor(M, cap)
+    return _reduced(M, _fold(_field(M), counts), den)
+
+
 class CycNumber:
     """An element of Q(zeta_M), reduced mod the M-th cyclotomic polynomial.
 
@@ -297,12 +311,7 @@ class CycNumber:
         value lies in Q(zeta_(M/g)) and is read there, so the cap applies to
         M/g, not to M.
         """
-        g = gcd(M, *[j for j, c in enumerate(counts) if c])
-        if g > 1:
-            M //= g
-            counts = counts[::g]
-        _check_conductor(M)
-        return _reduced(M, _fold(_field(M), counts), den)
+        return _from_root_counts(M, counts, den, max_conductor())
 
     @staticmethod
     def zero() -> "CycNumber":

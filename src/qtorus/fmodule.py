@@ -972,6 +972,8 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
         delta = tuple(int(x.as_rational()) for x in diffs)
         ms_target = ModuleSpec(spec, ms_source.V, beta, TwistCharacter.trivial(spec), "F")
         probes = [(k, list(ps)) for k, ps in _comparisons(gens, ms_source, ms_target, box, delta)]
+        if not any(any(k) and pairs for k, pairs in probes):
+            continue  # no probe inside the box can tell two characters apart
         for exps in _iproduct(range(conductor), repeat=d):
             c = DiagonalCharacter(conductor, exps)
             if all(_carries(c.value(k), pairs) for k, pairs in probes):

@@ -8,7 +8,10 @@ torus carrying its commutator bracket.  The bracket is
 gbracket computes it in one pass, as the bilinear extension of the
 basis-bracket table of the pair algebra (qtorus.algebra._constants) over the
 basis t^n, ad t^s and t^r d_i.  A pair's ring form is its derivation terms
-followed by its torus terms; sums of pairs use the same graded store.
+followed by its torus terms; sums of pairs use the same graded store.  A
+pair made by the kernel holds that store and reads it out the first time
+its der or torus is read; is_zero and the first nonzero coefficient walk it
+without reading it out.
 
 Two embeddings of the torus lattice are provided:
 
@@ -35,12 +38,13 @@ from .torus import TorusSpec
 
 
 class GElement(_Element):
-    __slots__ = ("der", "torus")
+    __slots__ = ("der", "torus", "_store")
 
     def __init__(self, spec: TorusSpec, der: DerElement = None, torus: TorusElement = None):
         self.spec = spec
         self.der = der if der is not None else DerElement.zero(spec)
         self.torus = torus if torus is not None else TorusElement.zero(spec)
+        self._store = None
         self._ring_form = None
         if self.der.spec != spec or self.torus.spec != spec:
             raise SpecMismatch("component specs differ from the pair spec")
@@ -53,24 +57,42 @@ class GElement(_Element):
     def from_torus(cls, a: TorusElement) -> "GElement":
         return cls(a.spec, torus=a)
 
+    @classmethod
+    def _read(cls, store) -> "GElement":
+        """The pair summed in a graded store.  It holds the store and leaves
+        der and torus unset until one of them is first read (__getattr__);
+        its spec is the store's, so the constructor's checks are not rerun."""
+        res = _new(cls)
+        res.spec = store.spec
+        res._store = store
+        res._ring_form = None
+        return res
+
+    def __getattr__(self, name):
+        # only reached for an unset slot, so a built pair reads der and torus
+        # at slot speed; a held store is read out into both and dropped
+        if name not in ("der", "torus") or self._store is None:
+            raise AttributeError(name)
+        torus, inner, witt = self._store.read()
+        self.der = DerElement._of(self.spec, inner, witt)
+        self.torus = TorusElement._of(self.spec, torus)
+        self._store = None
+        return getattr(self, name)
+
     def is_zero(self) -> bool:
+        if self._store is not None:
+            return self._store.first() is None
         return self.der.is_zero() and self.torus.is_zero()
+
+    def _first(self):
+        """The first nonzero coefficient in witness order; a held store is
+        walked in that order without being read out."""
+        if self._store is not None:
+            return self._store.first()
+        return super()._first()
 
     def _terms(self):
         return self.der._terms() + self.torus._terms()
-
-    @classmethod
-    def _read(cls, store) -> "GElement":
-        """The pair read out of a graded store; its components share the
-        store's spec, so the constructor's checks are not rerun."""
-        spec = store.spec
-        torus, inner, witt = store.read()
-        res = _new(cls)
-        res.spec = spec
-        res.der = DerElement._of(spec, inner, witt)
-        res.torus = TorusElement._of(spec, torus)
-        res._ring_form = None
-        return res
 
     def __neg__(self):
         return GElement(self.spec, -self.der, -self.torus)

@@ -431,10 +431,11 @@ def test_criterion_10_irreducibility_evidence():
 
 def test_criterion_11_search_round_trip():
     bad = []
-    # the decoy beta = (5, ..., 5) leaves no probe inside a box of radius 1
-    # or 2, so (iii) offers only the candidates of the search-iii benchmark
+    # on (iii) the decoy beta = (5, 5, 5) leaves no probe inside a box of
+    # radius 1 or 2 that can tell two characters apart, so the search must
+    # pass over it to the true beta instead of reporting it as found
     cases = [("(i)", (0, 1), 3, [[5, 5]]), ("(ii)", (1, 0), 3, [[5, 5]])] + [
-        ("(iii)", delta, radius, [])
+        ("(iii)", delta, radius, [[5, 5, 5]])
         for delta in ((0, 1, 1), (0, 1, -1), (-1, -1, 0), (1, -1, 0))
         for radius in (1, 2)
     ]

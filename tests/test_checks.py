@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from qtorus import algebra, checks, fmodule
+from qtorus import algebra, checks, cyclotomic, fmodule
 from qtorus.algebra import TorusElement
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.derivations import DerElement
 from qtorus.fmodule import ModuleSpec, TwistCharacter, intertwiner_check
 from qtorus.glmodules import GlModule, mat_scale, parse_module
-from qtorus.semidirect import GElement
+from qtorus.semidirect import GElement, gbracket
 from qtorus.torus import TorusSpec
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
@@ -125,6 +125,107 @@ def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch)
     monkeypatch.setattr(algebra, "_constants", mutant)
     row = _torus_copies_row()
     assert row["pass"] is False and row["defect"] != "0"
+
+
+def test_the_copies_check_reads_no_bracket_out(monkeypatch):
+    """Every bracket of the copies check is zero, and its witness is read off
+    the held store: past building the 49 copies, no component element is
+    made and no root counts are folded, while all 49**2 brackets are taken."""
+    calls = []
+    made = []
+    building = []
+    bracket = checks.gbracket
+    copy = checks.inner_minus
+
+    def counting(x, y):
+        calls.append(None)
+        return bracket(x, y)
+
+    def counting_copy(spec, a):
+        building.append(None)
+        try:
+            return copy(spec, a)
+        finally:
+            building.pop()
+
+    def counting_of(cls):
+        of = cls._of
+
+        def _of(_, *args):
+            if not building:
+                made.append(cls.__name__)
+            return of(*args)
+
+        monkeypatch.setattr(cls, "_of", classmethod(_of))
+
+    def fold(*args):
+        made.append("fold")
+        return cyclotomic._from_root_counts(*args)
+
+    monkeypatch.setattr(checks, "gbracket", counting)
+    monkeypatch.setattr(checks, "inner_minus", counting_copy)
+    counting_of(DerElement)
+    counting_of(TorusElement)
+    monkeypatch.setattr(algebra, "_from_root_counts", fold)
+    row = _torus_copies_row()
+    assert row["pass"] and row["samples"] == 49**2
+    assert len(calls) == 49**2
+    assert made == []
+
+
+def _lazy_and_eager_pairs():
+    """Seeded (lazy pair, its eager twin) over (i), (ii) and (iii): a
+    bracket of random pairs with coefficients of mixed conductor, and its
+    twin rebuilt from the opened components of a second bracket."""
+    rng = checks.sub_rng(20261019, "lazy")
+    for spec in (SPEC_I, SPEC_II, SPEC_III):
+        for _ in range(8):
+            x, y = (
+                checks._rand_pair_elt(rng, spec).scale(root_of_unity(rng.choice((1, 3, 8)), 1))
+                for _ in range(2)
+            )
+            twin = gbracket(x, y)
+            yield gbracket(x, y), GElement(spec, twin.der, twin.torus)
+
+
+def test_lazy_and_eager_witnesses_agree():
+    seen = 0
+    for lazy, eager in _lazy_and_eager_pairs():
+        assert lazy._store is not None
+        assert checks._first_coeff(lazy) == checks._first_coeff(eager)
+        assert lazy.is_zero() == eager.is_zero()
+        seen += not eager.is_zero()
+        assert lazy._store is not None
+    assert seen
+    # a store whose first components in witness order read nothing: an inner
+    # term at a radical degree, and counts 1 + zeta_4^2 = 0 at L = 4
+    spec = SPEC_III
+    store = algebra._Graded(
+        spec,
+        4,
+        1,
+        {
+            (algebra.TORUS, (1, 0, 0)): [0, 3, 0, 0],
+            (algebra.TORUS, (0, 0, 0)): [1, 0, 1, 0],
+            (algebra.INNER, (4, 0, 0)): [1, 0, 0, 0],
+            (algebra.WITT + 1, (0, 0, 0)): [0, 0, 0, 0],
+        },
+    )
+    lazy = GElement._read(store)
+    assert checks._first_coeff(lazy) == root_of_unity(4, 1) * 3
+    assert not lazy.is_zero()
+    eager = GElement(spec, lazy.der, lazy.torus)
+    assert eager.der.is_zero() and checks._first_coeff(eager) == root_of_unity(4, 1) * 3
+
+
+@pytest.mark.parametrize(
+    "read", [lambda z: z, GElement.to_json, GElement._form, repr], ids=["eq", "json", "form", "repr"]
+)
+def test_a_lazy_pair_reads_as_its_opened_twin_and_drops_its_store(read):
+    for lazy, eager in _lazy_and_eager_pairs():
+        assert lazy._store is not None
+        assert read(lazy) == read(eager)
+        assert lazy._store is None
 
 
 def test_the_first_coefficient_is_inner_then_witt_by_degree_and_index_then_torus():
