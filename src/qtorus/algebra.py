@@ -22,23 +22,26 @@ to the lcm by multiplying the indices.
 
 TorusElement, DerElement (qtorus.derivations) and GElement
 (qtorus.semidirect) are views on this one form and share one base, _Element.
-Each class lists its basis terms (_terms) and reads a store out (_read); the
-base builds the form on first use and holds it (_form), checks specs, and
-defines zero, + and -, the sum of a list of terms (_sum) and the one kernel
-entry, _bracket.  An element is never changed once built, so the form cannot
-go stale.
+Each class lists its basis terms (_terms) and opens a store into its fields
+(_open); the base holds the store and the form, checks specs, and defines
+zero, + and -, the sum of a list of terms (_sum) and the one kernel entry,
+_bracket.  An element is never changed once built, so the form cannot go
+stale.
 
 All sums go into one graded store (_Graded): (kind, degree) -> counts over
-Z/L at one denominator.  A component is reduced only when its element is
-first read, by the fold of CycNumber.from_root_counts, in the least
-Q(zeta_(L/g)) its indices need, against a conductor cap read once per
-read-out; zero components and inner terms at radical degrees are dropped
-there.  TorusElement and DerElement read their store out when they are
-made.  A GElement made by the kernel holds its store until one of its
-components is first read, and its first nonzero coefficient in witness
-order (_witness_key: inner, then Witt, then torus terms) is found by
-folding components in that order up to the first nonzero one (_Graded.first),
-so a bracket that is zero is never read out.
+Z/L at one denominator.  Every element made by the kernel holds its store
+until one of its fields is first read, and a component is reduced only
+then, by the fold of CycNumber.from_root_counts, in the least Q(zeta_(L/g))
+its indices need, against a conductor cap read once per read-out; zero
+components and inner terms at radical degrees are dropped there, and each
+value folded is kept with the store, so no component is folded twice.  The
+ring form of an element that holds its store comes straight off the
+store's counts (_Graded.form), with no fold: Z[Z/L] -> Q(zeta_L) is a ring
+map and _lift commutes with it, so sums, differences and nested brackets
+stay in the group ring.  The zero test and the first nonzero coefficient in
+witness order (_witness_key: inner, then Witt, then torus terms) fold
+components in that order up to the first nonzero one (_Graded.first), so a
+bracket that is zero is never read out.
 """
 
 from __future__ import annotations
@@ -95,29 +98,33 @@ def _constants(spec: TorusSpec, kx, a, ky, b, product):
 
 
 class _Graded:
-    """The graded store: (kind, degree) -> counts over Z/L, over one denominator."""
+    """The graded store: (kind, degree) -> counts over Z/L, over one
+    denominator, and the values of the components folded so far (folded)."""
 
-    __slots__ = ("spec", "L", "den", "sums")
+    __slots__ = ("spec", "L", "den", "sums", "folded")
 
     def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict):
         self.spec = spec
         self.L = L
         self.den = den
         self.sums = sums
+        self.folded = {}
 
     def _values(self, keys):
         """((kind, degree), value) for each of `keys` whose component reads
         nonzero, folded one at a time as the caller asks for the next; the
         conductor cap is read once, at the first component folded."""
-        spec, L, den, sums = self.spec, self.L, self.den, self.sums
+        spec, L, den, sums, folded = self.spec, self.L, self.den, self.sums, self.folded
         cap = None
         for key in keys:
-            counts = sums[key]
-            if not any(counts) or (key[0] == INNER and spec._radical_point(key[1])):
-                continue
-            if cap is None:
-                cap = max_conductor()
-            c = _from_root_counts(L, counts, den, cap)
+            c = folded.get(key)
+            if c is None:
+                counts = sums[key]
+                if not any(counts) or (key[0] == INNER and spec._radical_point(key[1])):
+                    continue
+                if cap is None:
+                    cap = max_conductor()
+                c = folded[key] = _from_root_counts(L, counts, den, cap)
             if not c.is_zero():
                 yield key, c
 
@@ -142,6 +149,18 @@ class _Graded:
             else:
                 witt.setdefault(deg, [_ZERO] * spec.d)[kind - WITT] = c
         return torus, inner, {r: tuple(u) for r, u in witt.items()}
+
+    def form(self):
+        """The ring form of the stored sum (see _flatten), read off the counts
+        without a fold: each component whose counts are not all zero, less
+        inner terms at radical degrees, as its nonzero (index, count) pairs."""
+        radical = self.spec._radical_point
+        ring = [
+            (kind, n, [(j, a) for j, a in enumerate(counts) if a])
+            for (kind, n), counts in self.sums.items()
+            if any(counts) and not (kind == INNER and radical(n))
+        ]
+        return self.L, self.den, ring
 
 
 def _flatten(spec: TorusSpec, terms):
@@ -221,11 +240,32 @@ def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
 
 class _Element:
     """What TorusElement, DerElement and GElement share: a spec, a sum of basis
-    terms (_terms, per class), its held ring form, and the sums and brackets
-    that go through the graded store.  Each class reads a store out with its
-    own _read."""
+    terms (_terms, per class), its held ring form and store, and the sums and
+    brackets that go through the graded store.  An element made by the
+    kernel holds its store (_read) with its fields unset, until the first
+    read of one of them opens the store into all of them (_open) and drops
+    it."""
 
-    __slots__ = ("spec", "_ring_form")
+    __slots__ = ("spec", "_ring_form", "_store")
+
+    @classmethod
+    def _read(cls, store):
+        """The element summed in a graded store, holding it; its spec is the
+        store's, so the constructor's checks are not rerun."""
+        res = _new(cls)
+        res.spec = store.spec
+        res._store = store
+        res._ring_form = None
+        return res
+
+    def __getattr__(self, name):
+        # only reached for an unset slot, so a built element reads its fields
+        # at slot speed; a held store is opened into them once and dropped
+        if name not in type(self).__slots__ or self._store is None:
+            raise AttributeError(name)
+        self._open(*self._store.read())
+        self._store = None
+        return getattr(self, name)
 
     @classmethod
     def _sum(cls, spec, terms):
@@ -237,15 +277,29 @@ class _Element:
         return cls(spec)
 
     def _form(self):
-        """The ring form of the element (see _flatten), built on first use."""
+        """The ring form of the element (see _flatten), built on first use:
+        off the held store's counts, or from the basis terms."""
         form = self._ring_form
         if form is None:
-            form = self._ring_form = _flatten(self.spec, self._terms())
+            store = self._store
+            form = store.form() if store is not None else _flatten(self.spec, self._terms())
+            self._ring_form = form
         return form
+
+    def is_zero(self) -> bool:
+        """True for the zero element.  A held store is walked in witness
+        order up to its first nonzero component; a built pair is zero when
+        both its parts are (TorusElement and DerElement test their dicts)."""
+        if self._store is not None:
+            return self._store.first() is None
+        return self.der.is_zero() and self.torus.is_zero()
 
     def _first(self):
         """The first nonzero coefficient in witness order (_witness_key), None
-        when the element is zero."""
+        when the element is zero; a held store is walked in that order
+        without being read out."""
+        if self._store is not None:
+            return self._store.first()
         term = min(self._terms(), key=_witness_key, default=None)
         return None if term is None else term[2]
 
@@ -262,11 +316,14 @@ class _Element:
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        L, den, ring = other._form()
+        return self._read(_combine(self.spec, self._form(), (L, den, _lift(ring, 1, -1))))
 
 
 def _bracket(x: _Element, y: _Element, out, product=False):
-    """[x, y] (x * y when `product`) read out as an element of class `out`."""
+    """[x, y] (x * y when `product`) as an element of class `out` holding its
+    store."""
     x._check(y)
     return out._read(_extend(x.spec, x._form(), y._form(), product))
 
@@ -284,6 +341,7 @@ class TorusElement(_Element):
                     data[spec._point(n)] = c
         self.terms = data
         self._ring_form = None
+        self._store = None
 
     @classmethod
     def monomial(cls, spec, n, coeff=1) -> "TorusElement":
@@ -300,16 +358,18 @@ class TorusElement(_Element):
         res.spec = spec
         res.terms = terms
         res._ring_form = None
+        res._store = None
         return res
 
-    @classmethod
-    def _read(cls, store) -> "TorusElement":
-        return cls._of(store.spec, store.read()[0])
+    def _open(self, torus, inner, witt):
+        self.terms = torus
 
     def _terms(self):
         return [(TORUS, n, c) for n, c in self.terms.items()]
 
     def is_zero(self) -> bool:
+        if self._store is not None:
+            return self._store.first() is None
         return not self.terms
 
     def support(self):

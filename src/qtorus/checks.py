@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Callable, NamedTuple
 
-from .algebra import TorusElement, is_central, tcomm, tmul
+from .algebra import INNER, TORUS, WITT, TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber
 from .derivations import DerElement, dact, dbracket, pairing
 from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
@@ -222,25 +222,31 @@ def _rand_coeff(rng, spec):
     )
 
 
+def _rand_torus_terms(rng, spec, nterms=2):
+    """The basis terms of a random torus element: nterms monomials."""
+    return [(TORUS, rand_point(rng, spec.d), _rand_coeff(rng, spec)) for _ in range(nterms)]
+
+
+def _rand_der_terms(rng, spec):
+    """The basis terms of a random derivation: one ad t^s (zero when s is
+    radical) and one Witt term at a radical degree."""
+    terms = [(INNER, rand_point(rng, spec.d, 2), _rand_coeff(rng, spec))]
+    u = [_rand_coeff(rng, spec) for _ in range(spec.d)]
+    r = rand_radical_point(rng, spec)
+    return terms + [(WITT + i, r, c) for i, c in enumerate(u)]
+
+
 def _rand_torus_elt(rng, spec, nterms=2):
-    out = TorusElement.zero(spec)
-    for _ in range(nterms):
-        out = out + TorusElement.monomial(
-            spec, rand_point(rng, spec.d), _rand_coeff(rng, spec)
-        )
-    return out
+    return TorusElement._sum(spec, _rand_torus_terms(rng, spec, nterms))
 
 
 def _rand_der(rng, spec):
-    x = DerElement.zero(spec)
-    x = x + DerElement.ad(spec, rand_point(rng, spec.d, 2), _rand_coeff(rng, spec))
-    u = [_rand_coeff(rng, spec) for _ in range(spec.d)]
-    x = x + DerElement.witt_term(spec, u, rand_radical_point(rng, spec))
-    return x
+    return DerElement._sum(spec, _rand_der_terms(rng, spec))
 
 
 def _rand_pair_elt(rng, spec):
-    return GElement(spec, _rand_der(rng, spec), _rand_torus_elt(rng, spec))
+    """A random pair: its derivation terms, then its torus terms."""
+    return GElement._sum(spec, _rand_der_terms(rng, spec) + _rand_torus_terms(rng, spec))
 
 
 def _first_nonzero(values):
@@ -459,15 +465,12 @@ def _untwisted_map_homomorphism(inst, rng):
     model = untwisted_spec(spec.d)
     xs = []
     for _ in range(2):
-        x0 = GElement.zero(model)
         r = rand_radical_point(rng, spec, 1)
         u = [_rand_coeff(rng, model) for _ in range(spec.d)]
-        x0 = x0 + GElement.from_der(DerElement.witt_term(model, u, r))
         s = rand_radical_point(rng, spec, 1)
-        x0 = x0 + GElement.from_torus(
-            TorusElement.monomial(model, s, _rand_coeff(rng, model))
-        )
-        xs.append(x0)
+        terms = [(WITT + i, r, c) for i, c in enumerate(u)]
+        terms.append((TORUS, s, _rand_coeff(rng, model)))
+        xs.append(GElement._sum(model, terms))
     return _first_coeff(untwisted_homomorphism_defect(spec, xs[0], xs[1]))
 
 

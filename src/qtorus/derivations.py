@@ -68,6 +68,7 @@ class DerElement(_Element):
         self.inner = {}
         self.witt = {}
         self._ring_form = None
+        self._store = None
         if inner:
             for s, c in inner.items():
                 s, c = spec._point(s), _as_coeff(c)
@@ -87,12 +88,12 @@ class DerElement(_Element):
         out.inner = inner
         out.witt = witt
         out._ring_form = None
+        out._store = None
         return out
 
-    @classmethod
-    def _read(cls, store) -> "DerElement":
-        _, inner, witt = store.read()
-        return cls._of(store.spec, inner, witt)
+    def _open(self, torus, inner, witt):
+        self.inner = inner
+        self.witt = witt
 
     def _terms(self):
         """The basis terms (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0."""
@@ -122,6 +123,8 @@ class DerElement(_Element):
     # -- vector-space structure -------------------------------------------
 
     def is_zero(self) -> bool:
+        if self._store is not None:
+            return self._store.first() is None
         return not self.inner and not self.witt
 
     def __neg__(self):

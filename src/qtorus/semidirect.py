@@ -9,9 +9,11 @@ gbracket computes it in one pass, as the bilinear extension of the
 basis-bracket table of the pair algebra (qtorus.algebra._constants) over the
 basis t^n, ad t^s and t^r d_i.  A pair's ring form is its derivation terms
 followed by its torus terms; sums of pairs use the same graded store.  A
-pair made by the kernel holds that store and reads it out the first time
-its der or torus is read; is_zero and the first nonzero coefficient walk it
-without reading it out.
+pair made by the kernel holds that store, as every element made there does
+(qtorus.algebra._Element), and opens it into der and torus the first time
+either is read; until then its ring form comes off the store's counts, and
+is_zero and the first nonzero coefficient walk the store without reading it
+out.
 
 Two embeddings of the torus lattice are provided:
 
@@ -31,14 +33,14 @@ canonical square root of sigma(r, r); degrees must lie in rad(f).
 
 from __future__ import annotations
 
-from .algebra import TorusElement, _bracket, _Element, _new
+from .algebra import TORUS, WITT, TorusElement, _bracket, _Element
 from .derivations import DerElement
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
 
 
 class GElement(_Element):
-    __slots__ = ("der", "torus", "_store")
+    __slots__ = ("der", "torus")
 
     def __init__(self, spec: TorusSpec, der: DerElement = None, torus: TorusElement = None):
         self.spec = spec
@@ -57,39 +59,9 @@ class GElement(_Element):
     def from_torus(cls, a: TorusElement) -> "GElement":
         return cls(a.spec, torus=a)
 
-    @classmethod
-    def _read(cls, store) -> "GElement":
-        """The pair summed in a graded store.  It holds the store and leaves
-        der and torus unset until one of them is first read (__getattr__);
-        its spec is the store's, so the constructor's checks are not rerun."""
-        res = _new(cls)
-        res.spec = store.spec
-        res._store = store
-        res._ring_form = None
-        return res
-
-    def __getattr__(self, name):
-        # only reached for an unset slot, so a built pair reads der and torus
-        # at slot speed; a held store is read out into both and dropped
-        if name not in ("der", "torus") or self._store is None:
-            raise AttributeError(name)
-        torus, inner, witt = self._store.read()
+    def _open(self, torus, inner, witt):
         self.der = DerElement._of(self.spec, inner, witt)
         self.torus = TorusElement._of(self.spec, torus)
-        self._store = None
-        return getattr(self, name)
-
-    def is_zero(self) -> bool:
-        if self._store is not None:
-            return self._store.first() is None
-        return self.der.is_zero() and self.torus.is_zero()
-
-    def _first(self):
-        """The first nonzero coefficient in witness order; a held store is
-        walked in that order without being read out."""
-        if self._store is not None:
-            return self._store.first()
-        return super()._first()
 
     def _terms(self):
         return self.der._terms() + self.torus._terms()
@@ -193,13 +165,13 @@ def map_untwisted(spec: TorusSpec, x0: GElement) -> GElement:
         raise SpecMismatch("source element must live over the untwisted model")
     if x0.der.inner:
         raise SpecMismatch("untwisted elements have no inner terms")
-    der = DerElement.zero(spec)
-    for r, scale, u in _scaled_terms(spec, x0.der.witt.items()):
-        der = der + DerElement.witt_term(spec, [scale * ui for ui in u], r)
-    torus = TorusElement.zero(spec)
-    for s, scale, c in _scaled_terms(spec, x0.torus.terms.items()):
-        torus = torus + TorusElement.monomial(spec, s, scale * c)
-    return GElement(spec, der, torus)
+    der = [
+        (WITT + i, r, scale * ui)
+        for r, scale, u in _scaled_terms(spec, x0.der.witt.items())
+        for i, ui in enumerate(u)
+    ]
+    torus = [(TORUS, s, scale * c) for s, scale, c in _scaled_terms(spec, x0.torus.terms.items())]
+    return GElement(spec, DerElement._sum(spec, der), TorusElement._sum(spec, torus))
 
 
 def untwisted_homomorphism_defect(spec: TorusSpec, x0: GElement, y0: GElement) -> GElement:

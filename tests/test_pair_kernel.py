@@ -11,6 +11,14 @@ coefficients lie in different cyclotomic fields (so one or both are lifted
 to the common conductor), and elements made by neg, scale, grade,
 decompose and sums from operands that were already bracketed.
 
+A third test builds nested expressions from elements made by the kernel,
+which hold their stores, so every operand after the first level enters as a
+ring form taken off a store's unreduced counts: brackets of brackets, sums,
+differences, the random draws of the lie checks, brackets that land on an
+inner term at a radical degree, and a hand-made store whose counts partly
+read zero.  The Jacobi-type lie checks then read no store out at all, and a
+zero test followed by a read folds each component once.
+
 Every kernel entry and every sum shares one spec check, and a sum of two
 different element classes is refused.
 """
@@ -19,12 +27,14 @@ import operator
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import _pair_oracle as oracle
 import pytest
 
-from qtorus.algebra import TorusElement, tcomm, tmul
-from qtorus.cyclotomic import root_of_unity
+from qtorus import algebra, checks
+from qtorus.algebra import INNER, TORUS, WITT, TorusElement, tcomm, tmul
+from qtorus.cyclotomic import _as_coeff, root_of_unity
 from qtorus.derivations import DerElement, dact, dbracket
 from qtorus.errors import SpecMismatch
 from qtorus.semidirect import GElement, decompose, gbracket, untwisted_spec
@@ -212,3 +222,196 @@ def test_a_sum_of_two_element_classes_is_a_type_error():
         for op in (operator.add, operator.sub):
             with pytest.raises(TypeError):
                 op(_one(kx, spec), _one(ky, spec))
+
+
+# -- nested expressions of elements that hold their stores ----------------------
+
+LAZY_ENTRIES = (
+    (tmul, oracle.tmul, "torus", "torus", "torus"),
+    (tcomm, oracle.tcomm, "torus", "torus", "torus"),
+    (dact, oracle.dact, "der", "torus", "torus"),
+    (dbracket, oracle.dbracket, "der", "der", "der"),
+    (gbracket, oracle.gbracket, "pair", "pair", "pair"),
+)
+LAZY_STEPS = 60
+MAX_DEPTH = 2  # the deeper operand of a step; the other one is a leaf
+
+
+def _oracle_sum(spec, kind, parts):
+    """The oracle's sum of (sign, value) parts of one class."""
+    if kind == "torus":
+        return oracle.torus_sum(spec, *parts)
+    if kind == "der":
+        return oracle.der_sum(spec, *parts)
+    der = oracle.der_sum(spec, *((sign, x.der) for sign, x in parts))
+    return GElement(spec, der, oracle.torus_sum(spec, *((sign, x.torus) for sign, x in parts)))
+
+
+def _term_value(spec, kind, n, c):
+    """One basis term (kind, degree, coefficient) as a built pair."""
+    if kind == TORUS:
+        return GElement(spec, torus=TorusElement(spec, {n: c}))
+    if kind == INNER:
+        return GElement(spec, DerElement(spec, inner={n: c}))
+    return GElement(spec, DerElement(spec, witt={n: [c if i == kind - WITT else 0 for i in range(spec.d)]}))
+
+
+def _draws(rng, spec):
+    """The lie checks' random draws, each made by one _sum, with the sums of
+    their terms replayed through the oracle."""
+    def pair_terms(r, s):
+        return checks._rand_der_terms(r, s) + checks._rand_torus_terms(r, s)
+
+    for kind, draw, terms in (
+        ("torus", checks._rand_torus_elt, checks._rand_torus_terms),
+        ("der", checks._rand_der, checks._rand_der_terms),
+        ("pair", checks._rand_pair_elt, pair_terms),
+    ):
+        state = rng.getstate()
+        x = draw(rng, spec)
+        rng.setstate(state)
+        value = _oracle_sum(spec, "pair", [(1, _term_value(spec, *t)) for t in terms(rng, spec)])
+        yield kind, x, {"torus": value.torus, "der": value.der, "pair": value}[kind]
+
+
+def _at_radical_degrees(rng, spec):
+    """Elements whose stores hold nonzero counts at an inner key of a radical
+    degree r, which reads zero: sums with ad t^r among their terms, each then
+    bracketed with a leaf, and the bracket of ad t^s with ad t^(r - s)."""
+    r, s = _radical_point(rng, spec), _point(rng, spec.d)
+    kinds = (INNER, r), (INNER, s), (WITT, r), (TORUS, r)
+    terms = [(kind, n, _as_coeff(_coeff(rng, spec))) for kind, n in kinds]
+    value = _oracle_sum(spec, "pair", [(1, _term_value(spec, *t)) for t in terms])
+    w, p = DerElement._sum(spec, terms[:3]), GElement._sum(spec, terms)
+    assert any(w._store.sums[INNER, r]) and any(p._store.sums[INNER, r])
+    y, a = _element(rng, spec), _element(rng, spec, 8)
+    yield "der", w, value.der, 1
+    yield "pair", p, value, 1
+    yield "der", dbracket(w, y.der), oracle.dbracket(value.der, y.der), 2
+    yield "torus", dact(w, a.torus), oracle.dact(value.der, a.torus), 2
+    yield "pair", gbracket(a, p), oracle.gbracket(a, value), 2
+    x = DerElement.ad(spec, s, _coeff(rng, spec))
+    y = DerElement.ad(spec, tuple(ri - si for ri, si in zip(r, s)), _coeff(rng, spec))
+    yield "der", dbracket(x, y), oracle.dbracket(x, y), 1
+
+
+def _zero_reading_store(spec):
+    """A hand-made pair store over den 2 whose counts partly read zero:
+    1 + zeta_4^2 at a torus key, zeta_4 + zeta_4^3 at a Witt key, and an
+    inner key at a radical degree."""
+    L = lcm(4, spec.N)
+
+    def counts(*pairs):
+        out = [0] * L
+        for j, a in pairs:
+            out[j * L // 4] += a
+        return out
+
+    origin, r = (0,) * spec.d, spec.radical().basis[0]
+    e = (1,) + origin[1:]
+    sums = {
+        (TORUS, origin): counts((0, 1), (2, 1)),
+        (WITT, r): counts((1, 1), (3, 1)),
+        (INNER, r): counts((0, 5)),
+        (TORUS, e): counts((1, 3)),
+        (INNER, e): counts((0, 1), (1, -1)),
+        (WITT + spec.d - 1, origin): counts((0, 2), (1, 1)),
+    }
+    x = GElement._read(algebra._Graded(spec, L, 2, sums))
+    twin = GElement._read(x._store)  # read out in x's place, so x holds its store
+    return x, GElement(spec, twin.der, twin.torus)
+
+
+def _pick(rng, items, deep):
+    return rng.choice([item for item in items if item[2] <= (MAX_DEPTH if deep else 0)])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_nested_expressions_of_held_stores_match_the_oracle(name):
+    spec = SPECS[name]
+    rng = random.Random(f"pair-kernel-lazy:{name}")
+    pool = {"torus": [], "der": [], "pair": []}  # (element, oracle value, depth)
+    for order in (None, None, 8, 3):
+        x = _element(rng, spec, order)
+        pool["pair"].append((x, x, 0))
+        pool["der"].append((x.der, x.der, 0))
+        pool["torus"].append((x.torus, x.torus, 0))
+    for _ in range(2):
+        for kind, x, value in _draws(rng, spec):
+            pool[kind].append((x, value, 0))
+        for kind, x, value, depth in _at_radical_degrees(rng, spec):
+            pool[kind].append((x, value, depth))
+    pool["pair"].append((*_zero_reading_store(spec), 1))
+    for _ in range(LAZY_STEPS):
+        op = rng.randrange(len(LAZY_ENTRIES) + 2)
+        deep = rng.randrange(2)
+        if op < len(LAZY_ENTRIES):
+            kernel, ref, kx, ky, kind = LAZY_ENTRIES[op]
+            x, vx, dx = _pick(rng, pool[kx], deep)
+            y, vy, dy = _pick(rng, pool[ky], not deep)
+            z, value = kernel(x, y), ref(vx, vy)
+        else:
+            kind = rng.choice(sorted(pool))
+            x, vx, dx = _pick(rng, pool[kind], deep)
+            y, vy, dy = _pick(rng, pool[kind], True)
+            sign = 1 if op == len(LAZY_ENTRIES) else -1
+            z = x + y if sign > 0 else x - y
+            value = _oracle_sum(spec, kind, [(1, vx), (sign, vy)])
+        pool[kind].append((z, value, max(dx, dy) + 1))
+    for items in pool.values():
+        for x, value, depth in items:
+            if depth:
+                assert x._store is not None  # nothing made by the kernel was read out
+            _same(x, value)
+
+
+def _count_reads_and_folds(monkeypatch):
+    calls = []
+    read, fold = algebra._Graded.read, algebra._from_root_counts
+
+    def counted_read(store):
+        calls.append(("read", id(store)))
+        return read(store)
+
+    def counted_fold(L, counts, den, cap):
+        calls.append(("fold", id(counts)))
+        return fold(L, counts, den, cap)
+
+    monkeypatch.setattr(algebra._Graded, "read", counted_read)
+    monkeypatch.setattr(algebra, "_from_root_counts", counted_fold)
+    return calls
+
+
+JACOBI_TYPE = (
+    "torus_associativity",
+    "torus_commutator_jacobi",
+    "derivation_leibniz",
+    "derivation_jacobi",
+    "pair_jacobi",
+)
+
+
+def test_the_jacobi_type_checks_read_no_store_out(monkeypatch):
+    calls = _count_reads_and_folds(monkeypatch)
+    inst = checks._Instance("iii", SPECS["iii"], 200)
+    rows = [checks._run_check(c, inst, 1) for c in checks.CHECKS if c.name in JACOBI_TYPE]
+    assert [row["check"] for row in rows] == list(JACOBI_TYPE)
+    assert all(row["pass"] and row["samples"] == 200 for row in rows)
+    assert calls == []
+
+
+def test_a_zero_test_then_a_read_folds_each_component_once(monkeypatch):
+    spec = SPECS["iii"]
+    rng = random.Random("pair-kernel-fold-once")
+    z = gbracket(checks._rand_pair_elt(rng, spec), checks._rand_pair_elt(rng, spec))
+    live = [
+        counts
+        for (kind, n), counts in z._store.sums.items()
+        if any(counts) and not (kind == INNER and spec._radical_point(n))
+    ]
+    calls = _count_reads_and_folds(monkeypatch)
+    assert not z.is_zero()
+    assert 0 < len(calls) < len(live)  # the zero test stops at the first nonzero one
+    z.der
+    folds = [key for op, key in calls if op == "fold"]
+    assert sorted(folds) == sorted(map(id, live))
