@@ -1,7 +1,7 @@
 """Elements of the quantum torus, and the one bracket kernel of the pair algebra.
 
 A TorusElement is a finite sum  sum_n  c_n * t^n  with cyclotomic
-coefficients, stored sparsely as {lattice point: coefficient}.  The product
+coefficients, read as {lattice point: coefficient} (its terms).  The product
 twists by the cocycle:  t^n * t^m = sigma(n, m) * t^(n+m).
 
 Every product, bracket and sum of the pair algebra Der(C_q) + C_q is computed
@@ -21,27 +21,27 @@ counts by k L/N.  When the two operands' L differ, _extend lifts one or both
 to the lcm by multiplying the indices.
 
 TorusElement, DerElement (qtorus.derivations) and GElement
-(qtorus.semidirect) are views on this one form and share one base, _Element.
-Each class lists its basis terms (_terms) and opens a store into its fields
-(_open); the base holds the store and the form, checks specs, and defines
-zero, + and -, the sum of a list of terms (_sum) and the one kernel entry,
-_bracket.  An element is never changed once built, so the form cannot go
-stale.
+(qtorus.semidirect) share one base, _Element, and one representation: the
+graded store (_Graded) of the element's basis terms, (kind, degree) ->
+counts over Z/L at one denominator.  A constructor validates its terms and
+stores them with their coefficients as the components' values (_init); the
+kernel and every sum return an element holding the store they filled
+(_read).  The class's fields (terms; inner and witt; der and torus) are
+views, opened from the store when one is first read (_open); the store is
+kept.  The base defines zero, is_zero, +, -, unary -, scale and == once, on
+the store and its ring form.  Elements are never changed once built.
 
-All sums go into one graded store (_Graded): (kind, degree) -> counts over
-Z/L at one denominator.  Every element made by the kernel holds its store
-until one of its fields is first read, and a component is reduced only
-then, by the fold of CycNumber.from_root_counts, in the least Q(zeta_(L/g))
-its indices need, against a conductor cap read once per read-out; zero
-components and inner terms at radical degrees are dropped there, and each
-value folded is kept with the store, so no component is folded twice.  The
-ring form of an element that holds its store comes straight off the
-store's counts (_Graded.form), with no fold: Z[Z/L] -> Q(zeta_L) is a ring
-map and _lift commutes with it, so sums, differences and nested brackets
-stay in the group ring.  The zero test and the first nonzero coefficient in
-witness order (_witness_key: inner, then Witt, then torus terms) fold
-components in that order up to the first nonzero one (_Graded.first), so a
-bracket that is zero is never read out.
+A component is folded only when a value is asked for, by the fold of
+CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need,
+against a conductor cap read once per walk; zero components and inner terms
+at radical degrees are dropped there, and each value folded is kept with the
+store.  The ring form comes off the store's counts (_Graded.form), with no
+fold: Z[Z/L] -> Q(zeta_L) is a ring map that _lift commutes with, so sums,
+scalings and nested brackets stay in the group ring; a component already
+folded gives its value instead.  The zero test and the first nonzero
+coefficient in witness order (_witness_key: inner, then Witt, then torus
+terms) fold components in that order up to the first nonzero one
+(_Graded.first), once per store, so a zero bracket is never read out.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ TORUS, INNER, WITT = 0, 1, 2  # basis kinds; WITT + i is the term t^r d_i
 
 _new = object.__new__
 _ZERO = CycNumber.zero()
+_UNSET = object()
 
 
 def _witness_key(term):
@@ -99,16 +100,24 @@ def _constants(spec: TorusSpec, kx, a, ky, b, product):
 
 class _Graded:
     """The graded store: (kind, degree) -> counts over Z/L, over one
-    denominator, and the values of the components folded so far (folded)."""
+    denominator, the values of the components folded so far (folded) and the
+    first nonzero value in witness order once it is known (lead)."""
 
-    __slots__ = ("spec", "L", "den", "sums", "folded")
+    __slots__ = ("spec", "L", "den", "sums", "folded", "lead")
 
-    def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict):
+    def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict, folded=None):
         self.spec = spec
         self.L = L
         self.den = den
         self.sums = sums
-        self.folded = {}
+        self.folded = {} if folded is None else folded
+        self.lead = _UNSET
+
+    def part(self, torus: bool) -> "_Graded":
+        """The store of the torus components (of the derivation components
+        when not `torus`), sharing this store's counts and folded values."""
+        sums = {key: counts for key, counts in self.sums.items() if (key[0] == TORUS) == torus}
+        return _Graded(self.spec, self.L, self.den, sums, self.folded)
 
     def _values(self, keys):
         """((kind, degree), value) for each of `keys` whose component reads
@@ -130,12 +139,17 @@ class _Graded:
 
     def first(self):
         """The first nonzero value in witness order (_witness_key), None when
-        every component reads zero; the walk stops there."""
-        keys = [key for key, counts in self.sums.items() if any(counts)]
-        keys.sort(key=_witness_key)
-        for _, c in self._values(keys):
-            return c
-        return None
+        every component reads zero; the walk stops there, and is made once."""
+        lead = self.lead
+        if lead is _UNSET:
+            lead = None
+            keys = [key for key, counts in self.sums.items() if any(counts)]
+            if keys:
+                keys.sort(key=_witness_key)
+                for _, lead in self._values(keys):
+                    break
+            self.lead = lead
+        return lead
 
     def read(self):
         """(torus terms, inner terms, witt vectors) of the nonzero components."""
@@ -151,16 +165,19 @@ class _Graded:
         return torus, inner, {r: tuple(u) for r, u in witt.items()}
 
     def form(self):
-        """The ring form of the stored sum (see _flatten), read off the counts
-        without a fold: each component whose counts are not all zero, less
-        inner terms at radical degrees, as its nonzero (index, count) pairs."""
-        radical = self.spec._radical_point
-        ring = [
-            (kind, n, [(j, a) for j, a in enumerate(counts) if a])
-            for (kind, n), counts in self.sums.items()
-            if any(counts) and not (kind == INNER and radical(n))
-        ]
-        return self.L, self.den, ring
+        """The ring form of the stored sum (see _flatten), less inner terms at
+        radical degrees: each component's nonzero counts, with no fold, or
+        its value, as _flatten gives a coefficient, once it is folded."""
+        L, den, folded, radical = self.L, self.den, self.folded, self.spec._radical_point
+        ring = []
+        for (kind, n), counts in self.sums.items():
+            if any(counts) and not (kind == INNER and radical(n)):
+                c = folded.get((kind, n))
+                s, t, num = (1, 1, counts) if c is None else (L // c.M, den // c.den, c.num)
+                pairs = [(j * s, a * t) for j, a in enumerate(num) if a]
+                if pairs:
+                    ring.append((kind, n, pairs))
+        return L, den, ring
 
 
 def _flatten(spec: TorusSpec, terms):
@@ -205,6 +222,24 @@ def _combine(spec: TorusSpec, *forms) -> _Graded:
     return _Graded(spec, L, den, sums)
 
 
+def _join(spec: TorusSpec, stores) -> _Graded:
+    """The store of the sum of stores over disjoint (kind, degree) keys: one
+    store is its own; counts are shared when L and den agree, else lifted,
+    and the values folded for each store's own keys are kept (a part shares
+    its whole's folded values, other keys' included: see _Graded.part)."""
+    if len(stores) == 1:
+        return stores[0]
+    if len({(s.L, s.den) for s in stores}) == 1:
+        joined = _Graded(spec, stores[0].L, stores[0].den, {})
+        for s in stores:
+            joined.sums.update(s.sums)
+    else:
+        joined = _combine(spec, _flatten(spec, ()), *(s.form() for s in stores))
+    for s in stores:
+        joined.folded.update((key, s.folded[key]) for key in s.sums if key in s.folded)
+    return joined
+
+
 def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
     """The graded store of [x, y] (x * y when `product`) for x and y given by
     their ring forms; an operand is lifted only when the two L differ."""
@@ -239,14 +274,22 @@ def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
 
 
 class _Element:
-    """What TorusElement, DerElement and GElement share: a spec, a sum of basis
-    terms (_terms, per class), its held ring form and store, and the sums and
-    brackets that go through the graded store.  An element made by the
-    kernel holds its store (_read) with its fields unset, until the first
-    read of one of them opens the store into all of them (_open) and drops
-    it."""
+    """What TorusElement, DerElement and GElement share: a spec, the graded
+    store of the basis terms, its ring form, and the vector-space structure
+    on them.  The class's fields (terms; inner and witt; der and torus) are
+    views: the first read of one opens the store into them (_open)."""
 
     __slots__ = ("spec", "_ring_form", "_store")
+
+    def _init(self, spec, terms):
+        """Set a built element up: the store of its validated basis terms
+        (kind, degree, coefficient), each (kind, degree) once, with their
+        coefficients kept as the values of their components."""
+        self.spec = spec
+        self._ring_form = None
+        self._store = store = _combine(spec, _flatten(spec, terms))
+        for kind, n, c in terms:
+            store.folded[kind, n] = c
 
     @classmethod
     def _read(cls, store):
@@ -259,12 +302,10 @@ class _Element:
         return res
 
     def __getattr__(self, name):
-        # only reached for an unset slot, so a built element reads its fields
-        # at slot speed; a held store is opened into them once and dropped
-        if name not in type(self).__slots__ or self._store is None:
+        # only reached for an unset slot, so an opened view reads at slot speed
+        if name not in type(self).__slots__:
             raise AttributeError(name)
-        self._open(*self._store.read())
-        self._store = None
+        self._open(self._store)
         return getattr(self, name)
 
     @classmethod
@@ -277,31 +318,22 @@ class _Element:
         return cls(spec)
 
     def _form(self):
-        """The ring form of the element (see _flatten), built on first use:
-        off the held store's counts, or from the basis terms."""
+        """The ring form of the element (see _flatten), taken off its store
+        on first use."""
         form = self._ring_form
         if form is None:
-            store = self._store
-            form = store.form() if store is not None else _flatten(self.spec, self._terms())
-            self._ring_form = form
+            form = self._ring_form = self._store.form()
         return form
 
     def is_zero(self) -> bool:
-        """True for the zero element.  A held store is walked in witness
-        order up to its first nonzero component; a built pair is zero when
-        both its parts are (TorusElement and DerElement test their dicts)."""
-        if self._store is not None:
-            return self._store.first() is None
-        return self.der.is_zero() and self.torus.is_zero()
+        """True for the zero element: the store is walked in witness order up
+        to its first nonzero component."""
+        return self._store.first() is None
 
     def _first(self):
         """The first nonzero coefficient in witness order (_witness_key), None
-        when the element is zero; a held store is walked in that order
-        without being read out."""
-        if self._store is not None:
-            return self._store.first()
-        term = min(self._terms(), key=_witness_key, default=None)
-        return None if term is None else term[2]
+        when the element is zero, walked off the store without a read-out."""
+        return self._store.first()
 
     def _check(self, other):
         if self.spec != other.spec:
@@ -320,6 +352,28 @@ class _Element:
         L, den, ring = other._form()
         return self._read(_combine(self.spec, self._form(), (L, den, _lift(ring, 1, -1))))
 
+    def __neg__(self):
+        L, den, ring = self._form()
+        return self._read(_combine(self.spec, (L, den, _lift(ring, 1, -1))))
+
+    def scale(self, c):
+        """c times the element: its counts times c's numerators, over den * c.den."""
+        c = _as_coeff(c)
+        L, den, ring = self._form()
+        M = lcm(L, c.M)
+        s, t = M // L, M // c.M
+        cs = [(i * t, b) for i, b in enumerate(c.num) if b]
+        ring = [
+            (kind, n, [((j * s + i) % M, a * b) for j, a in pairs for i, b in cs])
+            for kind, n, pairs in ring
+        ]
+        return self._read(_combine(self.spec, (M, den * c.den, ring)))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.spec == other.spec and (self - other).is_zero()
+
 
 def _bracket(x: _Element, y: _Element, out, product=False):
     """[x, y] (x * y when `product`) as an element of class `out` holding its
@@ -332,16 +386,8 @@ class TorusElement(_Element):
     __slots__ = ("terms",)
 
     def __init__(self, spec: TorusSpec, terms=None):
-        self.spec = spec
-        data = {}
-        if terms:
-            for n, c in terms.items():
-                c = _as_coeff(c)
-                if not c.is_zero():
-                    data[spec._point(n)] = c
-        self.terms = data
-        self._ring_form = None
-        self._store = None
+        coeffs = ((n, _as_coeff(c)) for n, c in (terms or {}).items())
+        self._init(spec, [(TORUS, spec._point(n), c) for n, c in coeffs if not c.is_zero()])
 
     @classmethod
     def monomial(cls, spec, n, coeff=1) -> "TorusElement":
@@ -351,37 +397,11 @@ class TorusElement(_Element):
     def one(cls, spec) -> "TorusElement":
         return cls.monomial(spec, (0,) * spec.d)
 
-    @classmethod
-    def _of(cls, spec, terms) -> "TorusElement":
-        """An element from terms already validated and nonzero."""
-        res = _new(cls)
-        res.spec = spec
-        res.terms = terms
-        res._ring_form = None
-        res._store = None
-        return res
-
-    def _open(self, torus, inner, witt):
-        self.terms = torus
-
-    def _terms(self):
-        return [(TORUS, n, c) for n, c in self.terms.items()]
-
-    def is_zero(self) -> bool:
-        if self._store is not None:
-            return self._store.first() is None
-        return not self.terms
+    def _open(self, store):
+        self.terms = store.read()[0]
 
     def support(self):
         return sorted(self.terms)
-
-    def __neg__(self):
-        return TorusElement._of(self.spec, {n: -c for n, c in self.terms.items()})
-
-    def scale(self, c) -> "TorusElement":
-        c = _as_coeff(c)
-        terms = {n: c * v for n, v in self.terms.items()} if not c.is_zero() else {}
-        return TorusElement._of(self.spec, terms)
 
     def __mul__(self, other):
         """Twisted product; scalars also accepted."""
@@ -389,13 +409,7 @@ class TorusElement(_Element):
             return tmul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+    __rmul__ = _Element.scale
 
     def __repr__(self):
         if not self.terms:
@@ -426,16 +440,10 @@ def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
 def is_central(a: TorusElement) -> bool:
     """True iff the support sits inside rad(f); cross-checked against the
     generator monomials actually commuting with the element."""
-    by_support = all(a.spec.in_radical(n) for n in a.terms)
-    by_comm = True
-    for i in range(a.spec.d):
-        for sign in (1, -1):
-            g = TorusElement.monomial(a.spec, tuple(sign if j == i else 0 for j in range(a.spec.d)))
-            if not tcomm(a, g).is_zero():
-                by_comm = False
-                break
-        if not by_comm:
-            break
+    spec, d = a.spec, a.spec.d
+    by_support = all(spec.in_radical(n) for n in a.terms)
+    units = (tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1))
+    by_comm = all(tcomm(a, TorusElement.monomial(spec, g)).is_zero() for g in units)
     if by_support != by_comm:
         raise AssertionError("centrality criteria disagree; spec data corrupt?")
     return by_support

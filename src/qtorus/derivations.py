@@ -23,14 +23,15 @@ and the action on the torus:
 dbracket and dact do not loop over these rules themselves.  A DerElement is
 the sum of the basis terms ad t^s and t^r d_i (witt(u, r) is the sum of
 u_i t^r d_i), and both are the bilinear extension of the one basis-bracket
-table of the pair algebra, qtorus.algebra._constants.  DerElement shares its
-ring form, sums and kernel entry with TorusElement and GElement through
-their base class in qtorus.algebra.
+table of the pair algebra, qtorus.algebra._constants.  Like TorusElement and
+GElement, a DerElement is its graded store (qtorus.algebra._Element): inner
+and witt are views opened from the store when first read, and its sums,
+negation, scaling, equality and kernel entry are the base class's.
 """
 
 from __future__ import annotations
 
-from .algebra import INNER, WITT, TorusElement, _bracket, _Element, _new
+from .algebra import INNER, WITT, TorusElement, _bracket, _Element
 from .cyclotomic import CycNumber, _as_coeff
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
@@ -64,43 +65,18 @@ class DerElement(_Element):
     __slots__ = ("inner", "witt")
 
     def __init__(self, spec: TorusSpec, inner=None, witt=None):
-        self.spec = spec
-        self.inner = {}
-        self.witt = {}
-        self._ring_form = None
-        self._store = None
-        if inner:
-            for s, c in inner.items():
-                s, c = spec._point(s), _as_coeff(c)
-                if not c.is_zero() and not spec._radical_point(s):
-                    self.inner[s] = c
-        if witt:
-            for r, u in witt.items():
-                r, u = _witt(spec, r, u)
-                if any(not x.is_zero() for x in u):
-                    self.witt[r] = u
-
-    @classmethod
-    def _of(cls, spec, inner, witt) -> "DerElement":
-        """An element from terms already validated, nonzero and non-radical."""
-        out = _new(cls)
-        out.spec = spec
-        out.inner = inner
-        out.witt = witt
-        out._ring_form = None
-        out._store = None
-        return out
-
-    def _open(self, torus, inner, witt):
-        self.inner = inner
-        self.witt = witt
-
-    def _terms(self):
-        """The basis terms (INNER, s, c) and (WITT + i, r, u_i) for u_i != 0."""
-        terms = [(INNER, s, c) for s, c in self.inner.items()]
-        for r, u in self.witt.items():
+        terms = []
+        for s, c in (inner or {}).items():
+            s, c = spec._point(s), _as_coeff(c)
+            if not c.is_zero() and not spec._radical_point(s):
+                terms.append((INNER, s, c))
+        for r, u in (witt or {}).items():
+            r, u = _witt(spec, r, u)
             terms += [(WITT + i, r, c) for i, c in enumerate(u) if not c.is_zero()]
-        return terms
+        self._init(spec, terms)
+
+    def _open(self, store):
+        _, self.inner, self.witt = store.read()
 
     # -- constructors ----------------------------------------------------
 
@@ -120,37 +96,12 @@ class DerElement(_Element):
         u[i] = 1
         return cls.witt_term(spec, u, (0,) * spec.d)
 
-    # -- vector-space structure -------------------------------------------
-
-    def is_zero(self) -> bool:
-        if self._store is not None:
-            return self._store.first() is None
-        return not self.inner and not self.witt
-
-    def __neg__(self):
-        inner = {s: -c for s, c in self.inner.items()}
-        witt = {r: tuple(-x for x in u) for r, u in self.witt.items()}
-        return DerElement._of(self.spec, inner, witt)
-
-    def scale(self, c) -> "DerElement":
-        c = _as_coeff(c)
-        if c.is_zero():
-            return DerElement._of(self.spec, {}, {})
-        inner = {s: c * v for s, v in self.inner.items()}
-        witt = {r: tuple(c * x for x in u) for r, u in self.witt.items()}
-        return DerElement._of(self.spec, inner, witt)
-
-    def __eq__(self, other):
-        if not isinstance(other, DerElement):
-            return NotImplemented
-        return self.spec == other.spec and self.inner == other.inner and self.witt == other.witt
-
     def grade(self, n) -> "DerElement":
         """Homogeneous component of lattice degree n."""
         n = self.spec._point(n)
         inner = {n: self.inner[n]} if n in self.inner else {}
         witt = {n: self.witt[n]} if n in self.witt else {}
-        return DerElement._of(self.spec, inner, witt)
+        return DerElement(self.spec, inner, witt)
 
     def degrees(self):
         return sorted(set(self.inner) | set(self.witt))

@@ -7,13 +7,12 @@ torus carrying its commutator bracket.  The bracket is
 
 gbracket computes it in one pass, as the bilinear extension of the
 basis-bracket table of the pair algebra (qtorus.algebra._constants) over the
-basis t^n, ad t^s and t^r d_i.  A pair's ring form is its derivation terms
-followed by its torus terms; sums of pairs use the same graded store.  A
-pair made by the kernel holds that store, as every element made there does
-(qtorus.algebra._Element), and opens it into der and torus the first time
-either is read; until then its ring form comes off the store's counts, and
-is_zero and the first nonzero coefficient walk the store without reading it
-out.
+basis t^n, ad t^s and t^r d_i.  A pair is its graded store, as every
+element is (qtorus.algebra._Element): a built pair joins the stores of its
+two components (_join), and der and torus are views that hold the store's
+two parts (_Graded.part), which share its counts and folded values, so no
+component is folded twice.  is_zero and the first nonzero coefficient walk
+the store without reading it out.
 
 Two embeddings of the torus lattice are provided:
 
@@ -33,7 +32,7 @@ canonical square root of sigma(r, r); degrees must lie in rad(f).
 
 from __future__ import annotations
 
-from .algebra import TORUS, WITT, TorusElement, _bracket, _Element
+from .algebra import TORUS, WITT, TorusElement, _bracket, _Element, _join
 from .derivations import DerElement
 from .errors import NotInRadical, SpecMismatch
 from .torus import TorusSpec
@@ -43,13 +42,13 @@ class GElement(_Element):
     __slots__ = ("der", "torus")
 
     def __init__(self, spec: TorusSpec, der: DerElement = None, torus: TorusElement = None):
+        stores = [x._store for x in (der, torus) if x is not None]
+        for store in stores:
+            if store.spec != spec:
+                raise SpecMismatch("component specs differ from the pair spec")
         self.spec = spec
-        self.der = der if der is not None else DerElement.zero(spec)
-        self.torus = torus if torus is not None else TorusElement.zero(spec)
-        self._store = None
         self._ring_form = None
-        if self.der.spec != spec or self.torus.spec != spec:
-            raise SpecMismatch("component specs differ from the pair spec")
+        self._store = _join(spec, stores)
 
     @classmethod
     def from_der(cls, x: DerElement) -> "GElement":
@@ -59,27 +58,9 @@ class GElement(_Element):
     def from_torus(cls, a: TorusElement) -> "GElement":
         return cls(a.spec, torus=a)
 
-    def _open(self, torus, inner, witt):
-        self.der = DerElement._of(self.spec, inner, witt)
-        self.torus = TorusElement._of(self.spec, torus)
-
-    def _terms(self):
-        return self.der._terms() + self.torus._terms()
-
-    def __neg__(self):
-        return GElement(self.spec, -self.der, -self.torus)
-
-    def scale(self, c) -> "GElement":
-        return GElement(self.spec, self.der.scale(c), self.torus.scale(c))
-
-    def __eq__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.der == other.der
-            and self.torus == other.torus
-        )
+    def _open(self, store):
+        self.der = DerElement._read(store.part(False))
+        self.torus = TorusElement._read(store.part(True))
 
     def __repr__(self):
         return f"({self.der!r} ; {self.torus!r})"
@@ -111,8 +92,7 @@ def inner_minus(spec: TorusSpec, a) -> GElement:
     """Second torus copy: t^n |-> (ad t^n, -t^n), extended linearly."""
     if not isinstance(a, TorusElement):
         a = TorusElement.monomial(spec, a)
-    inner = {s: c for s, c in a.terms.items() if not spec._radical_point(s)}
-    return GElement(spec, DerElement._of(spec, inner, {}), -a)
+    return GElement(spec, DerElement(spec, inner=a.terms), -a)
 
 
 def decompose(x: GElement):
@@ -122,8 +102,8 @@ def decompose(x: GElement):
     with  x == from_der(witt) + plain_torus(c1) + inner_minus(c2).
     """
     spec = x.spec
-    witt = DerElement._of(spec, {}, dict(x.der.witt))
-    c2 = TorusElement(spec, dict(x.der.inner))
+    witt = DerElement(spec, witt=x.der.witt)
+    c2 = TorusElement(spec, x.der.inner)
     c1 = x.torus + c2
     return {"witt": witt, "c1": c1, "c2": c2}
 
@@ -171,7 +151,7 @@ def map_untwisted(spec: TorusSpec, x0: GElement) -> GElement:
         for i, ui in enumerate(u)
     ]
     torus = [(TORUS, s, scale * c) for s, scale, c in _scaled_terms(spec, x0.torus.terms.items())]
-    return GElement(spec, DerElement._sum(spec, der), TorusElement._sum(spec, torus))
+    return GElement._sum(spec, der + torus)
 
 
 def untwisted_homomorphism_defect(spec: TorusSpec, x0: GElement, y0: GElement) -> GElement:

@@ -52,19 +52,13 @@ def _pairing(u, n):
     return out
 
 
-def _torus(spec, terms):
-    res = TorusElement(spec)
-    res.terms = terms
-    return res
-
-
 def torus_sum(spec, *parts):
     """sum of (sign, TorusElement) parts."""
     acc: dict = {}
     for sign, a in parts:
         for n, c in a.terms.items():
             _add(acc, n, c if sign > 0 else -c)
-    return _torus(spec, acc)
+    return TorusElement(spec, acc)
 
 
 def der_sum(spec, *parts):
@@ -76,10 +70,37 @@ def der_sum(spec, *parts):
             _add_inner(spec, inner, s, c if sign > 0 else -c)
         for r, u in x.witt.items():
             _add_witt(witt, r, u if sign > 0 else tuple(-c for c in u))
-    out = DerElement(spec)
-    out.inner = inner
-    out.witt = witt
-    return out
+    return DerElement(spec, inner, witt)
+
+
+def scale(x, c):
+    """c times a torus, derivation or pair element, one product per term."""
+    spec = x.spec
+    if isinstance(x, TorusElement):
+        acc: dict = {}
+        for n, v in x.terms.items():
+            _add(acc, n, c * v)
+        return TorusElement(spec, acc)
+    if isinstance(x, DerElement):
+        inner: dict = {}
+        witt: dict = {}
+        for s, v in x.inner.items():
+            _add_inner(spec, inner, s, c * v)
+        for r, u in x.witt.items():
+            _add_witt(witt, r, tuple(c * v for v in u))
+        return DerElement(spec, inner, witt)
+    return GElement(spec, scale(x.der, c), scale(x.torus, c))
+
+
+def equal(x, y) -> bool:
+    """x == y term by term: same class, same spec and equal coefficients."""
+    if type(x) is not type(y) or x.spec != y.spec:
+        return False
+    if isinstance(x, TorusElement):
+        return x.terms == y.terms
+    if isinstance(x, DerElement):
+        return x.inner == y.inner and x.witt == y.witt
+    return equal(x.der, y.der) and equal(x.torus, y.torus)
 
 
 def der_from_json(spec, obj) -> DerElement:
@@ -93,17 +114,14 @@ def der_from_json(spec, obj) -> DerElement:
         if not spec.in_radical(r):
             raise NotInRadical(f"witt degree {r} is not in rad(f)")
         _add_witt(witt, r, tuple(CycNumber.from_json(x) for x in row["u"]))
-    out = DerElement(spec)
-    out.inner = inner
-    out.witt = witt
-    return out
+    return DerElement(spec, inner, witt)
 
 
 def torus_from_json(spec, obj) -> TorusElement:
     acc: dict = {}
     for row in obj:
         _add(acc, spec._point(row["n"]), CycNumber.from_json(row["c"]))
-    return _torus(spec, acc)
+    return TorusElement(spec, acc)
 
 
 def tmul(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -114,7 +132,7 @@ def tmul(a: TorusElement, b: TorusElement) -> TorusElement:
     for n, cn in a.terms.items():
         for m, cm in b.terms.items():
             _add(acc, _shift(n, m), cn * cm * spec.sigma(n, m))
-    return _torus(spec, acc)
+    return TorusElement(spec, acc)
 
 
 def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -144,10 +162,7 @@ def dbracket(x: DerElement, y: DerElement) -> DerElement:
             w = tuple(sig * (cu * vi - cv * ui) for ui, vi in zip(u, v))
             if any(not t.is_zero() for t in w):
                 _add_witt(witt, _shift(r, r2), w)
-    out = DerElement(spec)
-    out.inner = inner
-    out.witt = witt
-    return out
+    return DerElement(spec, inner, witt)
 
 
 def dact(x: DerElement, a: TorusElement) -> TorusElement:
@@ -160,7 +175,7 @@ def dact(x: DerElement, a: TorusElement) -> TorusElement:
             _add(acc, _shift(s, n), cs * cn * (spec.sigma(s, n) - spec.sigma(n, s)))
         for r, u in x.witt.items():
             _add(acc, _shift(r, n), cn * _pairing(u, n) * spec.sigma(r, n))
-    return _torus(spec, acc)
+    return TorusElement(spec, acc)
 
 
 def gbracket(x: GElement, y: GElement) -> GElement:

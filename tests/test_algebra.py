@@ -153,6 +153,15 @@ def test_sums_and_products_read_each_term_at_its_own_conductor(monkeypatch):
     # sum is first read
     with pytest.raises(ConductorLimitExceeded, match="conductor 24 exceeds"):
         (x + TorusElement.monomial(SPEC_III, (1, 0, 0), root_of_unity(3, 1))).terms
+    # b reads zero but its store holds counts at indices 0, 4 and 8 of L = 12;
+    # once b is read, its form carries the folded zero, so the product with a
+    # zeta_8 term needs no conductor 24 (while b still holds its raw counts,
+    # the product is read at 24 and exceeds the cap)
+    w = TorusElement.monomial(SPEC_III, (0, 0, 0), root_of_unity(3, 1))
+    b = tmul(w, w) + TorusElement.one(SPEC_III) + w
+    assert b.terms == {}
+    z = tmul(TorusElement.monomial(SPEC_III, (0, 0, 0), root_of_unity(8, 1)), b)
+    assert z.is_zero() and z.terms == {}
 
 
 def test_coefficients_merge_and_cancel():

@@ -129,8 +129,9 @@ def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch)
 
 def test_the_copies_check_reads_no_bracket_out(monkeypatch):
     """Every bracket of the copies check is zero, and its witness is read off
-    the held store: past building the 49 copies, no component element is
-    made and no root counts are folded, while all 49**2 brackets are taken."""
+    the held store: past building the 49 copies, no store is read or opened
+    into its views and no root counts are folded, while all 49**2 brackets
+    are taken."""
     calls = []
     made = []
     building = []
@@ -148,15 +149,15 @@ def test_the_copies_check_reads_no_bracket_out(monkeypatch):
         finally:
             building.pop()
 
-    def counting_of(cls):
-        of = cls._of
+    def counting_method(cls, name):
+        method = getattr(cls, name)
 
-        def _of(_, *args):
+        def counted(*args):
             if not building:
-                made.append(cls.__name__)
-            return of(*args)
+                made.append(f"{cls.__name__}.{name}")
+            return method(*args)
 
-        monkeypatch.setattr(cls, "_of", classmethod(_of))
+        monkeypatch.setattr(cls, name, counted)
 
     def fold(*args):
         made.append("fold")
@@ -164,8 +165,9 @@ def test_the_copies_check_reads_no_bracket_out(monkeypatch):
 
     monkeypatch.setattr(checks, "gbracket", counting)
     monkeypatch.setattr(checks, "inner_minus", counting_copy)
-    counting_of(DerElement)
-    counting_of(TorusElement)
+    counting_method(algebra._Graded, "read")
+    for cls in (TorusElement, DerElement, GElement):
+        counting_method(cls, "_open")
     monkeypatch.setattr(algebra, "_from_root_counts", fold)
     row = _torus_copies_row()
     assert row["pass"] and row["samples"] == 49**2
@@ -225,17 +227,16 @@ def _form_value(z):
 
 
 @pytest.mark.parametrize(
-    "read, keeps",
-    [(lambda z: z, False), (GElement.to_json, False), (_form_value, True), (repr, False)],
+    "read",
+    [lambda z: z, GElement.to_json, _form_value, repr],
     ids=["eq", "json", "form", "repr"],
 )
-def test_a_lazy_pair_reads_as_its_opened_twin_and_drops_its_store(read, keeps):
-    # every read-out opens the store and drops it; the ring form is taken
-    # off the store without a fold, and the store is kept
+def test_a_lazy_pair_reads_as_its_opened_twin_and_keeps_its_store(read):
+    # a read opens the store into the views and keeps it
     for lazy, eager in _lazy_and_eager_pairs():
-        assert lazy._store is not None
+        store = lazy._store
         assert read(lazy) == read(eager)
-        assert (lazy._store is not None) == keeps
+        assert lazy._store is store
 
 
 def test_the_first_coefficient_is_inner_then_witt_by_degree_and_index_then_torus():

@@ -16,8 +16,11 @@ which hold their stores, so every operand after the first level enters as a
 ring form taken off a store's unreduced counts: brackets of brackets, sums,
 differences, the random draws of the lie checks, brackets that land on an
 inner term at a radical degree, and a hand-made store whose counts partly
-read zero.  The Jacobi-type lie checks then read no store out at all, and a
-zero test followed by a read folds each component once.
+read zero.  The Jacobi-type lie checks and the commutation rule then read no
+store out at all, and a zero test followed by a read folds each component
+once.  scale, unary - and ==, written once for the three classes on the
+store, are compared with the oracle on built elements and on held stores of
+another L.
 
 Every kernel entry and every sum shares one spec check, and a sum of two
 different element classes is refused.
@@ -365,6 +368,64 @@ def test_nested_expressions_of_held_stores_match_the_oracle(name):
             _same(x, value)
 
 
+SCALARS = (root_of_unity(8, 1), root_of_unity(3, 1), Fraction(3, 2), 0)
+
+
+def _classes(z, value):
+    """(element, oracle value) for a pair and for its two components."""
+    return [(z, value), (z.der, value.der), (z.torus, value.torus)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_scale_neg_and_eq_match_the_oracle(name):
+    """The base class's scale, - and ==, written once on the store, on the
+    three classes: built elements, and held stores whose L differs from the
+    scalar's conductor, with counts at every index (brackets and sums of
+    Q(zeta_8) and Q(zeta_3) elements, at L = lcm(N, 24)); none of the held
+    operands is read out, so each enters through its raw counts."""
+    spec = SPECS[name]
+    rng = random.Random(f"pair-kernel-scale:{name}")
+    x, x8, x3 = (_element(rng, spec, order) for order in (None, 8, 3))
+    items = [(x, x), (x8, x8), (x3, x3)]
+    items += [
+        (gbracket(x8, x3), oracle.gbracket(x8, x3)),
+        (gbracket(x3, gbracket(x8, x)), oracle.gbracket(x3, oracle.gbracket(x8, x))),
+        (x8 - x3, _oracle_sum(spec, "pair", [(1, x8), (-1, x3)])),
+    ]
+    pool = [item for z, value in items for item in _classes(z, value)]
+    for z, value in pool:
+        for c in SCALARS:
+            want = oracle.scale(value, _as_coeff(c))
+            got = z.scale(c)
+            assert oracle.equal(got, want) and got == want
+            if c:
+                assert got.scale(1 / _as_coeff(c)) == z
+        assert oracle.equal(-z, oracle.scale(value, _as_coeff(-1))) and -(-z) == z
+    for z, value in pool:
+        for w, other in pool:
+            assert (z == w) == oracle.equal(value, other)
+            assert (z != w) == (not oracle.equal(value, other))
+    assert not any(z._store.folded for z, _ in pool[9:])  # no held store was folded
+    for z, _ in pool:
+        assert z != type(z).zero(SPECS["i" if name != "i" else "ii"])
+
+
+def test_a_pair_built_from_parts_of_other_pairs_reads_their_own_values():
+    """A pair's der and torus hold parts of its store, which share the
+    values folded for all of its keys; a pair built from the der of one
+    pair and the torus of another takes only the values of each part's own
+    keys, not the first pair's value at a torus degree the second holds."""
+    spec = SPECS["iii"]
+    n = (1, 1, 0)
+    x = GElement(spec, DerElement.ad(spec, (1, 0, 0)), TorusElement.monomial(spec, n, 2))
+    a, b = TorusElement.monomial(spec, (1, 0, 0), 3), TorusElement.monomial(spec, (0, 1, 0))
+    y = GElement.from_torus(tmul(a, b))
+    assert x.torus.terms == {n: 2}  # x's value at n is folded and shared with x.der
+    z = GElement(spec, x.der, y.torus)
+    expected = GElement(spec, oracle.der_sum(spec, (1, x.der)), oracle.tmul(a, b))
+    assert oracle.equal(z, expected) and z == expected
+
+
 def _count_reads_and_folds(monkeypatch):
     calls = []
     read, fold = algebra._Graded.read, algebra._from_root_counts
@@ -400,6 +461,20 @@ def test_the_jacobi_type_checks_read_no_store_out(monkeypatch):
     assert calls == []
 
 
+def test_the_commutation_rule_reads_no_store_out(monkeypatch):
+    """scale multiplies a held form's counts by the power-basis numerators of
+    comm_factor(n, m), so no store is read out.  zeta_4^2 and zeta_4^3 have
+    the numerators -1 and -zeta_4, so those differences hold counts that read
+    zero without cancelling, and only their zero tests fold."""
+    calls = _count_reads_and_folds(monkeypatch)
+    inst = checks._Instance("iii", SPECS["iii"], 200)
+    (check,) = [c for c in checks.CHECKS if c.name == "torus_commutation_rule"]
+    row = checks._run_check(check, inst, 1)
+    assert row["pass"] and row["samples"] == 200
+    assert [op for op, _ in calls if op == "read"] == []
+    assert len(calls) <= 109
+
+
 def test_a_zero_test_then_a_read_folds_each_component_once(monkeypatch):
     spec = SPECS["iii"]
     rng = random.Random("pair-kernel-fold-once")
@@ -412,6 +487,6 @@ def test_a_zero_test_then_a_read_folds_each_component_once(monkeypatch):
     calls = _count_reads_and_folds(monkeypatch)
     assert not z.is_zero()
     assert 0 < len(calls) < len(live)  # the zero test stops at the first nonzero one
-    z.der
+    z.der.inner, z.der.witt, z.torus.terms
     folds = [key for op, key in calls if op == "fold"]
     assert sorted(folds) == sorted(map(id, live))
