@@ -17,10 +17,11 @@ probe's name without its leading underscore.  A sampled probe (`draws` maps
 the sample budget to a number of draws) takes one draw from the check's rng
 and returns a defect, None, or `_VACUOUS` for a draw that tests nothing and
 is left out of `samples`.  A one-shot probe (`draws` is None) returns its
-report fields itself.  One runner, `_run_check`, derives the check's rng,
-writes the skip row (with the `skip` note) when `applies` says the check does
-not hold on the instance, runs the draws keeping the first defect, and builds
-the row.  Each suite function runs its suite's checks in table order.
+report fields itself, or raises OutOfBox when the box is too small for it.
+One runner, `_run_check`, derives the check's rng, writes the skip row when
+`applies` says the check does not hold (note `skip`) or a one-shot probe
+raises OutOfBox (note "skipped: " and its text), runs the draws keeping the
+first defect, and builds the row.  Suites run their checks in table order.
 
 A module probe writes the identity it tests once, next to its draws, as an
 operator expression lhs - rhs over the builders of qtorus.fmodule, and reads
@@ -44,7 +45,7 @@ from typing import Callable, NamedTuple
 from .algebra import INNER, TORUS, WITT, TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber
 from .derivations import DerElement, dact, dbracket, pairing
-from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
+from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
 from .fmodule import (
     ModuleSpec,
     TwistCharacter,
@@ -71,7 +72,7 @@ from .fmodule import (
     zero_mode_scalar,
 )
 from .glmodules import GlModule, cyclic_from_every_start, direct_sum, natural
-from .lattice import in_box, neg, rand_point, rand_radical_point, shift, units
+from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
 from .semidirect import (
     GElement,
     gbracket,
@@ -178,7 +179,10 @@ def _run_check(check, inst: _Instance, seed: int):
     if check.applies is not None and not check.applies(inst):
         fields = {"samples": 0, "note": check.skip}
     elif check.draws is None:
-        fields = check.probe(inst, rng)
+        try:
+            fields = check.probe(inst, rng)
+        except OutOfBox as exc:
+            fields = {"samples": 0, "note": f"skipped: {exc}"}
     else:
         fields = _tally(check.probe(inst, rng) for _ in range(check.draws(inst.samples)))
     return report(check.name, inst.label, seed, **fields)
@@ -285,10 +289,7 @@ def _rand_hom(rng, spec, kinds):
                 return op_inner(spec, s)
         return op_inner(spec, units(d)[0])
     r = rand_radical_point(rng, spec)
-    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(d)]
-    if all(x.is_zero() for x in u):
-        u[0] = CycNumber.one()
-    return op_witt(spec, u, r)
+    return op_witt(spec, rand_nonzero_point(rng, d, 2), r)
 
 
 # -- cocycle suite -------------------------------------------------------------
@@ -654,14 +655,14 @@ def _weight_op_constancy(inst, rng):
 
     def probes():
         for rr in spec.radical().basis + ((0,) * d,):
+            pts = box_points(box, rr)
+            if not pts:
+                continue
+            scale = spec.sigma(neg(rr), rr)
             for u in units(d):
-                pts = box_points(box, rr)
-                if not pts:
-                    continue
                 sample_pts = pts if len(pts) <= 8 else [
                     pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
                 ]
-                scale = spec.sigma(neg(rr), rr)
                 expect = ms.V.matrix_of(
                     [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
                 )
@@ -732,7 +733,7 @@ def _zero_mode_recursion(inst, rng):
         for p in (rand_point(rng, d, 1) for _ in range(4))
         if in_box(inst.box, shift(p, s))
     ]
-    if not pts:
+    if not pts or not in_box(inst.box, s):
         return _VACUOUS
     lam0 = zero_mode_scalar(ms, s, (0,) * d, inst.box)
     base = spec.sigma(neg(s), s)

@@ -42,11 +42,11 @@ mode t^(-s) ad t^s, maps each weight space to itself; one private reader,
 _weight_symbol, returns its symbol at n (zero for the empty expression,
 OutOfBox outside the interior), and weight_op_matrix and zero_mode_scalar
 read through it.  The irreducibility probe closes start vectors under the
-weight-operator matrices with glmodules.generates, and lattice points,
-their sums and random draws come from qtorus.lattice.  BoxVector is a
-box-truncated vector, and act() applies one element to it as the sum over
-n of symbol(x_k, n) w(n) over the homogeneous parts x_k, dropping (and
-flagging) images pushed outside.
+matrices of the weight operators of every radical row (glmodules.generates),
+and lattice points, their sums and random draws come from qtorus.lattice.
+BoxVector is a box-truncated vector, and act() applies one element to it as
+the sum over n of symbol(x_k, n) w(n) over the homogeneous parts x_k,
+dropping (and flagging) images pushed outside.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
@@ -75,7 +75,7 @@ from .errors import (
 )
 from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
 from .glmodules import mat_sub, mat_vec, matrix_as_scalar
-from .lattice import in_box, neg, rand_point, rand_radical_point, shift, units
+from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
 from .semidirect import GElement
 from .torus import TorusSpec
 
@@ -767,9 +767,9 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
 
     For flavors F and G_g: g(s) = 1 - sigma(s,s) lambda(s,0); flavor F_g
     carries the opposite sign: g(s) = 1 + sigma(s,s) lambda(s,0).  Values
-    are taken on the unit vectors, fitted to a character, then verified
-    multiplicatively on the radical basis and, given an rng, on 8 sampled
-    points."""
+    are taken on the unit vectors, fitted to a character, then, given an rng,
+    verified multiplicatively on 8 sampled points (the radical needs none:
+    ad t^s = 0 there, so g reads 1, and a TwistCharacter is 1 there)."""
     spec = ms.spec
     zero = (0,) * spec.d
     one = CycNumber.one()
@@ -784,17 +784,12 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
         return out
 
     char = TwistCharacter.from_values(spec, [g_at(e) for e in units(spec.d)])
-    check_points = list(spec.radical().basis)
     if rng is not None:
         radius = max(1, min(box) - 1)
-        check_points += [rand_point(rng, spec.d, radius) for _ in range(8)]
-    for p in check_points:
-        if not in_box(box, p):
-            continue
-        if g_at(p) != char.value(p):
-            raise NotCharacter(
-                f"twist values are not multiplicative: mismatch at {list(p)}"
-            )
+        for _ in range(8):
+            p = rand_point(rng, spec.d, radius)
+            if g_at(p) != char.value(p):
+                raise NotCharacter(f"twist values are not multiplicative: mismatch at {list(p)}")
     return char
 
 
@@ -849,9 +844,7 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     gens = _generators(spec)
     if rng is not None:
         for _ in range(6):
-            u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
-            if all(x.is_zero() for x in u):
-                u[0] = CycNumber.one()
+            u = rand_nonzero_point(rng, spec.d, 2)
             gens.append(op_witt(spec, u, rand_radical_point(rng, spec)))
             x = op_inner(spec, rand_point(rng, spec.d, 2))
             if not x.is_zero():
@@ -878,28 +871,30 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     (3) from each start vector, the V-coordinates close up to all of V under
         the weight-operator matrices.
     Together these are equivalent to the spanning statement over the inner
-    box; each part is checked honestly per run."""
+    box; each part is checked honestly per run.  T'(u, rr) is read for every
+    Hermite row rr of the radical: OutOfBox if no inner n has n + rr in the box."""
     spec = ms.spec
     d = spec.d
     dim = ms.V.dim
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
     inner = box_points((inner_radius,) * d)
-    generators = [(e, rr) for rr in spec.radical().basis for e in units(d)]
     # (1) matrices constant across the inner box
     mats = []
     constant = True
-    for u, rr in generators:
+    for rr in spec.radical().basis:
         usable = [n for n in inner if in_box(box, shift(n, rr))]
         if not usable:
-            continue
-        # the usable points lie inside the interior of e by construction
-        e = weight_op_expr(ms, u, rr)
-        S0 = _expr_symbols(e, ms, usable[0])[usable[0]]
-        mats.append(S0.matrix(dim))
-        for n in usable[1:]:
-            if _expr_symbols(e, ms, n)[n] != S0:
-                constant = False
+            need = max(abs(x) for x in rr) - inner_radius
+            raise OutOfBox(f"radical row {list(rr)} needs a box of radius {need}")
+        for u in units(d):
+            # the usable points lie inside the interior of e by construction
+            e = weight_op_expr(ms, u, rr)
+            S0 = _expr_symbols(e, ms, usable[0])[usable[0]]
+            mats.append(S0.matrix(dim))
+            for n in usable[1:]:
+                if _expr_symbols(e, ms, n)[n] != S0:
+                    constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
     for e in units(d):
@@ -922,9 +917,7 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
     if rng is not None:
         for idx in range(RANDOM_STARTS):
             n = rand_point(rng, d, inner_radius)
-            v0 = [CycNumber.rational(rng.randint(-3, 3)) for _ in range(dim)]
-            if all(x.is_zero() for x in v0):
-                v0[0] = CycNumber.one()
+            v0 = [CycNumber.rational(x) for x in rand_nonzero_point(rng, dim, 3)]
             ok = generates(v0, mats)
             rows.append({"n": list(n), "start": f"random{idx}", "cyclic": ok})
             all_cyclic = all_cyclic and ok

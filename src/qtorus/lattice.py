@@ -123,6 +123,12 @@ def rand_point(rng, d: int, radius: int = 3) -> tuple[int, ...]:
     return tuple(rng.randint(-radius, radius) for _ in range(d))
 
 
+def rand_nonzero_point(rng, d: int, radius: int) -> tuple[int, ...]:
+    """rand_point, with e_0 in place of the zero point."""
+    p = rand_point(rng, d, radius)
+    return p if any(p) else units(d)[0]
+
+
 def rand_radical_point(rng, spec, radius: int = 1) -> tuple[int, ...]:
     """A combination of the radical basis rows of `spec` with coefficients
     drawn from [-radius, radius]."""

@@ -368,6 +368,33 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 
+def test_extract_twist_round_trip_fails_when_the_twist_leaves_the_inner_rule(monkeypatch):
+    """Negative control.  Under the untwisted F inner rule every zero-mode
+    scalar at the origin reads as the trivial twist, so the round trip of a
+    nontrivial twist fails, from G_g and from F_g alike."""
+
+    def f_rule(ms, s, n, sig):
+        return sig - ms.spec.sigma(n, s)
+
+    cases = [
+        (SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
+         TwistCharacter(SPEC_II, 3, (0, 2)), (2, 2)),
+        (SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
+         TwistCharacter(SPEC_III, 4, (3, 0, 0)), (2, 2, 2)),
+    ]
+    modules = [
+        (ModuleSpec(spec, V, alpha, g, flavor), box)
+        for spec, V, alpha, g, box in cases
+        for flavor in ("G_g", "F_g")
+    ]
+    for ms, box in modules:
+        assert _module_row("extract_twist_round_trip", ms, box)["pass"], ms.label()
+    monkeypatch.setattr(fmodule, "_inner_phase", f_rule)
+    for ms, box in modules:
+        row = _module_row("extract_twist_round_trip", ms, box)
+        assert row["pass"] is False and row["defect"] == CycNumber.one().to_json(), ms.label()
+
+
 def test_section3_suite_passes_on_all_flavors():
     ms = plain_module(SPEC_I)
     assert all(r["pass"] for r in checks.section3_suite(ms, BOX2, 11, 40))

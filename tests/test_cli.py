@@ -269,6 +269,41 @@ def test_irreducible_command(tmp_path):
     assert out["transports_bijective"] is True
 
 
+def test_irreducible_refuses_a_box_that_cannot_reach_the_radical(tmp_path):
+    # the radical is 30 Z^2: no point of the inner box of radius 2 reaches
+    # (30, 0) inside a box of radius 3
+    cfg = write_config(tmp_path, {"torus": {"d": 2, "N": 30, "A": [[0, 1], [29, 0]]},
+                                  "box": [3, 3]})
+    res = run_cli("irreducible", "--config", cfg)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: radical row [30, 0] needs a box of radius 28\n"
+
+
+@pytest.mark.parametrize(
+    "cfg, note",
+    [
+        # (iii) at box 1: the inner box of radius 2 does not fit
+        ({"torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
+          "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
+                     "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
+          "box": [1, 1, 1], "seed": 5, "samples": 20},
+         "skipped: inner radius exceeds the box"),
+        # radical rows (47,0,0), (0,47,0), (0,0,1): only the last fits the box
+        ({"torus": {"d": 3, "N": 47, "A": [[0, 1, 0], [46, 0, 0], [0, 0, 0]]}, "samples": 4},
+         "skipped: radical row [47, 0, 0] needs a box of radius 45"),
+    ],
+    ids=["iii-box-1", "N-47"],
+)
+def test_verify_skips_the_irreducibility_rows_a_box_cannot_host(tmp_path, cfg, note):
+    res = run_cli("verify", "--config", write_config(tmp_path, cfg))
+    assert res.returncode == 0 and res.stderr == ""
+    rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
+    for name in ("irreducibility_evidence", "reducible_fixture_detected"):
+        assert rows[name]["pass"] and rows[name]["samples"] == 0
+        assert rows[name]["note"] == note
+    assert rows["summary"]["failed"] == 0
+
+
 def test_structure_table_is_antisymmetric(tmp_path):
     cfg = write_config(tmp_path, INSTANCE_I)
     res = run_cli("structure", "--config", cfg)

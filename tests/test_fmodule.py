@@ -1,6 +1,7 @@
 """Tests for box-truncated weight modules: actions, operators, extraction."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -677,6 +678,66 @@ def test_irreducibility_evidence_positive_and_negative():
     assert any(not row["cyclic"] for row in rep["starts"])
     # the support checks themselves still hold for the reducible module
     assert rep["weight_ops_constant"] and rep["transports_bijective"]
+
+
+def _scan_spec(d, N, a01=1):
+    """d = 2 with A01 = a01, or d = 3 with A01 = 1, A02 = 2 mod N, A12 = 0."""
+    if d == 2:
+        return TorusSpec.from_upper(2, N, {(0, 1): a01})
+    return TorusSpec.from_upper(3, N, {(0, 1): 1, (0, 2): 2 % N, (1, 2): 0})
+
+
+def _evidence_or_refusal(ms, box):
+    """The probe's verdict at inner radius 2 and seed 1, or its refusal text."""
+    rng = checks.sub_rng(1, "irreducibility_evidence")
+    try:
+        return irreducibility_evidence(ms, box, 2, rng)["pass"]
+    except OutOfBox as exc:
+        return str(exc)
+
+
+def test_irreducibility_evidence_never_fails_on_a_row_the_box_cannot_reach():
+    """Every V here is irreducible.  Where some Hermite row of the radical is
+    out of reach of the inner box, the probe refuses and names the row,
+    instead of closing V under too few weight operators and failing."""
+    verdicts = []
+    for d, Ns in ((2, (2, 3, 4, 5, 6, 7, 8, 12, 30)), (3, (2, 3, 4, 5, 7))):
+        for N in Ns:
+            spec = _scan_spec(d, N)
+            rows = [f"radical row {list(rr)} needs a box of radius" for rr in spec.radical().basis]
+            for sel in ("natural", "sym:2", "dual" if d == 2 else "ext:2"):
+                V = parse_module(d, sel)
+                ms = ModuleSpec(spec, V, [Fraction(1, 2)] + [0] * (d - 1),
+                                TwistCharacter.trivial(spec), "F")
+                for b in (2, 3):
+                    got = _evidence_or_refusal(ms, (b,) * d)
+                    refused = any(str(got).startswith(r) for r in rows)
+                    assert got is True or refused, (N, sel, b, got)
+                    verdicts.append(got)
+    assert len(verdicts) == 84 and verdicts.count(True) == 42
+
+
+def test_irreducibility_evidence_separates_where_the_box_hosts_the_radical():
+    """Boxes that reach every radical row: the probe passes exactly when V
+    is irreducible, over all three flavors and two weight shifts, and only
+    natural + natural fails."""
+    specs = [(_scan_spec(2, N), 4) for N in (2, 3, 4)] + [(_scan_spec(2, 4, a01=2), 4)]
+    specs += [(_scan_spec(3, 2), 3), (SPEC_III, 3)]
+    count = 0
+    for spec, b in specs:
+        d = spec.d
+        # g = f(e_0, .): trivial on the radical
+        g = TwistCharacter(spec, spec.N, [spec.A[r][0] for r in range(d)])
+        sels = ["natural", "dual", "trivial", "sym:2", "ext:2"] + (["ext:3"] if d == 3 else [])
+        Vs = [(parse_module(d, s), True) for s in sels]
+        Vs.append((direct_sum(natural(d), natural(d)), False))
+        alphas = ([0] * d, [Fraction(1, 2)] + [0] * (d - 1))
+        for (V, irreducible), alpha, flavor in itertools.product(Vs, alphas, FLAVORS):
+            twist = TwistCharacter.trivial(spec) if flavor == "F" else g
+            got = _evidence_or_refusal(ModuleSpec(spec, V, alpha, twist, flavor), (b,) * d)
+            assert got is irreducible, (spec.N, V.name, flavor, got)
+            count += 1
+    assert count == 228
 
 
 def test_search_round_trip():
