@@ -32,16 +32,17 @@ kept.  The base defines zero, is_zero, +, -, unary -, scale and == once, on
 the store and its ring form.  Elements are never changed once built.
 
 A component is folded only when a value is asked for, by the fold of
-CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need,
-against a conductor cap read once per walk; zero components and inner terms
-at radical degrees are dropped there, and each value folded is kept with the
-store.  The ring form comes off the store's counts (_Graded.form), with no
-fold: Z[Z/L] -> Q(zeta_L) is a ring map that _lift commutes with, so sums,
-scalings and nested brackets stay in the group ring; a component already
-folded gives its value instead.  The zero test and the first nonzero
-coefficient in witness order (_witness_key: inner, then Witt, then torus
-terms) fold components in that order up to the first nonzero one
-(_Graded.first), once per store, so a zero bracket is never read out.
+CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need
+(the conductor cap is met there, when that field is first built); zero
+components and inner terms at radical degrees are dropped there, and each
+value folded is kept with the store.  The ring form comes off the store's
+counts (_Graded.form), with no fold: Z[Z/L] -> Q(zeta_L) is a ring map that
+_lift commutes with, so sums, scalings and nested brackets stay in the
+group ring; a component already folded gives its value instead.  The zero
+test and the first nonzero coefficient in witness order (_witness_key:
+inner, then Witt, then torus terms) fold components in that order up to the
+first nonzero one (_Graded.first), once per store, so a zero bracket is
+never read out.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from math import lcm
 from operator import add
 
-from .cyclotomic import CycNumber, _as_coeff, _from_root_counts, max_conductor
+from .cyclotomic import CycNumber, _as_coeff, _from_root_counts
 from .errors import SpecMismatch
 from .torus import TorusSpec
 
@@ -121,19 +122,15 @@ class _Graded:
 
     def _values(self, keys):
         """((kind, degree), value) for each of `keys` whose component reads
-        nonzero, folded one at a time as the caller asks for the next; the
-        conductor cap is read once, at the first component folded."""
+        nonzero, folded one at a time as the caller asks for the next."""
         spec, L, den, sums, folded = self.spec, self.L, self.den, self.sums, self.folded
-        cap = None
         for key in keys:
             c = folded.get(key)
             if c is None:
                 counts = sums[key]
                 if not any(counts) or (key[0] == INNER and spec._radical_point(key[1])):
                     continue
-                if cap is None:
-                    cap = max_conductor()
-                c = folded[key] = _from_root_counts(L, counts, den, cap)
+                c = folded[key] = _from_root_counts(L, counts, den)
             if not c.is_zero():
                 yield key, c
 

@@ -226,9 +226,9 @@ def _rand_coeff(rng, spec):
     )
 
 
-def _rand_torus_terms(rng, spec, nterms=2):
-    """The basis terms of a random torus element: nterms monomials."""
-    return [(TORUS, rand_point(rng, spec.d), _rand_coeff(rng, spec)) for _ in range(nterms)]
+def _rand_torus_terms(rng, spec):
+    """The basis terms of a random torus element: two monomials."""
+    return [(TORUS, rand_point(rng, spec.d), _rand_coeff(rng, spec)) for _ in range(2)]
 
 
 def _rand_der_terms(rng, spec):
@@ -240,8 +240,8 @@ def _rand_der_terms(rng, spec):
     return terms + [(WITT + i, r, c) for i, c in enumerate(u)]
 
 
-def _rand_torus_elt(rng, spec, nterms=2):
-    return TorusElement._sum(spec, _rand_torus_terms(rng, spec, nterms))
+def _rand_torus_elt(rng, spec):
+    return TorusElement._sum(spec, _rand_torus_terms(rng, spec))
 
 
 def _rand_der(rng, spec):

@@ -27,8 +27,9 @@ index maps and the fold.  No matrix is inverted, and of the package this
 module imports only errors.
 
 Conductor growth is capped by the environment variable QTORUS_MAX_CONDUCTOR
-(default 240) so runaway lcm chains fail loudly instead of thrashing; a
-serialized number is checked against the cap before its field is built.
+(default 240) so runaway lcm chains fail loudly instead of thrashing.  Its
+one gate is _field: every value at a new conductor needs its field, which
+is checked against the cap before its tables are built, and never again.
 """
 
 from __future__ import annotations
@@ -38,28 +39,29 @@ import threading
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
+from .errors import ConductorLimitExceeded, ConfigError, NotDivisible, NotRootOfUnity
 
 DEFAULT_MAX_CONDUCTOR = 240
 
 def max_conductor() -> int:
+    """QTORUS_MAX_CONDUCTOR (the default if unset or empty); ConfigError unless >= 1."""
     raw = os.environ.get("QTORUS_MAX_CONDUCTOR")
     if not raw:
         return DEFAULT_MAX_CONDUCTOR
     try:
         value = int(raw)
+        if value >= 1:
+            return value
     except ValueError:
-        return DEFAULT_MAX_CONDUCTOR
-    return value if value >= 1 else DEFAULT_MAX_CONDUCTOR
+        pass
+    raise ConfigError(f"QTORUS_MAX_CONDUCTOR must be an integer of at least 1, got {raw!r}")
 
 
-def _check_conductor(m: int, cap: int | None = None) -> None:
-    """Raise unless 1 <= m <= cap; the cap is read from the environment
-    unless the caller has read it already."""
+def _check_conductor(m: int) -> None:
+    """Raise unless 1 <= m <= the cap, read from the environment."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if cap is None:
-        cap = max_conductor()
+    cap = max_conductor()
     if m > cap:
         raise ConductorLimitExceeded(
             f"conductor {m} exceeds QTORUS_MAX_CONDUCTOR={cap}"
@@ -152,13 +154,14 @@ _FIELDS_LOCK = threading.Lock()
 
 
 def _field(M: int) -> _Field:
+    """Q(zeta_M), checked against the conductor cap and built on first use."""
     f = _FIELDS.get(M)
     if f is None:
         with _FIELDS_LOCK:
             f = _FIELDS.get(M)
             if f is None:
-                f = _Field(M)
-                _FIELDS[M] = f
+                _check_conductor(M)
+                f = _FIELDS[M] = _Field(M)
     return f
 
 
@@ -256,14 +259,19 @@ def _reduced(M: int, num: tuple[int, ...], den: int) -> "CycNumber":
     return _make(M, num, den)
 
 
-def _from_root_counts(M: int, counts, den: int, cap: int) -> "CycNumber":
-    """CycNumber.from_root_counts against a conductor cap the caller has
-    read once for many read-outs."""
+def _from_root_counts(M: int, counts, den: int = 1) -> "CycNumber":
+    """sum_j counts[j] * zeta_M^j / den, reduced mod Phi_M.
+
+    `counts` is an element of the group ring Z[Z/M] (M integers) and den
+    a positive integer.  This is the read-out of sums kept as root counts.
+    When every nonzero index is a multiple of g = gcd(M, indices), the
+    value lies in Q(zeta_(M/g)) and is read there, so the cap applies to
+    M/g, not to M.
+    """
     g = gcd(M, *[j for j, c in enumerate(counts) if c])
     if g > 1:
         M //= g
         counts = counts[::g]
-    _check_conductor(M, cap)
     return _reduced(M, _fold(_field(M), counts), den)
 
 
@@ -301,17 +309,7 @@ class CycNumber:
         q = Fraction(q)
         return _make(1, (q.numerator,), q.denominator)
 
-    @staticmethod
-    def from_root_counts(M: int, counts, den: int = 1) -> "CycNumber":
-        """sum_j counts[j] * zeta_M^j / den, reduced mod Phi_M.
-
-        `counts` is an element of the group ring Z[Z/M] (M integers) and den
-        a positive integer.  This is the read-out of sums kept as root counts.
-        When every nonzero index is a multiple of g = gcd(M, indices), the
-        value lies in Q(zeta_(M/g)) and is read there, so the cap applies to
-        M/g, not to M.
-        """
-        return _from_root_counts(M, counts, den, max_conductor())
+    from_root_counts = staticmethod(_from_root_counts)
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -340,7 +338,6 @@ class CycNumber:
             return self
         if M2 % self.M:
             raise NotDivisible(f"conductor {self.M} does not divide {M2}")
-        _check_conductor(M2)
         f, ratio = _field(M2), M2 // self.M
         out = [0] * f.phi
         for j, c in enumerate(self.num):
@@ -505,7 +502,6 @@ class CycNumber:
         k = self.as_root_exponent()
         if k is None:
             raise NotRootOfUnity(f"{self!r} is not a power of zeta_{self.M}")
-        _check_conductor(2 * self.M)
         return root_of_unity(2 * self.M, k)
 
     # -- serialization ---------------------------------------------------
@@ -534,7 +530,6 @@ class CycNumber:
         m = obj["M"]
         if type(m) is not int:
             raise ValueError(f"expected an integer conductor 'M', got {m!r}")
-        _check_conductor(m)
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, (list, tuple)):
             raise ValueError(f"expected 'coeffs' as a list, got {coeffs!r}")
@@ -580,7 +575,6 @@ def _as_coeff(c) -> CycNumber:
 
 def root_of_unity(M: int, k: int) -> CycNumber:
     """zeta_M^k as a reduced CycNumber (k taken mod M)."""
-    _check_conductor(M)
     f = _field(M)
     k %= M
     unit = f.units[k]

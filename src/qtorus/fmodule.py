@@ -762,13 +762,13 @@ def c2_product_expr(ms: ModuleSpec, n, m) -> list:
     )
 
 
-def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
+def extract_twist(ms: ModuleSpec, box, rng) -> TwistCharacter:
     """Recover the twist character from zero-mode scalars at the origin.
 
     For flavors F and G_g: g(s) = 1 - sigma(s,s) lambda(s,0); flavor F_g
     carries the opposite sign: g(s) = 1 + sigma(s,s) lambda(s,0).  Values
-    are taken on the unit vectors, fitted to a character, then, given an rng,
-    verified multiplicatively on 8 sampled points (the radical needs none:
+    are taken on the unit vectors, fitted to a character, then verified
+    multiplicatively on 8 points drawn from rng (the radical needs none:
     ad t^s = 0 there, so g reads 1, and a TwistCharacter is 1 there)."""
     spec = ms.spec
     zero = (0,) * spec.d
@@ -784,12 +784,11 @@ def extract_twist(ms: ModuleSpec, box, rng=None) -> TwistCharacter:
         return out
 
     char = TwistCharacter.from_values(spec, [g_at(e) for e in units(spec.d)])
-    if rng is not None:
-        radius = max(1, min(box) - 1)
-        for _ in range(8):
-            p = rand_point(rng, spec.d, radius)
-            if g_at(p) != char.value(p):
-                raise NotCharacter(f"twist values are not multiplicative: mismatch at {list(p)}")
+    radius = max(1, min(box) - 1)
+    for _ in range(8):
+        p = rand_point(rng, spec.d, radius)
+        if g_at(p) != char.value(p):
+            raise NotCharacter(f"twist values are not multiplicative: mismatch at {list(p)}")
     return char
 
 
@@ -858,11 +857,11 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     return {"pass": True, "defect": None}
 
 
-# random start vectors probed by irreducibility_evidence when given an rng
+# random start vectors probed by irreducibility_evidence, drawn from its rng
 RANDOM_STARTS = 5
 
 
-def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
+def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng):
     """Cyclicity probe: does every start vector generate every inner weight space?
 
     The probe factors through three computationally verified facts:
@@ -914,13 +913,12 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng=None):
         for t in range(dim)
     ]
     all_cyclic = all(basis_cyclic)
-    if rng is not None:
-        for idx in range(RANDOM_STARTS):
-            n = rand_point(rng, d, inner_radius)
-            v0 = [CycNumber.rational(x) for x in rand_nonzero_point(rng, dim, 3)]
-            ok = generates(v0, mats)
-            rows.append({"n": list(n), "start": f"random{idx}", "cyclic": ok})
-            all_cyclic = all_cyclic and ok
+    for idx in range(RANDOM_STARTS):
+        n = rand_point(rng, d, inner_radius)
+        v0 = [CycNumber.rational(x) for x in rand_nonzero_point(rng, dim, 3)]
+        ok = generates(v0, mats)
+        rows.append({"n": list(n), "start": f"random{idx}", "cyclic": ok})
+        all_cyclic = all_cyclic and ok
     return {
         "pass": all_cyclic and constant and transports_ok,
         "weight_ops_constant": constant,

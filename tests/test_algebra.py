@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtorus import cyclotomic
 from qtorus.algebra import TorusElement, is_central, tcomm, tmul
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.errors import ConductorLimitExceeded, SpecMismatch
@@ -141,6 +142,7 @@ def test_spec_mismatch_rejected():
 
 def test_sums_and_products_read_each_term_at_its_own_conductor(monkeypatch):
     # zeta_8 and zeta_3 meet in one store at L = 24, but each term fits a cap of 20
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
     monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "20")
     x = TorusElement.monomial(SPEC_III, (1, 0, 0), root_of_unity(8, 1))
     y = TorusElement.monomial(SPEC_III, (0, 1, 0), root_of_unity(3, 1))

@@ -571,3 +571,15 @@ def test_act_conductor_above_the_cap_is_usage_error(tmp_path, monkeypatch):
     )
     assert res.returncode == 2
     assert res.stderr == "error: conductor 241 exceeds QTORUS_MAX_CONDUCTOR=240\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("command", [["radical"], ["verify", "--suite", "cocycle"]])
+def test_malformed_conductor_cap_is_usage_error(tmp_path, monkeypatch, raw, command):
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", raw)
+    cfg = write_config(tmp_path, INSTANCE_I)
+    res = run_cli(command[0], "--config", cfg, *command[1:])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == (
+        f"error: QTORUS_MAX_CONDUCTOR must be an integer of at least 1, got {raw!r}\n"
+    )

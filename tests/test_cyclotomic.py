@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -5,9 +6,9 @@ from math import gcd, lcm
 import _cyc_oracle as oracle
 import pytest
 
-from qtorus import cyclotomic
-from qtorus.cyclotomic import CycNumber, root_of_unity, totient
-from qtorus.errors import ConductorLimitExceeded, NotDivisible, NotRootOfUnity
+from qtorus import cli, cyclotomic
+from qtorus.cyclotomic import CycNumber, max_conductor, root_of_unity, totient
+from qtorus.errors import ConductorLimitExceeded, ConfigError, NotDivisible, NotRootOfUnity
 
 
 def rand_cyc(rng, M):
@@ -126,6 +127,7 @@ def test_serialization_round_trip():
 
 
 def test_conductor_cap(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
     monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "10")
     with pytest.raises(ConductorLimitExceeded):
         root_of_unity(11, 1)
@@ -142,6 +144,64 @@ def test_conductor_cap(monkeypatch):
         CycNumber.from_root_counts(24, counts)
     monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "240")
     assert root_of_unity(8, 1) * root_of_unity(3, 1) == root_of_unity(24, 11)
+
+
+def test_constructor_meets_the_conductor_cap(monkeypatch):
+    monkeypatch.delenv("QTORUS_MAX_CONDUCTOR", raising=False)
+    with pytest.raises(ConductorLimitExceeded, match="conductor 241 exceeds"):
+        CycNumber(241, [1] + [0] * 239)
+    assert 241 not in cyclotomic._FIELDS
+    with pytest.raises(ValueError, match="conductor must be >= 1"):
+        CycNumber(0, [])
+
+
+def test_the_cap_is_read_when_a_field_is_first_built(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "10")
+    x = root_of_unity(10, 3)
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "5")
+    assert x * x == root_of_unity(10, 6)
+    assert root_of_unity(10, 1) * x == root_of_unity(10, 4)
+    with pytest.raises(ConductorLimitExceeded, match="conductor 7 exceeds QTORUS_MAX_CONDUCTOR=5"):
+        root_of_unity(7, 1)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])
+def test_a_malformed_cap_is_a_config_error(monkeypatch, raw):
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", raw)
+    with pytest.raises(ConfigError, match="QTORUS_MAX_CONDUCTOR"):
+        max_conductor()
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "")
+    assert max_conductor() == cyclotomic.DEFAULT_MAX_CONDUCTOR
+
+
+def test_a_verify_run_reads_the_cap_once_per_field_built(monkeypatch, tmp_path):
+    # the module-iii benchmark workload at seed 1: a G_g module over (iii)
+    cfg = {
+        "torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
+        "box": [2, 2, 2],
+        "seed": 1,
+        "samples": 20,
+        "module": {
+            "V": "natural",
+            "alpha": ["1/2", 0, "1/3"],
+            "twist": {"modulus": 4, "exponents": [3, 0, 0]},
+            "flavor": "G_g",
+        },
+    }
+    path = tmp_path / "module-iii.json"
+    path.write_text(json.dumps(cfg))
+    cap, reads = cyclotomic.max_conductor, []
+
+    def counted():
+        reads.append(1)
+        return cap()
+
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+    monkeypatch.setattr(cyclotomic, "max_conductor", counted)
+    suites = "module,section3,section4,irreducibility"
+    assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
+    assert cyclotomic._FIELDS and len(reads) == len(cyclotomic._FIELDS)
 
 
 def test_serialized_conductor_is_checked_before_its_field_is_built(monkeypatch):

@@ -434,9 +434,9 @@ def _count_reads_and_folds(monkeypatch):
         calls.append(("read", id(store)))
         return read(store)
 
-    def counted_fold(L, counts, den, cap):
+    def counted_fold(L, counts, den):
         calls.append(("fold", id(counts)))
-        return fold(L, counts, den, cap)
+        return fold(L, counts, den)
 
     monkeypatch.setattr(algebra._Graded, "read", counted_read)
     monkeypatch.setattr(algebra, "_from_root_counts", counted_fold)
