@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Callable, NamedTuple
@@ -125,8 +124,7 @@ def report(check, instance, seed, samples, defect=None, note=None):
 # -- the check table and its runner ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Instance:
+class _Instance(NamedTuple):
     """What a probe sees: the row label, the torus, the suite's sample budget
     and, for the module suites, the module and its degree box."""
 
@@ -752,7 +750,7 @@ def _extract_twist_round_trip(inst, rng):
     ms = inst.ms
     try:
         got = extract_twist(ms, inst.box, rng)
-        ok = got == ms.twist if not ms.twist.is_trivial else got.is_trivial
+        ok = got == ms.twist
     except NotCharacter:
         ok = False
     return {"samples": inst.spec.d + 8, "defect": _unit_defect(not ok)}
@@ -775,12 +773,10 @@ def _diagonal_intertwiner(inst, rng):
 @_check("irreducibility")
 def _irreducibility_evidence(inst, rng):
     rep = irreducibility_evidence(inst.ms, inst.box, INNER_RADIUS, rng)
-    starts = rep["starts"]
-    cyclic_starts = sum(1 for r in starts if r["cyclic"])
     return {
-        "samples": len(starts),
+        "samples": rep["total_starts"],
         "defect": _unit_defect(not rep["pass"]),
-        "note": f"cyclic from {cyclic_starts} of {len(starts)} starts",
+        "note": f"cyclic from {rep['cyclic_starts']} of {rep['total_starts']} starts",
     }
 
 
@@ -796,7 +792,7 @@ def _reducible_fixture_detected(inst, rng):
         "F",
     )
     rep = irreducibility_evidence(fixture, inst.box, INNER_RADIUS, rng)
-    return {"samples": len(rep["starts"]), "defect": _unit_defect(rep["pass"])}
+    return {"samples": rep["total_starts"], "defect": _unit_defect(rep["pass"])}
 
 
 # -- suites and orchestration -----------------------------------------------------

@@ -297,20 +297,12 @@ def cmd_irreducible(args) -> int:
     rep = irreducibility_evidence(
         ms, box, args.inner_radius, checks.sub_rng(seed, "irreducibility_evidence")
     )
-    row = {
-        "check": "irreducibility_evidence",
-        "instance": ms.label(),
-        "pass": rep["pass"],
-        "weight_ops_constant": rep["weight_ops_constant"],
-        "transports_bijective": rep["transports_bijective"],
-        "cyclic_starts": sum(1 for r in rep["starts"] if r["cyclic"]),
-        "total_starts": len(rep["starts"]),
-    }
+    row = {"check": "irreducibility_evidence", "instance": ms.label(), **rep}
     if args.text:
         mark = "PASS" if rep["pass"] else "FAIL"
         print(
             f"{mark}  irreducibility_evidence  {ms.label()}  "
-            f"cyclic {row['cyclic_starts']}/{row['total_starts']}"
+            f"cyclic {rep['cyclic_starts']}/{rep['total_starts']}"
         )
     else:
         print(_dump(row))

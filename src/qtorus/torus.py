@@ -14,17 +14,15 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import ConfigError
 from .lattice import det_of_hnf, hnf_contains, kernel_mod
 
 
-@dataclass(frozen=True)
-class RadicalBasis:
+class RadicalBasis(NamedTuple):
     """Canonical description of rad(f) as a sublattice of Z^d."""
 
     basis: tuple[tuple[int, ...], ...]

@@ -408,7 +408,7 @@ def test_criterion_10_irreducibility_evidence():
             rep = irreducibility_evidence(
                 ms, box_of(spec), 2, sub_rng(f"irr:{name}:{sel}")
             )
-            if not rep["pass"] or not all(r["cyclic"] for r in rep["starts"]):
+            if not rep["pass"] or rep["cyclic_starts"] != rep["total_starts"]:
                 bad.append(f"{name}/{sel}")
     spec = INSTANCES["(i)"]
     fixture = ModuleSpec(

@@ -583,3 +583,77 @@ def test_malformed_conductor_cap_is_usage_error(tmp_path, monkeypatch, raw, comm
     assert res.stderr == (
         f"error: QTORUS_MAX_CONDUCTOR must be an integer of at least 1, got {raw!r}\n"
     )
+
+
+# -- the irreducibility counts and the rows that print them ------------------------
+
+INSTANCE_III_GG = {
+    "torus": INSTANCE_III_TORUS,
+    "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
+               "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
+    "box": [2, 2, 2],
+    "seed": 1,
+    "samples": 20,
+}
+
+
+@pytest.mark.parametrize("cfg", [INSTANCE_I, INSTANCE_III_GG], ids=["i", "iii"])
+def test_irreducibility_counts_are_the_fields_of_its_rows(tmp_path, cfg):
+    from types import SimpleNamespace
+
+    from qtorus.checks import INNER_RADIUS, sub_rng
+    from qtorus.cli import build_instance
+    from qtorus.fmodule import (
+        RANDOM_STARTS,
+        ModuleSpec,
+        TwistCharacter,
+        box_points,
+        irreducibility_evidence,
+    )
+    from qtorus.glmodules import direct_sum, natural
+
+    spec, ms, box, seed, _ = build_instance(cfg, SimpleNamespace(seed=None, samples=None))
+    rep = irreducibility_evidence(ms, box, INNER_RADIUS, sub_rng(seed, "irreducibility_evidence"))
+    inner = len(box_points((INNER_RADIUS,) * spec.d))
+    assert rep["total_starts"] == inner * ms.V.dim + RANDOM_STARTS
+    assert rep["pass"] and rep["cyclic_starts"] == rep["total_starts"]
+    fixture = ModuleSpec(
+        spec, direct_sum(natural(spec.d), natural(spec.d)), ms.alpha,
+        TwistCharacter.trivial(spec), "F",
+    )
+    red = irreducibility_evidence(
+        fixture, box, INNER_RADIUS, sub_rng(seed, "reducible_fixture_detected")
+    )
+    assert red["total_starts"] == inner * 2 * spec.d + RANDOM_STARTS
+    assert red["cyclic_starts"] < red["total_starts"]
+
+    path = write_config(tmp_path, cfg)
+    res = run_cli("irreducible", "--config", path, "--inner-radius", str(INNER_RADIUS))
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == {
+        "check": "irreducibility_evidence", "instance": ms.label(), **rep
+    }
+    res = run_cli("verify", "--config", path, "--suite", "irreducibility")
+    assert res.returncode == 0
+    rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
+    evidence = rows["irreducibility_evidence"]
+    assert evidence["samples"] == rep["total_starts"]
+    assert evidence["note"] == (
+        f"cyclic from {rep['cyclic_starts']} of {rep['total_starts']} starts"
+    )
+    assert rows["reducible_fixture_detected"]["samples"] == red["total_starts"]
+
+
+def test_the_cli_imports_no_dataclasses():
+    # compared with a bare interpreter, so that a site hook's imports do not count
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def modules(stmt):
+        code = f"import sys; {stmt}print(*sys.modules, sep='\\n')"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        return set(res.stdout.split())
+
+    loaded = modules("import qtorus.cli; ") - modules("")
+    assert "qtorus.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -671,11 +671,11 @@ def test_irreducibility_evidence_positive_and_negative():
         rep = irreducibility_evidence(ms, BOX2, 2, rng)
         assert rep["pass"], V.name
         assert rep["weight_ops_constant"] and rep["transports_bijective"]
-        assert all(row["cyclic"] for row in rep["starts"])
+        assert rep["cyclic_starts"] == rep["total_starts"]
     red = plain_module(SPEC_I, V=direct_sum(natural(2), natural(2)))
     rep = irreducibility_evidence(red, BOX2, 2, rng)
     assert not rep["pass"]
-    assert any(not row["cyclic"] for row in rep["starts"])
+    assert rep["cyclic_starts"] < rep["total_starts"]
     # the support checks themselves still hold for the reducible module
     assert rep["weight_ops_constant"] and rep["transports_bijective"]
 
