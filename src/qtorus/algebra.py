@@ -437,10 +437,13 @@ def tcomm(a: TorusElement, b: TorusElement) -> TorusElement:
 def is_central(a: TorusElement) -> bool:
     """True iff the support sits inside rad(f); cross-checked against the
     generator monomials actually commuting with the element."""
-    spec, d = a.spec, a.spec.d
-    by_support = all(spec.in_radical(n) for n in a.terms)
-    units = (tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1))
-    by_comm = all(tcomm(a, TorusElement.monomial(spec, g)).is_zero() for g in units)
+    spec, d, N = a.spec, a.spec.d, a.spec.N
+    store = a._store
+    by_support = all(spec._radical_point(n) for (_, n), _ in store._values(store.sums))
+    gens = (tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1))
+    one = [1] + [0] * (N - 1)
+    units = [TorusElement._read(_Graded(spec, N, 1, {(TORUS, g): one})) for g in gens]
+    by_comm = all(tcomm(a, g).is_zero() for g in units)
     if by_support != by_comm:
         raise AssertionError("centrality criteria disagree; spec data corrupt?")
     return by_support

@@ -426,9 +426,11 @@ def _pair_jacobi(inst, rng):
 
 @_check("lie")
 def _torus_copies_commute(inst, rng):
-    """The two torus copies commute: exhaustive over the degree window."""
+    """The two torus copies commute: on every residue pair mod N when
+    N <= 7 (the bracket is periodic mod N), otherwise on the 7**d window."""
     spec = inst.spec
-    window = list(_iproduct(range(-3, 4), repeat=spec.d))
+    k = min(spec.N, 7)
+    window = list(_iproduct(range(-(k // 2), k - k // 2), repeat=spec.d))
     copies = [inner_minus(spec, n) for n in window]
 
     def probes():

@@ -229,7 +229,7 @@ def test_criterion_05_semidirect_suite():
     conclude(
         5,
         not bad,
-        "pair-bracket Jacobi; the two torus copies commute on the full window; "
+        "pair-bracket Jacobi; the two torus copies commute on every residue pair mod N; "
         "comparison map is a homomorphism on 100 pairs"
         + (f"; failing: {bad}" if bad else ""),
     )

@@ -124,6 +124,34 @@ def test_central_elements_are_radical_supported():
         assert any(not tcomm(bad, g).is_zero() for g in gens)
 
 
+def test_is_central_reads_the_support_of_nonzero_components():
+    """Seeded sums of monomials are central exactly when their opened terms
+    all sit in the radical; (1 + zeta_3) zeta_3 + 1 at a non-radical degree
+    sums to the counts (1, 1, 1), which fold to zero, so it leaves no
+    support."""
+    rng = sub_rng(20261020, "central-support")
+    for spec in (SPEC_I, SPEC_II, SPEC_III):
+        rad = spec.radical()
+        for _ in range(30):
+            z = TorusElement.zero(spec)
+            for _ in range(rng.randint(1, 3)):
+                row = rng.choice(rad.basis) if rng.random() < 0.7 else rand_point(rng, spec.d, 2)
+                z = z + TorusElement.monomial(spec, row, rand_coeff(rng, spec))
+            assert is_central(z) == all(spec.in_radical(n) for n in z.terms)
+    n = (1, 0)
+    zeta = SPEC_II.root(1)
+    rotated = TorusElement.monomial(SPEC_II, n, 1 + zeta).scale(zeta)
+    vanishing = rotated + TorusElement.monomial(SPEC_II, n)
+    assert not SPEC_II.in_radical(n) and vanishing._store.sums[0, n] == [1, 1, 1]
+    assert is_central(vanishing) and vanishing.terms == {}
+
+
+def test_is_central_raises_when_the_criteria_disagree(monkeypatch):
+    monkeypatch.setattr(TorusSpec, "_radical_point", lambda self, n: True)
+    with pytest.raises(AssertionError, match="centrality criteria disagree"):
+        is_central(TorusElement.monomial(SPEC_III, (1, 0, 0)))
+
+
 def test_json_round_trip():
     rng = sub_rng(20260819, "json")
     for _ in range(10):

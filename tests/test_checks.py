@@ -1,5 +1,6 @@
 """Tests for the verification-suite layer: reports, sub-seeds, suite runs."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtorus import algebra, checks, cyclotomic, fmodule
+from qtorus import algebra, checks, cyclotomic, fmodule, lattice
 from qtorus.algebra import TorusElement
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.derivations import DerElement
@@ -21,6 +22,9 @@ from qtorus.torus import TorusSpec
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
 SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
 SPEC_III = TorusSpec.from_upper(3, 4, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
+# d = 4, N = 2 with A pairing coordinates (0, 1) and (2, 3); d = 2, N = 8
+SPEC_D4_N2 = TorusSpec.from_upper(4, 2, {(0, 1): 1, (2, 3): 1})
+SPEC_D2_N8 = TorusSpec.from_upper(2, 8, {(0, 1): 1})
 BOX2 = (3, 3)
 BOX3 = (3, 3, 3)
 
@@ -82,15 +86,16 @@ def test_lie_suite_passes_and_skips_untwisted_on_non_diagonal_radical():
     assert skipped and skipped[0]["note"] == "skipped: radical not diagonal"
 
 
-def _torus_copies_row():
+def _torus_copies_row(spec=SPEC_I):
     (check,) = [c for c in checks.CHECKS if c.name == "torus_copies_commute"]
-    return checks._run_check(check, checks._Instance("(i)", SPEC_I, 40), 5)
+    return checks._run_check(check, checks._Instance(checks.spec_label(spec), spec, 40), 5)
 
 
 def test_torus_copies_commute_stays_exhaustive(monkeypatch):
-    """The 7**d window is walked in full, one public bracket per pair, so a
-    faster bracket cannot pass the check by skipping pairs; the second copy
-    of each window point is built once."""
+    """Every residue pair mod N is walked when N <= 7, and the 7**d window
+    when N > 7, one public bracket per pair, so a faster bracket cannot pass
+    the check by skipping pairs; the second copy of each point is built
+    once."""
     calls = []
     copies = []
     bracket = checks.gbracket
@@ -106,16 +111,25 @@ def test_torus_copies_commute_stays_exhaustive(monkeypatch):
 
     monkeypatch.setattr(checks, "gbracket", counting)
     monkeypatch.setattr(checks, "inner_minus", counting_copy)
-    row = _torus_copies_row()
-    assert row["pass"] and row["samples"] == 49**2
-    assert len(calls) == 49**2
-    assert len(copies) == 49
+    cases = [
+        (SPEC_I, 2**4, 2**2),
+        (SPEC_III, 4**6, 4**3),
+        (SPEC_D4_N2, 2**8, 2**4),
+        (SPEC_D2_N8, 49**2, 49),
+    ]
+    for spec, pairs, points in cases:
+        calls.clear()
+        copies.clear()
+        row = _torus_copies_row(spec)
+        assert row["pass"] and row["samples"] == pairs, (spec, row)
+        assert (len(calls), len(copies)) == (pairs, points), spec
 
 
 def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch):
     """Negative control.  A corrupted cocycle cannot break this check, since
     the copies commute for any sigma; a kernel that drops the sigma(b, a) row
-    of the mixed rule [ad t^a, t^b] = [t^a, ad t^b] must."""
+    of the mixed rule [ad t^a, t^b] = [t^a, ad t^b] must, on every residue
+    walk."""
     constants = algebra._constants
 
     def mutant(spec, kx, a, ky, b, product):
@@ -123,15 +137,68 @@ def test_torus_copies_commute_fails_on_a_dropped_structure_constant(monkeypatch)
         return rows[:1] if {kx, ky} == {algebra.TORUS, algebra.INNER} else rows
 
     monkeypatch.setattr(algebra, "_constants", mutant)
-    row = _torus_copies_row()
-    assert row["pass"] is False and row["defect"] != "0"
+    for spec in (SPEC_I, SPEC_III, SPEC_D4_N2):
+        row = _torus_copies_row(spec)
+        assert row["pass"] is False and row["defect"] != "0", spec
+
+
+def test_sigma_is_periodic_mod_n_on_uncorrupted_specs():
+    """sigma(a + N e_i, b) = sigma(a, b) = sigma(a, b + N e_i): every
+    structure constant of the copies' bracket is a power of sigma, so the
+    bracket depends on its degrees mod N only, which is what lets the copies
+    check walk one point per residue class.  A corrupted cocycle is not
+    periodic (it adds 1 whenever both degrees are nonzero, so
+    sigma(N e_i, b) != sigma(0, b)), but it cancels in the copies' bracket,
+    which vanishes for any sigma."""
+    rng = checks.sub_rng(20261020, "periodic")
+    negative = 0
+    for spec in (SPEC_I, SPEC_II, SPEC_III, SPEC_D4_N2):
+        N = spec.N
+        for _ in range(25):
+            a = lattice.rand_point(rng, spec.d, 6)
+            b = lattice.rand_point(rng, spec.d, 6)
+            negative += min(a + b) < 0
+            for i in range(spec.d):
+                step = tuple(N if j == i else 0 for j in range(spec.d))
+                a2, b2 = lattice.shift(a, step), lattice.shift(b, step)
+                assert spec.sigma(a2, b) == spec.sigma(a, b) == spec.sigma(a, b2)
+    assert negative
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_the_copies_walk_meets_every_residue_class_once(monkeypatch, N):
+    """Both operands of the copies check run over one point per class mod N
+    when N <= 7, with negative coordinates once N > 1; past 7 they run over
+    the 7**d window."""
+    spec = TorusSpec.from_upper(2, N, {(0, 1): 1})
+    firsts, seconds = [], []
+    plain, copy = checks.plain_torus, checks.inner_minus
+
+    def recording(out, build):
+        def built(spec, a):
+            out.append(a)
+            return build(spec, a)
+
+        return built
+
+    monkeypatch.setattr(checks, "plain_torus", recording(firsts, plain))
+    monkeypatch.setattr(checks, "inner_minus", recording(seconds, copy))
+    row = _torus_copies_row(spec)
+    assert row["pass"] and firsts == seconds
+    if N <= 7:
+        assert sorted(tuple(x % N for x in p) for p in firsts) == sorted(
+            itertools.product(range(N), repeat=2)
+        )
+        assert (min(min(p) for p in firsts) < 0) == (N > 1)
+    else:
+        assert firsts == list(itertools.product(range(-3, 4), repeat=2))
 
 
 def test_the_copies_check_reads_no_bracket_out(monkeypatch):
     """Every bracket of the copies check is zero, and its witness is read off
-    the held store: past building the 49 copies, no store is read or opened
-    into its views and no root counts are folded, while all 49**2 brackets
-    are taken."""
+    the held store: past building the 4 copies, no store is read or opened
+    into its views and no root counts are folded, while all 4**2 residue
+    pairs are bracketed."""
     calls = []
     made = []
     building = []
@@ -170,9 +237,26 @@ def test_the_copies_check_reads_no_bracket_out(monkeypatch):
         counting_method(cls, "_open")
     monkeypatch.setattr(algebra, "_from_root_counts", fold)
     row = _torus_copies_row()
-    assert row["pass"] and row["samples"] == 49**2
-    assert len(calls) == 49**2
+    assert row["pass"] and row["samples"] == 4**2
+    assert len(calls) == 4**2
     assert made == []
+
+
+def test_center_detection_reads_no_store_out(monkeypatch):
+    """is_central reads its support off the store, so center_detection on
+    (iii) opens no element into its terms, with the same row."""
+    reads = []
+    read = algebra._Graded.read
+
+    def counting(self):
+        reads.append(None)
+        return read(self)
+
+    monkeypatch.setattr(algebra._Graded, "read", counting)
+    (check,) = [c for c in checks.CHECKS if c.name == "center_detection"]
+    row = checks._run_check(check, checks._Instance("(iii)", SPEC_III, 200), 1)
+    assert row["pass"] and row["samples"] == 200 and row["defect"] == "0"
+    assert reads == []
 
 
 def _lazy_and_eager_pairs():

@@ -136,6 +136,18 @@ def test_verify_skips_the_residue_enumeration_past_its_limit(tmp_path):
     assert rows["summary"]["failed"] == 0
 
 
+def test_verify_lie_walks_the_residue_pairs_at_rank_four(tmp_path):
+    # d = 4, N = 2: the copies check brackets the 2^4 x 2^4 residue pairs,
+    # not the 7^4 x 7^4 window (5.76 M brackets)
+    torus = {"d": 4, "N": 2, "A": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}
+    cfg = write_config(tmp_path, {"torus": torus})
+    res = run_cli("verify", "--config", cfg, "--suite", "lie", "--samples", "8")
+    assert res.returncode == 0 and res.stderr == ""
+    rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
+    row = rows["torus_copies_commute"]
+    assert row["pass"] and row["samples"] == 256
+
+
 def test_verify_suite_selector_errors(tmp_path):
     cfg = write_config(tmp_path, INSTANCE_I)
     assert run_cli("verify", "--config", cfg, "--suite", ",").returncode == 2
@@ -356,7 +368,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 3, "samples": 20},
         ["verify"],
         0,
-        "6ff43023a971901fb6091d9e51c79ee824d0c26750f4065f1ba72f7f8c037df9",
+        "14ad66fcdb869ac6d4acd76c8828618fdc8f6c4ad7980408def35c65ff8476ea",
     ),
     "verify-ii-Fg": (
         {"torus": INSTANCE_II_TORUS,
@@ -393,7 +405,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 7, "samples": 20},
         ["verify"],
         1,
-        "35e99d551fa9e85d0ca2301f8ae599f6442d5495e2bf288e60ca9dfef75655bd",
+        "5f2ea11f69ad151cbb6caf825746c17f3a0f8fb845dcd044a03baa15b23b48dd",
     ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
