@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Callable, NamedTuple
 
 from .algebra import INNER, TORUS, WITT, TorusElement, is_central, tcomm, tmul
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _reduced
 from .derivations import DerElement, dact, dbracket, pairing
 from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
 from .fmodule import (
@@ -219,9 +218,10 @@ _PLAIN_OR_RIGHT_TWIST_ONLY = "skipped: holds for the plain and G-twist flavors o
 
 
 def _rand_coeff(rng, spec):
-    return spec.root(rng.randrange(spec.N)) * Fraction(
-        rng.randint(-2, 2), rng.randint(1, 2)
-    )
+    """zeta_N^k * p/q for seeded k, p in -2..2 and q in 1..2, at conductor N."""
+    root = spec.root(rng.randrange(spec.N))
+    p = rng.randint(-2, 2)
+    return _reduced(root.M, tuple([p * c for c in root.num]), rng.randint(1, 2))
 
 
 def _rand_torus_terms(rng, spec):

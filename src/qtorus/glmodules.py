@@ -6,8 +6,11 @@ law of matrix units,
 
     [E_ij, E_kl] = delta_jk E_il - delta_li E_kj,
 
-so an object that builds successfully really is a representation.  All
-entries are normalized to exact cyclotomic numbers.
+so an object that builds successfully really is a representation.  The law
+is checked on the nonzero entries of the images: each product E_ij E_kl is
+formed once as a sparse dict and compared, entry by entry, with the sparse
+right-hand side.  All entries are normalized to exact cyclotomic numbers, and
+no constructor builds a module of dimension above MAX_DIM.
 
 Provided constructions: natural column vectors, their dual, symmetric and
 exterior powers of the natural module, a scalar trace twist of any module,
@@ -22,9 +25,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .cyclotomic import CycNumber, _as_coeff, _parse_fraction
-from .errors import BadPower, SpecMismatch
+from .errors import BadPower, ConfigError, SpecMismatch
+
+# The largest V a constructor builds.  Its d * d images are held as dense
+# dim x dim matrices (natural(32) holds a million entries and builds in about
+# 3 s), so a larger module is refused before any matrix is made.
+MAX_DIM = 32
 
 
 # -- small exact-matrix toolkit -------------------------------------------
@@ -97,6 +106,32 @@ def matrix_as_scalar(M):
     return c
 
 
+def _sparse(M):
+    """The nonzero entries of M as a dict (row, column) -> value."""
+    return {
+        (r, c): x for r, row in enumerate(M) for c, x in enumerate(row) if not x.is_zero()
+    }
+
+
+def _by_row(entries, n: int):
+    """A sparse dict regrouped as n lists of (column, value), one per row."""
+    rows = [[] for _ in range(n)]
+    for (r, c), x in entries.items():
+        rows[r].append((c, x))
+    return rows
+
+
+def _sparse_mul(a, b_rows):
+    """The product of a sparse dict a with a matrix given by b_rows, sparse."""
+    out = {}
+    for (r, t), x in a.items():
+        for c, y in b_rows[t]:
+            z = x * y
+            w = out.get((r, c))
+            out[(r, c)] = z if w is None else w + z
+    return out
+
+
 class Span:
     """Row space in reduced echelon form over the cyclotomic field."""
 
@@ -142,6 +177,11 @@ class Span:
 # -- representations -------------------------------------------------------
 
 
+def _check_dim(dim: int, name: str) -> None:
+    if dim > MAX_DIM:
+        raise ConfigError(f"module {name} has dimension {dim}, above the ceiling of {MAX_DIM}")
+
+
 class GlModule:
     __slots__ = ("d", "dim", "name", "E", "basis_labels", "_outer")
 
@@ -158,23 +198,39 @@ class GlModule:
         self._verify_bracket_law()
 
     def _verify_bracket_law(self):
-        for i in range(self.d):
-            for j in range(self.d):
-                for k in range(self.d):
-                    for l in range(self.d):
-                        lhs = mat_sub(
-                            mat_mul(self.E[i][j], self.E[k][l]),
-                            mat_mul(self.E[k][l], self.E[i][j]),
-                        )
-                        rhs = zero_matrix(self.dim, self.dim)
-                        if j == k:
-                            rhs = mat_add(rhs, self.E[i][l])
+        """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj on the nonzero entries
+        of the images: each product E_ij E_kl is formed once, sparse, and
+        read by the two quadruples whose commutators use it.  Quadruples go
+        in lexicographic order, so the first failing one is reported."""
+        d = self.d
+        units = [_sparse(M) for Ei in self.E for M in Ei]  # E_ij at i * d + j
+        rows = {p: _by_row(u, self.dim) for p, u in enumerate(units) if u}
+        # only the nonzero products are held: d**4 empty dicts would not fit
+        # for a large rank and a small V
+        prods = {}
+        for p in rows:
+            for q, b in rows.items():
+                ab = _sparse_mul(units[p], b)
+                if ab:
+                    prods[p, q] = ab
+        empty, zero = {}, CycNumber.zero()
+        for i in range(d):
+            for j in range(d):
+                p = i * d + j
+                for k in range(d):
+                    for l in range(d):
+                        q = k * d + l
+                        ab, ba = prods.get((p, q), empty), prods.get((q, p), empty)
+                        rhs = dict(units[i * d + l]) if j == k else {}
                         if l == i:
-                            rhs = mat_sub(rhs, self.E[k][j])
-                        if not mat_eq(lhs, rhs):
-                            raise SpecMismatch(
-                                f"matrix-unit bracket law fails at ({i},{j},{k},{l})"
-                            )
+                            for key, x in units[k * d + j].items():
+                                y = rhs.get(key)
+                                rhs[key] = -x if y is None else y - x
+                        for key in ab.keys() | ba.keys() | rhs.keys():
+                            if ab.get(key, zero) - ba.get(key, zero) != rhs.get(key, zero):
+                                raise SpecMismatch(
+                                    f"matrix-unit bracket law fails at ({i},{j},{k},{l})"
+                                )
 
     def matrix_of(self, coeffs):
         """Image of the coefficient matrix sum_ij coeffs[i][j] E_ij."""
@@ -204,6 +260,7 @@ class GlModule:
 
 
 def natural(d: int) -> GlModule:
+    _check_dim(d, "natural")
     E = [
         [
             [[1 if (r == i and c == j) else 0 for c in range(d)] for r in range(d)]
@@ -215,6 +272,7 @@ def natural(d: int) -> GlModule:
 
 
 def dual(d: int) -> GlModule:
+    _check_dim(d, "dual")
     # E_ij acts by minus the transposed matrix unit
     E = [
         [
@@ -235,6 +293,7 @@ def sym_power(d: int, k: int) -> GlModule:
     """Degree-k polynomials in the natural variables, derivation action."""
     if k < 1:
         raise BadPower("symmetric power degree must be at least 1")
+    _check_dim(comb(d + k - 1, k), f"sym:{k}")
     basis = list(combinations_with_replacement(range(d), k))
     index = {b: t for t, b in enumerate(basis)}
     dim = len(basis)
@@ -257,6 +316,7 @@ def ext_power(d: int, k: int) -> GlModule:
     """k-th exterior power of the natural module, with resorting signs."""
     if k < 1 or k > d:
         raise BadPower(f"exterior power degree {k} is outside 1..{d}")
+    _check_dim(comb(d, k), f"ext:{k}")
     basis = list(combinations(range(d), k))
     index = {b: t for t, b in enumerate(basis)}
     dim = len(basis)

@@ -577,3 +577,17 @@ def test_tracer_sees_every_suite_and_check(tmp_path):
     assert sorted(table) == sorted(names)
     suite_of = {c.name: c.suite for c in checks.CHECKS}
     assert all(s["parent"] == suites[suite_of[n]] for s, n in zip(traced, names))
+
+
+@pytest.mark.parametrize("spec", [SPEC_I, SPEC_II, SPEC_III, TorusSpec.from_upper(2, 1, {})],
+                         ids=["i", "ii", "iii", "N1"])
+def test_random_coefficients_match_the_root_times_fraction_draw(spec):
+    # zeta_N^k * Fraction(p, q) through CycNumber.__mul__, the draw's former form
+    ours, theirs = checks.sub_rng(3, "coeff"), checks.sub_rng(3, "coeff")
+    for _ in range(500):
+        got = checks._rand_coeff(ours, spec)
+        want = spec.root(theirs.randrange(spec.N)) * Fraction(
+            theirs.randint(-2, 2), theirs.randint(1, 2)
+        )
+        assert (got.M, got.num, got.den) == (want.M, want.num, want.den)
+    assert ours.random() == theirs.random()

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -668,4 +669,61 @@ def test_the_cli_imports_no_dataclasses():
 
     loaded = modules("import qtorus.cli; ") - modules("")
     assert "qtorus.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    # the check suites and what they seed from load only in the commands that run them
+    assert not loaded & {"dataclasses", "inspect", "qtorus.checks", "hashlib", "random"}
+
+
+def _run_fresh(tmp_path, cfg, *argv):
+    """Run one command in a fresh interpreter; its exit code and whether it
+    loaded qtorus.checks."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "from qtorus.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('qtorus.checks' in sys.modules, code, file=sys.stderr)\n"
+    )
+    args = [argv[0], "--config", write_config(tmp_path, cfg), *argv[1:]]
+    res = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+    loaded, exit_code = res.stderr.split()
+    return int(exit_code), loaded == "True"
+
+
+def test_search_radical_and_act_finish_without_loading_the_check_suites(tmp_path):
+    one = {"M": 1, "coeffs": ["1/1"]}
+    vec = json.dumps({"box": [3, 3], "dim": 2, "entries": [{"n": [2, 1], "w": [one, one]}]})
+    elt = json.dumps({"der": {"inner": [], "witt": []}, "torus": [{"n": [1, 0], "c": one}]})
+    assert _run_fresh(tmp_path, INSTANCE_FG, "search-beta") == (0, False)
+    assert _run_fresh(tmp_path, INSTANCE_I, "radical") == (0, False)
+    assert _run_fresh(
+        tmp_path, INSTANCE_I, "act", "--element", elt, "--vector", vec
+    ) == (0, False)
+    # the commands that run a suite do load it
+    assert _run_fresh(tmp_path, INSTANCE_GG, "iso") == (0, True)
+
+
+def test_the_suite_help_lists_the_check_suites(capsys):
+    from qtorus import checks, cli
+
+    assert cli.SUITE_NAMES == checks.SUITE_NAMES
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "comma-separated suite names: " + ", ".join(checks.SUITE_NAMES) in help_text
+
+
+def test_a_module_above_the_dimension_ceiling_is_a_fast_usage_error(tmp_path, capsys):
+    from qtorus import cli
+
+    cfg = {"torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
+           "module": {"V": "sym:99"}}
+    path = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert cli.main(["search-beta", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: module sym:99 has dimension 5050, above the ceiling of 32\n"
+    res = run_cli("verify", "--config", path)
+    assert res.returncode == 2 and res.stderr == err and res.stdout == ""

@@ -2,13 +2,17 @@
 
 import hashlib
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from qtorus.cyclotomic import CycNumber
-from qtorus.errors import BadPower, SpecMismatch
+from _gl_oracle import first_failure
+from qtorus.cyclotomic import CycNumber, root_of_unity
+from qtorus.errors import BadPower, ConfigError, SpecMismatch
 from qtorus.glmodules import (
+    MAX_DIM,
     GlModule,
     Span,
     cyclic_from_every_start,
@@ -242,3 +246,103 @@ def test_matrix_product_associativity_seeded():
             mat_mul(mat_mul(toc(A), toc(B)), toc(C)),
             mat_mul(toc(A), mat_mul(toc(B), toc(C))),
         )
+
+
+def _copy_images(module):
+    return [[[list(row) for row in M] for M in Ei] for Ei in module.E]
+
+
+def _sparse_verdict(d, dim, E):
+    """The quadruple at which construction refuses E, or None if it builds."""
+    try:
+        GlModule(d, dim, E, "probe")
+    except SpecMismatch as exc:
+        return tuple(int(x) for x in re.search(r"\((\d+),(\d+),(\d+),(\d+)\)", str(exc)).groups())
+    return None
+
+
+@pytest.mark.parametrize(
+    "module, image, entry, quadruple",
+    [
+        # at (0,0,1,0) the right-hand side is -E_00 from the delta_li term alone
+        (natural(3), (0, 0), (0, 1), (0, 0, 1, 0)),
+        (sym_power(2, 2), (0, 1), (2, 1), (0, 0, 0, 1)),
+        (ext_power(3, 2), (1, 2), (0, 0), (0, 2, 1, 0)),
+        # E_00 becomes [[1/2, 1], [0, -1/2]], whose square has the entry
+        # 1/2 * 1 + 1 * (-1/2) = 0 at (0, 1): a product entry that cancels
+        (trace_twist(natural(2), Fraction(-1, 2)), (0, 0), (0, 1), (0, 0, 1, 0)),
+        # a corrupted entry in the trivial block of natural + trivial
+        (direct_sum(natural(2), trivial(2)), (0, 1), (2, 2), (0, 0, 0, 1)),
+    ],
+    ids=["natural", "sym2", "ext2", "twist-cancelling", "direct-sum"],
+)
+def test_one_corrupted_entry_breaks_the_bracket_law_where_the_dense_sweep_says(
+    module, image, entry, quadruple
+):
+    E = _copy_images(module)
+    (i, j), (r, c) = image, entry
+    E[i][j][r][c] = E[i][j][r][c] + 1
+    assert first_failure(module.d, module.dim, E) == quadruple
+    with pytest.raises(SpecMismatch) as exc:
+        GlModule(module.d, module.dim, E, "corrupt")
+    assert str(exc.value) == "matrix-unit bracket law fails at ({},{},{},{})".format(*quadruple)
+
+
+def test_the_twist_control_holds_a_product_entry_that_cancels():
+    E00 = _copy_images(trace_twist(natural(2), Fraction(-1, 2)))[0][0]
+    E00[0][1] = E00[0][1] + 1
+    terms = [E00[0][t] * E00[t][1] for t in range(2)]
+    assert all(not x.is_zero() for x in terms)
+    assert (terms[0] + terms[1]).is_zero()
+
+
+def _conjugated(module, rng):
+    """module in the basis changed by I + e E_rc (r != c): still a
+    representation, with denser images whose products can cancel."""
+    n = module.dim
+    r, c = rng.sample(range(n), 2)
+    e = CycNumber.rational(rng.choice((1, -1, 2)))
+    P = identity_matrix(n)
+    Q = identity_matrix(n)
+    P[r][c], Q[r][c] = e, -e
+    return [[mat_mul(mat_mul(P, M), Q) for M in Ei] for Ei in module.E]
+
+
+def test_the_sparse_law_agrees_with_the_dense_sweep_on_seeded_perturbations():
+    rng = sub_rng(20261020, "sparse-law")
+    modules = [
+        natural(2),
+        natural(3),
+        dual(2),
+        sym_power(2, 2),
+        ext_power(3, 2),
+        trace_twist(sym_power(2, 2), Fraction(1, 3)),
+        direct_sum(natural(2), trivial(2)),
+    ]
+    values = [CycNumber.rational(1), CycNumber.rational(-1), CycNumber.rational(Fraction(1, 2)),
+              root_of_unity(4, 1), root_of_unity(3, 2)]
+    refused = built = 0
+    for module in modules:
+        d, dim = module.d, module.dim
+        for trial in range(12):
+            E = _conjugated(module, rng) if dim > 1 and trial % 2 else _copy_images(module)
+            # trial 0 is the module itself; the others change one or two entries
+            for _ in range(0 if trial == 0 else rng.randint(1, 2)):
+                i, j = rng.randrange(d), rng.randrange(d)
+                r, c = rng.randrange(dim), rng.randrange(dim)
+                E[i][j][r][c] = E[i][j][r][c] + rng.choice(values)
+            want = first_failure(d, dim, E)
+            assert _sparse_verdict(d, dim, E) == want
+            refused += want is not None
+            built += want is None
+    assert refused >= 60 and built >= len(modules)
+
+
+@pytest.mark.parametrize("selector", ["sym:99", "natural", "dual", "ext:16"])
+def test_a_module_above_the_dimension_ceiling_is_refused_before_it_is_built(selector):
+    d = 3 if selector == "sym:99" else 33
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"above the ceiling of {MAX_DIM}"):
+        parse_module(d, selector)
+    assert time.perf_counter() - start < 1.0
+
