@@ -17,8 +17,9 @@ The kernel reads each operand in its ring form (_flatten): its basis terms
 group ring Z[Z/L] over one common denominator, with L the lcm of N and the
 conductors of the coefficients.  A coefficient enters as its power-basis
 numerators at the multiples of L/M, and multiplying by zeta_N^k rotates the
-counts by k L/N.  When the two operands' L differ, _extend lifts one or both
-to the lcm by multiplying the indices.
+counts by k L/N.  When the two operands' L differ, each is taken from its
+components' folded values (_Graded.folded_form), and _extend lifts one or
+both to the lcm by multiplying the indices.
 
 TorusElement, DerElement (qtorus.derivations) and GElement
 (qtorus.semidirect) share one base, _Element, and one representation: the
@@ -38,11 +39,15 @@ components and inner terms at radical degrees are dropped there, and each
 value folded is kept with the store.  The ring form comes off the store's
 counts (_Graded.form), with no fold: Z[Z/L] -> Q(zeta_L) is a ring map that
 _lift commutes with, so sums, scalings and nested brackets stay in the
-group ring; a component already folded gives its value instead.  The zero
-test and the first nonzero coefficient in witness order (_witness_key:
-inner, then Witt, then torus terms) fold components in that order up to the
-first nonzero one (_Graded.first), once per store, so a zero bracket is
-never read out.
+group ring; a component already folded gives its value instead.  Where two
+L differ, both forms come off folded values (_Graded.folded_form, which
+keeps none of them): unreduced counts lifted to the lcm could need a larger
+field than their value, and a result would then raise
+ConductorLimitExceeded or not by whether an operand had been read or
+zero-tested before.  The zero test and the first nonzero coefficient in
+witness order (_witness_key: inner, then Witt, then torus terms) fold
+components in that order up to the first nonzero one (_Graded.first), once
+per store, so a zero bracket is never read out.
 """
 
 from __future__ import annotations
@@ -120,9 +125,10 @@ class _Graded:
         sums = {key: counts for key, counts in self.sums.items() if (key[0] == TORUS) == torus}
         return _Graded(self.spec, self.L, self.den, sums, self.folded)
 
-    def _values(self, keys):
+    def _values(self, keys, keep=True):
         """((kind, degree), value) for each of `keys` whose component reads
-        nonzero, folded one at a time as the caller asks for the next."""
+        nonzero, folded one at a time as the caller asks for the next; each
+        value folded is kept with the store when `keep`."""
         spec, L, den, sums, folded = self.spec, self.L, self.den, self.sums, self.folded
         for key in keys:
             c = folded.get(key)
@@ -130,7 +136,9 @@ class _Graded:
                 counts = sums[key]
                 if not any(counts) or (key[0] == INNER and spec._radical_point(key[1])):
                     continue
-                c = folded[key] = _from_root_counts(L, counts, den)
+                c = _from_root_counts(L, counts, den)
+                if keep:
+                    folded[key] = c
             if not c.is_zero():
                 yield key, c
 
@@ -175,6 +183,13 @@ class _Graded:
                 if pairs:
                     ring.append((kind, n, pairs))
         return L, den, ring
+
+    def folded_form(self):
+        """The ring form of the components' folded values (see _flatten), at
+        the lcm of N and their conductors: what a lift to a larger L is taken
+        from, so it carries no counts that only a larger field can fold.  The
+        values are not kept: an operand's store is left as it was."""
+        return _flatten(self.spec, [key + (c,) for key, c in self._values(self.sums, False)])
 
 
 def _flatten(spec: TorusSpec, terms):
@@ -237,12 +252,14 @@ def _join(spec: TorusSpec, stores) -> _Graded:
     return joined
 
 
-def _extend(spec: TorusSpec, fx, fy, product=False) -> _Graded:
-    """The graded store of [x, y] (x * y when `product`) for x and y given by
-    their ring forms; an operand is lifted only when the two L differ."""
-    (lx, dx, gx), (ly, dy, gy) = fx, fy
+def _extend(spec: TorusSpec, x, y, product=False) -> _Graded:
+    """The graded store of [x, y] (x * y when `product`) from the ring forms
+    of the elements x and y; only when the two L differ are both forms taken
+    from folded values (_Graded.folded_form) and lifted to the lcm."""
+    (lx, dx, gx), (ly, dy, gy) = x._form(), y._form()
     L = lx
     if lx != ly:
+        (lx, dx, gx), (ly, dy, gy) = x._store.folded_form(), y._store.folded_form()
         L = lcm(lx, ly)
         if L != lx:
             gx = _lift(gx, L // lx)
@@ -336,18 +353,27 @@ class _Element:
         if self.spec != other.spec:
             raise SpecMismatch("operands live over different torus specs")
 
+    def _forms(self, other):
+        """The ring forms of self and other, each taken from its folded
+        values (_Graded.folded_form) when their L differ, so that a value
+        does not depend on whether an operand was read or zero-tested."""
+        fx, fy = self._form(), other._form()
+        if fx[0] != fy[0]:
+            return self._store.folded_form(), other._store.folded_form()
+        return fx, fy
+
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._read(_combine(self.spec, self._form(), other._form()))
+        return self._read(_combine(self.spec, *self._forms(other)))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        L, den, ring = other._form()
-        return self._read(_combine(self.spec, self._form(), (L, den, _lift(ring, 1, -1))))
+        fx, (L, den, ring) = self._forms(other)
+        return self._read(_combine(self.spec, fx, (L, den, _lift(ring, 1, -1))))
 
     def __neg__(self):
         L, den, ring = self._form()
@@ -357,6 +383,8 @@ class _Element:
         """c times the element: its counts times c's numerators, over den * c.den."""
         c = _as_coeff(c)
         L, den, ring = self._form()
+        if L % c.M:  # a lift to lcm(L, c.M), taken from the folded values (see _forms)
+            L, den, ring = self._store.folded_form()
         M = lcm(L, c.M)
         s, t = M // L, M // c.M
         cs = [(i * t, b) for i, b in enumerate(c.num) if b]
@@ -376,7 +404,7 @@ def _bracket(x: _Element, y: _Element, out, product=False):
     """[x, y] (x * y when `product`) as an element of class `out` holding its
     store."""
     x._check(y)
-    return out._read(_extend(x.spec, x._form(), y._form(), product))
+    return out._read(_extend(x.spec, x, y, product))
 
 
 class TorusElement(_Element):

@@ -16,17 +16,17 @@ Every weight space is a copy of V, so a homogeneous element x of degree k
 maps the weight space at n to the one at n+k by one dim x dim matrix, its
 symbol(x, n, ms).  That matrix is a*Id + b*W: the torus and inner terms and
 the weight pairing give the scalar a, and the Witt term D(u, k) gives
-b = sigma(k,n) and W, the image of k u^T on V, which does not depend on n.
-V builds each W once per (k, u) and holds it (GlModule.outer_image); a W
-that is a scalar matrix, 0 included, is folded into a.  So two symbols
-that share one W are equal exactly when their (a, b) are, and the module
-code scales, adds, composes and compares symbols on these parts.  A dense
-matrix is built only where two Witt parts meet (a sum of two symbols with
-different W, or a product of two symbols that both have one; the result is
-folded back when it is a scalar matrix), or where a result is read: the
-public symbol() and weight_op_matrix(), a comparison with an expected
-matrix, the matrices handed to glmodules.generates, and the witness of a
-nonzero defect.
+b = sigma(k,n) and W, the image of k u^T on V, which V builds once per
+(k, u) and holds (GlModule.outer_image); a scalar W, 0 included, is folded
+into a.  So a symbol is a function of e1, e2 and u.n alone, where
+sigma(k,n) = zeta_N^e1, sigma(n,k) = zeta_N^e2 and u.n = sum u_i n_i, and
+each helper that walks weight points evaluates it once per operator and
+distinct (e1, e2, u.n): a private record (_Operator) memoizes it for that
+one call.  Two symbols sharing one W are equal exactly when their (a, b)
+are, and the module code scales, adds, composes and compares symbols on
+these parts.  A dense matrix is built only where two Witt parts meet, or
+where a result is read: symbol(), weight_op_matrix(), a comparison with an
+expected matrix, glmodules.generates, and the witness of a nonzero defect.
 
 An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
 compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
@@ -37,16 +37,13 @@ gives its first defect on the weight space at n against c Id, or against an
 expected dim x dim matrix, and expr_first_defect runs it over sampled start
 points whose every intermediate weight stays inside a finite box (the
 expression "interior"), so each reported defect is an exact statement.  A
-degree-zero expression, such as the weight operator T'(u, r) or the zero
-mode t^(-s) ad t^s, maps each weight space to itself; one private reader,
-_weight_symbol, returns its symbol at n (zero for the empty expression,
-OutOfBox outside the interior), and weight_op_matrix and zero_mode_scalar
-read through it.  The irreducibility probe closes start vectors under the
-weight-operator matrices of every radical row (glmodules.generates), counting
-cyclic_starts of total_starts; points and draws come from qtorus.lattice.
-BoxVector is a box-truncated vector, and act() applies one element to it as
-the sum over n of symbol(x_k, n) w(n) over the homogeneous parts x_k,
-dropping (and flagging) images pushed outside.
+degree-zero expression, such as T'(u, r) or the zero mode t^(-s) ad t^s,
+maps each weight space to itself; _weight_symbol returns its symbol at n,
+and weight_op_matrix and zero_mode_scalar read through it.  The
+irreducibility probe closes start vectors under the weight-operator
+matrices of every radical row (glmodules.generates).  BoxVector is a
+box-truncated vector, and act() applies one element to it, dropping (and
+flagging) images pushed outside.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
@@ -54,8 +51,7 @@ action to the other exactly when c(k) symbol_a(x, n) = symbol_b(x, n + delta).
 intertwiner_check (iso, diagonal_intertwiner) takes G_g to F_(g^-1) with
 delta = 0 and c = g^-1; search_twist_equivalence (search-beta) takes F_g to
 the plain module at beta, delta = alpha - beta, and enumerates c.  Each
-generator comes with its degree k and its symbol pairs, so c(k) is computed
-once per generator.
+distinct symbol pair of a generator is compared once.
 """
 
 from __future__ import annotations
@@ -66,18 +62,15 @@ from math import gcd, lcm
 from .algebra import TorusElement
 from .cyclotomic import CycNumber, _as_coeff, root_of_unity
 from .derivations import DerElement
-from .errors import (
-    ConfigError,
-    NotCharacter,
-    NotScalar,
-    OutOfBox,
-    SpecMismatch,
-)
+from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
 from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
 from .glmodules import mat_sub, mat_vec, matrix_as_scalar
 from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
 from .semidirect import GElement
 from .torus import TorusSpec
+
+_ZERO = CycNumber.zero()
+_ONE = CycNumber.one()
 
 
 # -- characters of the degree lattice ---------------------------------------
@@ -108,9 +101,8 @@ class DiagonalCharacter:
     def __eq__(self, other):
         if not isinstance(other, DiagonalCharacter):
             return NotImplemented
-        if len(self.exponents) != len(other.exponents):
-            return False
-        return all(self.value(e) == other.value(e) for e in units(len(self.exponents)))
+        d = len(self.exponents)
+        return d == len(other.exponents) and all(self.value(e) == other.value(e) for e in units(d))
 
     __hash__ = None
 
@@ -131,12 +123,9 @@ class TwistCharacter(DiagonalCharacter):
         if len(self.exponents) != spec.d:
             raise ConfigError("character exponent vector length must equal the rank")
         self.spec = spec
-        one = CycNumber.one()
         for row in spec.radical().basis:
-            if self.value(row) != one:
-                raise NotCharacter(
-                    f"twist character is not trivial on radical vector {list(row)}"
-                )
+            if self.value(row) != _ONE:
+                raise NotCharacter(f"twist character is not trivial on radical vector {list(row)}")
 
     @classmethod
     def trivial(cls, spec: TorusSpec) -> "TwistCharacter":
@@ -200,11 +189,7 @@ class ModuleSpec:
             raise ConfigError("twist character was validated against a different spec")
         if flavor == "F" and not twist.is_trivial:
             raise ConfigError("flavor F requires the constant-1 twist")
-        self.spec = spec
-        self.V = V
-        self.alpha = alpha
-        self.twist = twist
-        self.flavor = flavor
+        self.spec, self.V, self.alpha, self.twist, self.flavor = spec, V, alpha, twist, flavor
 
     def label(self) -> str:
         a = ",".join(str(x.as_rational()) if x.is_rational() else repr(x) for x in self.alpha)
@@ -226,9 +211,7 @@ class BoxVector:
             raise ConfigError("box radii must be nonnegative integers")
         if type(dim) is not int:
             raise ConfigError("a box vector's dim must be an integer")
-        self.dim = dim
-        self.entries = {}
-        self.truncated = truncated
+        self.dim, self.entries, self.truncated = dim, {}, truncated
         if entries:
             for n, w in entries.items():
                 self._add(tuple(n), tuple(_as_coeff(x) for x in w))
@@ -364,10 +347,6 @@ def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
     return out
 
 
-_ZERO = CycNumber.zero()
-_ONE = CycNumber.one()
-
-
 class _Symbol:
     """The matrix a*Id + b*W by which an operator maps one weight space to
     another.  W is None for a scalar matrix (b is then 0); otherwise W is
@@ -464,8 +443,35 @@ def _part_symbol(x: GElement, k, n, ms: ModuleSpec) -> _Symbol:
     return _Symbol(a, b, W)
 
 
-def _symbol(x: GElement, n, ms: ModuleSpec) -> _Symbol:
-    return _ZERO_SYMBOL if x.is_zero() else _part_symbol(x, _degree_of(x), n, ms)
+class _Operator:
+    """The degree-k part of x acting on one module, for the span of the
+    helper call that builds it.  Its symbol depends on n only through
+    sigma(k,n) = zeta_N^e1, sigma(n,k) = zeta_N^e2 (read by an inner term)
+    and u.n = sum u_i n_i (read by a Witt term's pairing), so at(n) calls
+    _part_symbol once per distinct key(n): e1, e2 when x has an inner term,
+    and u.n, exactly, when it has a Witt term."""
+
+    __slots__ = ("x", "k", "ms", "inner", "rows", "memo")
+
+    def __init__(self, x: GElement, k, ms: ModuleSpec):
+        self.x, self.k, self.ms, self.memo = x, k, ms, {}
+        self.inner, u, self.rows = k in x.der.inner, x.der.witt.get(k), None
+        if u is not None:  # u.n = (R n) . (1, zeta_M, zeta_M^2, ...) / D, R an integer matrix
+            M, D = lcm(*(c.M for c in u)), lcm(*(c.den for c in u))
+            u = [c if c.M == M else c.lift(M) for c in u]
+            self.rows = tuple(zip(*([a * (D // c.den) for a in c.num] for c in u)))
+
+    def key(self, n):
+        e, k, rows = self.ms.spec.sigma_exp, self.k, self.rows
+        un = rows and tuple([sum([a * x for a, x in zip(row, n)]) for row in rows])
+        return e(k, n), e(n, k) if self.inner else None, un
+
+    def at(self, n) -> _Symbol:
+        key = self.key(n)
+        S = self.memo.get(key)
+        if S is None:
+            S = self.memo[key] = _part_symbol(self.x, self.k, n, self.ms)
+        return S
 
 
 def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
@@ -480,12 +486,12 @@ def act(x, w: BoxVector, ms: ModuleSpec) -> BoxVector:
         raise SpecMismatch("vector dimension does not match V")
     out = BoxVector(w.box, w.dim, truncated=w.truncated)
     acting = set(x.torus.terms) | set(x.der.witt)
-    degrees = acting | set(x.der.inner)
+    ops = [_Operator(x, k, ms) for k in acting | set(x.der.inner)]
     for n, coords in w.entries.items():
-        for k in degrees:
-            S = _part_symbol(x, k, n, ms)
-            if k in acting or not S.is_zero():
-                out._add(shift(k, n), tuple(mat_vec(S.matrix(w.dim), coords)))
+        for op in ops:
+            S = op.at(n)
+            if op.k in acting or not S.is_zero():
+                out._add(shift(op.k, n), tuple(mat_vec(S.matrix(w.dim), coords)))
     return out
 
 
@@ -498,7 +504,8 @@ def symbol(x, n, ms: ModuleSpec):
     image W of k u^T on V; column t is act(x, v_t(n)) read at n + k."""
     if x.spec != ms.spec:
         raise SpecMismatch("element and module live over different torus specs")
-    return _symbol(x, n, ms).matrix(ms.V.dim)
+    S = _ZERO_SYMBOL if x.is_zero() else _part_symbol(x, _degree_of(x), n, ms)
+    return S.matrix(ms.V.dim)
 
 
 # -- formal operator expressions ----------------------------------------------
@@ -530,10 +537,7 @@ def expr_scale(e, c) -> list:
 
 
 def expr_sum(*exprs) -> list:
-    out = []
-    for e in exprs:
-        out.extend(e)
-    return out
+    return [term for e in exprs for term in e]
 
 
 def expr_neg(e) -> list:
@@ -563,15 +567,9 @@ def _term_offsets(factors):
 def _box_ranges(box, offsets):
     """Per-axis (lo, hi) of the points n with n and every n + off inside the
     box; None when empty."""
-    lo = [-r for r in box]
-    hi = list(box)
-    for off in offsets:
-        for i, (r, x) in enumerate(zip(box, off)):
-            lo[i] = max(lo[i], -r - x)
-            hi[i] = min(hi[i], r - x)
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    return list(zip(lo, hi))
+    lo = [max([-r] + [-r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    hi = [min([r] + [r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    return None if any(l > h for l, h in zip(lo, hi)) else list(zip(lo, hi))
 
 
 def expr_interior(box, expr):
@@ -581,9 +579,7 @@ def expr_interior(box, expr):
 
 
 def interior_points(ranges):
-    if ranges is None:
-        return []
-    return [tuple(p) for p in _iproduct(*[range(lo, hi + 1) for lo, hi in ranges])]
+    return [] if ranges is None else list(_iproduct(*[range(lo, hi + 1) for lo, hi in ranges]))
 
 
 def box_points(box, *offsets):
@@ -592,18 +588,28 @@ def box_points(box, *offsets):
     return interior_points(_box_ranges(box, offsets))
 
 
-def _expr_symbols(expr, ms: ModuleSpec, n):
-    """{target point: symbol} of the expression on the weight space at n:
-    each term is c times the product of its factors' symbols at the points
-    it passes through; terms with the same target add up."""
+def _compile(expr, ms: ModuleSpec):
+    """The expression's terms as (c, operators in the order they act), with
+    one operator record (_Operator) per distinct factor, shared by the
+    terms that hold it."""
+    ops = []
+    for f in (f for _, fs in expr for f in fs):
+        if not any(o.x is f for o in ops):
+            ops.append(_Operator(f, _degree_of(f), ms))
+    return [(c, [next(o for o in ops if o.x is f) for f in reversed(fs)]) for c, fs in expr]
+
+
+def _expr_symbols(terms, n):
+    """{target point: symbol} of a compiled expression on the weight space
+    at n: each term is c times the product of its factors' symbols at the
+    points it passes through; terms with the same target add up."""
     out = {}
-    for c, factors in expr:
-        p, S = tuple(n), None
-        for f in reversed(factors):
-            k = _degree_of(f)
-            T = _part_symbol(f, k, p, ms)
+    for c, ops in terms:
+        p, S = n, None
+        for op in ops:
+            T = op.at(p)
             S = T if S is None else T * S
-            p = shift(p, k)
+            p = shift(p, op.k)
         if c.M != 1 or c != _ONE:  # a rational c is compared without a lift
             S = S.scale(c)
         out[p] = out[p] + S if p in out else S
@@ -622,12 +628,6 @@ def _first_nonzero(*mats):
     return None
 
 
-def _witness(S: _Symbol, dim: int):
-    """First nonzero entry of the symbol's matrix, column by column, or None;
-    the matrix is only built for a nonzero symbol."""
-    return None if S.is_zero() else _first_nonzero(S.matrix(dim))
-
-
 def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     """The first defect of the expression on the weight space at n against
     c, or None when they agree.  c is a scalar, standing for c Id, or a
@@ -637,8 +637,12 @@ def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     defect is the first nonzero entry of the difference, by source basis
     vector, target point and coordinate.  The caller keeps every
     intermediate weight inside its box."""
-    n = tuple(n)
-    images = _expr_symbols(expr, ms, n)
+    return _defect_at(_compile(expr, ms), ms, tuple(n), c)
+
+
+def _defect_at(terms, ms: ModuleSpec, n, c=0):
+    """expr_defect_at on a compiled expression."""
+    images = _expr_symbols(terms, n)
     dense = isinstance(c, list)
     if not dense:
         c = _as_coeff(c)
@@ -661,8 +665,9 @@ def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
     pts = interior_points(expr_interior(box, expr))
     if rng is not None and limit is not None and len(pts) > limit:
         pts = [pts[i] for i in sorted(rng.sample(range(len(pts)), limit))]
+    terms = _compile(expr, ms)
     for n in pts:
-        defect = expr_defect_at(expr, ms, n)
+        defect = _defect_at(terms, ms, n)
         if defect is not None:
             return defect
     return None
@@ -678,7 +683,7 @@ def _weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
     ranges = expr_interior(box, expr)
     if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
         raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
-    return _expr_symbols(expr, ms, n)[n]
+    return _expr_symbols(_compile(expr, ms), n)[n]
 
 
 # -- named operators -----------------------------------------------------------
@@ -772,13 +777,10 @@ def extract_twist(ms: ModuleSpec, box, rng) -> TwistCharacter:
     ad t^s = 0 there, so g reads 1, and a TwistCharacter is 1 there)."""
     spec = ms.spec
     zero = (0,) * spec.d
-    one = CycNumber.one()
-    sign = 1 if ms.flavor == "F_g" else -1
 
     def g_at(s):
-        lam = zero_mode_scalar(ms, s, zero, box)
-        val = spec.sigma(s, s) * lam
-        out = one + val if sign > 0 else one - val
+        val = spec.sigma(s, s) * zero_mode_scalar(ms, s, zero, box)
+        out = _ONE + val if ms.flavor == "F_g" else _ONE - val
         if out.as_root_exponent() is None:
             raise NotCharacter(f"recovered twist value at {list(s)} is not a root of unity")
         return out
@@ -808,23 +810,26 @@ def _generators(spec):
 
 
 def _comparisons(gens, ms_a, ms_b, box, delta):
-    """(k, pairs) for each generator x, of degree k: pairs yields
-    (S_a(x, n), S_b(x, n + delta)) at each n with n, n + k, n + delta and
-    n + k + delta inside the box.
-
-    The diagonal map v(n) |-> c(n) v(n + delta) from module a to module b,
-    for a character c, carries x from one action to the other exactly when
-    c(n + k) S_a = c(n) S_b at every n; c(n) != 0, so that is c(k) S_a = S_b,
-    and neither symbol depends on c.  The pairs are computed one at a time,
-    as they are read."""
+    """(k, pairs) for each generator x, of degree k: pairs yields each
+    distinct (S_a(x, n), S_b(x, n + delta)) once, as it is read, at the first
+    n that gives it, of the n with n, n + k, n + delta and n + k + delta in
+    the box.  The diagonal map v(n) |-> c(n) v(n + delta) from module a to
+    module b, for a character c, carries x from one action to the other
+    exactly when c(n + k) S_a = c(n) S_b at every n; c(n) != 0, so that is
+    c(k) S_a = S_b, and neither symbol depends on c."""
     for x in gens:
         k = _degree_of(x)
-        yield k, _symbol_pairs(x, k, ms_a, ms_b, box, delta)
+        yield k, _symbol_pairs(_Operator(x, k, ms_a), _Operator(x, k, ms_b), box, delta)
 
 
-def _symbol_pairs(x, k, ms_a, ms_b, box, delta):
-    for n in box_points(box, k, delta, shift(k, delta)):
-        yield _symbol(x, n, ms_a), _symbol(x, shift(n, delta), ms_b)
+def _symbol_pairs(op_a, op_b, box, delta):
+    seen = set()
+    for n in box_points(box, op_a.k, delta, shift(op_a.k, delta)):
+        m = shift(n, delta)
+        key = op_a.key(n), op_b.key(m)
+        if key not in seen:
+            seen.add(key)
+            yield op_a.at(n), op_b.at(m)
 
 
 def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
@@ -851,9 +856,9 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     for k, pairs in _comparisons(gens, ms_G, ms_F, box, (0,) * spec.d):
         ginv_k = ginv.value(k)
         for S_G, S_F in pairs:
-            defect = _witness(S_G.scale(ginv_k) - S_F, ms_G.V.dim)
-            if defect is not None:
-                return {"pass": False, "defect": defect}
+            D = S_G.scale(ginv_k) - S_F
+            if not D.is_zero():
+                return {"pass": False, "defect": _first_nonzero(D.matrix(ms_G.V.dim))}
     return {"pass": True, "defect": None}
 
 
@@ -864,26 +869,22 @@ RANDOM_STARTS = 5
 def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng):
     """Cyclicity probe: does every start vector generate every inner weight space?
 
-    The probe factors through three computationally verified facts:
-    (1) the weight operators' matrices are constant across the inner box;
-    (2) the torus transports between inner points are bijective scalings;
-    (3) from each start vector, the V-coordinates close up to all of V under
-        the weight-operator matrices.
-    Together these are equivalent to the spanning statement over the inner
-    box; each part is checked honestly per run.  T'(u, rr) is read for every
+    The probe factors through three facts, each checked per run: (1) the
+    weight operators' matrices are constant across the inner box; (2) the
+    torus transports between inner points are bijective scalings; (3) from
+    each start vector, the V-coordinates close up to all of V under the
+    weight-operator matrices.  Together these are equivalent to the
+    spanning statement over the inner box.  T'(u, rr) is read for every
     Hermite row rr of the radical: OutOfBox if no inner n has n + rr in the box.
     Returns {'pass', 'weight_ops_constant', 'transports_bijective',
     'cyclic_starts', 'total_starts'}: the starts are each basis vector at each
     inner point and RANDOM_STARTS random vectors; the cyclic ones close to V."""
-    spec = ms.spec
-    d = spec.d
-    dim = ms.V.dim
+    spec, d, dim = ms.spec, ms.spec.d, ms.V.dim
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
     inner = box_points((inner_radius,) * d)
     # (1) matrices constant across the inner box
-    mats = []
-    constant = True
+    mats, constant = [], True
     for rr in spec.radical().basis:
         usable = [n for n in inner if in_box(box, shift(n, rr))]
         if not usable:
@@ -891,21 +892,21 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng):
             raise OutOfBox(f"radical row {list(rr)} needs a box of radius {need}")
         for u in units(d):
             # the usable points lie inside the interior of e by construction
-            e = weight_op_expr(ms, u, rr)
-            S0 = _expr_symbols(e, ms, usable[0])[usable[0]]
+            e = _compile(weight_op_expr(ms, u, rr), ms)
+            S0 = _expr_symbols(e, usable[0])[usable[0]]
             mats.append(S0.matrix(dim))
             for n in usable[1:]:
-                if _expr_symbols(e, ms, n)[n] != S0:
+                if _expr_symbols(e, n)[n] != S0:
                     constant = False
     # (2) transports between inner points are nonzero scalar bijections
     transports_ok = True
     for e in units(d):
-        transport = expr_of(op_torus(spec, e))
+        transport = _compile(expr_of(op_torus(spec, e)), ms)
         for n in inner:
             if not in_box(box, shift(n, e)):
                 continue
             c = spec.sigma(e, n)  # a root of unity, invertible
-            if expr_defect_at(transport, ms, n, c) is not None:
+            if _defect_at(transport, ms, n, c) is not None:
                 transports_ok = False
     # (3) closure of V-coordinates under the weight-operator matrices; a start's
     # closure does not depend on its weight point, so it counts once per point
@@ -942,8 +943,7 @@ def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
     {'found': False}."""
     if ms_source.flavor != "F_g":
         raise ConfigError("twist-equivalence search starts from an F_g module")
-    spec = ms_source.spec
-    d = spec.d
+    spec, d = ms_source.spec, ms_source.spec.d
     conductor = lcm(spec.N, ms_source.twist.modulus)
     if conductor ** d > 64 ** 3:
         raise ConfigError("candidate character family too large to enumerate")

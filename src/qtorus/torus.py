@@ -21,6 +21,11 @@ from .cyclotomic import CycNumber, root_of_unity
 from .errors import ConfigError
 from .lattice import det_of_hnf, hnf_contains, kernel_mod
 
+# The largest rank accepted.  Work at every layer grows with d (V's bracket
+# law alone walks d^4 quadruples), and natural(d) already stops at 32 through
+# glmodules.MAX_DIM, so a larger d is refused before any field is built.
+MAX_RANK = 32
+
 
 class RadicalBasis(NamedTuple):
     """Canonical description of rad(f) as a sublattice of Z^d."""
@@ -52,6 +57,8 @@ class TorusSpec:
     def __init__(self, d: int, N: int, A, corrupt_sigma: bool = False):
         if d < 1:
             raise ConfigError("rank d must be >= 1")
+        if d > MAX_RANK:
+            raise ConfigError(f"rank d = {d} is above the ceiling of {MAX_RANK}")
         if N < 1:
             raise ConfigError("order N must be >= 1")
         rows = [list(int(x) % N for x in row) for row in A]

@@ -184,14 +184,35 @@ def test_sums_and_products_read_each_term_at_its_own_conductor(monkeypatch):
     with pytest.raises(ConductorLimitExceeded, match="conductor 24 exceeds"):
         (x + TorusElement.monomial(SPEC_III, (1, 0, 0), root_of_unity(3, 1))).terms
     # b reads zero but its store holds counts at indices 0, 4 and 8 of L = 12;
-    # once b is read, its form carries the folded zero, so the product with a
-    # zeta_8 term needs no conductor 24 (while b still holds its raw counts,
-    # the product is read at 24 and exceeds the cap)
+    # its product with a zeta_8 term is taken from the folded zero, so it needs
+    # no conductor 24 (test_a_value_does_not_depend_on_an_earlier_zero_test)
     w = TorusElement.monomial(SPEC_III, (0, 0, 0), root_of_unity(3, 1))
     b = tmul(w, w) + TorusElement.one(SPEC_III) + w
     assert b.terms == {}
     z = tmul(TorusElement.monomial(SPEC_III, (0, 0, 0), root_of_unity(8, 1)), b)
     assert z.is_zero() and z.terms == {}
+
+
+@pytest.mark.parametrize("tested_first", [False, True])
+def test_a_value_does_not_depend_on_an_earlier_zero_test(monkeypatch, tested_first):
+    """b = w^2 + t^0 + w with w = zeta_3 t^0 is zero, held as counts at
+    indices 0, 4 and 8 of Z/12.  Lifted raw to L = 24 beside a zeta_8 term,
+    those counts would need Q(zeta_24), over a cap of 20, unless b had been
+    zero-tested (which folds them) first.  Forms of different L are taken
+    from their folded values, so every order gives the same answer."""
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+    monkeypatch.setenv("QTORUS_MAX_CONDUCTOR", "20")
+    zero = (0, 0, 0)
+    zeta8 = root_of_unity(8, 1)
+    a = TorusElement.monomial(SPEC_III, zero, zeta8)
+    w = TorusElement.monomial(SPEC_III, zero, root_of_unity(3, 1))
+    results = []
+    for op in (tmul, lambda x, y: x + y, lambda x, y: x - y, lambda x, y: y.scale(zeta8)):
+        b = tmul(w, w) + TorusElement.one(SPEC_III) + w
+        if tested_first:
+            assert b.is_zero()
+        results.append(op(a, b).terms)
+    assert results == [{}, {zero: zeta8}, {zero: zeta8}, {}]
 
 
 def test_coefficients_merge_and_cancel():

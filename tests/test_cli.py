@@ -727,3 +727,22 @@ def test_a_module_above_the_dimension_ceiling_is_a_fast_usage_error(tmp_path, ca
     assert err == "error: module sym:99 has dimension 5050, above the ceiling of 32\n"
     res = run_cli("verify", "--config", path)
     assert res.returncode == 2 and res.stderr == err and res.stdout == ""
+
+
+def test_a_rank_above_the_ceiling_is_a_fast_usage_error(tmp_path, capsys, monkeypatch):
+    """d = 33 is refused by TorusSpec before any cyclotomic field is built
+    (so before V), with exit 2 and one error line."""
+    from qtorus import cli, cyclotomic
+
+    d = 33
+    cfg = {"torus": {"d": d, "N": 2, "A": [[0] * d for _ in range(d)]}, "module": {"V": "trivial"}}
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+    start = time.perf_counter()
+    assert cli.main(["verify", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert cyclotomic._FIELDS == {}
+    err = capsys.readouterr().err
+    assert err == "error: rank d = 33 is above the ceiling of 32\n"
+    res = run_cli("verify", "--config", path)
+    assert res.returncode == 2 and res.stderr == err and res.stdout == ""

@@ -2,12 +2,13 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtorus import checks
+from qtorus import checks, fmodule
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.errors import (
     ConfigError,
@@ -45,7 +46,7 @@ from qtorus.fmodule import (
     zero_mode_expr,
     zero_mode_scalar,
 )
-from qtorus.fmodule import _symbol, _weight_symbol
+from qtorus.fmodule import _Operator, _part_symbol, _weight_symbol
 from qtorus.glmodules import (
     direct_sum,
     dual,
@@ -68,6 +69,7 @@ from _act_oracle import act as oracle_act
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
 SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
 SPEC_III = TorusSpec.from_upper(3, 4, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
+SPEC_III_CORRUPT = TorusSpec(3, 4, SPEC_III.A, corrupt_sigma=True)
 BOX2 = (3, 3)
 BOX3 = (3, 3, 3)
 
@@ -208,6 +210,94 @@ def test_symbol_columns_match_act_on_basis_vectors(spec, modulus, exps):
                         assert [row[t] for row in M] == list(image), (flavor, V.name, n, t)
 
 
+@pytest.mark.parametrize(
+    "spec,modulus,exps",
+    [
+        (SPEC_I, 2, (1, 0)),
+        (SPEC_II, 3, (1, 2)),
+        (SPEC_III, 4, (3, 0, 0)),
+        (SPEC_III_CORRUPT, 4, (3, 0, 0)),
+    ],
+    ids=["i", "ii", "iii", "corrupt-sigma"],
+)
+def test_the_operator_memo_agrees_with_a_fresh_symbol_at_every_point(spec, modulus, exps):
+    """An operator record's at(n) is a fresh _part_symbol(x, k, n, ms) at
+    every point of box 3, for torus, inner, Witt (u cyclotomic) and mixed
+    elements, V natural and sym:2, and every flavor.  The memo must also be
+    hit, or the comparison would show nothing about its key."""
+    rng = sub_rng(20261020, f"operator-memo-{spec.d}-{spec.N}-{spec.corrupt_sigma}")
+    pts = box_points((3,) * spec.d)
+    alpha = [Fraction(1, 2)] + [Fraction(-1, 3)] * (spec.d - 1)
+    twist = TwistCharacter(spec, modulus, exps)
+    elements = [(x, k) for x, k in _random_homogeneous(rng, spec) if not x.is_zero()]
+    hits = 0
+    for V in (natural(spec.d), sym_power(spec.d, 2)):
+        for flavor in FLAVORS:
+            g = TwistCharacter.trivial(spec) if flavor == "F" else twist
+            ms = ModuleSpec(spec, V, alpha, g, flavor)
+            for x, k in elements:
+                op = _Operator(x, k, ms)
+                for n in pts:
+                    assert op.at(n) == _part_symbol(x, k, n, ms), (V.name, flavor, k, n)
+                hits += len(pts) - len(op.memo)
+    assert hits > len(pts)
+
+
+def test_an_operator_memo_lives_only_as_long_as_its_helper_call(monkeypatch):
+    """The memo belongs to one helper call: a rule patched between two calls
+    on the same ModuleSpec (and the same expression objects) is seen by the
+    second call."""
+    g = TwistCharacter(SPEC_III, 4, (3, 0, 0))
+    ms = ModuleSpec(SPEC_III, natural(3), [Fraction(1, 2), 0, Fraction(1, 3)], g, "G_g")
+    box = (2, 2, 2)
+    s, zero = (1, 0, 0), (0, 0, 0)
+    c2 = c2_product_expr(ms, (1, 0, 0), (0, 1, 0))
+    assert intertwiner_check(ms, box)["pass"] and expr_first_defect(c2, ms, box) is None
+    lam = zero_mode_scalar(ms, s, zero, box)
+
+    def doubled(ms, s, n, sig):
+        return sig * 2 - ms.twist.value(s) * ms.spec.sigma(n, s)
+
+    monkeypatch.setattr(fmodule, "_inner_phase", doubled)
+    assert not intertwiner_check(ms, box)["pass"]
+    assert expr_first_defect(c2, ms, box) is not None
+    assert zero_mode_scalar(ms, s, zero, box) != lam
+
+
+def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, capsys):
+    """The module-iii benchmark config (natural G_g module over (iii), box 2,
+    20 samples, seed 1, four suites) makes 1,942 _part_symbol evaluations;
+    evaluated at every point it made 9,625."""
+    from qtorus import cli
+
+    cfg = {
+        "torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
+        "box": [2, 2, 2],
+        "seed": 1,
+        "samples": 20,
+        "module": {
+            "V": "natural",
+            "alpha": ["1/2", 0, "1/3"],
+            "twist": {"modulus": 4, "exponents": [3, 0, 0]},
+            "flavor": "G_g",
+        },
+    }
+    path = tmp_path / "module-iii.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    part_symbol = fmodule._part_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return part_symbol(*args)
+
+    monkeypatch.setattr(fmodule, "_part_symbol", counted)
+    suites = "module,section3,section4,irreducibility"
+    assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
+    assert '"passed": 18' in capsys.readouterr().out
+    assert len(calls) == 1942
+
+
 def _oracle_matrix(x, n, k, ms, box):
     """The symbol's matrix read column by column off the oracle action."""
     target = tuple(a + b for a, b in zip(n, k))
@@ -259,7 +349,7 @@ def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
                 for n in rng.sample(box_points(box, k), 2):
                     D = symbol(x, n, ms)
                     assert D == _oracle_matrix(x, n, k, ms, box), (V.name, flavor, n)
-                    pairs.append((_symbol(x, n, ms), D))
+                    pairs.append((_part_symbol(x, k, n, ms), D))
             # weight operators are constant in n: equal symbols sharing one W
             for _ in range(3):
                 coeffs = [rng.randint(-1, 1) for _ in rad.basis]

@@ -382,7 +382,8 @@ def test_scale_neg_and_eq_match_the_oracle(name):
     three classes: built elements, and held stores whose L differs from the
     scalar's conductor, with counts at every index (brackets and sums of
     Q(zeta_8) and Q(zeta_3) elements, at L = lcm(N, 24)); none of the held
-    operands is read out, so each enters through its raw counts."""
+    operands is read out: each enters through its raw counts, or through
+    folded values that its store does not keep where a lift meets another L."""
     spec = SPECS[name]
     rng = random.Random(f"pair-kernel-scale:{name}")
     x, x8, x3 = (_element(rng, spec, order) for order in (None, 8, 3))

@@ -6,7 +6,7 @@ import pytest
 from qtorus.errors import ConfigError
 from qtorus.cyclotomic import root_of_unity
 from qtorus.lattice import hnf_contains, hnf_rows, kernel_mod
-from qtorus.torus import TorusSpec
+from qtorus.torus import MAX_RANK, TorusSpec
 
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
@@ -150,3 +150,12 @@ def test_json_round_trip():
     again = TorusSpec.from_json(blob)
     assert again == SPEC_III
     assert blob == {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]}
+
+
+def test_the_rank_is_capped_at_max_rank():
+    assert TorusSpec(MAX_RANK, 2, [[0] * MAX_RANK for _ in range(MAX_RANK)]).d == 32
+    with pytest.raises(ConfigError, match="rank d = 33 is above the ceiling of 32"):
+        TorusSpec(33, 2, [[0] * 33 for _ in range(33)])
+    # refused before the matrix is looked at
+    with pytest.raises(ConfigError, match="above the ceiling"):
+        TorusSpec(10**6, 2, [])
