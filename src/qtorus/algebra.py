@@ -30,7 +30,17 @@ kernel and every sum return an element holding the store they filled
 (_read).  The class's fields (terms; inner and witt; der and torus) are
 views, opened from the store when one is first read (_open); the store is
 kept.  The base defines zero, is_zero, +, -, unary -, scale and == once, on
-the store and its ring form.  Elements are never changed once built.
+the store and its ring form.  Elements are never changed once built, and
+neither is a count list once its store is filled, so stores may share them.
+
+Sums add stores (_add): x + y, x - y and -x (the empty store minus x) take
+one path.  When the two stores have one L, their counts are added key by
+key over the lcm of the two denominators, with no ring form and no fold; a
+key held by one store alone keeps its count list when its scale is 1, and
+neither operand's counts or folded values change.  Counts that cancel, or
+that only fold to zero (zeta_4^0 + zeta_4^2), stay in the sum until a value
+is asked for, as inner keys at radical degrees do.  When the two L differ,
+the sum is taken from folded values, as below.
 
 A component is folded only when a value is asked for, by the fold of
 CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need
@@ -38,12 +48,12 @@ CycNumber.from_root_counts, in the least Q(zeta_(L/g)) its indices need
 components and inner terms at radical degrees are dropped there, and each
 value folded is kept with the store.  The ring form comes off the store's
 counts (_Graded.form), with no fold: Z[Z/L] -> Q(zeta_L) is a ring map that
-_lift commutes with, so sums, scalings and nested brackets stay in the
-group ring; a component already folded gives its value instead.  Where two
-L differ, both forms come off folded values (_Graded.folded_form, which
-keeps none of them): unreduced counts lifted to the lcm could need a larger
-field than their value, and a result would then raise
-ConductorLimitExceeded or not by whether an operand had been read or
+_lift commutes with, so scalings and nested brackets stay in the group
+ring; a component already folded gives its value instead.  Where two L
+differ, in a sum or in the kernel, both forms come off folded values
+(_Graded.folded_form, which keeps none of them): unreduced counts lifted to
+the lcm could need a larger field than their value, and a result would then
+raise ConductorLimitExceeded or not by whether an operand had been read or
 zero-tested before.  The zero test and the first nonzero coefficient in
 witness order (_witness_key: inner, then Witt, then torus terms) fold
 components in that order up to the first nonzero one (_Graded.first), once
@@ -53,7 +63,7 @@ per store, so a zero bracket is never read out.
 from __future__ import annotations
 
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import CycNumber, _as_coeff, _from_root_counts
 from .errors import SpecMismatch
@@ -192,22 +202,45 @@ class _Graded:
         return _flatten(self.spec, [key + (c,) for key, c in self._values(self.sums, False)])
 
 
-def _flatten(spec: TorusSpec, terms):
-    """The ring form of a sum of basis terms (kind, degree, coefficient):
-    (L, den, ring terms), with L the lcm of N and the coefficients'
-    conductors, den the lcm of their denominators, and each coefficient as
-    (index, count) pairs of Z[Z/L] over den."""
+def _bounds(spec: TorusSpec, terms):
+    """(L, den) of a sum of basis terms (kind, degree, coefficient): the lcm
+    of N and the coefficients' conductors, and of their denominators."""
     L, den = spec.N, 1
     for _, _, c in terms:
         if L % c.M:
             L = lcm(L, c.M)
         if den % c.den:
             den = lcm(den, c.den)
+    return L, den
+
+
+def _flatten(spec: TorusSpec, terms):
+    """The ring form of a sum of basis terms (kind, degree, coefficient):
+    (L, den, ring terms), at the sum's _bounds, with each coefficient as
+    (index, count) pairs of Z[Z/L] over den."""
+    L, den = _bounds(spec, terms)
     ring = [
         (kind, n, [(j * (L // c.M), a * (den // c.den)) for j, a in enumerate(c.num) if a])
         for kind, n, c in terms
     ]
     return L, den, ring
+
+
+def _store_of(spec: TorusSpec, terms) -> _Graded:
+    """The graded store of a sum of basis terms (kind, degree, coefficient),
+    in one pass: each coefficient's numerators are counted at the multiples
+    of L/M, over den (_bounds)."""
+    L, den = _bounds(spec, terms)
+    sums = {}
+    for kind, n, c in terms:
+        counts = sums.get((kind, n))
+        if counts is None:
+            counts = sums[kind, n] = [0] * L
+        s, t = L // c.M, den // c.den
+        for j, a in enumerate(c.num):
+            if a:
+                counts[j * s] += a * t
+    return _Graded(spec, L, den, sums)
 
 
 def _lift(ring, s: int, t: int = 1):
@@ -234,6 +267,30 @@ def _combine(spec: TorusSpec, *forms) -> _Graded:
     return _Graded(spec, L, den, sums)
 
 
+def _add(spec: TorusSpec, x: _Graded, y: _Graded, sign: int) -> _Graded:
+    """The store of x + sign * y, neither store changed.  At one L the counts
+    are added key by key over the lcm of the two denominators, and a key
+    held by one store alone keeps its count list when its scale is 1.  When
+    the L differ, both are taken from their folded values
+    (_Graded.folded_form) and lifted to the lcm, so that a value does not
+    depend on whether an operand was read or zero-tested before."""
+    if x.L != y.L:
+        L, den, ring = y.folded_form()
+        return _combine(spec, x.folded_form(), (L, den, _lift(ring, 1, sign)))
+    den = x.den if x.den == y.den else lcm(x.den, y.den)
+    s, t = den // x.den, sign * (den // y.den)
+    sums = x.sums.copy() if s == 1 else {key: [a * s for a in c] for key, c in x.sums.items()}
+    for key, counts in y.sums.items():
+        mine = sums.get(key)
+        if mine is None:
+            sums[key] = counts if t == 1 else [b * t for b in counts]
+        elif t == 1 or t == -1:
+            sums[key] = list(map(add if t == 1 else sub, mine, counts))
+        else:
+            sums[key] = [a + b * t for a, b in zip(mine, counts)]
+    return _Graded(spec, x.L, den, sums)
+
+
 def _join(spec: TorusSpec, stores) -> _Graded:
     """The store of the sum of stores over disjoint (kind, degree) keys: one
     store is its own; counts are shared when L and den agree, else lifted,
@@ -246,7 +303,7 @@ def _join(spec: TorusSpec, stores) -> _Graded:
         for s in stores:
             joined.sums.update(s.sums)
     else:
-        joined = _combine(spec, _flatten(spec, ()), *(s.form() for s in stores))
+        joined = _combine(spec, (spec.N, 1, []), *(s.form() for s in stores))
     for s in stores:
         joined.folded.update((key, s.folded[key]) for key in s.sums if key in s.folded)
     return joined
@@ -301,7 +358,7 @@ class _Element:
         coefficients kept as the values of their components."""
         self.spec = spec
         self._ring_form = None
-        self._store = store = _combine(spec, _flatten(spec, terms))
+        self._store = store = _store_of(spec, terms)
         for kind, n, c in terms:
             store.folded[kind, n] = c
 
@@ -325,7 +382,7 @@ class _Element:
     @classmethod
     def _sum(cls, spec, terms):
         """The element summing basis terms (kind, degree, coefficient)."""
-        return cls._read(_combine(spec, _flatten(spec, terms)))
+        return cls._read(_store_of(spec, terms))
 
     @classmethod
     def zero(cls, spec):
@@ -353,37 +410,28 @@ class _Element:
         if self.spec != other.spec:
             raise SpecMismatch("operands live over different torus specs")
 
-    def _forms(self, other):
-        """The ring forms of self and other, each taken from its folded
-        values (_Graded.folded_form) when their L differ, so that a value
-        does not depend on whether an operand was read or zero-tested."""
-        fx, fy = self._form(), other._form()
-        if fx[0] != fy[0]:
-            return self._store.folded_form(), other._store.folded_form()
-        return fx, fy
+    def _plus(self, other, sign):
+        """self + sign * other, summed on the two stores (_add)."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._read(_add(self.spec, self._store, other._store, sign))
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        return self._read(_combine(self.spec, *self._forms(other)))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        fx, (L, den, ring) = self._forms(other)
-        return self._read(_combine(self.spec, fx, (L, den, _lift(ring, 1, -1))))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        L, den, ring = self._form()
-        return self._read(_combine(self.spec, (L, den, _lift(ring, 1, -1))))
+        store = self._store
+        return self._read(_add(self.spec, _Graded(self.spec, store.L, 1, {}), store, -1))
 
     def scale(self, c):
         """c times the element: its counts times c's numerators, over den * c.den."""
         c = _as_coeff(c)
         L, den, ring = self._form()
-        if L % c.M:  # a lift to lcm(L, c.M), taken from the folded values (see _forms)
+        if L % c.M:  # a lift to lcm(L, c.M), taken from the folded values (see _add)
             L, den, ring = self._store.folded_form()
         M = lcm(L, c.M)
         s, t = M // L, M // c.M

@@ -26,8 +26,8 @@ first defect, and builds the row.  Suites run their checks in table order.
 A module probe writes the identity it tests once, next to its draws, as an
 operator expression lhs - rhs over the builders of qtorus.fmodule, and reads
 it with fmodule's one evaluator: expr_defect_at on one weight space against
-c Id, or expr_first_defect over a seeded sample of the expression's box
-interior.
+c Id, expr_defects_at on several, or expr_first_defect over a seeded sample
+of the expression's box interior.
 
 Suites (selector strings are part of the CLI contract): cocycle, lie,
 module, section3, section4, irreducibility.
@@ -51,6 +51,7 @@ from .fmodule import (
     c2_product_expr,
     expr_commutator,
     expr_defect_at,
+    expr_defects_at,
     expr_first_defect,
     expr_interior,
     expr_neg,
@@ -70,7 +71,8 @@ from .fmodule import (
     zero_mode_scalar,
 )
 from .glmodules import GlModule, cyclic_from_every_start, direct_sum, natural
-from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
+from .lattice import in_box, neg, rand_below, rand_nonzero_point, rand_point, rand_radical_point
+from .lattice import shift, units
 from .semidirect import (
     GElement,
     gbracket,
@@ -219,9 +221,9 @@ _PLAIN_OR_RIGHT_TWIST_ONLY = "skipped: holds for the plain and G-twist flavors o
 
 def _rand_coeff(rng, spec):
     """zeta_N^k * p/q for seeded k, p in -2..2 and q in 1..2, at conductor N."""
-    root = spec.root(rng.randrange(spec.N))
-    p = rng.randint(-2, 2)
-    return _reduced(root.M, tuple([p * c for c in root.num]), rng.randint(1, 2))
+    root = spec.root(rand_below(rng, spec.N))
+    p = rand_below(rng, 5) - 2
+    return _reduced(root.M, tuple([p * c for c in root.num]), 1 + rand_below(rng, 2))
 
 
 def _rand_torus_terms(rng, spec):
@@ -277,7 +279,7 @@ def _rand_hom(rng, spec, kinds):
     torus monomial, an inner derivation off the radical, or a Witt term of
     radical degree."""
     d = spec.d
-    kind = kinds[rng.randrange(len(kinds))]
+    kind = kinds[rand_below(rng, len(kinds))]
     if kind == "torus":
         return op_torus(spec, rand_point(rng, d, 2))
     if kind == "inner":
@@ -517,7 +519,7 @@ def _module_axiom(inst, rng):
         pts = interior_points(expr_interior(inst.box, xy))
         if not pts:
             continue
-        n = pts[rng.randrange(len(pts))]
+        n = pts[rand_below(rng, len(pts))]
         defects.append(expr_defect_at(expr_sum(expr_of(gbracket(x, y)), expr_neg(xy)), ms, n))
     return _tally(defects)
 
@@ -529,7 +531,9 @@ def _weight_eigenvalue(inst, rng):
     pts = box_points(tuple(min(2, b) for b in inst.box))
     ops = [expr_of(op_witt(spec, u, (0,) * spec.d)) for u in units(spec.d)]
     defects = (
-        expr_defect_at(e, ms, n, ms.alpha[i] + n[i]) for i, e in enumerate(ops) for n in pts
+        defect
+        for i, e in enumerate(ops)
+        for defect in expr_defects_at(e, ms, ((n, ms.alpha[i] + n[i]) for n in pts))
     )
     return {"samples": ms.V.dim, "defect": _first_defect(defects)}
 
@@ -557,7 +561,8 @@ def _ideal_relations(inst, rng):
     fields = _tally(draws())
     if fields["defect"] is None:
         one = expr_of(op_torus(spec, (0,) * spec.d))
-        fields["defect"] = _first_defect(expr_defect_at(one, ms, p, 1) for p in box_points(box))
+        identities = ((p, 1) for p in box_points(box))
+        fields["defect"] = _first_defect(expr_defects_at(one, ms, identities))
     if not quadratic:
         fields["note"] = (
             "quadratic family skipped: it needs the twist on the right-translation term"
@@ -615,7 +620,7 @@ def _zero_mode_ideal(inst, rng):
     ms, spec = inst.ms, inst.spec
     r = rand_radical_point(rng, spec, 1)
     s = rand_point(rng, spec.d, 2)
-    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
+    u = [CycNumber.rational(rand_below(rng, 5) - 2) for _ in range(spec.d)]
     lhs = expr_commutator(weight_op_expr(ms, u, r), zero_mode_expr(ms, s))
     us = pairing(u, s)
     rhs = expr_sum(
@@ -632,8 +637,8 @@ def _weight_op_bracket(inst, rng):
     ms, spec = inst.ms, inst.spec
     r = rand_radical_point(rng, spec, 1)
     s = rand_radical_point(rng, spec, 1)
-    u = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
-    v = [CycNumber.rational(rng.randint(-2, 2)) for _ in range(spec.d)]
+    u = [CycNumber.rational(rand_below(rng, 5) - 2) for _ in range(spec.d)]
+    v = [CycNumber.rational(rand_below(rng, 5) - 2) for _ in range(spec.d)]
     lhs = expr_commutator(weight_op_expr(ms, u, r), weight_op_expr(ms, v, s))
     vr = pairing(v, r)
     us = pairing(u, s)
@@ -667,8 +672,7 @@ def _weight_op_constancy(inst, rng):
                     [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
                 )
                 e = weight_op_expr(ms, u, rr)
-                for n in sample_pts:
-                    yield expr_defect_at(e, ms, n, expect)
+                yield from expr_defects_at(e, ms, ((n, expect) for n in sample_pts))
 
     return _tally(probes())
 
@@ -737,14 +741,9 @@ def _zero_mode_recursion(inst, rng):
         return _VACUOUS
     lam0 = zero_mode_scalar(ms, s, (0,) * d, inst.box)
     base = spec.sigma(neg(s), s)
-    zero_mode = zero_mode_expr(ms, s)
-
-    def defects():
-        for p in pts:
-            f = spec.comm_factor(p, s)
-            yield expr_defect_at(zero_mode, ms, p, f * lam0 + base * (1 - f))
-
-    return _first_defect(defects())
+    factors = ((p, spec.comm_factor(p, s)) for p in pts)
+    expected = ((p, f * lam0 + base * (1 - f)) for p, f in factors)
+    return _first_defect(expr_defects_at(zero_mode_expr(ms, s), ms, expected))
 
 
 @_check("section4")

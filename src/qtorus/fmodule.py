@@ -34,16 +34,17 @@ by the sum of c_t times the products of its factors' symbols at the shifted
 points.  Every identity that qtorus.checks verifies on a module is written
 once as an expression, lhs - rhs, and read by one evaluator: expr_defect_at
 gives its first defect on the weight space at n against c Id, or against an
-expected dim x dim matrix, and expr_first_defect runs it over sampled start
-points whose every intermediate weight stays inside a finite box (the
-expression "interior"), so each reported defect is an exact statement.  A
-degree-zero expression, such as T'(u, r) or the zero mode t^(-s) ad t^s,
-maps each weight space to itself; _weight_symbol returns its symbol at n,
-and weight_op_matrix and zero_mode_scalar read through it.  The
-irreducibility probe closes start vectors under the weight-operator
-matrices of every radical row (glmodules.generates).  BoxVector is a
-box-truncated vector, and act() applies one element to it, dropping (and
-flagging) images pushed outside.
+expected dim x dim matrix; expr_defects_at gives it at several (n, c) from
+one compilation of the expression, so its operator records serve them all;
+and expr_first_defect runs it over sampled start points whose every
+intermediate weight stays inside a finite box (the expression "interior"),
+so each reported defect is an exact statement.  A degree-zero expression,
+such as T'(u, r) or the zero mode t^(-s) ad t^s, maps each weight space to
+itself; _weight_symbol returns its symbol at n, and weight_op_matrix and
+zero_mode_scalar read through it.  The irreducibility probe closes start
+vectors under the weight-operator matrices of every radical row
+(glmodules.generates).  BoxVector is a box-truncated vector, and act()
+applies one element to it, dropping (and flagging) images pushed outside.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
@@ -638,6 +639,16 @@ def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     vector, target point and coordinate.  The caller keeps every
     intermediate weight inside its box."""
     return _defect_at(_compile(expr, ms), ms, tuple(n), c)
+
+
+def expr_defects_at(expr, ms: ModuleSpec, points):
+    """The defect (expr_defect_at) of the expression at each (n, c) of
+    `points`, in their order, each as the caller asks for it.  The
+    expression is compiled once, so every point reads the same operator
+    records (_Operator)."""
+    terms = _compile(expr, ms)
+    for n, c in points:
+        yield _defect_at(terms, ms, tuple(n), c)
 
 
 def _defect_at(terms, ms: ModuleSpec, n, c=0):

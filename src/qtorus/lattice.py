@@ -1,6 +1,7 @@
 """Small exact integer-lattice helpers: Hermite forms, membership, kernels,
 point sums, negation and box membership, and the unit vectors and seeded
-random points every layer above draws from.
+random points every layer above draws from.  Every seeded integer draw of
+the package is rand_below, which reads the generator through getrandbits.
 
 Everything runs on plain Python ints (arbitrary precision), with no
 rational arithmetic: a kernel is read off a Hermite form that carries its
@@ -118,9 +119,29 @@ def units(d: int) -> list[tuple[int, ...]]:
     return [tuple(int(j == i) for j in range(d)) for i in range(d)]
 
 
+def rand_below(rng, n: int) -> int:
+    """A seeded integer drawn from [0, n), n > 0.
+
+    It is the value rng.randrange(n) gives, and it leaves rng in the same
+    state, so rand_below(rng, 2 r + 1) - r is rng.randint(-r, r): this is
+    stdlib's own loop for random.Random (_randbelow_with_getrandbits: draw
+    k = n.bit_length() bits, and draw again while the value is >= n).  It is
+    not randrange for two reasons.  Cost: randint and randrange reach that
+    loop through two more Python frames and their argument checks on every
+    draw, and one run of the lie suite makes tens of thousands of draws.
+    Dependence: it reads the generator through the public getrandbits
+    alone, not through the private method that randrange picks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_point(rng, d: int, radius: int = 3) -> tuple[int, ...]:
     """A point of Z^d with coordinates drawn from [-radius, radius]."""
-    return tuple(rng.randint(-radius, radius) for _ in range(d))
+    width = 2 * radius + 1
+    return tuple([rand_below(rng, width) - radius for _ in range(d)])
 
 
 def rand_nonzero_point(rng, d: int, radius: int) -> tuple[int, ...]:
@@ -133,5 +154,6 @@ def rand_radical_point(rng, spec, radius: int = 1) -> tuple[int, ...]:
     """A combination of the radical basis rows of `spec` with coefficients
     drawn from [-radius, radius]."""
     basis = spec.radical().basis
-    coeffs = [rng.randint(-radius, radius) for _ in basis]
+    width = 2 * radius + 1
+    coeffs = [rand_below(rng, width) - radius for _ in basis]
     return tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(spec.d))

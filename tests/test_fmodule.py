@@ -29,6 +29,7 @@ from qtorus.fmodule import (
     c2_product_expr,
     expr_commutator,
     expr_defect_at,
+    expr_defects_at,
     expr_first_defect,
     expr_interior,
     expr_of,
@@ -266,8 +267,10 @@ def test_an_operator_memo_lives_only_as_long_as_its_helper_call(monkeypatch):
 
 def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, capsys):
     """The module-iii benchmark config (natural G_g module over (iii), box 2,
-    20 samples, seed 1, four suites) makes 1,942 _part_symbol evaluations;
-    evaluated at every point it made 9,625."""
+    20 samples, seed 1, four suites) makes 1,262 _part_symbol evaluations:
+    each expression read at several weight points is compiled once
+    (expr_defects_at).  Compiled once per point it made 1,942, and evaluated
+    at every point 9,625."""
     from qtorus import cli
 
     cfg = {
@@ -295,7 +298,7 @@ def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, c
     suites = "module,section3,section4,irreducibility"
     assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
     assert '"passed": 18' in capsys.readouterr().out
-    assert len(calls) == 1942
+    assert len(calls) == 1262
 
 
 def _oracle_matrix(x, n, k, ms, box):
@@ -889,3 +892,28 @@ def test_defect_reporting_is_first_nonzero():
     assert expr_defect_at(expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1) is None
     with pytest.raises(SpecMismatch):
         expr_defect_at(one + expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1)
+
+
+def test_an_expression_read_at_several_points_is_compiled_once(monkeypatch):
+    """expr_defects_at gives expr_defect_at at each (n, c), scalar or
+    matrix, in order, from one compiled expression, and evaluates a point
+    only when the caller asks for its defect."""
+    g = TwistCharacter(SPEC_III, 4, (3, 0, 0))
+    ms = ModuleSpec(SPEC_III, natural(3), [Fraction(1, 2), 0, Fraction(1, 3)], g, "G_g")
+    e = expr_of(op_witt(SPEC_III, (1, 0, 0), (0, 0, 0)))  # D(e_0, 0): (alpha_0 + n_0) Id
+    zero = CycNumber.zero()
+    points = []
+    for n in box_points((1, 1, 1)):
+        c = ms.alpha[0] + n[0] + (1 if n == (0, 1, -1) else 0)  # one wrong expectation
+        dense = [[c if i == j else zero for j in range(3)] for i in range(3)]
+        points.append((n, dense if n[2] else c))
+    want = [expr_defect_at(e, ms, n, c) for n, c in points]
+    assert [d for d in want if d is not None] == [CycNumber.rational(-1)]
+    compiled, evaluated = [], []
+    compile_, defect_at = fmodule._compile, fmodule._defect_at
+    monkeypatch.setattr(fmodule, "_compile", lambda *a: compiled.append(a) or compile_(*a))
+    monkeypatch.setattr(fmodule, "_defect_at", lambda *a: evaluated.append(a) or defect_at(*a))
+    defects = expr_defects_at(e, ms, points)
+    assert [next(defects) for _ in range(3)] == want[:3] and len(evaluated) == 3
+    assert list(defects) == want[3:]
+    assert len(compiled) == 1 and len(evaluated) == len(points)

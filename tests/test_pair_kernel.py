@@ -22,6 +22,11 @@ once.  scale, unary - and ==, written once for the three classes on the
 store, are compared with the oracle on built elements and on held stores of
 another L.
 
+Sums of two held stores are compared with the oracle on hand-made stores:
+denominators that differ, counts that cancel and counts that fold to zero,
+inner keys at radical degrees, and two L that differ, where the sum is
+taken from folded values.  Neither operand's counts or folded values change.
+
 Every kernel entry and every sum shares one spec check, and a sum of two
 different element classes is refused.
 """
@@ -298,27 +303,28 @@ def _at_radical_degrees(rng, spec):
     yield "der", dbracket(x, y), oracle.dbracket(x, y), 1
 
 
+def _counts(L, order, *pairs):
+    """Counts over Z/L: a at the index of zeta_order^j for each (j, a)."""
+    out = [0] * L
+    for j, a in pairs:
+        out[j * L // order] += a
+    return out
+
+
 def _zero_reading_store(spec):
     """A hand-made pair store over den 2 whose counts partly read zero:
     1 + zeta_4^2 at a torus key, zeta_4 + zeta_4^3 at a Witt key, and an
     inner key at a radical degree."""
     L = lcm(4, spec.N)
-
-    def counts(*pairs):
-        out = [0] * L
-        for j, a in pairs:
-            out[j * L // 4] += a
-        return out
-
     origin, r = (0,) * spec.d, spec.radical().basis[0]
     e = (1,) + origin[1:]
     sums = {
-        (TORUS, origin): counts((0, 1), (2, 1)),
-        (WITT, r): counts((1, 1), (3, 1)),
-        (INNER, r): counts((0, 5)),
-        (TORUS, e): counts((1, 3)),
-        (INNER, e): counts((0, 1), (1, -1)),
-        (WITT + spec.d - 1, origin): counts((0, 2), (1, 1)),
+        (TORUS, origin): _counts(L, 4, (0, 1), (2, 1)),
+        (WITT, r): _counts(L, 4, (1, 1), (3, 1)),
+        (INNER, r): _counts(L, 4, (0, 5)),
+        (TORUS, e): _counts(L, 4, (1, 3)),
+        (INNER, e): _counts(L, 4, (0, 1), (1, -1)),
+        (WITT + spec.d - 1, origin): _counts(L, 4, (0, 2), (1, 1)),
     }
     x = GElement._read(algebra._Graded(spec, L, 2, sums))
     twin = GElement._read(x._store)  # read out in x's place, so x holds its store
@@ -366,6 +372,108 @@ def test_nested_expressions_of_held_stores_match_the_oracle(name):
             if depth:
                 assert x._store is not None  # nothing made by the kernel was read out
             _same(x, value)
+
+
+# -- sums of two held stores ------------------------------------------------------
+
+
+def _store_value(spec, L, den, sums):
+    """The oracle's pair for a hand-made store: each key's counts summed as
+    roots of unity with CycNumber arithmetic, no fold of the store's."""
+    parts = []
+    for (kind, n), counts in sums.items():
+        c = sum(
+            (root_of_unity(L, j) * Fraction(a, den) for j, a in enumerate(counts) if a),
+            _as_coeff(0),
+        )
+        if not c.is_zero():
+            parts.append((1, _term_value(spec, kind, n, c)))
+    return _oracle_sum(spec, "pair", parts)
+
+
+def _store_sum_cases(spec):
+    """(x store, y store) pairs of hand-made pair stores, as (L, den, sums).
+
+    The first pair has denominators 2 and 4 and holds, at one key each,
+    zeta_4^0 / 2 + zeta_4^2 / 2 (counts that fold to zero without
+    cancelling), 3 zeta_4 / 2 - 6 zeta_4 / 4 (counts that cancel), nonzero
+    counts at the inner key of a radical degree on both sides, and keys that
+    only one side holds.  The second pair shares its denominator, so a key
+    held by one side keeps its count list.  The third has L = lcm(N, 8) and
+    L = lcm(N, 3), so the sum is taken from folded values."""
+    origin, r = (0,) * spec.d, spec.radical().basis[0]
+    e = (1,) + origin[1:]
+    L = lcm(4, spec.N)
+    first = (
+        (L, 2, {
+            (TORUS, origin): _counts(L, 4, (0, 1)),
+            (TORUS, e): _counts(L, 4, (1, 3)),
+            (INNER, r): _counts(L, 4, (0, 5)),
+            (INNER, e): _counts(L, 4, (0, 1), (1, -1)),
+            (WITT, r): _counts(L, 4, (1, 1), (3, 2)),
+        }),
+        (L, 4, {
+            (TORUS, origin): _counts(L, 4, (2, 2)),
+            (TORUS, e): _counts(L, 4, (1, -6)),
+            (INNER, r): _counts(L, 4, (1, 3)),
+            (WITT + spec.d - 1, r): _counts(L, 4, (2, 1)),
+        }),
+    )
+    shared = (
+        (L, 3, {(TORUS, e): _counts(L, 4, (1, 2)), (INNER, e): _counts(L, 4, (3, 1))}),
+        (L, 3, {(TORUS, e): _counts(L, 4, (0, 1)), (WITT, r): _counts(L, 4, (0, 4), (1, 1))}),
+    )
+    L8, L3 = lcm(8, spec.N), lcm(3, spec.N)
+    unequal = (
+        (L8, 1, {(TORUS, e): _counts(L8, 8, (1, 1), (5, 1)), (INNER, e): _counts(L8, 8, (3, 2))}),
+        (L3, 2, {
+            (TORUS, e): _counts(L3, 3, (0, 1), (1, 1), (2, 1)),
+            (WITT, r): _counts(L3, 3, (1, 1)),
+        }),
+    )
+    return first, shared, unequal
+
+
+def _snapshot(store):
+    return {key: list(counts) for key, counts in store.sums.items()}, dict(store.folded)
+
+
+@pytest.mark.parametrize("name", ["ii", "iii"])
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("zero_tested", [False, True])
+def test_store_sums_match_the_oracle_and_leave_their_operands_as_they_were(name, case, zero_tested):
+    """x + y, x - y, y - x, -x and -y of two held stores, and of their der
+    and torus parts, against the oracle; both operands' counts and folded
+    values are as they were afterwards, also when y was zero-tested (which
+    folds some of its components) before the sums."""
+    spec = SPECS[name]
+    (lx, dx, sx), (ly, dy, sy) = _store_sum_cases(spec)[case]
+    vx, vy = _store_value(spec, lx, dx, sx), _store_value(spec, ly, dy, sy)
+    x = GElement._read(algebra._Graded(spec, lx, dx, sx))
+    y = GElement._read(algebra._Graded(spec, ly, dy, sy))
+    if zero_tested:
+        assert y.is_zero() == oracle.equal(vy, GElement(spec))
+    before = _snapshot(x._store), _snapshot(y._store)
+    for (a, va), (b, vb) in (((x, vx), (y, vy)), ((y, vy), (x, vx))):
+        _same(a + b, _oracle_sum(spec, "pair", [(1, va), (1, vb)]))
+        _same(a - b, _oracle_sum(spec, "pair", [(1, va), (-1, vb)]))
+        _same(-a, _oracle_sum(spec, "pair", [(-1, va)]))
+        for part in ("der", "torus"):
+            pa, pb = getattr(a, part), getattr(b, part)
+            qa, qb = getattr(va, part), getattr(vb, part)
+            _same(pa + pb, _oracle_sum(spec, part, [(1, qa), (1, qb)]))
+            _same(pa - pb, _oracle_sum(spec, part, [(1, qa), (-1, qb)]))
+    assert (_snapshot(x._store), _snapshot(y._store)) == before
+    if case == 0:
+        origin, e = (0,) * spec.d, (1,) + (0,) * (spec.d - 1)
+        z = x + y
+        assert any(z._store.sums[TORUS, origin]) and not any(z._store.sums[TORUS, e])
+        assert (TORUS, origin) not in z._store.read()[0]
+    if case == 1:  # a key held by one operand alone keeps its count list
+        z, (key,) = x - y, [key for key in sx if key not in sy]
+        assert z._store.sums[key] is x._store.sums[key]
+    if case == 2:
+        assert (x + y)._store.L == lcm(lx, ly)
 
 
 SCALARS = (root_of_unity(8, 1), root_of_unity(3, 1), Fraction(3, 2), 0)

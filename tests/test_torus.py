@@ -1,11 +1,14 @@
+import ast
+import pathlib
 import random
 from itertools import product
 
 import pytest
 
+import qtorus
 from qtorus.errors import ConfigError
 from qtorus.cyclotomic import root_of_unity
-from qtorus.lattice import hnf_contains, hnf_rows, kernel_mod
+from qtorus.lattice import hnf_contains, hnf_rows, kernel_mod, rand_below
 from qtorus.torus import MAX_RANK, TorusSpec
 
 
@@ -159,3 +162,36 @@ def test_the_rank_is_capped_at_max_rank():
     # refused before the matrix is looked at
     with pytest.raises(ConfigError, match="above the ceiling"):
         TorusSpec(10**6, 2, [])
+
+
+# n in 1..70, 2^k - 1 and 2^k + 1 (the widths where the redraw is least and
+# most likely), and one n above 2^40
+DRAW_BOUNDS = sorted(set(range(1, 71)) | {2**k + e for k in range(2, 64) for e in (-1, 1)}) + [
+    3 * 2**41 + 7
+]
+
+
+def test_rand_below_draws_what_randrange_and_randint_draw():
+    """rand_below(rng, n) gives stdlib's rng.randrange(n), and
+    rand_below(rng, 2r + 1) - r its rng.randint(-r, r), value for value over
+    500 draws, and leaves the generator in the same state."""
+    for n in DRAW_BOUNDS:
+        ours, ref = random.Random(f"draw:{n}"), random.Random(f"draw:{n}")
+        assert [rand_below(ours, n) for _ in range(500)] == [ref.randrange(n) for _ in range(500)]
+        assert ours.getstate() == ref.getstate(), n
+        if n % 2:
+            r = n // 2
+            got = [rand_below(ours, n) - r for _ in range(500)]
+            assert got == [ref.randint(-r, r) for _ in range(500)]
+            assert ours.getstate() == ref.getstate(), n
+
+
+def test_every_seeded_integer_draw_goes_through_rand_below():
+    """No module of the package calls randint or randrange itself."""
+    for path in sorted(pathlib.Path(qtorus.__file__).parent.glob("*.py")):
+        calls = [
+            node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        ]
+        assert not {"randint", "randrange"} & set(calls), path.name
