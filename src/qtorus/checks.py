@@ -70,7 +70,7 @@ from .fmodule import (
     zero_mode_expr,
     zero_mode_scalar,
 )
-from .glmodules import GlModule, cyclic_from_every_start, direct_sum, natural
+from .glmodules import GlModule, algebra_dim, direct_sum, natural
 from .lattice import in_box, neg, rand_below, rand_nonzero_point, rand_point, rand_radical_point
 from .lattice import shift, units
 from .semidirect import (
@@ -85,7 +85,7 @@ from .torus import _RESIDUE_LIMIT, TorusSpec, enumerate_radical_residues
 
 SUITE_NAMES = ("cocycle", "lie", "module", "section3", "section4", "irreducibility")
 
-# radius of the inner box on which the irreducibility suite probes cyclicity
+# radius of the inner box on which the irreducibility suite reads the weight operators
 INNER_RADIUS = 2
 
 
@@ -492,13 +492,21 @@ def _gl_bracket_law(inst, rng):
     return {"samples": V.d**4, "defect": _unit_defect(failed)}
 
 
+def _algebra_fields(alg, end, failed):
+    return {
+        "samples": alg,
+        "defect": _unit_defect(failed),
+        "note": f"algebra of dimension {alg} of {end}",
+    }
+
+
 @_check("module")
 def _gl_cyclicity_probe(inst, rng):
-    cyc = cyclic_from_every_start(inst.ms.V)
-    return {
-        "samples": inst.ms.V.dim,
-        "note": "cyclic" if cyc else "not cyclic from every start",
-    }
+    """Burnside: V is irreducible exactly when the images of the matrix
+    units generate all of End(V)."""
+    V = inst.ms.V
+    alg = algebra_dim([M for row in V.E for M in row], V.dim)
+    return _algebra_fields(alg, V.dim**2, alg < V.dim**2)
 
 
 @_check("module")
@@ -773,12 +781,8 @@ def _diagonal_intertwiner(inst, rng):
 
 @_check("irreducibility")
 def _irreducibility_evidence(inst, rng):
-    rep = irreducibility_evidence(inst.ms, inst.box, INNER_RADIUS, rng)
-    return {
-        "samples": rep["total_starts"],
-        "defect": _unit_defect(not rep["pass"]),
-        "note": f"cyclic from {rep['cyclic_starts']} of {rep['total_starts']} starts",
-    }
+    rep = irreducibility_evidence(inst.ms, inst.box, INNER_RADIUS)
+    return _algebra_fields(rep["algebra_dim"], rep["end_dim"], not rep["pass"])
 
 
 @_check("irreducibility")
@@ -792,8 +796,8 @@ def _reducible_fixture_detected(inst, rng):
         TwistCharacter.trivial(inst.spec),
         "F",
     )
-    rep = irreducibility_evidence(fixture, inst.box, INNER_RADIUS, rng)
-    return {"samples": rep["total_starts"], "defect": _unit_defect(rep["pass"])}
+    rep = irreducibility_evidence(fixture, inst.box, INNER_RADIUS)
+    return {"samples": rep["algebra_dim"], "defect": _unit_defect(rep["pass"])}
 
 
 # -- suites and orchestration -----------------------------------------------------

@@ -54,8 +54,8 @@ from .semidirect import GElement, gbracket
 from .torus import TorusSpec
 
 # checks.SUITE_NAMES, spelled out for the --suite help: the check suites (and
-# the hashlib and random they seed from) load only in verify, iso and
-# irreducible, the commands that run them
+# the hashlib and random they seed from) load only in verify and iso, the
+# commands that run them
 SUITE_NAMES = ("cocycle", "lie", "module", "section3", "section4", "irreducibility")
 
 
@@ -298,21 +298,17 @@ def cmd_search_beta(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    from .checks import sub_rng
-
     cfg = load_config(args.config)
-    spec, ms, box, seed, _samples = build_instance(cfg, args)
+    spec, ms, box, _seed, _samples = build_instance(cfg, args)
     if args.inner_radius < 1:
         raise ConfigError("--inner-radius must be at least 1")
-    rep = irreducibility_evidence(
-        ms, box, args.inner_radius, sub_rng(seed, "irreducibility_evidence")
-    )
+    rep = irreducibility_evidence(ms, box, args.inner_radius)
     row = {"check": "irreducibility_evidence", "instance": ms.label(), **rep}
     if args.text:
         mark = "PASS" if rep["pass"] else "FAIL"
         print(
             f"{mark}  irreducibility_evidence  {ms.label()}  "
-            f"cyclic {rep['cyclic_starts']}/{rep['total_starts']}"
+            f"algebra {rep['algebra_dim']}/{rep['end_dim']}"
         )
     else:
         print(_dump(row))

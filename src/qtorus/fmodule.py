@@ -26,7 +26,8 @@ one call.  Two symbols sharing one W are equal exactly when their (a, b)
 are, and the module code scales, adds, composes and compares symbols on
 these parts.  A dense matrix is built only where two Witt parts meet, or
 where a result is read: symbol(), weight_op_matrix(), a comparison with an
-expected matrix, glmodules.generates, and the witness of a nonzero defect.
+expected matrix, the irreducibility probe's algebra closure, and the
+witness of a nonzero defect.
 
 An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
 compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
@@ -41,9 +42,10 @@ intermediate weight stays inside a finite box (the expression "interior"),
 so each reported defect is an exact statement.  A degree-zero expression,
 such as T'(u, r) or the zero mode t^(-s) ad t^s, maps each weight space to
 itself; _weight_symbol returns its symbol at n, and weight_op_matrix and
-zero_mode_scalar read through it.  The irreducibility probe closes start
-vectors under the weight-operator matrices of every radical row
-(glmodules.generates).  BoxVector is a box-truncated vector, and act()
+zero_mode_scalar read through it.  The irreducibility probe decides
+whether V is irreducible under the weight-operator matrices of every radical
+row by Burnside's theorem: they must generate an algebra of dimension dim**2
+(glmodules.algebra_dim).  BoxVector is a box-truncated vector, and act()
 applies one element to it, dropping (and flagging) images pushed outside.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
@@ -64,7 +66,7 @@ from .algebra import TorusElement
 from .cyclotomic import CycNumber, _as_coeff, root_of_unity
 from .derivations import DerElement
 from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
-from .glmodules import GlModule, generates, identity_matrix, mat_add, mat_eq, mat_mul
+from .glmodules import GlModule, algebra_dim, mat_add, mat_eq, mat_mul
 from .glmodules import mat_sub, mat_vec, matrix_as_scalar
 from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
 from .semidirect import GElement
@@ -873,23 +875,20 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     return {"pass": True, "defect": None}
 
 
-# random start vectors probed by irreducibility_evidence, drawn from its rng
-RANDOM_STARTS = 5
-
-
-def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng):
-    """Cyclicity probe: does every start vector generate every inner weight space?
+def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int):
+    """Is every inner weight space an irreducible module under the weight operators?
 
     The probe factors through three facts, each checked per run: (1) the
     weight operators' matrices are constant across the inner box; (2) the
-    torus transports between inner points are bijective scalings; (3) from
-    each start vector, the V-coordinates close up to all of V under the
-    weight-operator matrices.  Together these are equivalent to the
-    spanning statement over the inner box.  T'(u, rr) is read for every
-    Hermite row rr of the radical: OutOfBox if no inner n has n + rr in the box.
-    Returns {'pass', 'weight_ops_constant', 'transports_bijective',
-    'cyclic_starts', 'total_starts'}: the starts are each basis vector at each
-    inner point and RANDOM_STARTS random vectors; the cyclic ones close to V."""
+    torus transports between inner points are bijective scalings; (3) V is
+    irreducible under the weight-operator matrices, decided exactly by
+    Burnside's theorem: they generate an algebra of dimension dim**2
+    (glmodules.algebra_dim).  (1) and (2) are sampled on the inner box, so
+    the whole is evidence for the module over the box, not a proof.
+    T'(u, rr) is read for every Hermite row rr of the radical: OutOfBox if
+    no inner n has n + rr in the box.  Returns {'pass',
+    'weight_ops_constant', 'transports_bijective', 'algebra_dim',
+    'end_dim'}, the last two the dimension of that algebra and dim**2."""
     spec, d, dim = ms.spec, ms.spec.d, ms.V.dim
     if any(inner_radius > r for r in box):
         raise OutOfBox("inner radius exceeds the box")
@@ -919,21 +918,14 @@ def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int, rng):
             c = spec.sigma(e, n)  # a root of unity, invertible
             if _defect_at(transport, ms, n, c) is not None:
                 transports_ok = False
-    # (3) closure of V-coordinates under the weight-operator matrices; a start's
-    # closure does not depend on its weight point, so it counts once per point
-    cyclic = len(inner) * sum(generates(row, mats) for row in identity_matrix(dim))
-    for _ in range(RANDOM_STARTS):
-        # the weight point is unused, but drawing it keeps every later v0
-        rand_point(rng, d, inner_radius)
-        v0 = [CycNumber.rational(x) for x in rand_nonzero_point(rng, dim, 3)]
-        cyclic += generates(v0, mats)
-    total = len(inner) * dim + RANDOM_STARTS
+    # (3) Burnside: the matrices generate End(V) exactly when V is irreducible
+    alg, end = algebra_dim(mats, dim), dim * dim
     return {
-        "pass": cyclic == total and constant and transports_ok,
+        "pass": alg == end and constant and transports_ok,
         "weight_ops_constant": constant,
         "transports_bijective": transports_ok,
-        "cyclic_starts": cyclic,
-        "total_starts": total,
+        "algebra_dim": alg,
+        "end_dim": end,
     }
 
 

@@ -16,9 +16,11 @@ Provided constructions: natural column vectors, their dual, symmetric and
 exterior powers of the natural module, a scalar trace twist of any module,
 and the one-dimensional trivial module.  matrix_of() assembles the image of
 an arbitrary coefficient matrix, which is how the weight-module layer uses
-these objects.  generates() is the one span closure of the package: it
-decides whether a vector generates the whole space under a set of matrices,
-for the cyclicity probe here and for the weight-module irreducibility probe.
+these objects.  algebra_dim() is the one span closure of the package: the
+dimension of the unital algebra a set of matrices generates, which by
+Burnside's theorem is dim**2 exactly when the space is irreducible under
+them.  It decides irreducibility for the gl probe on the matrix-unit images
+and for the weight-module irreducibility probe.
 """
 
 from __future__ import annotations
@@ -133,45 +135,51 @@ def _sparse_mul(a, b_rows):
 
 
 class Span:
-    """Row space in reduced echelon form over the cyclotomic field."""
+    """Row space in reduced echelon form over the cyclotomic field.  Vectors
+    and rows are sparse: dicts from ordered coordinates to their nonzero
+    entries, each row 1 at its pivot, its least coordinate."""
 
-    def __init__(self, length: int):
-        self.length = length
-        self.rows = {}  # pivot column -> normalized row
+    def __init__(self):
+        self.rows = {}  # pivot coordinate -> row
 
     def _reduce(self, vec):
-        vec = list(vec)
-        for piv, row in self.rows.items():
-            c = vec[piv]
-            if not c.is_zero():
-                for j in range(self.length):
-                    if not row[j].is_zero():
-                        vec[j] = vec[j] - c * row[j]
-        return vec
+        """The nonzero entries of vec less its parts along the rows.  A row is
+        zero at every other pivot, so the pivots to clear are read once."""
+        out = {j: _as_coeff(x) for j, x in vec.items()}
+        out = {j: x for j, x in out.items() if not x.is_zero()}
+        for piv in [j for j in out if j in self.rows]:
+            _axpy(out, -out[piv], self.rows[piv])
+        return out
 
     def insert(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
-        vec = self._reduce([_as_coeff(x) for x in vec])
-        piv = next((j for j in range(self.length) if not vec[j].is_zero()), None)
-        if piv is None:
+        vec = self._reduce(vec)
+        if not vec:
             return False
+        piv = min(vec)
         inv = vec[piv].inverse()
-        vec = [inv * x for x in vec]
+        vec = {j: inv * x for j, x in vec.items()}
         for row in self.rows.values():
-            c = row[piv]
-            if not c.is_zero():
-                for j in range(self.length):
-                    if not vec[j].is_zero():
-                        row[j] = row[j] - c * vec[j]
+            c = row.get(piv)
+            if c is not None:
+                _axpy(row, -c, vec)
         self.rows[piv] = vec
         return True
-
-    def contains(self, vec) -> bool:
-        return all(x.is_zero() for x in self._reduce([_as_coeff(v) for v in vec]))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def _axpy(y, a, x):
+    """y += a*x in place on sparse vectors, keeping only nonzero entries."""
+    for j, v in x.items():
+        w = y.get(j)
+        w = a * v if w is None else w + a * v
+        if w.is_zero():
+            del y[j]
+        else:
+            y[j] = w
 
 
 # -- representations -------------------------------------------------------
@@ -381,31 +389,29 @@ def direct_sum(a: GlModule, b: GlModule) -> GlModule:
     return GlModule(a.d, dim, E, f"({a.name})+({b.name})")
 
 
-def generates(v0, mats) -> bool:
-    """True when v0 generates the whole space under repeated application of
-    the matrices.  Each round applies every matrix to every vector that
-    enlarged the span in the round before, so it stops within len(v0)
-    rounds."""
-    dim = len(v0)
-    span = Span(dim)
-    span.insert(v0)
-    frontier = [v0]
-    while frontier and span.dim < dim:
+def algebra_dim(mats, dim: int) -> int:
+    """The dimension of the unital algebra that the dim x dim matrices
+    generate.  By Burnside's theorem the space is irreducible under them,
+    over the complex numbers, exactly when this is dim**2.  The algebra is
+    the span of the identity and every word in the matrices, each held as
+    its nonzero entries at (row, column); each round multiplies every
+    element that enlarged the span in the round before by each matrix on the
+    left, and the closure stops at dim**2 or after a round that adds
+    nothing."""
+    gens = [_sparse(M) for M in mats]
+    span = Span()
+    frontier = [{(i, i): CycNumber.one() for i in range(dim)}]
+    span.insert(frontier[0])
+    while frontier and span.dim < dim * dim:
         new = []
-        for v in frontier:
-            for M in mats:
-                w = mat_vec(M, v)
-                if span.insert(w):
-                    new.append(w)
+        for A in frontier:
+            rows = _by_row(A, dim)
+            for M in gens:
+                P = _sparse_mul(M, rows)
+                if span.insert(P):
+                    new.append(P)
         frontier = new
-    return span.dim == dim
-
-
-def cyclic_from_every_start(module: GlModule) -> bool:
-    """True when every basis vector generates the whole space under the
-    matrix-unit images."""
-    gens = [module.E[i][j] for i in range(module.d) for j in range(module.d)]
-    return all(generates(v0, gens) for v0 in identity_matrix(module.dim))
+    return span.dim
 
 
 def parse_module(d: int, selector: str) -> GlModule:

@@ -29,7 +29,7 @@ from qtorus.fmodule import (
     irreducibility_evidence,
     search_twist_equivalence,
 )
-from qtorus.glmodules import cyclic_from_every_start, direct_sum, natural, parse_module
+from qtorus.glmodules import algebra_dim, direct_sum, natural, parse_module
 from qtorus.semidirect import (
     GElement,
     gbracket,
@@ -37,6 +37,8 @@ from qtorus.semidirect import (
     untwisted_spec,
 )
 from qtorus.torus import TorusSpec
+
+from _gl_oracle import conjugated_sum
 
 SEED = 20260819
 SAMPLES = 200
@@ -294,12 +296,13 @@ def test_criterion_06_gl_modules_with_subspace_oracle():
     for d in (2, 3):
         mods = [(sel, parse_module(d, sel)) for sel in MODULE_SELECTORS]
         mods.append(("natural+natural", direct_sum(natural(d), natural(d))))
+        mods.append(("conjugated natural+natural", conjugated_sum(d)))
         for sel, V in mods:
             if V.dim > 6:
                 continue
-            probe = cyclic_from_every_start(V)
+            probe = algebra_dim([M for row in V.E for M in row], V.dim) == V.dim**2
             oracle = commutant_dimension(V) == 1
-            expected = sel != "natural+natural"
+            expected = not sel.endswith("natural+natural")
             if probe != expected:
                 bad.append(f"d={d} {sel}: probe {probe}")
             if oracle != expected:
@@ -309,8 +312,8 @@ def test_criterion_06_gl_modules_with_subspace_oracle():
     conclude(
         6,
         not bad,
-        "cyclicity probe true for natural/sym:2/ext:2/trivial, false for the "
-        "direct sum; matches the commutant oracle on dim <= 6"
+        "algebra closure is all of End(V) for natural/sym:2/ext:2/trivial, not "
+        "for the direct sum in either basis; matches the commutant oracle on dim <= 6"
         + (f"; failing: {bad}" if bad else ""),
     )
 
@@ -405,10 +408,8 @@ def test_criterion_10_irreducibility_evidence():
     for name, spec in INSTANCES.items():
         for sel in MODULE_SELECTORS:
             ms = plain_module(spec, sel)
-            rep = irreducibility_evidence(
-                ms, box_of(spec), 2, sub_rng(f"irr:{name}:{sel}")
-            )
-            if not rep["pass"] or rep["cyclic_starts"] != rep["total_starts"]:
+            rep = irreducibility_evidence(ms, box_of(spec), 2)
+            if not rep["pass"] or rep["algebra_dim"] != rep["end_dim"]:
                 bad.append(f"{name}/{sel}")
     spec = INSTANCES["(i)"]
     fixture = ModuleSpec(
@@ -418,13 +419,13 @@ def test_criterion_10_irreducibility_evidence():
         TwistCharacter.trivial(spec),
         "F",
     )
-    rep = irreducibility_evidence(fixture, box_of(spec), 2, sub_rng("irr:fixture"))
-    if rep["pass"]:
+    rep = irreducibility_evidence(fixture, box_of(spec), 2)
+    if rep["pass"] or rep["algebra_dim"] >= rep["end_dim"]:
         bad.append("reducible fixture not detected")
     conclude(
         10,
         not bad,
-        "cyclic from every start for each irreducible V on inner radius 2; "
+        "weight operators generate End(V) for each irreducible V on inner radius 2; "
         "reducible fixture fails" + (f"; failing: {bad}" if bad else ""),
     )
 

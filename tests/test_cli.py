@@ -277,7 +277,7 @@ def test_irreducible_command(tmp_path):
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["pass"] is True
-    assert out["cyclic_starts"] == out["total_starts"]
+    assert out["algebra_dim"] == out["end_dim"] == 4
     assert out["weight_ops_constant"] is True
     assert out["transports_bijective"] is True
 
@@ -369,7 +369,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 3, "samples": 20},
         ["verify"],
         0,
-        "14ad66fcdb869ac6d4acd76c8828618fdc8f6c4ad7980408def35c65ff8476ea",
+        "d9760d6d7c18e4d50e2866e3f123d6fa56245ee844c511c586124e3c47d46ab7",
     ),
     "verify-ii-Fg": (
         {"torus": INSTANCE_II_TORUS,
@@ -378,7 +378,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 4, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         0,
-        "8af79ef13a1bf1a283c00480132e67eae1964a067c0c189f6bca3b1db39b1f09",
+        "b467e574b1fcc2891f565710210f72deb7ec61e6af8a6b9342bdf0537ff2ffd9",
     ),
     "verify-iii-Gg": (
         {"torus": INSTANCE_III_TORUS,
@@ -387,7 +387,7 @@ GOLDEN = {
          "box": [2, 2, 2], "seed": 5, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         0,
-        "ad3f5d733dda4fa244ebf17733e8dda7bc60fbc2f43c3394c684757050cd3183",
+        "e9ef5f91d58802153217b5a3a0db58958bebd0e5b3e3cbcbeede6075a1efa1b6",
     ),
     # nine failing rows: pins the first-defect witness of each failing check
     "verify-ii-Gg-corrupt": (
@@ -397,7 +397,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 6, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         1,
-        "59487c31e3c56d74912057469772592537a79e01fcfc795738a7485e03c2f729",
+        "19db3bb1ce9e6750200615465e6018f42a3436bcf1b44713f08c3920b843d48c",
     ),
     # thirteen failing rows across all six suites, the cocycle and lie ones included
     "verify-i-F-corrupt": (
@@ -406,7 +406,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 7, "samples": 20},
         ["verify"],
         1,
-        "5f2ea11f69ad151cbb6caf825746c17f3a0f8fb845dcd044a03baa15b23b48dd",
+        "91a87a4a6da9ce9038b238ea0f060fd7922de7ddec96888c0390eb609fe66363",
     ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
@@ -450,7 +450,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 4},
         ["irreducible"],
         0,
-        "dd5c9a78db5c95e9879f20222911f83b8783e45da305491d9f57d377ef9c609c",
+        "62b912eac762e9b1d74cbff7dedc0d53aaf31efdae594457a17e2ba751308b54",
     ),
     "irreducible-ii-Gg-corrupt": (
         {"torus": dict(INSTANCE_II_TORUS, _corrupt_sigma=True),
@@ -459,7 +459,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 6},
         ["irreducible"],
         1,
-        "9f2e8b0a01be2127661e5feb421654c419a32dbd6dd8f4d66179dc798e8ee424",
+        "7c269d264b4f5b34f286ee292cc9e3724ef1addd0e03195808710d252495fe40",
     ),
     "lambda-ii-Fg": (
         {"torus": INSTANCE_II_TORUS,
@@ -598,7 +598,7 @@ def test_malformed_conductor_cap_is_usage_error(tmp_path, monkeypatch, raw, comm
     )
 
 
-# -- the irreducibility counts and the rows that print them ------------------------
+# -- the irreducibility algebra dimensions and the rows that print them -------------
 
 INSTANCE_III_GG = {
     "torus": INSTANCE_III_TORUS,
@@ -611,34 +611,25 @@ INSTANCE_III_GG = {
 
 
 @pytest.mark.parametrize("cfg", [INSTANCE_I, INSTANCE_III_GG], ids=["i", "iii"])
-def test_irreducibility_counts_are_the_fields_of_its_rows(tmp_path, cfg):
+def test_irreducibility_algebra_dimensions_are_the_fields_of_its_rows(tmp_path, cfg):
     from types import SimpleNamespace
 
-    from qtorus.checks import INNER_RADIUS, sub_rng
+    from qtorus.checks import INNER_RADIUS
     from qtorus.cli import build_instance
-    from qtorus.fmodule import (
-        RANDOM_STARTS,
-        ModuleSpec,
-        TwistCharacter,
-        box_points,
-        irreducibility_evidence,
-    )
+    from qtorus.fmodule import ModuleSpec, TwistCharacter, irreducibility_evidence
     from qtorus.glmodules import direct_sum, natural
 
-    spec, ms, box, seed, _ = build_instance(cfg, SimpleNamespace(seed=None, samples=None))
-    rep = irreducibility_evidence(ms, box, INNER_RADIUS, sub_rng(seed, "irreducibility_evidence"))
-    inner = len(box_points((INNER_RADIUS,) * spec.d))
-    assert rep["total_starts"] == inner * ms.V.dim + RANDOM_STARTS
-    assert rep["pass"] and rep["cyclic_starts"] == rep["total_starts"]
+    spec, ms, box, _seed, _ = build_instance(cfg, SimpleNamespace(seed=None, samples=None))
+    rep = irreducibility_evidence(ms, box, INNER_RADIUS)
+    assert rep["end_dim"] == ms.V.dim**2
+    assert rep["pass"] and rep["algebra_dim"] == rep["end_dim"]
     fixture = ModuleSpec(
         spec, direct_sum(natural(spec.d), natural(spec.d)), ms.alpha,
         TwistCharacter.trivial(spec), "F",
     )
-    red = irreducibility_evidence(
-        fixture, box, INNER_RADIUS, sub_rng(seed, "reducible_fixture_detected")
-    )
-    assert red["total_starts"] == inner * 2 * spec.d + RANDOM_STARTS
-    assert red["cyclic_starts"] < red["total_starts"]
+    red = irreducibility_evidence(fixture, box, INNER_RADIUS)
+    # two equal blocks: the images generate one copy of the d x d matrices
+    assert (red["algebra_dim"], red["end_dim"]) == (spec.d**2, 4 * spec.d**2)
 
     path = write_config(tmp_path, cfg)
     res = run_cli("irreducible", "--config", path, "--inner-radius", str(INNER_RADIUS))
@@ -650,11 +641,9 @@ def test_irreducibility_counts_are_the_fields_of_its_rows(tmp_path, cfg):
     assert res.returncode == 0
     rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
     evidence = rows["irreducibility_evidence"]
-    assert evidence["samples"] == rep["total_starts"]
-    assert evidence["note"] == (
-        f"cyclic from {rep['cyclic_starts']} of {rep['total_starts']} starts"
-    )
-    assert rows["reducible_fixture_detected"]["samples"] == red["total_starts"]
+    assert evidence["samples"] == rep["algebra_dim"]
+    assert evidence["note"] == f"algebra of dimension {rep['algebra_dim']} of {rep['end_dim']}"
+    assert rows["reducible_fixture_detected"]["samples"] == red["algebra_dim"]
 
 
 def test_the_cli_imports_no_dataclasses():
@@ -702,6 +691,10 @@ def test_search_radical_and_act_finish_without_loading_the_check_suites(tmp_path
     ) == (0, False)
     # the commands that run a suite do load it
     assert _run_fresh(tmp_path, INSTANCE_GG, "iso") == (0, True)
+
+
+def test_irreducible_finishes_without_loading_the_check_suites(tmp_path):
+    assert _run_fresh(tmp_path, INSTANCE_I, "irreducible") == (0, False)
 
 
 def test_the_suite_help_lists_the_check_suites(capsys):

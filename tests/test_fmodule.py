@@ -66,6 +66,7 @@ from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
 
 from _act_oracle import act as oracle_act
+from _gl_oracle import conjugated_sum
 
 SPEC_I = TorusSpec.from_upper(2, 2, {(0, 1): 1})
 SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
@@ -758,19 +759,34 @@ def test_weight_shift_bijection():
 
 
 def test_irreducibility_evidence_positive_and_negative():
-    rng = sub_rng(20260819, "irr")
     for V in (natural(2), sym_power(2, 2), ext_power(2, 2), trivial(2)):
         ms = plain_module(SPEC_I, V=V)
-        rep = irreducibility_evidence(ms, BOX2, 2, rng)
+        rep = irreducibility_evidence(ms, BOX2, 2)
         assert rep["pass"], V.name
         assert rep["weight_ops_constant"] and rep["transports_bijective"]
-        assert rep["cyclic_starts"] == rep["total_starts"]
+        assert rep["algebra_dim"] == rep["end_dim"] == V.dim**2
     red = plain_module(SPEC_I, V=direct_sum(natural(2), natural(2)))
-    rep = irreducibility_evidence(red, BOX2, 2, rng)
+    rep = irreducibility_evidence(red, BOX2, 2)
     assert not rep["pass"]
-    assert rep["cyclic_starts"] < rep["total_starts"]
+    assert rep["algebra_dim"] < rep["end_dim"]
     # the support checks themselves still hold for the reducible module
     assert rep["weight_ops_constant"] and rep["transports_bijective"]
+
+
+@pytest.mark.parametrize("spec", [SPEC_I, SPEC_III], ids=["i", "iii"])
+def test_a_sum_that_every_basis_vector_generates_fails_both_probes(spec):
+    """natural + natural in a basis none of whose vectors lies in a proper
+    submodule: closing start vectors would call it irreducible, the algebra
+    closure does not."""
+    d, box = spec.d, (2,) * spec.d
+    ms = plain_module(spec, V=conjugated_sum(d))
+    rep = irreducibility_evidence(ms, box, 2)
+    assert not rep["pass"]
+    assert (rep["algebra_dim"], rep["end_dim"]) == (d * d, 4 * d * d)
+    assert rep["weight_ops_constant"] and rep["transports_bijective"]
+    row = suite_row(checks.module_suite, "gl_cyclicity_probe", ms, box, 4)
+    assert not row["pass"] and row["samples"] == d * d
+    assert row["note"] == f"algebra of dimension {d * d} of {4 * d * d}"
 
 
 def _scan_spec(d, N, a01=1):
@@ -781,10 +797,9 @@ def _scan_spec(d, N, a01=1):
 
 
 def _evidence_or_refusal(ms, box):
-    """The probe's verdict at inner radius 2 and seed 1, or its refusal text."""
-    rng = checks.sub_rng(1, "irreducibility_evidence")
+    """The probe's verdict at inner radius 2, or its refusal text."""
     try:
-        return irreducibility_evidence(ms, box, 2, rng)["pass"]
+        return irreducibility_evidence(ms, box, 2)["pass"]
     except OutOfBox as exc:
         return str(exc)
 

@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from _gl_oracle import first_failure
+from _gl_oracle import conjugated_sum, first_failure
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.errors import BadPower, ConfigError, SpecMismatch
 from qtorus.glmodules import (
     MAX_DIM,
     GlModule,
     Span,
-    cyclic_from_every_start,
+    algebra_dim,
     direct_sum,
     dual,
     ext_power,
@@ -189,14 +189,28 @@ def test_matrix_of_assembles_coefficients():
     assert as_int_matrix(z) == [[0, 0], [0, 0]]
 
 
-def test_cyclicity_probe_separates_reducible():
-    assert cyclic_from_every_start(natural(2))
-    assert cyclic_from_every_start(dual(3))
-    assert cyclic_from_every_start(sym_power(2, 2))
-    assert cyclic_from_every_start(ext_power(3, 2))
-    assert cyclic_from_every_start(trivial(3))
-    assert not cyclic_from_every_start(direct_sum(natural(2), natural(2)))
-    assert not cyclic_from_every_start(direct_sum(natural(2), trivial(2)))
+def _algebra_dim(V):
+    return algebra_dim([M for row in V.E for M in row], V.dim)
+
+
+def test_algebra_closure_separates_reducible():
+    for V in (natural(2), dual(3), sym_power(2, 2), ext_power(3, 2), trivial(3)):
+        assert _algebra_dim(V) == V.dim**2, V.name
+    # block-diagonal copies of gl_2's image, and that plus the trivial block
+    assert _algebra_dim(direct_sum(natural(2), natural(2))) == 4
+    assert _algebra_dim(direct_sum(natural(2), trivial(2))) == 5
+
+
+def test_algebra_closure_sees_a_sum_that_every_basis_vector_generates():
+    """natural + natural in a basis none of whose vectors lies in a proper
+    submodule: each basis vector generates the whole space, yet the images
+    generate only a copy of the d**2-dimensional algebra of gl_d's image."""
+    assert [(_algebra_dim(conjugated_sum(d)), 4 * d * d) for d in (2, 3)] == [(4, 16), (9, 36)]
+
+
+def test_algebra_closure_of_no_matrices_is_the_scalars():
+    assert algebra_dim([], 3) == 1
+    assert algebra_dim([], 1) == 1
 
 
 def test_parse_module_selectors():
@@ -212,27 +226,45 @@ def test_parse_module_selectors():
             parse_module(2, bad)
 
 
+def _vec(*entries):
+    """A dense vector as the coordinate dict that Span reads."""
+    return dict(enumerate(entries))
+
+
 def test_span_rref_basics():
-    s = Span(3)
-    assert s.insert([1, 2, 3])
-    assert not s.insert([2, 4, 6])
-    assert s.insert([0, 1, 1])
+    s = Span()
+    assert s.insert(_vec(1, 2, 3))
+    assert not s.insert(_vec(2, 4, 6))
+    assert s.insert(_vec(0, 1, 1))
     assert s.dim == 2
-    assert s.contains([1, 3, 4])
-    assert not s.contains([0, 0, 1])
-    assert s.insert([5, 5, 7])
+    assert not s.insert(_vec(1, 3, 4))
+    assert s.insert(_vec(5, 5, 7))
     assert s.dim == 3
-    assert s.contains([0, 0, 1])
+    assert not s.insert(_vec(0, 0, 1))
+    # reduced echelon rows, held without their zero entries
+    assert {p: {j: str(x) for j, x in row.items()} for p, row in s.rows.items()} == {
+        0: {0: "1"}, 1: {1: "1"}, 2: {2: "1"}
+    }
 
 
 def test_span_over_cyclotomic_entries():
     z4 = CycNumber.rational(0) + CycNumber.from_json({"zeta": [4, 1]})
-    s = Span(2)
-    assert s.insert([z4, CycNumber.one()])
+    s = Span()
+    assert s.insert(_vec(z4, CycNumber.one()))
     # the same line scaled by a root of unity adds nothing
-    assert not s.insert([z4 * z4, z4])
-    assert s.insert([CycNumber.one(), CycNumber.one()])
+    assert not s.insert(_vec(z4 * z4, z4))
+    assert s.insert(_vec(CycNumber.one(), CycNumber.one()))
     assert s.dim == 2
+
+
+def test_span_reads_sparse_vectors_at_matrix_coordinates():
+    s = Span()
+    assert s.insert({(0, 1): 2, (1, 0): 0})
+    assert s.rows == {(0, 1): {(0, 1): CycNumber.one()}}
+    assert not s.insert({(0, 1): -1})
+    assert s.insert({(0, 1): 1, (1, 1): 1}) and s.dim == 2
+    assert not s.insert({(1, 1): 3}) and s.dim == 2
+    assert s.insert({(1, 0): 1}) and s.dim == 3
 
 
 def test_matrix_product_associativity_seeded():
