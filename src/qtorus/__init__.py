@@ -8,7 +8,8 @@ The package builds, over exact cyclotomic arithmetic:
     semidirect pair algebra (``derivations``, ``semidirect``),
   * finite-dimensional gl(d) coefficient modules (``glmodules``),
   * graded weight modules over the pair algebra in three action flavors,
-    with box-truncated vectors and operator-expression probes (``fmodule``),
+    with box-truncated vectors and operator expressions read on all of Z^d
+    (``fmodule``),
   * deterministic verification suites and a CLI (``checks``, ``cli``).
 """
 
@@ -24,7 +25,6 @@ from .errors import (
     NotInRadical,
     NotRootOfUnity,
     NotScalar,
-    OutOfBox,
     QTorusError,
     SpecMismatch,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "NotInRadical",
     "NotRootOfUnity",
     "NotScalar",
-    "OutOfBox",
     "QTorusError",
     "RadicalBasis",
     "SpecMismatch",

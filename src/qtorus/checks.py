@@ -15,19 +15,23 @@ Each check is declared once, in the check table `CHECKS`, by decorating its
 probe with `_check(suite, draws, applies, skip)`; the check's name is the
 probe's name without its leading underscore.  A sampled probe (`draws` maps
 the sample budget to a number of draws) takes one draw from the check's rng
-and returns a defect, None, or `_VACUOUS` for a draw that tests nothing and
-is left out of `samples`.  A one-shot probe (`draws` is None) returns its
-report fields itself, or raises OutOfBox when the box is too small for it.
-One runner, `_run_check`, derives the check's rng, writes the skip row when
-`applies` says the check does not hold (note `skip`) or a one-shot probe
-raises OutOfBox (note "skipped: " and its text), runs the draws keeping the
-first defect, and builds the row.  Suites run their checks in table order.
+and returns a defect or None.  A one-shot probe (`draws` is None) returns
+its report fields itself.  One runner, `_run_check`, derives the check's
+rng, writes the skip row when `applies` says the check does not hold (note
+`skip`), runs the draws keeping the first defect, and builds the row.
+Suites run their checks in table order.
 
 A module probe writes the identity it tests once, next to its draws, as an
 operator expression lhs - rhs over the builders of qtorus.fmodule, and reads
 it with fmodule's one evaluator: expr_defect_at on one weight space against
-c Id, expr_defects_at on several, or expr_first_defect over a seeded sample
-of the expression's box interior.
+c Id, expr_defects_at on several, and expr_defects at every point of the
+finite set that decides the identity on all of Z^d, or at a seeded sample
+of it (expr_first_defect: the first defect).  The one-shot rows
+weight_eigenvalue, weight_op_constancy, the t^0 tail of ideal_relations
+and the irreducibility probe read every point, so for sigma from A they
+decide.  The degree box is the draw radius of ideal_relations,
+weight_shift and extract_twist_round_trip, and the window of
+diagonal_intertwiner.
 
 Suites (selector strings are part of the CLI contract): cocycle, lie,
 module, section3, section4, irreducibility.
@@ -43,23 +47,21 @@ from typing import Callable, NamedTuple
 from .algebra import INNER, TORUS, WITT, TorusElement, is_central, tcomm, tmul
 from .cyclotomic import CycNumber, _reduced
 from .derivations import DerElement, dact, dbracket, pairing
-from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
+from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
 from .fmodule import (
     ModuleSpec,
     TwistCharacter,
-    box_points,
     c2_product_expr,
     expr_commutator,
     expr_defect_at,
+    expr_defects,
     expr_defects_at,
     expr_first_defect,
-    expr_interior,
     expr_neg,
     expr_of,
     expr_scale,
     expr_sum,
     extract_twist,
-    interior_points,
     intertwiner_check,
     irreducibility_evidence,
     op_inner,
@@ -71,7 +73,7 @@ from .fmodule import (
     zero_mode_scalar,
 )
 from .glmodules import GlModule, algebra_dim, direct_sum, natural
-from .lattice import in_box, neg, rand_below, rand_nonzero_point, rand_point, rand_radical_point
+from .lattice import neg, rand_below, rand_nonzero_point, rand_point, rand_radical_point
 from .lattice import shift, units
 from .semidirect import (
     GElement,
@@ -84,9 +86,6 @@ from .semidirect import (
 from .torus import _RESIDUE_LIMIT, TorusSpec, enumerate_radical_residues
 
 SUITE_NAMES = ("cocycle", "lie", "module", "section3", "section4", "irreducibility")
-
-# radius of the inner box on which the irreducibility suite reads the weight operators
-INNER_RADIUS = 2
 
 
 def sub_seed(seed: int, label: str) -> int:
@@ -147,8 +146,6 @@ class Check(NamedTuple):
 
 CHECKS: list[Check] = []
 
-_VACUOUS = object()
-
 
 def _check(suite, draws=None, applies=None, skip=None):
     """Declare the decorated probe as the next check of `suite`."""
@@ -161,16 +158,10 @@ def _check(suite, draws=None, applies=None, skip=None):
 
 
 def _tally(defects):
-    """Report fields of a run of probes: how many were not vacuous, and the
-    first defect among them."""
-    count, first = 0, None
-    for defect in defects:
-        if defect is _VACUOUS:
-            continue
-        count += 1
-        if first is None:
-            first = defect
-    return {"samples": count, "defect": first}
+    """Report fields of a run of probes: how many ran, and the first defect
+    among them."""
+    defects = list(defects)
+    return {"samples": len(defects), "defect": _first_defect(defects)}
 
 
 def _run_check(check, inst: _Instance, seed: int):
@@ -178,10 +169,7 @@ def _run_check(check, inst: _Instance, seed: int):
     if check.applies is not None and not check.applies(inst):
         fields = {"samples": 0, "note": check.skip}
     elif check.draws is None:
-        try:
-            fields = check.probe(inst, rng)
-        except OutOfBox as exc:
-            fields = {"samples": 0, "note": f"skipped: {exc}"}
+        fields = check.probe(inst, rng)
     else:
         fields = _tally(check.probe(inst, rng) for _ in range(check.draws(inst.samples)))
     return report(check.name, inst.label, seed, **fields)
@@ -509,53 +497,43 @@ def _gl_cyclicity_probe(inst, rng):
     return _algebra_fields(alg, V.dim**2, alg < V.dim**2)
 
 
-@_check("module")
+@_check("module", _all)
 def _module_axiom(inst, rng):
     """act([x,y]) = act(x)act(y) - act(y)act(x) on sampled homogeneous pairs,
-    each at one start point where every composition stays in the box.  For
-    flavor F_g only the derivation part is sampled (its inner action is not
-    compatible with the torus action, by design of that flavor)."""
+    each at one seeded point of the set that decides it.  For flavor F_g
+    only the derivation part is sampled (its inner action is not compatible
+    with the torus action, by design of that flavor)."""
     ms, spec = inst.ms, inst.spec
     kinds = ["inner", "witt"] + (["torus"] if ms.flavor != "F_g" else [])
-    defects = []
-    attempts = 0
-    while len(defects) < inst.samples and attempts < inst.samples * 4:
-        attempts += 1
-        x = _rand_hom(rng, spec, kinds)
-        y = _rand_hom(rng, spec, kinds)
-        xy = expr_commutator(expr_of(x), expr_of(y))
-        pts = interior_points(expr_interior(inst.box, xy))
-        if not pts:
-            continue
-        n = pts[rand_below(rng, len(pts))]
-        defects.append(expr_defect_at(expr_sum(expr_of(gbracket(x, y)), expr_neg(xy)), ms, n))
-    return _tally(defects)
+    x = _rand_hom(rng, spec, kinds)
+    y = _rand_hom(rng, spec, kinds)
+    e = expr_sum(expr_of(gbracket(x, y)), expr_neg(expr_commutator(expr_of(x), expr_of(y))))
+    return next(expr_defects(e, ms, rng=rng, limit=1))
 
 
 @_check("module")
 def _weight_eigenvalue(inst, rng):
     """D(e_i, 0) acts on the weight space at n by (alpha_i + n_i) Id."""
     ms, spec = inst.ms, inst.spec
-    pts = box_points(tuple(min(2, b) for b in inst.box))
-    ops = [expr_of(op_witt(spec, u, (0,) * spec.d)) for u in units(spec.d)]
-    defects = (
-        defect
-        for i, e in enumerate(ops)
-        for defect in expr_defects_at(e, ms, ((n, ms.alpha[i] + n[i]) for n in pts))
-    )
-    return {"samples": ms.V.dim, "defect": _first_defect(defects)}
+
+    def defects():
+        for i, u in enumerate(units(spec.d)):
+            e = expr_of(op_witt(spec, u, (0,) * spec.d))
+            yield from expr_defects(e, ms, lambda n: ms.alpha[i] + n[i])
+
+    return {"samples": ms.V.dim, "defect": _first_defect(defects())}
 
 
 @_check("module")
 def _ideal_relations(inst, rng):
-    """The relation families, each expression probed at 6 sampled interior
-    points: the torus product rule, and the quadratic rule for ad t^k - t^k
-    where it holds (the twist multiplies the right-translation term: the
-    plain and G-twist flavors).  Then t^0 acts as Id on every weight space
-    of the box."""
-    ms, spec, box = inst.ms, inst.spec, inst.box
+    """The relation families, each expression probed at 6 sampled points of
+    the set that decides it: the torus product rule, and the quadratic rule
+    for ad t^k - t^k where it holds (the twist multiplies the
+    right-translation term: the plain and G-twist flavors).  Then t^0 acts
+    as Id on every weight space."""
+    ms, spec = inst.ms, inst.spec
     quadratic = _plain_or_right_twist(inst)
-    radius = max(box)
+    radius = max(inst.box)
 
     def draws():
         for _ in range(inst.samples):
@@ -564,13 +542,12 @@ def _ideal_relations(inst, rng):
             exprs = [torus_product_relation_expr(ms, m, n)]
             if quadratic:
                 exprs.append(c2_product_expr(ms, n, m))
-            yield _first_defect([expr_first_defect(e, ms, box, rng=rng, limit=6) for e in exprs])
+            yield _first_defect([expr_first_defect(e, ms, rng=rng, limit=6) for e in exprs])
 
     fields = _tally(draws())
     if fields["defect"] is None:
         one = expr_of(op_torus(spec, (0,) * spec.d))
-        identities = ((p, 1) for p in box_points(box))
-        fields["defect"] = _first_defect(expr_defects_at(one, ms, identities))
+        fields["defect"] = _first_defect(expr_defects(one, ms, lambda n: 1))
     if not quadratic:
         fields["note"] = (
             "quadratic family skipped: it needs the twist on the right-translation term"
@@ -582,7 +559,7 @@ def _ideal_relations(inst, rng):
 def _c2_product(inst, rng):
     n = rand_point(rng, inst.spec.d, 2)
     m = rand_point(rng, inst.spec.d, 2)
-    return expr_first_defect(c2_product_expr(inst.ms, n, m), inst.ms, inst.box, rng=rng, limit=4)
+    return expr_first_defect(c2_product_expr(inst.ms, n, m), inst.ms, rng=rng, limit=4)
 
 
 # -- section3 suite ----------------------------------------------------------------
@@ -603,7 +580,7 @@ def _inner_quadratic_relation(inst, rng):
     )
     if not e:
         return None
-    return expr_first_defect(e, inst.ms, inst.box, rng=rng, limit=4)
+    return expr_first_defect(e, inst.ms, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
@@ -617,7 +594,7 @@ def _zero_modes_commute(inst, rng):
     r = rand_point(rng, inst.spec.d, 2)
     s = rand_point(rng, inst.spec.d, 2)
     e = expr_commutator(zero_mode_expr(ms, s), zero_mode_expr(ms, r))
-    return expr_first_defect(e, ms, inst.box, rng=rng, limit=4)
+    return expr_first_defect(e, ms, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
@@ -635,7 +612,7 @@ def _zero_mode_ideal(inst, rng):
         expr_scale(zero_mode_expr(ms, shift(s, r)), spec.sigma(s, r) * us * spec.sigma(r, s)),
         expr_scale(zero_mode_expr(ms, s), -(spec.sigma(neg(r), r) * us)),
     )
-    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
+    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, rng=rng, limit=4)
 
 
 @_check("section3", _eighth)
@@ -657,30 +634,23 @@ def _weight_op_bracket(inst, rng):
         expr_scale(weight_op_expr(ms, v, s), -(us * spec.sigma(neg(r), r))),
         expr_scale(weight_op_expr(ms, w, shift(r, s)), spec.sigma(s, r)),
     )
-    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, inst.box, rng=rng, limit=4)
+    return expr_first_defect(expr_sum(lhs, expr_neg(rhs)), ms, rng=rng, limit=4)
 
 
 @_check("section3")
 def _weight_op_constancy(inst, rng):
     """Weight operators: matrices constant in n and equal to the closed form."""
-    ms, spec, box = inst.ms, inst.spec, inst.box
+    ms, spec = inst.ms, inst.spec
     d = spec.d
 
     def probes():
         for rr in spec.radical().basis + ((0,) * d,):
-            pts = box_points(box, rr)
-            if not pts:
-                continue
             scale = spec.sigma(neg(rr), rr)
             for u in units(d):
-                sample_pts = pts if len(pts) <= 8 else [
-                    pts[i] for i in sorted(rng.sample(range(len(pts)), 8))
-                ]
                 expect = ms.V.matrix_of(
                     [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
                 )
-                e = weight_op_expr(ms, u, rr)
-                yield from expr_defects_at(e, ms, ((n, expect) for n in sample_pts))
+                yield from expr_defects(weight_op_expr(ms, u, rr), ms, lambda n: expect)
 
     return _tally(probes())
 
@@ -690,11 +660,10 @@ def _weight_shift(inst, rng):
     """The torus transport t^(r-s): V'_s -> V'_r scales by the root of unity
     sigma(r-s, s), hence is bijective; the round trip t^(s-r) t^(r-s) is the
     scalar sigma(r-s, s-r); and the transport commutes with the weight
-    operators T'(e_i, rr) for the radical rows rr that the box hosts at r
-    and s."""
-    ms, spec, box = inst.ms, inst.spec, inst.box
-    r = rand_point(rng, spec.d, min(box))
-    s = rand_point(rng, spec.d, min(box))
+    operators T'(e_i, rr) for the Hermite rows rr of the radical."""
+    ms, spec = inst.ms, inst.spec
+    r = rand_point(rng, spec.d, min(inst.box))
+    s = rand_point(rng, spec.d, min(inst.box))
     delta = tuple(a - b for a, b in zip(r, s))
     there = expr_of(op_torus(spec, delta))
 
@@ -704,8 +673,7 @@ def _weight_shift(inst, rng):
         yield expr_defect_at(back, ms, s, spec.sigma(delta, neg(delta)))
         for e in units(spec.d):
             for rr in spec.radical().basis:
-                if in_box(box, shift(r, rr)) and in_box(box, shift(s, rr)):
-                    yield expr_defect_at(expr_commutator(there, weight_op_expr(ms, e, rr)), ms, s)
+                yield expr_defect_at(expr_commutator(there, weight_op_expr(ms, e, rr)), ms, s)
 
     return _first_defect(defects())
 
@@ -717,10 +685,8 @@ def _weight_shift(inst, rng):
 def _zero_mode_scalar(inst, rng):
     s = rand_point(rng, inst.spec.d, 2)
     n = rand_point(rng, inst.spec.d, 1)
-    if not in_box(inst.box, shift(n, s)):
-        return _VACUOUS
     try:
-        zero_mode_scalar(inst.ms, s, n, inst.box)
+        zero_mode_scalar(inst.ms, s, n)
     except NotScalar:
         return CycNumber.one()
     return None
@@ -734,20 +700,14 @@ def _zero_mode_scalar(inst, rng):
     "follow the opposite sign convention",
 )
 def _zero_mode_recursion(inst, rng):
-    """lambda(s, p) = f(p,s) lambda(s,0) + sigma(-s,s)(1 - f(p,s)) at up to
-    four sampled points p, lambda(s, p) being the scalar of t^(-s) ad t^s on
-    the weight space at p."""
+    """lambda(s, p) = f(p,s) lambda(s,0) + sigma(-s,s)(1 - f(p,s)) at four
+    sampled points p, lambda(s, p) being the scalar of t^(-s) ad t^s on the
+    weight space at p."""
     ms, spec = inst.ms, inst.spec
     d = spec.d
     s = rand_point(rng, d, 2)
-    pts = [
-        p
-        for p in (rand_point(rng, d, 1) for _ in range(4))
-        if in_box(inst.box, shift(p, s))
-    ]
-    if not pts or not in_box(inst.box, s):
-        return _VACUOUS
-    lam0 = zero_mode_scalar(ms, s, (0,) * d, inst.box)
+    pts = [rand_point(rng, d, 1) for _ in range(4)]
+    lam0 = zero_mode_scalar(ms, s, (0,) * d)
     base = spec.sigma(neg(s), s)
     factors = ((p, spec.comm_factor(p, s)) for p in pts)
     expected = ((p, f * lam0 + base * (1 - f)) for p, f in factors)
@@ -781,8 +741,14 @@ def _diagonal_intertwiner(inst, rng):
 
 @_check("irreducibility")
 def _irreducibility_evidence(inst, rng):
-    rep = irreducibility_evidence(inst.ms, inst.box, INNER_RADIUS)
-    return _algebra_fields(rep["algebra_dim"], rep["end_dim"], not rep["pass"])
+    """The irreducibility probe; the note names the first failed part."""
+    rep = irreducibility_evidence(inst.ms)
+    fields = _algebra_fields(rep["algebra_dim"], rep["end_dim"], not rep["pass"])
+    if not rep["weight_ops_constant"]:
+        fields["note"] = "part (1) failed: weight operators not constant in n"
+    elif not rep["transports_bijective"]:
+        fields["note"] = "part (2) failed: transports not bijective scalings"
+    return fields
 
 
 @_check("irreducibility")
@@ -796,7 +762,7 @@ def _reducible_fixture_detected(inst, rng):
         TwistCharacter.trivial(inst.spec),
         "F",
     )
-    rep = irreducibility_evidence(fixture, inst.box, INNER_RADIUS)
+    rep = irreducibility_evidence(fixture)
     return {"samples": rep["algebra_dim"], "defect": _unit_defect(rep["pass"])}
 
 

@@ -10,7 +10,7 @@ Commands
   lambda       evaluate the zero-mode scalar at a degree and a weight point
   iso          check the diagonal comparison map of a G-twist module
   search-beta  search for a plain-flavor relabelling of an F-twist module
-  irreducible  run the irreducibility evidence probe
+  irreducible  decide whether the weight spaces are irreducible
 
 The instance config is a JSON file:
 
@@ -242,11 +242,11 @@ def cmd_act(args) -> int:
 
 def cmd_lambda(args) -> int:
     cfg = load_config(args.config)
-    spec, ms, box, _seed, _samples = build_instance(cfg, args)
+    spec, ms, _box, _seed, _samples = build_instance(cfg, args)
     s = _parse_point(args.s, spec.d, "--s")
     n = _parse_point(args.n, spec.d, "--n")
     try:
-        value = zero_mode_scalar(ms, s, n, box)
+        value = zero_mode_scalar(ms, s, n)
     except NotScalar as exc:
         print(_dump({"s": list(s), "n": list(n), "scalar": False, "error": str(exc)}))
         return 1
@@ -299,10 +299,8 @@ def cmd_search_beta(args) -> int:
 
 def cmd_irreducible(args) -> int:
     cfg = load_config(args.config)
-    spec, ms, box, _seed, _samples = build_instance(cfg, args)
-    if args.inner_radius < 1:
-        raise ConfigError("--inner-radius must be at least 1")
-    rep = irreducibility_evidence(ms, box, args.inner_radius)
+    _spec, ms, _box, _seed, _samples = build_instance(cfg, args)
+    rep = irreducibility_evidence(ms)
     row = {"check": "irreducibility_evidence", "instance": ms.label(), **rep}
     if args.text:
         mark = "PASS" if rep["pass"] else "FAIL"
@@ -372,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_search_beta)
 
-    p = sub.add_parser("irreducible", parents=[common], help="irreducibility evidence")
-    p.add_argument("--inner-radius", type=int, default=2, help="inner probe radius")
+    p = sub.add_parser("irreducible", parents=[common], help="irreducibility of the weight spaces")
     p.set_defaults(fn=cmd_irreducible)
     return parser
 

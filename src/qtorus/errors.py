@@ -25,10 +25,6 @@ class NotInRadical(QTorusError):
     """A lattice point required to lie in the radical of the commutation form does not."""
 
 
-class OutOfBox(QTorusError):
-    """An operator application needs a weight outside the truncation box."""
-
-
 class NotScalar(QTorusError):
     """A weight-space matrix expected to be scalar is not."""
 

@@ -1,4 +1,4 @@
-"""Weight modules over the semidirect algebra, truncated to a lattice box.
+"""Weight modules over the semidirect algebra, on every weight space of Z^d.
 
 A module is V ⊗ (Laurent lattice), where V is a finite-dimensional gl
 module.  The vector v ⊗ t^n is written v(n); the weight of v(n) under the
@@ -37,16 +37,21 @@ once as an expression, lhs - rhs, and read by one evaluator: expr_defect_at
 gives its first defect on the weight space at n against c Id, or against an
 expected dim x dim matrix; expr_defects_at gives it at several (n, c) from
 one compilation of the expression, so its operator records serve them all;
-and expr_first_defect runs it over sampled start points whose every
-intermediate weight stays inside a finite box (the expression "interior"),
-so each reported defect is an exact statement.  A degree-zero expression,
+and expr_defects gives it at every point of the finite set that decides
+the expression on all of Z^d (_points): one representative per coset of the
+lattice on which every factor's sigma is constant, each read at a simplex
+grid as deep as the most Witt factors in one term, or at a seeded sample of
+those points; expr_first_defect gives the first.  A degree-zero expression,
 such as T'(u, r) or the zero mode t^(-s) ad t^s, maps each weight space to
 itself; _weight_symbol returns its symbol at n, and weight_op_matrix and
-zero_mode_scalar read through it.  The irreducibility probe decides
-whether V is irreducible under the weight-operator matrices of every radical
-row by Burnside's theorem: they must generate an algebra of dimension dim**2
-(glmodules.algebra_dim).  BoxVector is a box-truncated vector, and act()
-applies one element to it, dropping (and flagging) images pushed outside.
+zero_mode_scalar read through it.  The irreducibility probe reads the weight
+operators and the torus transports at the points that decide them, and
+decides whether V is irreducible under the weight-operator matrices of every
+radical row by Burnside's theorem: they must generate an algebra of
+dimension dim**2 (glmodules.algebra_dim).  The box bounds only BoxVector, a
+box-truncated vector to which act() applies one element, dropping (and
+flagging) images pushed outside, the windows of the two comparisons below,
+and the radius of extract_twist's draws.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
@@ -60,15 +65,16 @@ distinct symbol pair of a generator is compared once.
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .algebra import TorusElement
 from .cyclotomic import CycNumber, _as_coeff, root_of_unity
 from .derivations import DerElement
-from .errors import ConfigError, NotCharacter, NotScalar, OutOfBox, SpecMismatch
+from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
 from .glmodules import GlModule, algebra_dim, mat_add, mat_eq, mat_mul
 from .glmodules import mat_sub, mat_vec, matrix_as_scalar
-from .lattice import in_box, neg, rand_point, rand_nonzero_point, rand_radical_point, shift, units
+from .lattice import hnf_rows, in_box, kernel_mod, neg, rand_point, rand_nonzero_point
+from .lattice import rand_radical_point, shift, units
 from .semidirect import GElement
 from .torus import TorusSpec
 
@@ -330,15 +336,15 @@ def _as_gelement(x) -> GElement:
     raise SpecMismatch(f"cannot act by {type(x).__name__}")
 
 
-def _inner_phase(ms: ModuleSpec, s, n, sig) -> CycNumber:
+def _inner_phase(ms: ModuleSpec, s, n, sig, g) -> CycNumber:
     """The scalar by which ad t^s maps v(n) to v(s+n), per flavor, given
-    sig = sigma(s,n)."""
+    sig = sigma(s,n) and g = g(s)."""
     rev = ms.spec.sigma(n, s)
     if ms.flavor == "F":
         return sig - rev
     if ms.flavor == "F_g":
-        return sig * ms.twist.value(s) - rev
-    return sig - ms.twist.value(s) * rev  # G_g
+        return sig * g - rev
+    return sig - g * rev  # G_g
 
 
 def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
@@ -427,9 +433,10 @@ class _Symbol:
 _ZERO_SYMBOL = _Symbol(_ZERO)
 
 
-def _part_symbol(x: GElement, k, n, ms: ModuleSpec) -> _Symbol:
+def _part_symbol(x: GElement, k, n, ms: ModuleSpec, g=None) -> _Symbol:
     """Symbol of the degree-k part of x at n: its torus and inner terms give
-    a scalar, its Witt term sigma(k,n)((u, n+alpha) Id + W)."""
+    a scalar, its Witt term sigma(k,n)((u, n+alpha) Id + W).  g is the twist
+    at k, read here when x has an inner term and no g is given."""
     sig = ms.spec.sigma(k, n)
     a, b, W = _ZERO, _ZERO, None
     c = x.torus.terms.get(k)
@@ -437,7 +444,7 @@ def _part_symbol(x: GElement, k, n, ms: ModuleSpec) -> _Symbol:
         a = c * sig
     c = x.der.inner.get(k)
     if c is not None:
-        a = a + c * _inner_phase(ms, k, n, sig)
+        a = a + c * _inner_phase(ms, k, n, sig, ms.twist.value(k) if g is None else g)
     u = x.der.witt.get(k)
     if u is not None:
         w, W = ms.V.outer_image(k, u)
@@ -452,13 +459,15 @@ class _Operator:
     sigma(k,n) = zeta_N^e1, sigma(n,k) = zeta_N^e2 (read by an inner term)
     and u.n = sum u_i n_i (read by a Witt term's pairing), so at(n) calls
     _part_symbol once per distinct key(n): e1, e2 when x has an inner term,
-    and u.n, exactly, when it has a Witt term."""
+    and u.n, exactly, when it has a Witt term.  The twist g(k) of an inner
+    term does not depend on n, and is read once."""
 
-    __slots__ = ("x", "k", "ms", "inner", "rows", "memo")
+    __slots__ = ("x", "k", "ms", "inner", "g", "rows", "memo")
 
     def __init__(self, x: GElement, k, ms: ModuleSpec):
         self.x, self.k, self.ms, self.memo = x, k, ms, {}
         self.inner, u, self.rows = k in x.der.inner, x.der.witt.get(k), None
+        self.g = ms.twist.value(k) if self.inner else None
         if u is not None:  # u.n = (R n) . (1, zeta_M, zeta_M^2, ...) / D, R an integer matrix
             M, D = lcm(*(c.M for c in u)), lcm(*(c.den for c in u))
             u = [c if c.M == M else c.lift(M) for c in u]
@@ -473,7 +482,7 @@ class _Operator:
         key = self.key(n)
         S = self.memo.get(key)
         if S is None:
-            S = self.memo[key] = _part_symbol(self.x, self.k, n, self.ms)
+            S = self.memo[key] = _part_symbol(self.x, self.k, n, self.ms, self.g)
         return S
 
 
@@ -514,8 +523,9 @@ def symbol(x, n, ms: ModuleSpec):
 # -- formal operator expressions ----------------------------------------------
 #
 # An OpExpr is a list of (coefficient, [factors]) terms; factors are
-# homogeneous algebra elements applied right to left.  Homogeneity makes the
-# in-box interior of a composition exactly computable.
+# homogeneous algebra elements applied right to left.  Homogeneity makes each
+# factor one symbol per weight space, and so a finite set of points decides an
+# expression on all of Z^d (_points).
 
 
 def _degree_of(x: GElement):
@@ -556,39 +566,12 @@ def expr_commutator(a, b) -> list:
     return expr_sum(expr_mul(a, b), expr_neg(expr_mul(b, a)))
 
 
-def _term_offsets(factors):
-    """Cumulative degree offsets seen while applying factors right to left,
-    including 0 (start) and the net degree (end)."""
-    if not factors:
-        raise SpecMismatch("empty factor list")
-    offs = [(0,) * len(_degree_of(factors[-1]))]
-    for f in reversed(factors):
-        offs.append(shift(offs[-1], _degree_of(f)))
-    return offs
-
-
-def _box_ranges(box, offsets):
-    """Per-axis (lo, hi) of the points n with n and every n + off inside the
-    box; None when empty."""
-    lo = [max([-r] + [-r - off[i] for off in offsets]) for i, r in enumerate(box)]
-    hi = [min([r] + [r - off[i] for off in offsets]) for i, r in enumerate(box)]
-    return None if any(l > h for l, h in zip(lo, hi)) else list(zip(lo, hi))
-
-
-def expr_interior(box, expr):
-    """Per-axis (lo, hi) of start points n such that every intermediate image
-    of every term stays inside the box; None when empty."""
-    return _box_ranges(box, [off for _, fs in expr for off in _term_offsets(fs)])
-
-
-def interior_points(ranges):
-    return [] if ranges is None else list(_iproduct(*[range(lo, hi + 1) for lo, hi in ranges]))
-
-
 def box_points(box, *offsets):
     """The points n of the box, in lexicographic order, with n + off inside
     the box for every given offset."""
-    return interior_points(_box_ranges(box, offsets))
+    lo = [max([-r] + [-r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    hi = [min([r] + [r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    return list(_iproduct(*[range(a, b + 1) for a, b in zip(lo, hi)]))
 
 
 def _compile(expr, ms: ModuleSpec):
@@ -600,6 +583,50 @@ def _compile(expr, ms: ModuleSpec):
         if not any(o.x is f for o in ops):
             ops.append(_Operator(f, _degree_of(f), ms))
     return [(c, [next(o for o in ops if o.x is f) for f in reversed(fs)]) for c, fs in expr]
+
+
+def _points(terms, ms: ModuleSpec):
+    """The points that decide a compiled expression on all of Z^d, as
+    (count, point): point(i) is the i-th of count points, one coset
+    representative after another in lexicographic order, each read at its
+    grid.
+
+    A factor of degree k reads n through sigma(k, n) = zeta_N^e1 and, with
+    an inner term, sigma(n, k) = zeta_N^e2: e1 and e2 are linear forms in n
+    mod N (at a shifted point they move by a constant).  A Witt term reads n
+    through (u, n + alpha), of degree 1.  So on each coset of
+    K = {n : every such form vanishes mod N} the expression's defect is one
+    polynomial in n, of degree at most T, the most Witt factors in one term.
+    K holds N Z^d, so the coset of c holds the simplex grid c + N j, j >= 0
+    with |j| <= T, and a polynomial of degree at most T that vanishes on it
+    is zero.  The representatives are the box prod [0, p_i) of the pivots
+    p_i of K's Hermite basis (lattice.kernel_mod of the forms stacked on
+    N Id).  This holds for sigma from A; a corrupted sigma is not periodic,
+    and there the points are probes."""
+    d, N, A = ms.spec.d, ms.spec.N, ms.spec.A
+    forms = set()
+    for op in (op for _, term in terms for op in term):
+        k = op.k
+        forms.add(tuple([sum(A[j][i] * k[j] for j in range(i + 1, d)) % N for i in range(d)]))
+        if op.inner:
+            forms.add(tuple([sum(A[j][i] * k[i] for i in range(j)) % N for j in range(d)]))
+    forms.discard((0,) * d)
+    pivots = [1] * d
+    if forms:
+        basis = kernel_mod(hnf_rows([*forms, *(tuple(N * x for x in e) for e in units(d))]), N)
+        pivots = [row[i] for i, row in enumerate(basis)]
+    # op.rows is set exactly for a factor with a Witt term
+    T = max((sum(op.rows is not None for op in term) for _, term in terms), default=0)
+    grid = [j for j in _iproduct(range(T + 1), repeat=d) if sum(j) <= T]
+
+    def point(i):
+        c, g = divmod(i, len(grid))
+        n = [0] * d
+        for a in reversed(range(d)):
+            c, n[a] = divmod(c, pivots[a])
+        return tuple([x + N * j for x, j in zip(n, grid[g])])
+
+    return prod(pivots) * len(grid), point
 
 
 def _expr_symbols(terms, n):
@@ -638,8 +665,7 @@ def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     needs one net degree k, and c is the expected map from v(n) to v(n + k).
     A scalar is compared on the symbol's parts, a matrix densely.  The
     defect is the first nonzero entry of the difference, by source basis
-    vector, target point and coordinate.  The caller keeps every
-    intermediate weight inside its box."""
+    vector, target point and coordinate."""
     return _defect_at(_compile(expr, ms), ms, tuple(n), c)
 
 
@@ -670,33 +696,33 @@ def _defect_at(terms, ms: ModuleSpec, n, c=0):
     )
 
 
-def expr_first_defect(expr, ms: ModuleSpec, box, rng=None, limit=None):
-    """The first defect (expr_defect_at) of the expression at the start points
-    of its interior, point by point, or None when it vanishes on all of
-    them.  With rng and limit set, a seeded sample of interior points is
-    probed instead of all of them."""
-    pts = interior_points(expr_interior(box, expr))
-    if rng is not None and limit is not None and len(pts) > limit:
-        pts = [pts[i] for i in sorted(rng.sample(range(len(pts)), limit))]
+def expr_defects(expr, ms: ModuleSpec, expect=None, rng=None, limit=None):
+    """The defect (expr_defect_at) of the expression against expect(n), or
+    against 0 when expect is None, at each point of the set that decides it
+    on all of Z^d (_points), in order: with sigma from A, the identity holds
+    everywhere exactly when every defect is None.  With rng and limit set, a
+    seeded sample of limit points is read instead, drawn by index."""
     terms = _compile(expr, ms)
-    for n in pts:
-        defect = _defect_at(terms, ms, n)
-        if defect is not None:
-            return defect
-    return None
+    count, point = _points(terms, ms)
+    picked = range(count)
+    if rng is not None and limit is not None and count > limit:
+        picked = sorted(rng.sample(picked, limit))
+    for i in picked:
+        n = point(i)
+        yield _defect_at(terms, ms, n, 0 if expect is None else expect(n))
 
 
-def _weight_symbol(expr, ms: ModuleSpec, box, n) -> _Symbol:
+def expr_first_defect(expr, ms: ModuleSpec, rng=None, limit=None):
+    """The first defect of expr_defects against 0, or None when the
+    expression vanishes at every point it reads."""
+    return next((d for d in expr_defects(expr, ms, rng=rng, limit=limit) if d is not None), None)
+
+
+def _weight_symbol(expr, ms: ModuleSpec, n) -> _Symbol:
     """Symbol of a degree-zero expression on the weight space at n: the zero
-    symbol for the empty expression, else OutOfBox when n is outside the
-    expression's box interior."""
+    symbol for the empty expression."""
     n = tuple(n)
-    if not expr:
-        return _ZERO_SYMBOL
-    ranges = expr_interior(box, expr)
-    if ranges is None or not all(lo <= x <= hi for x, (lo, hi) in zip(n, ranges)):
-        raise OutOfBox(f"weight point {list(n)} leaves the box under this operator")
-    return _expr_symbols(_compile(expr, ms), n)[n]
+    return _expr_symbols(_compile(expr, ms), n)[n] if expr else _ZERO_SYMBOL
 
 
 # -- named operators -----------------------------------------------------------
@@ -727,9 +753,9 @@ def weight_op_expr(ms: ModuleSpec, u, r) -> list:
     return expr_sum(head, expr_neg(tail))
 
 
-def weight_op_matrix(ms: ModuleSpec, u, r, n, box):
+def weight_op_matrix(ms: ModuleSpec, u, r, n):
     """Matrix of the degree-zero weight operator on the weight space at n."""
-    return _weight_symbol(weight_op_expr(ms, u, r), ms, box, n).matrix(ms.V.dim)
+    return _weight_symbol(weight_op_expr(ms, u, r), ms, n).matrix(ms.V.dim)
 
 
 def zero_mode_expr(ms: ModuleSpec, s) -> list:
@@ -739,11 +765,11 @@ def zero_mode_expr(ms: ModuleSpec, s) -> list:
     return expr_of(op_torus(spec, neg(s)), op_inner(spec, s))
 
 
-def zero_mode_scalar(ms: ModuleSpec, s, n, box) -> CycNumber:
+def zero_mode_scalar(ms: ModuleSpec, s, n) -> CycNumber:
     """The scalar by which t^(-s) ad t^s acts on the weight space at n.
 
     Raises NotScalar if the restricted operator is not a scalar matrix."""
-    S = _weight_symbol(zero_mode_expr(ms, s), ms, box, n)
+    S = _weight_symbol(zero_mode_expr(ms, s), ms, n)
     if S.W is not None:
         raise NotScalar(f"zero-mode operator at degree {list(s)} is not scalar")
     return S.a
@@ -792,7 +818,7 @@ def extract_twist(ms: ModuleSpec, box, rng) -> TwistCharacter:
     zero = (0,) * spec.d
 
     def g_at(s):
-        val = spec.sigma(s, s) * zero_mode_scalar(ms, s, zero, box)
+        val = spec.sigma(s, s) * zero_mode_scalar(ms, s, zero)
         out = _ONE + val if ms.flavor == "F_g" else _ONE - val
         if out.as_root_exponent() is None:
             raise NotCharacter(f"recovered twist value at {list(s)} is not a root of unity")
@@ -875,49 +901,36 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
     return {"pass": True, "defect": None}
 
 
-def irreducibility_evidence(ms: ModuleSpec, box, inner_radius: int):
-    """Is every inner weight space an irreducible module under the weight operators?
+def irreducibility_evidence(ms: ModuleSpec):
+    """Is every weight space an irreducible module under the weight operators?
 
-    The probe factors through three facts, each checked per run: (1) the
-    weight operators' matrices are constant across the inner box; (2) the
-    torus transports between inner points are bijective scalings; (3) V is
-    irreducible under the weight-operator matrices, decided exactly by
-    Burnside's theorem: they generate an algebra of dimension dim**2
-    (glmodules.algebra_dim).  (1) and (2) are sampled on the inner box, so
-    the whole is evidence for the module over the box, not a proof.
-    T'(u, rr) is read for every Hermite row rr of the radical: OutOfBox if
-    no inner n has n + rr in the box.  Returns {'pass',
+    The answer factors through three facts, each checked per run: (1) the
+    weight operators' matrices are constant in n; (2) the torus transports
+    between weight spaces are bijective scalings; (3) V is irreducible under
+    the weight-operator matrices, decided exactly by Burnside's theorem: they
+    generate an algebra of dimension dim**2 (glmodules.algebra_dim).  (1)
+    and (2) are read at every point that decides them (_points), so for
+    sigma from A the answer is a decision on all of Z^d.  T'(u, rr) is read
+    for every Hermite row rr of the radical.  Returns {'pass',
     'weight_ops_constant', 'transports_bijective', 'algebra_dim',
     'end_dim'}, the last two the dimension of that algebra and dim**2."""
     spec, d, dim = ms.spec, ms.spec.d, ms.V.dim
-    if any(inner_radius > r for r in box):
-        raise OutOfBox("inner radius exceeds the box")
-    inner = box_points((inner_radius,) * d)
-    # (1) matrices constant across the inner box
+    # (1) each weight operator is one matrix on every weight space
     mats, constant = [], True
     for rr in spec.radical().basis:
-        usable = [n for n in inner if in_box(box, shift(n, rr))]
-        if not usable:
-            need = max(abs(x) for x in rr) - inner_radius
-            raise OutOfBox(f"radical row {list(rr)} needs a box of radius {need}")
         for u in units(d):
-            # the usable points lie inside the interior of e by construction
-            e = _compile(weight_op_expr(ms, u, rr), ms)
-            S0 = _expr_symbols(e, usable[0])[usable[0]]
+            terms = _compile(weight_op_expr(ms, u, rr), ms)
+            count, point = _points(terms, ms)
+            symbols = (_expr_symbols(terms, n)[n] for n in map(point, range(count)))
+            S0 = next(symbols)
             mats.append(S0.matrix(dim))
-            for n in usable[1:]:
-                if _expr_symbols(e, n)[n] != S0:
-                    constant = False
-    # (2) transports between inner points are nonzero scalar bijections
-    transports_ok = True
-    for e in units(d):
-        transport = _compile(expr_of(op_torus(spec, e)), ms)
-        for n in inner:
-            if not in_box(box, shift(n, e)):
-                continue
-            c = spec.sigma(e, n)  # a root of unity, invertible
-            if _defect_at(transport, ms, n, c) is not None:
-                transports_ok = False
+            constant = constant and all(S == S0 for S in symbols)
+    # (2) the transports are nonzero scalars: sigma(e, n) is a root of unity
+    transports_ok = all(
+        x is None
+        for e in units(d)
+        for x in expr_defects(expr_of(op_torus(spec, e)), ms, lambda n: spec.sigma(e, n))
+    )
     # (3) Burnside: the matrices generate End(V) exactly when V is irreducible
     alg, end = algebra_dim(mats, dim), dim * dim
     return {

@@ -1,7 +1,8 @@
 """Small exact integer-lattice helpers: Hermite forms, membership, kernels,
 point sums, negation and box membership, and the unit vectors and seeded
 random points every layer above draws from.  Every seeded integer draw of
-the package is rand_below, which reads the generator through getrandbits.
+the package is rand_below, which reads the generator through getrandbits,
+but the index samples of fmodule.expr_defects, taken with rng.sample.
 
 Everything runs on plain Python ints (arbitrary precision), with no
 rational arithmetic: a kernel is read off a Hermite form that carries its

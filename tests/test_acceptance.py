@@ -408,7 +408,7 @@ def test_criterion_10_irreducibility_evidence():
     for name, spec in INSTANCES.items():
         for sel in MODULE_SELECTORS:
             ms = plain_module(spec, sel)
-            rep = irreducibility_evidence(ms, box_of(spec), 2)
+            rep = irreducibility_evidence(ms)
             if not rep["pass"] or rep["algebra_dim"] != rep["end_dim"]:
                 bad.append(f"{name}/{sel}")
     spec = INSTANCES["(i)"]
@@ -419,13 +419,13 @@ def test_criterion_10_irreducibility_evidence():
         TwistCharacter.trivial(spec),
         "F",
     )
-    rep = irreducibility_evidence(fixture, box_of(spec), 2)
+    rep = irreducibility_evidence(fixture)
     if rep["pass"] or rep["algebra_dim"] >= rep["end_dim"]:
         bad.append("reducible fixture not detected")
     conclude(
         10,
         not bad,
-        "weight operators generate End(V) for each irreducible V on inner radius 2; "
+        "weight operators generate End(V) for each irreducible V, read on all of Z^d; "
         "reducible fixture fails" + (f"; failing: {bad}" if bad else ""),
     )
 

@@ -400,6 +400,28 @@ def test_weight_eigenvalue_fails_when_the_weight_pairing_drops_alpha(monkeypatch
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 
+def test_a_defect_that_no_box_point_shows_fails_the_decided_checks(monkeypatch):
+    """Negative control.  A weight pairing off by one only where some
+    |n_i| > 4 vanishes on every weight space that a box of radius 2 holds.
+    weight_eigenvalue reads the points that decide D(e_i, 0) on Z^d, 0 and
+    7 e_i on the d = 3, N = 7 torus, so at box 2 it fails.  (The pairing
+    enters both terms of T'(u, r) at the same point and cancels, so
+    weight_op_constancy passes either way.)"""
+    spec = TorusSpec(3, 7, [[0, 1, 2], [6, 0, 0], [5, 0, 0]])
+    ms = plain_module(spec)
+    assert _module_row("weight_eigenvalue", ms, (2, 2, 2))["pass"]
+    pairing = fmodule._weight_pairing
+
+    def off_far_out(ms, u, n):
+        out = pairing(ms, u, n)
+        return out + 1 if any(abs(x) > 4 for x in n) else out
+
+    monkeypatch.setattr(fmodule, "_weight_pairing", off_far_out)
+    row = _module_row("weight_eigenvalue", ms, (2, 2, 2))
+    assert row["pass"] is False and row["defect"] == CycNumber.one().to_json()
+    assert _module_row("weight_op_constancy", ms, (2, 2, 2))["pass"]
+
+
 def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
     """Negative control.  The image W of k u^T enters T'(u, r) linearly, so
     doubling it breaks the closed form of [T'(u,r), T'(v,s)] and the closed
@@ -426,8 +448,8 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
     matches F_(g^-1) through v(n) |-> g^-1(n) v(n).  The pinned witness is
     the first nonzero entry of g^-1(k) S_G - S_F."""
 
-    def f_g_rule(ms, s, n, sig):
-        return sig * ms.twist.value(s) - ms.spec.sigma(n, s)
+    def f_g_rule(ms, s, n, sig, g):
+        return sig * g - ms.spec.sigma(n, s)
 
     cases = [
         (
@@ -457,7 +479,7 @@ def test_extract_twist_round_trip_fails_when_the_twist_leaves_the_inner_rule(mon
     scalar at the origin reads as the trivial twist, so the round trip of a
     nontrivial twist fails, from G_g and from F_g alike."""
 
-    def f_rule(ms, s, n, sig):
+    def f_rule(ms, s, n, sig, g):
         return sig - ms.spec.sigma(n, s)
 
     cases = [

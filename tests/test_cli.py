@@ -273,7 +273,7 @@ def test_search_beta_command(tmp_path):
 
 def test_irreducible_command(tmp_path):
     cfg = write_config(tmp_path, INSTANCE_I)
-    res = run_cli("irreducible", "--config", cfg, "--inner-radius", "2")
+    res = run_cli("irreducible", "--config", cfg)
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["pass"] is True
@@ -282,38 +282,41 @@ def test_irreducible_command(tmp_path):
     assert out["transports_bijective"] is True
 
 
-def test_irreducible_refuses_a_box_that_cannot_reach_the_radical(tmp_path):
-    # the radical is 30 Z^2: no point of the inner box of radius 2 reaches
-    # (30, 0) inside a box of radius 3
+def test_irreducible_decides_where_no_box_reaches_the_radical(tmp_path):
+    # the radical is 30 Z^2, far outside the box of radius 3: the probe reads
+    # the weight operators of (30, 0) and (0, 30) at the points that decide
+    # them, and no option bounds where it reads
     cfg = write_config(tmp_path, {"torus": {"d": 2, "N": 30, "A": [[0, 1], [29, 0]]},
                                   "box": [3, 3]})
     res = run_cli("irreducible", "--config", cfg)
-    assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr == "error: radical row [30, 0] needs a box of radius 28\n"
+    assert res.returncode == 0 and res.stderr == ""
+    out = json.loads(res.stdout)
+    assert out["pass"] is True and out["algebra_dim"] == out["end_dim"] == 4
+    assert run_cli("irreducible", "--config", cfg, "--inner-radius", "2").returncode == 2
 
 
 @pytest.mark.parametrize(
-    "cfg, note",
+    "cfg",
     [
-        # (iii) at box 1: the inner box of radius 2 does not fit
-        ({"torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
-          "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
-                     "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
-          "box": [1, 1, 1], "seed": 5, "samples": 20},
-         "skipped: inner radius exceeds the box"),
-        # radical rows (47,0,0), (0,47,0), (0,0,1): only the last fits the box
-        ({"torus": {"d": 3, "N": 47, "A": [[0, 1, 0], [46, 0, 0], [0, 0, 0]]}, "samples": 4},
-         "skipped: radical row [47, 0, 0] needs a box of radius 45"),
+        # (iii) at box 1
+        {"torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]},
+         "module": {"V": "natural", "alpha": ["1/2", 0, "1/3"],
+                    "twist": {"modulus": 4, "exponents": [3, 0, 0]}, "flavor": "G_g"},
+         "box": [1, 1, 1], "seed": 5, "samples": 20},
+        # radical rows (47,0,0), (0,47,0), (0,0,1): two of them far outside the box
+        {"torus": {"d": 3, "N": 47, "A": [[0, 1, 0], [46, 0, 0], [0, 0, 0]]}, "samples": 4},
     ],
     ids=["iii-box-1", "N-47"],
 )
-def test_verify_skips_the_irreducibility_rows_a_box_cannot_host(tmp_path, cfg, note):
+def test_verify_decides_the_irreducibility_rows_whatever_the_box(tmp_path, cfg):
     res = run_cli("verify", "--config", write_config(tmp_path, cfg))
     assert res.returncode == 0 and res.stderr == ""
     rows = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}
+    # natural(3) and natural(3) + natural(3): both algebras have dimension 9
     for name in ("irreducibility_evidence", "reducible_fixture_detected"):
-        assert rows[name]["pass"] and rows[name]["samples"] == 0
-        assert rows[name]["note"] == note
+        assert rows[name]["pass"] and rows[name]["samples"] == 9
+    assert "note" not in rows["reducible_fixture_detected"]
+    assert rows["irreducibility_evidence"]["note"] == "algebra of dimension 9 of 9"
     assert rows["summary"]["failed"] == 0
 
 
@@ -369,7 +372,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 3, "samples": 20},
         ["verify"],
         0,
-        "d9760d6d7c18e4d50e2866e3f123d6fa56245ee844c511c586124e3c47d46ab7",
+        "01e66e9cece736adaee20da3bb3f26d09cf49d01b2c8b8c8b97e2a2cacfbcc4f",
     ),
     "verify-ii-Fg": (
         {"torus": INSTANCE_II_TORUS,
@@ -378,7 +381,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 4, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         0,
-        "b467e574b1fcc2891f565710210f72deb7ec61e6af8a6b9342bdf0537ff2ffd9",
+        "759dabb9312c0ddd73809a52930c5aaa957ae5926e1b1c7b4d84e4838b0c2e36",
     ),
     "verify-iii-Gg": (
         {"torus": INSTANCE_III_TORUS,
@@ -387,9 +390,10 @@ GOLDEN = {
          "box": [2, 2, 2], "seed": 5, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         0,
-        "e9ef5f91d58802153217b5a3a0db58958bebd0e5b3e3cbcbeede6075a1efa1b6",
+        "f92b42b44676f705f241870ea1d951b1356ea2e3c73e0b7a0ae7353d661aab9d",
     ),
-    # nine failing rows: pins the first-defect witness of each failing check
+    # nine failing rows: pins the first-defect witness of each failing check,
+    # and the irreducibility note that names the failed part
     "verify-ii-Gg-corrupt": (
         {"torus": dict(INSTANCE_II_TORUS, _corrupt_sigma=True),
          "module": {"V": "sym:2", "alpha": [0, "1/3"],
@@ -397,16 +401,16 @@ GOLDEN = {
          "box": [2, 2], "seed": 6, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         1,
-        "19db3bb1ce9e6750200615465e6018f42a3436bcf1b44713f08c3920b843d48c",
+        "dcf27c7b3921a04221b518189eb44e149cfe02fa48f686a21bf9effee6ee6c2d",
     ),
-    # thirteen failing rows across all six suites, the cocycle and lie ones included
+    # fourteen failing rows across all six suites, the cocycle and lie ones included
     "verify-i-F-corrupt": (
         {"torus": dict(INSTANCE_I["torus"], _corrupt_sigma=True),
          "module": {"V": "natural", "flavor": "F"},
          "box": [3, 3], "seed": 7, "samples": 20},
         ["verify"],
         1,
-        "91a87a4a6da9ce9038b238ea0f060fd7922de7ddec96888c0390eb609fe66363",
+        "9d0239d98d4b63e3e34fce94c7debd15d0121c78170cbfbfbf8d9cb2acd55d5e",
     ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
@@ -614,25 +618,24 @@ INSTANCE_III_GG = {
 def test_irreducibility_algebra_dimensions_are_the_fields_of_its_rows(tmp_path, cfg):
     from types import SimpleNamespace
 
-    from qtorus.checks import INNER_RADIUS
     from qtorus.cli import build_instance
     from qtorus.fmodule import ModuleSpec, TwistCharacter, irreducibility_evidence
     from qtorus.glmodules import direct_sum, natural
 
-    spec, ms, box, _seed, _ = build_instance(cfg, SimpleNamespace(seed=None, samples=None))
-    rep = irreducibility_evidence(ms, box, INNER_RADIUS)
+    spec, ms, _box, _seed, _ = build_instance(cfg, SimpleNamespace(seed=None, samples=None))
+    rep = irreducibility_evidence(ms)
     assert rep["end_dim"] == ms.V.dim**2
     assert rep["pass"] and rep["algebra_dim"] == rep["end_dim"]
     fixture = ModuleSpec(
         spec, direct_sum(natural(spec.d), natural(spec.d)), ms.alpha,
         TwistCharacter.trivial(spec), "F",
     )
-    red = irreducibility_evidence(fixture, box, INNER_RADIUS)
+    red = irreducibility_evidence(fixture)
     # two equal blocks: the images generate one copy of the d x d matrices
     assert (red["algebra_dim"], red["end_dim"]) == (spec.d**2, 4 * spec.d**2)
 
     path = write_config(tmp_path, cfg)
-    res = run_cli("irreducible", "--config", path, "--inner-radius", str(INNER_RADIUS))
+    res = run_cli("irreducible", "--config", path)
     assert res.returncode == 0
     assert json.loads(res.stdout) == {
         "check": "irreducibility_evidence", "instance": ms.label(), **rep
@@ -644,6 +647,23 @@ def test_irreducibility_algebra_dimensions_are_the_fields_of_its_rows(tmp_path, 
     assert evidence["samples"] == rep["algebra_dim"]
     assert evidence["note"] == f"algebra of dimension {rep['algebra_dim']} of {rep['end_dim']}"
     assert rows["reducible_fixture_detected"]["samples"] == red["algebra_dim"]
+
+
+def test_the_irreducibility_note_names_the_failed_part(tmp_path):
+    """Under the corrupt cocycle of the verify-ii-Gg-corrupt golden the
+    weight operators are not constant in n, while V is irreducible: the row
+    fails and its note names part (1), not the algebra's full dimension."""
+    cfg, _args, _code, _digest = GOLDEN["verify-ii-Gg-corrupt"]
+    path = write_config(tmp_path, cfg)
+    res = run_cli("irreducible", "--config", path)
+    rep = json.loads(res.stdout)
+    assert res.returncode == 1 and rep["pass"] is False
+    assert not rep["weight_ops_constant"] and rep["transports_bijective"]
+    assert rep["algebra_dim"] == rep["end_dim"] == 9
+    res = run_cli("verify", "--config", path, "--suite", "irreducibility")
+    row = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}["irreducibility_evidence"]
+    assert row["pass"] is False and row["samples"] == 9
+    assert row["note"] == "part (1) failed: weight operators not constant in n"
 
 
 def test_the_cli_imports_no_dataclasses():

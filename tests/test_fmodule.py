@@ -10,12 +10,7 @@ import pytest
 
 from qtorus import checks, fmodule
 from qtorus.cyclotomic import CycNumber, root_of_unity
-from qtorus.errors import (
-    ConfigError,
-    NotCharacter,
-    OutOfBox,
-    SpecMismatch,
-)
+from qtorus.errors import ConfigError, NotCharacter, SpecMismatch
 from qtorus.algebra import TorusElement
 from qtorus.derivations import DerElement
 from qtorus.fmodule import (
@@ -31,10 +26,8 @@ from qtorus.fmodule import (
     expr_defect_at,
     expr_defects_at,
     expr_first_defect,
-    expr_interior,
     expr_of,
     extract_twist,
-    interior_points,
     intertwiner_check,
     irreducibility_evidence,
     op_inner,
@@ -254,24 +247,25 @@ def test_an_operator_memo_lives_only_as_long_as_its_helper_call(monkeypatch):
     box = (2, 2, 2)
     s, zero = (1, 0, 0), (0, 0, 0)
     c2 = c2_product_expr(ms, (1, 0, 0), (0, 1, 0))
-    assert intertwiner_check(ms, box)["pass"] and expr_first_defect(c2, ms, box) is None
-    lam = zero_mode_scalar(ms, s, zero, box)
+    assert intertwiner_check(ms, box)["pass"] and expr_first_defect(c2, ms) is None
+    lam = zero_mode_scalar(ms, s, zero)
 
-    def doubled(ms, s, n, sig):
-        return sig * 2 - ms.twist.value(s) * ms.spec.sigma(n, s)
+    def doubled(ms, s, n, sig, g):
+        return sig * 2 - g * ms.spec.sigma(n, s)
 
     monkeypatch.setattr(fmodule, "_inner_phase", doubled)
     assert not intertwiner_check(ms, box)["pass"]
-    assert expr_first_defect(c2, ms, box) is not None
-    assert zero_mode_scalar(ms, s, zero, box) != lam
+    assert expr_first_defect(c2, ms) is not None
+    assert zero_mode_scalar(ms, s, zero) != lam
 
 
 def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, capsys):
     """The module-iii benchmark config (natural G_g module over (iii), box 2,
-    20 samples, seed 1, four suites) makes 1,262 _part_symbol evaluations:
+    20 samples, seed 1, four suites) makes 1,399 _part_symbol evaluations:
     each expression read at several weight points is compiled once
-    (expr_defects_at).  Compiled once per point it made 1,942, and evaluated
-    at every point 9,625."""
+    (expr_defects_at, expr_defects).  Read on the degree box instead of the
+    points that decide each identity, it made 1,262, compiled once per
+    point 1,942, and evaluated at every point 9,625."""
     from qtorus import cli
 
     cfg = {
@@ -299,7 +293,7 @@ def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, c
     suites = "module,section3,section4,irreducibility"
     assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
     assert '"passed": 18' in capsys.readouterr().out
-    assert len(calls) == 1262
+    assert len(calls) == 1399
 
 
 def _oracle_matrix(x, n, k, ms, box):
@@ -360,7 +354,7 @@ def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
                 r = tuple(sum(c * row[i] for c, row in zip(coeffs, rad.basis)) for i in range(d))
                 u = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 2)]
                 for n in rng.sample(box_points((3,) * d, r), 2):
-                    S = _weight_symbol(weight_op_expr(ms, u, r), ms, (3,) * d, n)
+                    S = _weight_symbol(weight_op_expr(ms, u, r), ms, n)
                     pairs.append((S, S.matrix(dim)))
             c = spec.root(rng.randrange(spec.N)) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             for i, (S, D) in enumerate(pairs):
@@ -507,18 +501,18 @@ def test_module_spec_validation():
 def test_weight_op_matrix_frozen_and_constant():
     # u=e_1, r=(0,2) on natural(2): sigma(-r,r)=1 and r u^T = 2 E_{10}
     ms = plain_module(SPEC_I)
-    got = weight_op_matrix(ms, [1, 0], (0, 2), (0, 0), BOX2)
+    got = weight_op_matrix(ms, [1, 0], (0, 2), (0, 0))
     two = CycNumber.rational(2)
     zero = CycNumber.zero()
     assert got == [[zero, zero], [two, zero]]
-    for n in ((1, 0), (0, 1), (-2, 1), (1, -3)):
-        assert weight_op_matrix(ms, [1, 0], (0, 2), n, BOX2) == got
+    for n in ((1, 0), (0, 1), (-2, 1), (1, -3), (40, -7)):
+        assert weight_op_matrix(ms, [1, 0], (0, 2), n) == got
     # r = 0 and u = 0 give the zero matrix
-    assert weight_op_matrix(ms, [1, 0], (0, 0), (1, 1), BOX2) == [
+    assert weight_op_matrix(ms, [1, 0], (0, 0), (1, 1)) == [
         [zero, zero],
         [zero, zero],
     ]
-    assert weight_op_matrix(ms, [0, 0], (0, 2), (0, 0), BOX2) == [
+    assert weight_op_matrix(ms, [0, 0], (0, 2), (0, 0)) == [
         [zero, zero],
         [zero, zero],
     ]
@@ -526,7 +520,7 @@ def test_weight_op_matrix_frozen_and_constant():
 
 def test_weight_op_matrix_closed_form_sampled():
     rng = sub_rng(20260819, "tprime-closed-form")
-    for spec, box in ((SPEC_I, BOX2), (SPEC_II, BOX2), (SPEC_III, BOX3)):
+    for spec in (SPEC_I, SPEC_II, SPEC_III):
         V = natural(spec.d)
         ms = plain_module(spec, V=V)
         rad = spec.radical()
@@ -540,9 +534,7 @@ def test_weight_op_matrix_closed_form_sampled():
             if all(x == 0 for x in u):
                 u[0] = 1
             n = tuple(rng.randint(-1, 1) for _ in range(spec.d))
-            if not all(-b <= a + c <= b for a, c, b in zip(n, r, box)):
-                continue
-            got = weight_op_matrix(ms, u, r, n, box)
+            got = weight_op_matrix(ms, u, r, n)
             scale = spec.sigma(tuple(-x for x in r), r)
             expect = V.matrix_of(
                 [[scale * (u[j] * r[i]) for j in range(spec.d)] for i in range(spec.d)]
@@ -550,42 +542,28 @@ def test_weight_op_matrix_closed_form_sampled():
             assert got == expect
 
 
-def test_expr_interior_accounts_for_intermediates():
-    # the commutator of t^(1,0) and t^(0,1) passes through offsets (1,0),
-    # (0,1), (1,1), so valid starts lose the top edge of the box on each axis
-    e = expr_commutator(
-        expr_of(op_torus(SPEC_I, (1, 0))),
-        expr_of(op_torus(SPEC_I, (0, 1))),
-    )
-    ranges = expr_interior(BOX2, e)
-    assert ranges == [(-3, 2), (-3, 2)]
-    pts = interior_points(ranges)
-    assert len(pts) == 36
-
-
 def test_zero_mode_scalar_frozen_values():
     ms = plain_module(SPEC_I)
     # lambda(s, n) = sigma(-s,s)(1 - f(n,s)); s=(1,0), n=(0,1) gives 1-(-1)=2
-    assert zero_mode_scalar(ms, (1, 0), (0, 1), BOX2) == CycNumber.rational(2)
-    assert zero_mode_scalar(ms, (1, 0), (0, 0), BOX2).is_zero()
+    assert zero_mode_scalar(ms, (1, 0), (0, 1)) == CycNumber.rational(2)
+    assert zero_mode_scalar(ms, (1, 0), (0, 0)).is_zero()
     # radical degree: the inner operator itself vanishes
-    assert zero_mode_scalar(ms, (2, 0), (1, 1), BOX2).is_zero()
-    # t^(-s) ad t^s passes through n + s, so it cannot start at the box edge;
-    # the empty expression of a radical degree reads zero before any box test
-    with pytest.raises(OutOfBox):
-        zero_mode_scalar(ms, (1, 0), (3, 3), BOX2)
-    assert zero_mode_scalar(ms, (2, 0), (3, 3), BOX2).is_zero()
+    assert zero_mode_scalar(ms, (2, 0), (1, 1)).is_zero()
+    # every weight space is read, however far out: f((3, 3), s) = -1 here
+    assert zero_mode_scalar(ms, (1, 0), (3, 3)) == CycNumber.rational(2)
+    assert zero_mode_scalar(ms, (1, 0), (-40, 41)) == CycNumber.rational(2)
+    assert zero_mode_scalar(ms, (2, 0), (3, 3)).is_zero()
 
 
 def _recursion_defects(ms, s, pts):
     """lambda(s,p) - f(p,s) lambda(s,0) - sigma(-s,s)(1 - f(p,s)) at each p."""
     spec = ms.spec
-    lam0 = zero_mode_scalar(ms, s, (0, 0), BOX2)
+    lam0 = zero_mode_scalar(ms, s, (0, 0))
     base = spec.sigma(tuple(-x for x in s), s)
     out = []
     for p in pts:
         f = spec.comm_factor(p, s)
-        out.append(zero_mode_scalar(ms, s, p, BOX2) - f * lam0 - base * (1 - f))
+        out.append(zero_mode_scalar(ms, s, p) - f * lam0 - base * (1 - f))
     return out
 
 
@@ -613,8 +591,8 @@ def test_lambda_g_relation_frozen():
     for s in ((1, 0), (0, 1), (1, 1), (2, 1)):
         srev = tuple(-x for x in s)
         base = SPEC_II.sigma(srev, s)
-        lamG = zero_mode_scalar(msG, s, (0, 0), BOX2)
-        lamF = zero_mode_scalar(msFg, s, (0, 0), BOX2)
+        lamG = zero_mode_scalar(msG, s, (0, 0))
+        lamF = zero_mode_scalar(msFg, s, (0, 0))
         assert lamG == base * (one - g.value(s))
         assert lamF == base * (g.value(s) - one)
 
@@ -683,7 +661,7 @@ def test_relation_checks_vanish_on_samples():
             r = tuple(rng.randint(-2, 2) for _ in range(d))
             s = tuple(rng.randint(-2, 2) for _ in range(d))
             for e in (_zero_modes_commutator(ms, r, s), c2_product_expr(ms, r, s)):
-                assert expr_first_defect(e, ms, box, rng=rng, limit=5) is None
+                assert expr_first_defect(e, ms, rng=rng, limit=5) is None
 
 
 def test_relation_checks_vanish_for_twisted_flavor():
@@ -695,7 +673,7 @@ def test_relation_checks_vanish_for_twisted_flavor():
         r = tuple(rng.randint(-2, 2) for _ in range(2))
         s = tuple(rng.randint(-2, 2) for _ in range(2))
         for e in (c2_product_expr(ms, r, s), _zero_modes_commutator(ms, r, s)):
-            assert expr_first_defect(e, ms, BOX2, rng=rng, limit=5) is None
+            assert expr_first_defect(e, ms, rng=rng, limit=5) is None
 
 
 def test_zero_mode_ideal_and_bracket_checks():
@@ -709,11 +687,11 @@ def test_zero_mode_ideal_and_bracket_checks():
         d = spec.d
         zero = (0,) * d
         t_u, t_v = weight_op_expr(ms, [1] * d, zero), weight_op_expr(ms, [2] * d, zero)
-        assert expr_first_defect(expr_commutator(t_u, t_v), ms, box) is None
+        assert expr_first_defect(expr_commutator(t_u, t_v), ms) is None
         t_0 = weight_op_expr(ms, [0] * d, tuple(spec.radical().basis[0]))
         assert t_0 == []
         e1 = (1,) + zero[1:]
-        assert expr_first_defect(expr_commutator(t_0, zero_mode_expr(ms, e1)), ms, box) is None
+        assert expr_first_defect(expr_commutator(t_0, zero_mode_expr(ms, e1)), ms) is None
 
 
 def test_module_axiom_all_flavors():
@@ -761,12 +739,12 @@ def test_weight_shift_bijection():
 def test_irreducibility_evidence_positive_and_negative():
     for V in (natural(2), sym_power(2, 2), ext_power(2, 2), trivial(2)):
         ms = plain_module(SPEC_I, V=V)
-        rep = irreducibility_evidence(ms, BOX2, 2)
+        rep = irreducibility_evidence(ms)
         assert rep["pass"], V.name
         assert rep["weight_ops_constant"] and rep["transports_bijective"]
         assert rep["algebra_dim"] == rep["end_dim"] == V.dim**2
     red = plain_module(SPEC_I, V=direct_sum(natural(2), natural(2)))
-    rep = irreducibility_evidence(red, BOX2, 2)
+    rep = irreducibility_evidence(red)
     assert not rep["pass"]
     assert rep["algebra_dim"] < rep["end_dim"]
     # the support checks themselves still hold for the reducible module
@@ -780,7 +758,7 @@ def test_a_sum_that_every_basis_vector_generates_fails_both_probes(spec):
     closure does not."""
     d, box = spec.d, (2,) * spec.d
     ms = plain_module(spec, V=conjugated_sum(d))
-    rep = irreducibility_evidence(ms, box, 2)
+    rep = irreducibility_evidence(ms)
     assert not rep["pass"]
     assert (rep["algebra_dim"], rep["end_dim"]) == (d * d, 4 * d * d)
     assert rep["weight_ops_constant"] and rep["transports_bijective"]
@@ -796,43 +774,32 @@ def _scan_spec(d, N, a01=1):
     return TorusSpec.from_upper(3, N, {(0, 1): 1, (0, 2): 2 % N, (1, 2): 0})
 
 
-def _evidence_or_refusal(ms, box):
-    """The probe's verdict at inner radius 2, or its refusal text."""
-    try:
-        return irreducibility_evidence(ms, box, 2)["pass"]
-    except OutOfBox as exc:
-        return str(exc)
-
-
-def test_irreducibility_evidence_never_fails_on_a_row_the_box_cannot_reach():
-    """Every V here is irreducible.  Where some Hermite row of the radical is
-    out of reach of the inner box, the probe refuses and names the row,
-    instead of closing V under too few weight operators and failing."""
+def test_irreducibility_evidence_decides_every_config_of_the_scan():
+    """Every V here is irreducible, and the probe says so on every config:
+    it reads each Hermite row of the radical however far out it lies, where
+    an inner box of radius 2 inside a box of radius 2 or 3 could not reach
+    half of them."""
     verdicts = []
     for d, Ns in ((2, (2, 3, 4, 5, 6, 7, 8, 12, 30)), (3, (2, 3, 4, 5, 7))):
         for N in Ns:
             spec = _scan_spec(d, N)
-            rows = [f"radical row {list(rr)} needs a box of radius" for rr in spec.radical().basis]
             for sel in ("natural", "sym:2", "dual" if d == 2 else "ext:2"):
                 V = parse_module(d, sel)
-                ms = ModuleSpec(spec, V, [Fraction(1, 2)] + [0] * (d - 1),
-                                TwistCharacter.trivial(spec), "F")
-                for b in (2, 3):
-                    got = _evidence_or_refusal(ms, (b,) * d)
-                    refused = any(str(got).startswith(r) for r in rows)
-                    assert got is True or refused, (N, sel, b, got)
-                    verdicts.append(got)
-    assert len(verdicts) == 84 and verdicts.count(True) == 42
+                for alpha in ([Fraction(1, 2)] + [0] * (d - 1), [0] * d):
+                    ms = ModuleSpec(spec, V, alpha, TwistCharacter.trivial(spec), "F")
+                    rep = irreducibility_evidence(ms)
+                    assert rep["pass"] and rep["algebra_dim"] == V.dim**2, (N, sel, rep)
+                    verdicts.append(rep["pass"])
+    assert len(verdicts) == 84 and all(verdicts)
 
 
-def test_irreducibility_evidence_separates_where_the_box_hosts_the_radical():
-    """Boxes that reach every radical row: the probe passes exactly when V
-    is irreducible, over all three flavors and two weight shifts, and only
-    natural + natural fails."""
-    specs = [(_scan_spec(2, N), 4) for N in (2, 3, 4)] + [(_scan_spec(2, 4, a01=2), 4)]
-    specs += [(_scan_spec(3, 2), 3), (SPEC_III, 3)]
+def test_irreducibility_evidence_separates_reducible_from_irreducible():
+    """The probe passes exactly when V is irreducible, over all three
+    flavors and two weight shifts, and only natural + natural fails."""
+    specs = [_scan_spec(2, N) for N in (2, 3, 4)] + [_scan_spec(2, 4, a01=2)]
+    specs += [_scan_spec(3, 2), SPEC_III]
     count = 0
-    for spec, b in specs:
+    for spec in specs:
         d = spec.d
         # g = f(e_0, .): trivial on the radical
         g = TwistCharacter(spec, spec.N, [spec.A[r][0] for r in range(d)])
@@ -842,7 +809,7 @@ def test_irreducibility_evidence_separates_where_the_box_hosts_the_radical():
         alphas = ([0] * d, [Fraction(1, 2)] + [0] * (d - 1))
         for (V, irreducible), alpha, flavor in itertools.product(Vs, alphas, FLAVORS):
             twist = TwistCharacter.trivial(spec) if flavor == "F" else g
-            got = _evidence_or_refusal(ModuleSpec(spec, V, alpha, twist, flavor), (b,) * d)
+            got = irreducibility_evidence(ModuleSpec(spec, V, alpha, twist, flavor))["pass"]
             assert got is irreducible, (spec.N, V.name, flavor, got)
             count += 1
     assert count == 228
@@ -897,7 +864,7 @@ def test_defect_reporting_is_first_nonzero():
     e = expr_of(op_torus(SPEC_I, (0, 0))) + [
         (CycNumber.rational(-2), [op_torus(SPEC_I, (0, 0))])
     ]
-    d = expr_first_defect(e, ms, BOX2)
+    d = expr_first_defect(e, ms)
     assert d == CycNumber.rational(-1)
     # against c Id: t^0 is Id, so t^0 - 3 Id has defect -2; a transport is
     # compared along its degree, and two net degrees have no single c Id
@@ -932,3 +899,81 @@ def test_an_expression_read_at_several_points_is_compiled_once(monkeypatch):
     assert [next(defects) for _ in range(3)] == want[:3] and len(evaluated) == 3
     assert list(defects) == want[3:]
     assert len(compiled) == 1 and len(evaluated) == len(points)
+
+
+SPEC_D3_N7 = TorusSpec(3, 7, [[0, 1, 2], [6, 0, 0], [5, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC_I, SPEC_II, SPEC_III, SPEC_D3_N7], ids=["i", "ii", "iii", "d3-N7"]
+)
+def test_the_points_are_one_per_sigma_coset_each_read_at_its_grid(spec):
+    """_points gives one representative per coset of the lattice on which
+    every factor's sigma exponents vanish mod N, each read at the simplex
+    grid c + N j, |j| <= T, T the most Witt factors in one term.  Checked
+    against a walk of every residue mod N: the representatives have distinct
+    signatures (the exponents sigma(k, n), and sigma(n, k) for an inner
+    factor), they meet every signature, and their number is the index of
+    the lattice, N**d over the residues of zero signature."""
+    rng = sub_rng(20261021, f"points-{spec.d}-{spec.N}")
+    d, N = spec.d, spec.N
+    ms = ModuleSpec(spec, natural(d), [Fraction(1, 2)] + [0] * (d - 1),
+                    TwistCharacter.trivial(spec), "F")
+    residues = list(itertools.product(range(N), repeat=d))
+    rows = spec.radical().basis
+    cosets = set()
+    for _ in range(4):
+        n, m = (tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(2))
+        u = [rng.randint(1, 2)] + [rng.randint(-2, 2) for _ in range(d - 1)]
+        t_u = weight_op_expr(ms, u, rows[rng.randrange(len(rows))])
+        t_v = weight_op_expr(ms, u[::-1], rows[rng.randrange(len(rows))])
+        for e in (
+            c2_product_expr(ms, n, m),
+            t_u,
+            expr_commutator(t_u, zero_mode_expr(ms, n)),
+            expr_commutator(t_u, t_v),
+        ):
+            terms = fmodule._compile(e, ms)
+            ops = [op for _, term in terms for op in term]
+
+            def signature(p):
+                return tuple(
+                    (spec.sigma_exp(op.k, p), spec.sigma_exp(p, op.k) if op.inner else 0)
+                    for op in ops
+                )
+
+            T = max(sum(bool(f.der.witt) for f in fs) for _, fs in e)
+            grid = [j for j in itertools.product(range(T + 1), repeat=d) if sum(j) <= T]
+            count, point = fmodule._points(terms, ms)
+            assert count % len(grid) == 0
+            reps = [point(i) for i in range(0, count, len(grid))]
+            sigs = [signature(c) for c in reps]
+            assert len(set(sigs)) == len(reps)
+            assert set(sigs) == {signature(r) for r in residues}
+            kernel = sum(1 for r in residues if signature(r) == signature((0,) * d))
+            assert len(reps) == N**d // kernel
+            for i in range(count):
+                c, j = reps[i // len(grid)], grid[i % len(grid)]
+                assert point(i) == tuple(a + N * b for a, b in zip(c, j))
+            cosets.add(len(reps))
+    assert max(cosets) > 1
+
+
+def test_a_sampled_read_draws_its_points_by_index(monkeypatch):
+    """With an rng and a limit, expr_defects reads limit points drawn by
+    index from the point set, without listing it; the same seed reads the
+    same points, and without a limit every point is read."""
+    ms = plain_module(SPEC_D3_N7)
+    e = c2_product_expr(ms, (1, 2, 0), (0, 1, 3))
+    count, point = fmodule._points(fmodule._compile(e, ms), ms)
+    assert count > 4
+    read = []
+    defect_at = fmodule._defect_at
+    monkeypatch.setattr(fmodule, "_defect_at", lambda *a: read.append(a[2]) or defect_at(*a))
+    assert list(fmodule.expr_defects(e, ms, rng=random.Random(5), limit=4)) == [None] * 4
+    first, read[:] = list(read), []
+    assert expr_first_defect(e, ms, rng=random.Random(5), limit=4) is None
+    assert read == first and len(set(first)) == 4
+    assert set(first) <= {point(i) for i in range(count)}
+    read.clear()
+    assert expr_first_defect(e, ms) is None and read == [point(i) for i in range(count)]
