@@ -11,81 +11,63 @@ The package builds, over exact cyclotomic arithmetic:
     with box-truncated vectors and operator expressions read on all of Z^d
     (``fmodule``),
   * deterministic verification suites and a CLI (``checks``, ``cli``).
+
+The names below are re-exported lazily (PEP 562): ``from qtorus import act``
+imports ``qtorus.fmodule`` when it is first asked for, so importing the
+package, or a layer of it, compiles no other layer.
 """
 
-from .algebra import TorusElement, is_central, tcomm, tmul
-from .cyclotomic import CycNumber, max_conductor, root_of_unity
-from .derivations import DerElement, dact, dbracket, pairing
-from .errors import (
-    BadPower,
-    ConductorLimitExceeded,
-    ConfigError,
-    NotCharacter,
-    NotDivisible,
-    NotInRadical,
-    NotRootOfUnity,
-    NotScalar,
-    QTorusError,
-    SpecMismatch,
-)
-from .fmodule import (
-    BoxVector,
-    DiagonalCharacter,
-    FLAVORS,
-    ModuleSpec,
-    TwistCharacter,
-    act,
-    extract_twist,
-    intertwiner_check,
-    irreducibility_evidence,
-    search_twist_equivalence,
-    weight_op_matrix,
-    zero_mode_scalar,
-)
-from .glmodules import GlModule, parse_module
-from .semidirect import GElement, gbracket
-from .torus import RadicalBasis, TorusSpec
+from importlib import import_module as _import_module
 
-__all__ = [
-    "BadPower",
-    "BoxVector",
-    "ConductorLimitExceeded",
-    "ConfigError",
-    "CycNumber",
-    "DerElement",
-    "DiagonalCharacter",
-    "FLAVORS",
-    "GElement",
-    "GlModule",
-    "ModuleSpec",
-    "NotCharacter",
-    "NotDivisible",
-    "NotInRadical",
-    "NotRootOfUnity",
-    "NotScalar",
-    "QTorusError",
-    "RadicalBasis",
-    "SpecMismatch",
-    "TorusElement",
-    "TorusSpec",
-    "TwistCharacter",
-    "act",
-    "dact",
-    "dbracket",
-    "extract_twist",
-    "gbracket",
-    "intertwiner_check",
-    "irreducibility_evidence",
-    "is_central",
-    "max_conductor",
-    "pairing",
-    "parse_module",
-    "root_of_unity",
-    "search_twist_equivalence",
-    "tcomm",
-    "tmul",
-    "weight_op_matrix",
-    "zero_mode_scalar",
-]
+# the public names, by the layer that defines them
+_LAYERS = {
+    "algebra": ("TorusElement", "is_central", "tcomm", "tmul"),
+    "cyclotomic": ("CycNumber", "max_conductor", "root_of_unity"),
+    "derivations": ("DerElement", "dact", "dbracket", "pairing"),
+    "errors": (
+        "BadPower",
+        "ConductorLimitExceeded",
+        "ConfigError",
+        "NotCharacter",
+        "NotDivisible",
+        "NotInRadical",
+        "NotRootOfUnity",
+        "NotScalar",
+        "QTorusError",
+        "SpecMismatch",
+    ),
+    "fmodule": (
+        "BoxVector",
+        "DiagonalCharacter",
+        "FLAVORS",
+        "ModuleSpec",
+        "TwistCharacter",
+        "act",
+        "extract_twist",
+        "intertwiner_check",
+        "irreducibility_evidence",
+        "search_twist_equivalence",
+        "weight_op_matrix",
+        "zero_mode_scalar",
+    ),
+    "glmodules": ("GlModule", "parse_module"),
+    "semidirect": ("GElement", "gbracket"),
+    "torus": ("RadicalBasis", "TorusSpec"),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{layer}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -116,10 +116,11 @@ def _constants(spec: TorusSpec, kx, a, ky, b, product):
 
 class _Graded:
     """The graded store: (kind, degree) -> counts over Z/L, over one
-    denominator, the values of the components folded so far (folded) and the
-    first nonzero value in witness order once it is known (lead)."""
+    denominator, the values of the components folded so far (folded), the
+    first nonzero value in witness order once it is known (lead) and, for a
+    pair's store, the read-out its two parts share once it is made (out)."""
 
-    __slots__ = ("spec", "L", "den", "sums", "folded", "lead")
+    __slots__ = ("spec", "L", "den", "sums", "folded", "lead", "out")
 
     def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict, folded=None):
         self.spec = spec
@@ -128,12 +129,16 @@ class _Graded:
         self.sums = sums
         self.folded = {} if folded is None else folded
         self.lead = _UNSET
+        self.out = None
 
-    def part(self, torus: bool) -> "_Graded":
-        """The store of the torus components (of the derivation components
-        when not `torus`), sharing this store's counts and folded values."""
-        sums = {key: counts for key, counts in self.sums.items() if (key[0] == TORUS) == torus}
-        return _Graded(self.spec, self.L, self.den, sums, self.folded)
+    def parts(self):
+        """The stores of the derivation and of the torus components, split in
+        one pass, sharing this store's counts, folded values and read-out
+        (_Part)."""
+        der, torus = {}, {}
+        for key, counts in self.sums.items():
+            (torus if key[0] == TORUS else der)[key] = counts
+        return _Part(self, der, False), _Part(self, torus, True)
 
     def _values(self, keys, keep=True):
         """((kind, degree), value) for each of `keys` whose component reads
@@ -200,6 +205,27 @@ class _Graded:
         from, so it carries no counts that only a larger field can fold.  The
         values are not kept: an operand's store is left as it was."""
         return _flatten(self.spec, [key + (c,) for key, c in self._values(self.sums, False)])
+
+
+class _Part(_Graded):
+    """The derivation part of a pair's store (the torus part when `torus`),
+    the store of one of the pair's two views (_Graded.parts).  It is read
+    off its whole's read-out, which is made once for both parts, so the
+    pair's two views are opened from one read of the pair's store."""
+
+    __slots__ = ("whole", "torus")
+
+    def __init__(self, whole: _Graded, sums: dict, torus: bool):
+        _Graded.__init__(self, whole.spec, whole.L, whole.den, sums, whole.folded)
+        self.whole, self.torus = whole, torus
+
+    def read(self):
+        whole = self.whole
+        out = whole.out
+        if out is None:
+            out = whole.out = whole.read()
+        torus, inner, witt = out
+        return (torus, {}, {}) if self.torus else ({}, inner, witt)
 
 
 def _bounds(spec: TorusSpec, terms):
@@ -295,7 +321,7 @@ def _join(spec: TorusSpec, stores) -> _Graded:
     """The store of the sum of stores over disjoint (kind, degree) keys: one
     store is its own; counts are shared when L and den agree, else lifted,
     and the values folded for each store's own keys are kept (a part shares
-    its whole's folded values, other keys' included: see _Graded.part)."""
+    its whole's folded values, other keys' included: see _Graded.parts)."""
     if len(stores) == 1:
         return stores[0]
     if len({(s.L, s.den) for s in stores}) == 1:

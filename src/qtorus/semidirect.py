@@ -10,9 +10,10 @@ basis-bracket table of the pair algebra (qtorus.algebra._constants) over the
 basis t^n, ad t^s and t^r d_i.  A pair is its graded store, as every
 element is (qtorus.algebra._Element): a built pair joins the stores of its
 two components (_join), and der and torus are views that hold the store's
-two parts (_Graded.part), which share its counts and folded values, so no
-component is folded twice.  is_zero and the first nonzero coefficient walk
-the store without reading it out.
+two parts (_Graded.parts), which share its counts, folded values and
+read-out, so no component is folded twice and the first field read of
+either view reads the pair's store once for both.  is_zero and the first
+nonzero coefficient walk the store without reading it out.
 
 Two embeddings of the torus lattice are provided:
 
@@ -59,8 +60,9 @@ class GElement(_Element):
         return cls(a.spec, torus=a)
 
     def _open(self, store):
-        self.der = DerElement._read(store.part(False))
-        self.torus = TorusElement._read(store.part(True))
+        der, torus = store.parts()
+        self.der = DerElement._read(der)
+        self.torus = TorusElement._read(torus)
 
     def __repr__(self):
         return f"({self.der!r} ; {self.torus!r})"

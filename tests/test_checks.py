@@ -474,6 +474,40 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 
+_MODULE_III_GG = ModuleSpec(SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
+                            TwistCharacter(SPEC_III, 4, (3, 0, 0)), "G_g")
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (2, 2, 2),
+        pytest.param((1, 1, 1), marks=pytest.mark.xfail(
+            strict=True,
+            reason="the comparison reads box points, and no point n of box 1 has n + (4, 0, 0) "
+            "in the box, so D(e_i, (4, 0, 0)) is never compared (ROADMAP item 4: read the "
+            "sigma-cosets in _symbol_pairs)",
+        )),
+    ],
+    ids=["box-2", "box-1"],
+)
+def test_diagonal_intertwiner_fails_when_g_g_acts_otherwise_at_a_radical_row(monkeypatch, box):
+    """Negative control on module-iii's G_g module: the mutant adds 1 to the
+    scalar part of the G_g side's symbol at the radical row (4, 0, 0) only,
+    the degree of the three generators D(e_i, (4, 0, 0))."""
+    part_symbol = fmodule._part_symbol
+
+    def mutant(x, k, n, ms, g=None):
+        S = part_symbol(x, k, n, ms, g)
+        if ms.flavor == "G_g" and k == (4, 0, 0):
+            return fmodule._Symbol(S.a + 1, S.b, S.W)
+        return S
+
+    assert intertwiner_check(_MODULE_III_GG, box)["pass"]
+    monkeypatch.setattr(fmodule, "_part_symbol", mutant)
+    assert intertwiner_check(_MODULE_III_GG, box)["pass"] is False
+
+
 def test_extract_twist_round_trip_fails_when_the_twist_leaves_the_inner_rule(monkeypatch):
     """Negative control.  Under the untwisted F inner rule every zero-mode
     scalar at the origin reads as the trivial twist, so the round trip of a

@@ -666,6 +666,64 @@ def test_the_irreducibility_note_names_the_failed_part(tmp_path):
     assert row["note"] == "part (1) failed: weight operators not constant in n"
 
 
+def test_every_public_name_imports_from_the_package_on_demand():
+    """The package re-exports its names lazily (PEP 562): importing it loads
+    no layer, and each name in __all__ loads its own."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys, qtorus\n"
+        "def layers(): return sorted(m for m in sys.modules if m.startswith('qtorus.'))\n"
+        "assert layers() == [], layers()\n"
+        "from qtorus import TorusSpec\n"
+        "assert layers() == ['qtorus.cyclotomic', 'qtorus.errors', 'qtorus.lattice', 'qtorus.torus'], layers()\n"
+        "for name in qtorus.__all__:\n"
+        "    exec(f'from qtorus import {name}')\n"
+        "    assert name in dir(qtorus), name\n"
+        "try:\n"
+        "    qtorus.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('qtorus.no_such_name resolved')\n"
+        "from qtorus import *\n"
+        "print(len(qtorus.__all__), act.__module__)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["39", "qtorus.fmodule"]
+
+
+def test_the_console_script_is_the_process_entry_point():
+    text = (pathlib.Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["qtorus", "=", '"qtorus.cli:run"']
+    from qtorus import cli
+
+    assert callable(cli.run)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path, unbuffered):
+    """structure on (iii) prints about 455 KB; a reader that closes after 100
+    bytes makes the writes fail with a broken pipe, and the process still
+    exits 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = write_config(tmp_path, {"torus": {"d": 3, "N": 4, "A": [[0, 1, 2], [3, 0, 0], [2, 0, 0]]}})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtorus.cli", "structure", "--config", path, "--radius", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert len(head) == 100 and head.startswith(b'{"bracket": ')
+    assert err == b""
+
+
 def test_the_cli_imports_no_dataclasses():
     # compared with a bare interpreter, so that a site hook's imports do not count
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -683,38 +741,98 @@ def test_the_cli_imports_no_dataclasses():
 
 
 def _run_fresh(tmp_path, cfg, *argv):
-    """Run one command in a fresh interpreter; its exit code and whether it
-    loaded qtorus.checks."""
+    """Run one command through main() in a fresh interpreter; its exit code
+    and the set of qtorus modules it loaded, by their names in the package."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (
         "import sys\n"
         "from qtorus.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print('qtorus.checks' in sys.modules, code, file=sys.stderr)\n"
+        "print(code, *(m for m in sys.modules if m.startswith('qtorus.')), file=sys.stderr)\n"
     )
     args = [argv[0], "--config", write_config(tmp_path, cfg), *argv[1:]]
     res = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
-    loaded, exit_code = res.stderr.split()
-    return int(exit_code), loaded == "True"
+    exit_code, *loaded = res.stderr.split()
+    return int(exit_code), {name[len("qtorus."):] for name in loaded}
 
 
 def test_search_radical_and_act_finish_without_loading_the_check_suites(tmp_path):
     one = {"M": 1, "coeffs": ["1/1"]}
     vec = json.dumps({"box": [3, 3], "dim": 2, "entries": [{"n": [2, 1], "w": [one, one]}]})
     elt = json.dumps({"der": {"inner": [], "witt": []}, "torus": [{"n": [1, 0], "c": one}]})
-    assert _run_fresh(tmp_path, INSTANCE_FG, "search-beta") == (0, False)
-    assert _run_fresh(tmp_path, INSTANCE_I, "radical") == (0, False)
-    assert _run_fresh(
-        tmp_path, INSTANCE_I, "act", "--element", elt, "--vector", vec
-    ) == (0, False)
+    for cfg, argv in [
+        (INSTANCE_FG, ["search-beta"]),
+        (INSTANCE_I, ["radical"]),
+        (INSTANCE_I, ["act", "--element", elt, "--vector", vec]),
+    ]:
+        code, loaded = _run_fresh(tmp_path, cfg, *argv)
+        assert code == 0 and "checks" not in loaded, argv
     # the commands that run a suite do load it
-    assert _run_fresh(tmp_path, INSTANCE_GG, "iso") == (0, True)
+    code, loaded = _run_fresh(tmp_path, INSTANCE_GG, "iso")
+    assert code == 0 and "checks" in loaded
 
 
 def test_irreducible_finishes_without_loading_the_check_suites(tmp_path):
-    assert _run_fresh(tmp_path, INSTANCE_I, "irreducible") == (0, False)
+    code, loaded = _run_fresh(tmp_path, INSTANCE_I, "irreducible")
+    assert code == 0 and "checks" not in loaded
+
+
+_BASE = {"cli", "errors", "cyclotomic", "lattice", "torus"}
+_ALGEBRA = {"algebra", "derivations", "semidirect"}
+_MODULE = {"glmodules", "fmodule"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["radical"], _BASE),
+        (["structure"], _BASE | _ALGEBRA),
+        (["search-beta"], _BASE | _ALGEBRA | _MODULE),
+        (["verify", "--suite", "cocycle"], _BASE | _ALGEBRA | _MODULE | {"checks"}),
+    ],
+    ids=["radical", "structure", "search-beta", "verify"],
+)
+def test_each_command_loads_the_layers_it_runs_and_no_other(tmp_path, argv, layers):
+    """radical runs the torus layer alone and structure the algebra layers;
+    the module layers load in build_instance, and the check suites in the
+    commands that run them."""
+    assert _run_fresh(tmp_path, INSTANCE_FG, *argv) == (0, layers)
+
+
+@pytest.mark.parametrize(
+    "cfg, argv, expected",
+    [
+        (INSTANCE_I, ["radical"], 0),
+        (CORRUPT, ["verify", "--suite", "cocycle"], 1),
+        ({"torus": {"d": 2}}, ["radical"], 2),
+        (None, ["radical"], 2),
+    ],
+    ids=["pass", "failed-check", "config-error", "no-config-argument"],
+)
+def test_a_process_freezes_its_heap_before_it_exits(tmp_path, cfg, argv, expected):
+    """Whatever the exit path, the process entry point has frozen the heap by
+    the time atexit handlers run, so the interpreter's final collections skip
+    it; main() called in-process freezes nothing."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    hook = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    )
+    entries = {
+        "run": "import runpy\nrunpy.run_module('qtorus.cli', run_name='__main__', alter_sys=True)\n",
+        "main": "from qtorus.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+    }
+    args = [*argv] if cfg is None else [argv[0], "--config", write_config(tmp_path, cfg), *argv[1:]]
+    for entry, frozen in (("run", True), ("main", False)):
+        res = subprocess.run(
+            [sys.executable, "-c", hook + entries[entry], *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == expected, (entry, res.stderr)
+        assert res.stderr.splitlines()[-1] == f"frozen {frozen}", (entry, res.stderr)
+        assert "Traceback" not in res.stderr
 
 
 def test_the_suite_help_lists_the_check_suites(capsys):

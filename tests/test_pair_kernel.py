@@ -535,6 +535,18 @@ def test_a_pair_built_from_parts_of_other_pairs_reads_their_own_values():
     assert oracle.equal(z, expected) and z == expected
 
 
+def test_a_pair_built_on_one_view_of_another_reads_that_view_alone():
+    """A view's store is a part of its pair's store, read off the pair's
+    one read-out; a pair built on the der (or the torus) view alone holds
+    that part as its store, and reads none of the other part's terms."""
+    spec = SPECS["iii"]
+    x = GElement(spec, DerElement.ad(spec, (1, 0, 0)), TorusElement.monomial(spec, (1, 1, 0), 2))
+    y, z = GElement.from_der(x.der), GElement.from_torus(x.torus)
+    assert (y.der.inner, y.der.witt, y.torus.terms) == ({(1, 0, 0): 1}, {}, {})
+    assert (z.der.inner, z.der.witt, z.torus.terms) == ({}, {}, {(1, 1, 0): 2})
+    assert y == GElement.from_der(DerElement.ad(spec, (1, 0, 0))) and y + z == x
+
+
 def _count_reads_and_folds(monkeypatch):
     calls = []
     read, fold = algebra._Graded.read, algebra._from_root_counts
