@@ -733,7 +733,7 @@ def _extract_twist_round_trip(inst, rng):
 def _diagonal_intertwiner(inst, rng):
     ms = inst.ms
     msG = ms if ms.flavor == "G_g" else ModuleSpec(ms.spec, ms.V, ms.alpha, ms.twist, "G_g")
-    return {"samples": inst.samples, "defect": intertwiner_check(msG, inst.box, rng)["defect"]}
+    return {"samples": inst.samples, "defect": intertwiner_check(msG, rng)["defect"]}
 
 
 # -- irreducibility suite -------------------------------------------------------

@@ -269,8 +269,8 @@ def cmd_iso(args) -> int:
     from .fmodule import intertwiner_check
 
     cfg = load_config(args.config)
-    spec, ms, box, seed, _samples = build_instance(cfg, args)
-    rep = intertwiner_check(ms, box, sub_rng(seed, "diagonal_intertwiner"))
+    spec, ms, _box, seed, _samples = build_instance(cfg, args)
+    rep = intertwiner_check(ms, sub_rng(seed, "diagonal_intertwiner"))
     row = {
         "check": "diagonal_intertwiner",
         "instance": ms.label(),
@@ -285,12 +285,12 @@ def cmd_search_beta(args) -> int:
     from .fmodule import search_twist_equivalence
 
     cfg = load_config(args.config)
-    spec, ms, box, _seed, _samples = build_instance(cfg, args)
+    spec, ms, _box, _seed, _samples = build_instance(cfg, args)
     raw = cfg.get("beta_candidates")
     if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
         raise ConfigError('search-beta needs a nonempty "beta_candidates" list of lists')
     candidates = [[_fraction(x) for x in row] for row in raw]
-    result = search_twist_equivalence(ms, candidates, box)
+    result = search_twist_equivalence(ms, candidates)
     if result["found"]:
         row = {
             "found": True,

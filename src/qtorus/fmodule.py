@@ -50,16 +50,18 @@ decides whether V is irreducible under the weight-operator matrices of every
 radical row by Burnside's theorem: they must generate an algebra of
 dimension dim**2 (glmodules.algebra_dim).  The box bounds only BoxVector, a
 box-truncated vector to which act() applies one element, dropping (and
-flagging) images pushed outside, the windows of the two comparisons below,
-and the radius of extract_twist's draws.
+flagging) images pushed outside, and the radius of extract_twist's draws.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
 action to the other exactly when c(k) symbol_a(x, n) = symbol_b(x, n + delta).
-intertwiner_check (iso, diagonal_intertwiner) takes G_g to F_(g^-1) with
-delta = 0 and c = g^-1; search_twist_equivalence (search-beta) takes F_g to
-the plain module at beta, delta = alpha - beta, and enumerates c.  Each
-distinct symbol pair of a generator is compared once.
+Each generator is one Witt or one inner term, so its defect is a sigma
+factor times an affine or a commutator-character term, and the d + 1 points
+0, e_1, ..., e_d decide it on all of Z^d; one all-pairs test
+(_comparison_defect) reads them for a given c.  intertwiner_check (iso,
+diagonal_intertwiner) takes G_g to F_(g^-1) with delta = 0 and c = g^-1;
+search_twist_equivalence (search-beta) takes F_g to the plain module at
+beta, delta = alpha - beta, and solves for c (_solve_character).
 """
 
 from __future__ import annotations
@@ -458,7 +460,7 @@ class _Operator:
     helper call that builds it.  Its symbol depends on n only through
     sigma(k,n) = zeta_N^e1, sigma(n,k) = zeta_N^e2 (read by an inner term)
     and u.n = sum u_i n_i (read by a Witt term's pairing), so at(n) calls
-    _part_symbol once per distinct key(n): e1, e2 when x has an inner term,
+    _part_symbol once per distinct key of n: e1, e2 when x has an inner term,
     and u.n, exactly, when it has a Witt term.  The twist g(k) of an inner
     term does not depend on n, and is read once."""
 
@@ -473,13 +475,10 @@ class _Operator:
             u = [c if c.M == M else c.lift(M) for c in u]
             self.rows = tuple(zip(*([a * (D // c.den) for a in c.num] for c in u)))
 
-    def key(self, n):
+    def at(self, n) -> _Symbol:
         e, k, rows = self.ms.spec.sigma_exp, self.k, self.rows
         un = rows and tuple([sum([a * x for a, x in zip(row, n)]) for row in rows])
-        return e(k, n), e(n, k) if self.inner else None, un
-
-    def at(self, n) -> _Symbol:
-        key = self.key(n)
+        key = e(k, n), e(n, k) if self.inner else None, un
         S = self.memo.get(key)
         if S is None:
             S = self.memo[key] = _part_symbol(self.x, self.k, n, self.ms, self.g)
@@ -848,37 +847,43 @@ def _generators(spec):
     return gens
 
 
-def _comparisons(gens, ms_a, ms_b, box, delta):
-    """(k, pairs) for each generator x, of degree k: pairs yields each
-    distinct (S_a(x, n), S_b(x, n + delta)) once, as it is read, at the first
-    n that gives it, of the n with n, n + k, n + delta and n + k + delta in
-    the box.  The diagonal map v(n) |-> c(n) v(n + delta) from module a to
-    module b, for a character c, carries x from one action to the other
-    exactly when c(n + k) S_a = c(n) S_b at every n; c(n) != 0, so that is
-    c(k) S_a = S_b, and neither symbol depends on c."""
+def _comparisons(gens, ms_a, ms_b, delta):
+    """(k, pairs) for each generator x, of degree k: the symbol pairs
+    (S_a(x, n), S_b(x, n + delta)) at n = 0, e_1, ..., e_d.  v(n) |-> c(n)
+    v(n + delta), for a character c, carries x from module a to module b
+    exactly when D(n) = c(k) S_a(x, n) - S_b(x, n + delta) vanishes on Z^d.
+    sigma from A is a bicharacter, so for a Witt generator D(n) = sigma(k, n)
+    P(n), P affine, and for an inner one D(n) = sigma(n, k)(A f(k, n) - B),
+    A, B constant, f(k, .) = sigma(k, .)/sigma(., k) a character that is not
+    1 at some e_j (else ad t^k = 0): these d + 1 points decide either."""
+    d = len(delta)
+    points = [(0,) * d, *units(d)]
     for x in gens:
         k = _degree_of(x)
-        yield k, _symbol_pairs(_Operator(x, k, ms_a), _Operator(x, k, ms_b), box, delta)
+        op_a, op_b = _Operator(x, k, ms_a), _Operator(x, k, ms_b)
+        yield k, [(op_a.at(n), op_b.at(shift(n, delta))) for n in points]
 
 
-def _symbol_pairs(op_a, op_b, box, delta):
-    seen = set()
-    for n in box_points(box, op_a.k, delta, shift(op_a.k, delta)):
-        m = shift(n, delta)
-        key = op_a.key(n), op_b.key(m)
-        if key not in seen:
-            seen.add(key)
-            yield op_a.at(n), op_b.at(m)
+def _comparison_defect(c, comparisons, dim):
+    """The first nonzero entry of c(k) S_a - S_b over every pair of every
+    generator (_comparisons), or None when c carries them all."""
+    for k, pairs in comparisons:
+        c_k = c.value(k)
+        for S_a, S_b in pairs:
+            S = S_a.scale(c_k)
+            if S != S_b:
+                return _first_nonzero((S - S_b).matrix(dim))
+    return None
 
 
-def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
+def intertwiner_check(ms_G: ModuleSpec, rng=None):
     """Diagonal comparison of a G_g module with the matching F_(g^-1) module.
 
     The map v(n) |-> g(n)^(-1) v(n) must commute with the derivation action
     (Witt operators and inner operators; the torus action is deliberately
     not part of the contract), given an rng also on six seeded generators.
     Returns {'pass', 'defect'}, the defect being the first nonzero entry of
-    g^-1(k) symbol_G(x, n) - symbol_F(x, n) (see _comparisons)."""
+    g^-1(k) symbol_G(x, n) - symbol_F(x, n) (_comparison_defect)."""
     spec = ms_G.spec
     if ms_G.flavor != "G_g":
         raise ConfigError("intertwiner check starts from a G_g module")
@@ -892,13 +897,8 @@ def intertwiner_check(ms_G: ModuleSpec, box, rng=None):
             x = op_inner(spec, rand_point(rng, spec.d, 2))
             if not x.is_zero():
                 gens.append(x)
-    for k, pairs in _comparisons(gens, ms_G, ms_F, box, (0,) * spec.d):
-        ginv_k = ginv.value(k)
-        for S_G, S_F in pairs:
-            D = S_G.scale(ginv_k) - S_F
-            if not D.is_zero():
-                return {"pass": False, "defect": _first_nonzero(D.matrix(ms_G.V.dim))}
-    return {"pass": True, "defect": None}
+    defect = _comparison_defect(ginv, _comparisons(gens, ms_G, ms_F, (0,) * spec.d), ms_G.V.dim)
+    return {"pass": defect is None, "defect": defect}
 
 
 def irreducibility_evidence(ms: ModuleSpec):
@@ -942,45 +942,57 @@ def irreducibility_evidence(ms: ModuleSpec):
     }
 
 
-def _carries(c_k, pairs) -> bool:
-    """Whether c_k S_a = S_b for every symbol pair of one generator."""
-    return all(S_a.scale(c_k) == S_b for S_a, S_b in pairs)
+def _solve_character(probes, conductor, d):
+    """The character c = zeta_L^<e, .> (L the conductor) with c(k) S_a = S_b
+    at each generator's first pair with S_a != 0, or None.  That pair fixes
+    c(k) = zeta_L^x_k: at most one rotation of S_a matches S_b, and none is
+    a division.  The degrees span Z^d (radical rows, unit vectors outside
+    the radical), so the Hermite form of the rows (k | x_k) over (0 | L) is
+    [Id | e; 0 | L] when e.k = x_k mod L is solvable (Cohen, GTM 138, 2.4)."""
+    roots = [root_of_unity(conductor, x) for x in range(conductor)]
+    rows = [(0,) * d + (conductor,)]
+    for k, pairs in probes:
+        S_a, S_b = next(((S_a, S_b) for S_a, S_b in pairs if not S_a.is_zero()), (None, None))
+        if S_a is not None:
+            x = next((x for x, z in enumerate(roots) if S_a.scale(z) == S_b), None)
+            if x is None:
+                return None
+            rows.append((*k, x))
+    H = hnf_rows(rows)
+    if [row[i] for i, row in enumerate(H)] != [1] * d + [conductor]:
+        return None
+    return DiagonalCharacter(conductor, [row[d] for row in H[:d]])
 
 
-def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates, box):
+def search_twist_equivalence(ms_source: ModuleSpec, beta_candidates):
     """Search for a re-labelled plain-flavor module matching an F_g module.
 
-    For each candidate beta with integral delta = alpha - beta, and each
-    diagonal character c of conductor dividing lcm(N, twist conductor), test
-    whether v(n) |-> c(n) v(n + delta) intertwines the derivation action
-    with the flavor-F module at weight shift beta; a family of more than
-    64^3 characters is refused as too large.  Returns the first match
-    as {'found': True, 'beta': ..., 'delta': ..., 'c': ...} or
+    Every candidate beta is checked for its length first.  For each with
+    integral delta = alpha - beta, solve for the character c of conductor
+    lcm(N, twist conductor) (_solve_character) and test whether
+    v(n) |-> c(n) v(n + delta) carries every generator to the flavor-F
+    module at weight shift beta (_comparison_defect).  Returns the first
+    match as {'found': True, 'beta': ..., 'delta': ..., 'c': ...} or
     {'found': False}."""
     if ms_source.flavor != "F_g":
         raise ConfigError("twist-equivalence search starts from an F_g module")
-    spec, d = ms_source.spec, ms_source.spec.d
+    spec, d, dim = ms_source.spec, ms_source.spec.d, ms_source.V.dim
+    betas = [[_as_coeff(b) for b in beta] for beta in beta_candidates]
+    if any(len(beta) != d for beta in betas):
+        raise ConfigError("beta candidates must have one entry per rank")
     conductor = lcm(spec.N, ms_source.twist.modulus)
-    if conductor ** d > 64 ** 3:
-        raise ConfigError("candidate character family too large to enumerate")
-    gens = [x for x in _generators(spec) if in_box(box, _degree_of(x))]
+    gens = _generators(spec)
     mixed = (1,) * d
     if not spec.in_radical(mixed):
         gens.append(op_inner(spec, mixed))
-    for beta in beta_candidates:
-        beta = [_as_coeff(b) for b in beta]
-        if len(beta) != d:
-            raise ConfigError("beta candidates must have one entry per rank")
+    for beta in betas:
         diffs = [a - b for a, b in zip(ms_source.alpha, beta)]
         if not all(x.is_rational() and x.as_rational().denominator == 1 for x in diffs):
             continue
         delta = tuple(int(x.as_rational()) for x in diffs)
         ms_target = ModuleSpec(spec, ms_source.V, beta, TwistCharacter.trivial(spec), "F")
-        probes = [(k, list(ps)) for k, ps in _comparisons(gens, ms_source, ms_target, box, delta)]
-        if not any(any(k) and pairs for k, pairs in probes):
-            continue  # no probe inside the box can tell two characters apart
-        for exps in _iproduct(range(conductor), repeat=d):
-            c = DiagonalCharacter(conductor, exps)
-            if all(_carries(c.value(k), pairs) for k, pairs in probes):
-                return {"found": True, "beta": beta, "delta": list(delta), "c": c}
+        probes = list(_comparisons(gens, ms_source, ms_target, delta))
+        c = _solve_character(probes, conductor, d)
+        if c is not None and _comparison_defect(c, probes, dim) is None:
+            return {"found": True, "beta": beta, "delta": list(delta), "c": c}
     return {"found": False}

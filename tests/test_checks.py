@@ -14,7 +14,7 @@ from qtorus import algebra, checks, cyclotomic, fmodule, lattice
 from qtorus.algebra import TorusElement
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.derivations import DerElement
-from qtorus.fmodule import ModuleSpec, TwistCharacter, intertwiner_check
+from qtorus.fmodule import ModuleSpec, TwistCharacter, intertwiner_check, search_twist_equivalence
 from qtorus.glmodules import GlModule, mat_scale, parse_module
 from qtorus.semidirect import GElement, gbracket
 from qtorus.torus import TorusSpec
@@ -446,7 +446,8 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
 def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatch):
     """Negative control.  Under the F_g inner rule a G_g module no longer
     matches F_(g^-1) through v(n) |-> g^-1(n) v(n).  The pinned witness is
-    the first nonzero entry of g^-1(k) S_G - S_F."""
+    the first nonzero entry of g^-1(k) S_G - S_F at the first point that
+    shows it: on (ii), ad t^(1, 0) at the origin."""
 
     def f_g_rule(ms, s, n, sig, g):
         return sig * g - ms.spec.sigma(n, s)
@@ -456,7 +457,7 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
             ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
                        TwistCharacter(SPEC_II, 3, (1, 0)), "G_g"),
             (2, 2),
-            1 - root_of_unity(3, 1),
+            4 + 2 * root_of_unity(3, 1),
         ),
         (
             ModuleSpec(SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
@@ -469,7 +470,7 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
         assert _module_row("diagonal_intertwiner", ms, box)["pass"], ms.label()
     monkeypatch.setattr(fmodule, "_inner_phase", f_g_rule)
     for ms, box, witness in cases:
-        assert intertwiner_check(ms, box) == {"pass": False, "defect": witness}, ms.label()
+        assert intertwiner_check(ms) == {"pass": False, "defect": witness}, ms.label()
         row = _module_row("diagonal_intertwiner", ms, box)
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
@@ -478,23 +479,12 @@ _MODULE_III_GG = ModuleSpec(SPEC_III, parse_module(3, "natural"), [Fraction(1, 2
                             TwistCharacter(SPEC_III, 4, (3, 0, 0)), "G_g")
 
 
-@pytest.mark.parametrize(
-    "box",
-    [
-        (2, 2, 2),
-        pytest.param((1, 1, 1), marks=pytest.mark.xfail(
-            strict=True,
-            reason="the comparison reads box points, and no point n of box 1 has n + (4, 0, 0) "
-            "in the box, so D(e_i, (4, 0, 0)) is never compared (ROADMAP item 4: read the "
-            "sigma-cosets in _symbol_pairs)",
-        )),
-    ],
-    ids=["box-2", "box-1"],
-)
-def test_diagonal_intertwiner_fails_when_g_g_acts_otherwise_at_a_radical_row(monkeypatch, box):
+def test_diagonal_intertwiner_fails_when_g_g_acts_otherwise_at_a_radical_row(monkeypatch):
     """Negative control on module-iii's G_g module: the mutant adds 1 to the
     scalar part of the G_g side's symbol at the radical row (4, 0, 0) only,
-    the degree of the three generators D(e_i, (4, 0, 0))."""
+    the degree of the three generators D(e_i, (4, 0, 0)).  A box of radius
+    1 holds no n with n + (4, 0, 0) in it; the comparison reads the points
+    that decide each generator on all of Z^d, so no box can hide the row."""
     part_symbol = fmodule._part_symbol
 
     def mutant(x, k, n, ms, g=None):
@@ -503,9 +493,32 @@ def test_diagonal_intertwiner_fails_when_g_g_acts_otherwise_at_a_radical_row(mon
             return fmodule._Symbol(S.a + 1, S.b, S.W)
         return S
 
-    assert intertwiner_check(_MODULE_III_GG, box)["pass"]
+    assert intertwiner_check(_MODULE_III_GG)["pass"]
     monkeypatch.setattr(fmodule, "_part_symbol", mutant)
-    assert intertwiner_check(_MODULE_III_GG, box)["pass"] is False
+    assert intertwiner_check(_MODULE_III_GG)["pass"] is False
+
+
+def test_twist_search_fails_when_the_source_acts_otherwise_at_a_radical_row(monkeypatch):
+    """Negative control on search-iii's F_g module (delta = (0, 1, -1), the
+    twist sigma(delta, .) relabels away): the mutant adds 1 to the scalar
+    part of the source's symbol at the radical row (4, 0, 0) only.  No
+    character then carries D(e_i, (4, 0, 0)), though no point of a box of
+    radius 1 reaches that degree."""
+    ms = ModuleSpec(SPEC_III, parse_module(3, "natural"), [0, 0, 0],
+                    TwistCharacter(SPEC_III, 4, (3, 0, 0)), "F_g")
+    candidates = [[Fraction(1, 2), 0, 0], [0, -1, 1]]
+    part_symbol = fmodule._part_symbol
+
+    def mutant(x, k, n, ms, g=None):
+        S = part_symbol(x, k, n, ms, g)
+        if ms.flavor == "F_g" and k == (4, 0, 0):
+            return fmodule._Symbol(S.a + 1, S.b, S.W)
+        return S
+
+    found = search_twist_equivalence(ms, candidates)
+    assert found["found"] and found["delta"] == [0, 1, -1]
+    monkeypatch.setattr(fmodule, "_part_symbol", mutant)
+    assert search_twist_equivalence(ms, candidates) == {"found": False}
 
 
 def test_extract_twist_round_trip_fails_when_the_twist_leaves_the_inner_rule(monkeypatch):

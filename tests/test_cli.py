@@ -269,6 +269,12 @@ def test_search_beta_command(tmp_path):
     assert run_cli("search-beta", "--config", cfg3).returncode == 2
     cfg4 = write_config(tmp_path, _with(None, "beta_candidates", [5]), "flat.json")
     assert run_cli("search-beta", "--config", cfg4).returncode == 2
+    # a row of the wrong length is refused wherever it stands, also after
+    # the matching beta
+    late = _with(None, "beta_candidates", [[1, 1], ["0", "-1", "1"]])
+    res = run_cli("search-beta", "--config", write_config(tmp_path, late, "late.json"))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: beta candidates must have one entry per rank\n"
 
 
 def test_irreducible_command(tmp_path):

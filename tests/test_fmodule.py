@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,7 @@ from qtorus.glmodules import (
     sym_power,
     trivial,
 )
+from qtorus.lattice import units
 from qtorus.semidirect import GElement
 from qtorus.torus import TorusSpec
 
@@ -244,24 +246,23 @@ def test_an_operator_memo_lives_only_as_long_as_its_helper_call(monkeypatch):
     second call."""
     g = TwistCharacter(SPEC_III, 4, (3, 0, 0))
     ms = ModuleSpec(SPEC_III, natural(3), [Fraction(1, 2), 0, Fraction(1, 3)], g, "G_g")
-    box = (2, 2, 2)
     s, zero = (1, 0, 0), (0, 0, 0)
     c2 = c2_product_expr(ms, (1, 0, 0), (0, 1, 0))
-    assert intertwiner_check(ms, box)["pass"] and expr_first_defect(c2, ms) is None
+    assert intertwiner_check(ms)["pass"] and expr_first_defect(c2, ms) is None
     lam = zero_mode_scalar(ms, s, zero)
 
     def doubled(ms, s, n, sig, g):
         return sig * 2 - g * ms.spec.sigma(n, s)
 
     monkeypatch.setattr(fmodule, "_inner_phase", doubled)
-    assert not intertwiner_check(ms, box)["pass"]
+    assert not intertwiner_check(ms)["pass"]
     assert expr_first_defect(c2, ms) is not None
     assert zero_mode_scalar(ms, s, zero) != lam
 
 
 def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, capsys):
     """The module-iii benchmark config (natural G_g module over (iii), box 2,
-    20 samples, seed 1, four suites) makes 1,399 _part_symbol evaluations:
+    20 samples, seed 1, four suites) makes 1,255 _part_symbol evaluations:
     each expression read at several weight points is compiled once
     (expr_defects_at, expr_defects).  Read on the degree box instead of the
     points that decide each identity, it made 1,262, compiled once per
@@ -293,7 +294,7 @@ def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, c
     suites = "module,section3,section4,irreducibility"
     assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
     assert '"passed": 18' in capsys.readouterr().out
-    assert len(calls) == 1399
+    assert len(calls) == 1255
 
 
 def _oracle_matrix(x, n, k, ms, box):
@@ -635,13 +636,33 @@ def test_intertwiner_check_seeded_characters():
     for spec, modulus, exps in cases:
         g = TwistCharacter(spec, modulus, exps)
         ms = ModuleSpec(spec, natural(spec.d), (0, CycNumber.rational(1)), g, "G_g")
-        report = intertwiner_check(ms, BOX2, rng)
+        report = intertwiner_check(ms, rng)
         assert report["pass"] and report["defect"] is None
     # trivial character: the map is the identity
     ms = ModuleSpec(SPEC_I, natural(2), (0, 0), TwistCharacter.trivial(SPEC_I), "G_g")
-    assert intertwiner_check(ms, BOX2, rng)["pass"]
+    assert intertwiner_check(ms, rng)["pass"]
     with pytest.raises(ConfigError):
-        intertwiner_check(plain_module(SPEC_I), BOX2, rng)
+        intertwiner_check(plain_module(SPEC_I), rng)
+
+
+def test_intertwiner_check_reads_d_plus_one_points_per_generator(monkeypatch):
+    # d=2, N=239: the seeded inner generators have two independent sigma
+    # forms, so their sigma-cosets number 239**2; the comparison reads each
+    # generator at 0, e_1, e_2 only, two symbols a point
+    spec = TorusSpec.from_upper(2, 239, {(0, 1): 1})
+    ms = ModuleSpec(spec, natural(2), (0, 0), TwistCharacter(spec, 239, (1, 0)), "G_g")
+    calls = []
+    part_symbol = fmodule._part_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return part_symbol(*args)
+
+    monkeypatch.setattr(fmodule, "_part_symbol", counted)
+    start = time.perf_counter()
+    assert intertwiner_check(ms, sub_rng(20260819, "psi-239"))["pass"]
+    assert time.perf_counter() - start < 2
+    assert len(calls) <= 2 * 3 * (len(fmodule._generators(spec)) + 12)
 
 
 def _zero_modes_commutator(ms, r, s):
@@ -822,7 +843,7 @@ def test_search_round_trip():
     beta = (CycNumber.rational(1), CycNumber.rational(Fraction(-1, 2)))
     alpha = tuple(b + x for b, x in zip(beta, delta))
     src = ModuleSpec(SPEC_I, natural(2), alpha, g, "F_g")
-    res = search_twist_equivalence(src, [(0, 0), beta], BOX2)
+    res = search_twist_equivalence(src, [(0, 0), beta])
     assert res["found"]
     assert res["delta"] == [0, 1]
     assert all(x == y for x, y in zip(res["beta"], beta))
@@ -837,14 +858,14 @@ def test_search_trivial_and_misses():
     src = ModuleSpec(
         SPEC_I, natural(2), alpha, TwistCharacter.trivial(SPEC_I), "F_g"
     )
-    res = search_twist_equivalence(src, [alpha], BOX2)
+    res = search_twist_equivalence(src, [alpha])
     assert res["found"] and res["delta"] == [0, 0] and res["c"].is_trivial
-    assert not search_twist_equivalence(src, [], BOX2)["found"]
+    assert not search_twist_equivalence(src, [])["found"]
     # non-integral shifts are skipped
     shifted = (alpha[0] + Fraction(1, 2), alpha[1])
-    assert not search_twist_equivalence(src, [shifted], BOX2)["found"]
+    assert not search_twist_equivalence(src, [shifted])["found"]
     with pytest.raises(ConfigError):
-        search_twist_equivalence(plain_module(SPEC_I), [alpha], BOX2)
+        search_twist_equivalence(plain_module(SPEC_I), [alpha])
 
 
 def test_search_second_instance():
@@ -854,8 +875,22 @@ def test_search_second_instance():
     beta = (CycNumber.rational(0), CycNumber.rational(1))
     alpha = tuple(b + x for b, x in zip(beta, delta))
     src = ModuleSpec(SPEC_II, natural(2), alpha, g, "F_g")
-    res = search_twist_equivalence(src, [beta], BOX2)
+    res = search_twist_equivalence(src, [beta])
     assert res["found"] and res["delta"] == [1, 0]
+
+
+def test_search_solves_a_character_family_too_large_to_walk():
+    # d=4, N=24: 24**4 = 331,776 characters, which the search solves for
+    # (one rotation per generator and one Hermite form) instead of trying
+    spec = TorusSpec.from_upper(4, 24, {(0, 1): 1, (2, 3): 1})
+    delta = (0, 1, 0, 1)
+    g = TwistCharacter(spec, 24, [sum(spec.A[r][c] * delta[c] for c in range(4)) for r in range(4)])
+    src = ModuleSpec(spec, natural(4), delta, g, "F_g")
+    start = time.perf_counter()
+    res = search_twist_equivalence(src, [(0, 0, 0, 0)])
+    assert time.perf_counter() - start < 2
+    assert res["found"] and res["delta"] == list(delta)
+    assert all(res["c"].value(e) == spec.sigma(delta, e) for e in units(4))
 
 
 def test_defect_reporting_is_first_nonzero():
