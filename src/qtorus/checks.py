@@ -29,9 +29,9 @@ finite set that decides the identity on all of Z^d, or at a seeded sample
 of it (expr_first_defect: the first defect).  The one-shot rows
 weight_eigenvalue, weight_op_constancy, the t^0 tail of ideal_relations
 and the irreducibility probe read every point, so for sigma from A they
-decide.  The degree box is the draw radius of ideal_relations,
-weight_shift and extract_twist_round_trip, and the window of
-diagonal_intertwiner.
+decide.  A module suite takes the module alone: every degree a probe
+draws has a fixed radius (2 for ideal_relations and weight_shift, 1 for
+extract_twist's points), and only fmodule.act reads a degree box.
 
 Suites (selector strings are part of the CLI contract): cocycle, lie,
 module, section3, section4, irreducibility.
@@ -126,13 +126,12 @@ def report(check, instance, seed, samples, defect=None, note=None):
 
 class _Instance(NamedTuple):
     """What a probe sees: the row label, the torus, the suite's sample budget
-    and, for the module suites, the module and its degree box."""
+    and, for the module suites, the module."""
 
     label: str
     spec: TorusSpec
     samples: int
     ms: ModuleSpec | None = None
-    box: tuple | None = None
 
 
 class Check(NamedTuple):
@@ -175,9 +174,9 @@ def _run_check(check, inst: _Instance, seed: int):
     return report(check.name, inst.label, seed, **fields)
 
 
-def _run(suite, seed, samples, spec, ms=None, box=None):
+def _run(suite, seed, samples, spec, ms=None):
     label = spec_label(spec) if ms is None else ms.label()
-    inst = _Instance(label, spec, samples, ms, box)
+    inst = _Instance(label, spec, samples, ms)
     return [_run_check(c, inst, seed) for c in CHECKS if c.suite == suite]
 
 
@@ -526,19 +525,18 @@ def _weight_eigenvalue(inst, rng):
 
 @_check("module")
 def _ideal_relations(inst, rng):
-    """The relation families, each expression probed at 6 sampled points of
-    the set that decides it: the torus product rule, and the quadratic rule
-    for ad t^k - t^k where it holds (the twist multiplies the
-    right-translation term: the plain and G-twist flavors).  Then t^0 acts
-    as Id on every weight space."""
+    """The relation families at degrees of radius 2, each expression probed
+    at 6 sampled points of the set that decides it: the torus product rule,
+    and the quadratic rule for ad t^k - t^k where it holds (the twist
+    multiplies the right-translation term: the plain and G-twist flavors).
+    Then t^0 acts as Id on every weight space."""
     ms, spec = inst.ms, inst.spec
     quadratic = _plain_or_right_twist(inst)
-    radius = max(inst.box)
 
     def draws():
         for _ in range(inst.samples):
-            m = rand_point(rng, spec.d, radius)
-            n = rand_point(rng, spec.d, radius)
+            m = rand_point(rng, spec.d, 2)
+            n = rand_point(rng, spec.d, 2)
             exprs = [torus_product_relation_expr(ms, m, n)]
             if quadratic:
                 exprs.append(c2_product_expr(ms, n, m))
@@ -662,8 +660,8 @@ def _weight_shift(inst, rng):
     scalar sigma(r-s, s-r); and the transport commutes with the weight
     operators T'(e_i, rr) for the Hermite rows rr of the radical."""
     ms, spec = inst.ms, inst.spec
-    r = rand_point(rng, spec.d, min(inst.box))
-    s = rand_point(rng, spec.d, min(inst.box))
+    r = rand_point(rng, spec.d, 2)
+    s = rand_point(rng, spec.d, 2)
     delta = tuple(a - b for a, b in zip(r, s))
     there = expr_of(op_torus(spec, delta))
 
@@ -718,7 +716,7 @@ def _zero_mode_recursion(inst, rng):
 def _extract_twist_round_trip(inst, rng):
     ms = inst.ms
     try:
-        got = extract_twist(ms, inst.box, rng)
+        got = extract_twist(ms, rng)
         ok = got == ms.twist
     except NotCharacter:
         ok = False
@@ -777,32 +775,32 @@ def lie_suite(spec: TorusSpec, seed: int, samples: int):
     return _run("lie", seed, samples, spec)
 
 
-def module_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    return _run("module", seed, samples, ms.spec, ms, box)
+def module_suite(ms: ModuleSpec, seed: int, samples: int):
+    return _run("module", seed, samples, ms.spec, ms)
 
 
-def section3_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    return _run("section3", seed, samples, ms.spec, ms, box)
+def section3_suite(ms: ModuleSpec, seed: int, samples: int):
+    return _run("section3", seed, samples, ms.spec, ms)
 
 
-def section4_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    return _run("section4", seed, samples, ms.spec, ms, box)
+def section4_suite(ms: ModuleSpec, seed: int, samples: int):
+    return _run("section4", seed, samples, ms.spec, ms)
 
 
-def irreducibility_suite(ms: ModuleSpec, box, seed: int, samples: int):
-    return _run("irreducibility", seed, samples, ms.spec, ms, box)
+def irreducibility_suite(ms: ModuleSpec, seed: int, samples: int):
+    return _run("irreducibility", seed, samples, ms.spec, ms)
 
 
-def run_suites(spec: TorusSpec, ms: ModuleSpec, box, seed: int, samples: int, names):
+def run_suites(ms: ModuleSpec, seed: int, samples: int, names):
     """Run each named suite once; the rows come back sorted by check name."""
     # the suite functions are looked up when called, so a wrapped one is used
     suites = {
-        "cocycle": lambda: cocycle_suite(spec, seed, samples),
-        "lie": lambda: lie_suite(spec, seed, samples),
-        "module": lambda: module_suite(ms, box, seed, samples),
-        "section3": lambda: section3_suite(ms, box, seed, samples),
-        "section4": lambda: section4_suite(ms, box, seed, samples),
-        "irreducibility": lambda: irreducibility_suite(ms, box, seed, samples),
+        "cocycle": lambda: cocycle_suite(ms.spec, seed, samples),
+        "lie": lambda: lie_suite(ms.spec, seed, samples),
+        "module": lambda: module_suite(ms, seed, samples),
+        "section3": lambda: section3_suite(ms, seed, samples),
+        "section4": lambda: section4_suite(ms, seed, samples),
+        "irreducibility": lambda: irreducibility_suite(ms, seed, samples),
     }
     for name in names:
         if name not in suites:

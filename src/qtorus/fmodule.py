@@ -50,7 +50,7 @@ decides whether V is irreducible under the weight-operator matrices of every
 radical row by Burnside's theorem: they must generate an algebra of
 dimension dim**2 (glmodules.algebra_dim).  The box bounds only BoxVector, a
 box-truncated vector to which act() applies one element, dropping (and
-flagging) images pushed outside, and the radius of extract_twist's draws.
+flagging) images pushed outside; nothing else reads one.
 
 Two comparisons between modules are one diagonal-map test (_comparisons):
 for a character c, v(n) |-> c(n) v(n + delta) carries x of degree k from one
@@ -565,14 +565,6 @@ def expr_commutator(a, b) -> list:
     return expr_sum(expr_mul(a, b), expr_neg(expr_mul(b, a)))
 
 
-def box_points(box, *offsets):
-    """The points n of the box, in lexicographic order, with n + off inside
-    the box for every given offset."""
-    lo = [max([-r] + [-r - off[i] for off in offsets]) for i, r in enumerate(box)]
-    hi = [min([r] + [r - off[i] for off in offsets]) for i, r in enumerate(box)]
-    return list(_iproduct(*[range(a, b + 1) for a, b in zip(lo, hi)]))
-
-
 def _compile(expr, ms: ModuleSpec):
     """The expression's terms as (c, operators in the order they act), with
     one operator record (_Operator) per distinct factor, shared by the
@@ -598,17 +590,17 @@ def _points(terms, ms: ModuleSpec):
     polynomial in n, of degree at most T, the most Witt factors in one term.
     K holds N Z^d, so the coset of c holds the simplex grid c + N j, j >= 0
     with |j| <= T, and a polynomial of degree at most T that vanishes on it
-    is zero.  The representatives are the box prod [0, p_i) of the pivots
-    p_i of K's Hermite basis (lattice.kernel_mod of the forms stacked on
+    is zero.  The representatives are the points of prod [0, p_i), p_i the
+    pivots of K's Hermite basis (lattice.kernel_mod of the forms stacked on
     N Id).  This holds for sigma from A; a corrupted sigma is not periodic,
     and there the points are probes."""
-    d, N, A = ms.spec.d, ms.spec.N, ms.spec.A
+    d, N = ms.spec.d, ms.spec.N
     forms = set()
     for op in (op for _, term in terms for op in term):
-        k = op.k
-        forms.add(tuple([sum(A[j][i] * k[j] for j in range(i + 1, d)) % N for i in range(d)]))
+        left, right = ms.spec._sigma_forms(op.k)
+        forms.add(left)
         if op.inner:
-            forms.add(tuple([sum(A[j][i] * k[i] for i in range(j)) % N for j in range(d)]))
+            forms.add(right)
     forms.discard((0,) * d)
     pivots = [1] * d
     if forms:
@@ -805,14 +797,14 @@ def c2_product_expr(ms: ModuleSpec, n, m) -> list:
     )
 
 
-def extract_twist(ms: ModuleSpec, box, rng) -> TwistCharacter:
+def extract_twist(ms: ModuleSpec, rng) -> TwistCharacter:
     """Recover the twist character from zero-mode scalars at the origin.
 
     For flavors F and G_g: g(s) = 1 - sigma(s,s) lambda(s,0); flavor F_g
     carries the opposite sign: g(s) = 1 + sigma(s,s) lambda(s,0).  Values
     are taken on the unit vectors, fitted to a character, then verified
-    multiplicatively on 8 points drawn from rng (the radical needs none:
-    ad t^s = 0 there, so g reads 1, and a TwistCharacter is 1 there)."""
+    multiplicatively at 8 points of radius 1 drawn from rng (none needed on
+    the radical: ad t^s = 0 there, so g reads 1, as a TwistCharacter does)."""
     spec = ms.spec
     zero = (0,) * spec.d
 
@@ -824,9 +816,8 @@ def extract_twist(ms: ModuleSpec, box, rng) -> TwistCharacter:
         return out
 
     char = TwistCharacter.from_values(spec, [g_at(e) for e in units(spec.d)])
-    radius = max(1, min(box) - 1)
     for _ in range(8):
-        p = rand_point(rng, spec.d, radius)
+        p = rand_point(rng, spec.d, 1)
         if g_at(p) != char.value(p):
             raise NotCharacter(f"twist values are not multiplicative: mismatch at {list(p)}")
     return char

@@ -129,6 +129,15 @@ class TorusSpec:
             e += 1  # deliberate cocycle-law breakage for harness fixtures
         return e % self.N
 
+    def _sigma_forms(self, k):
+        """sigma(k, .) and sigma(., k) as linear forms mod N: sigma_exp(k, n)
+        and sigma_exp(n, k) are their dot products with n."""
+        left, right = [0] * self.d, [0] * self.d
+        for j, i, a in self._lower:
+            left[i] += a * k[j]
+            right[j] += a * k[i]
+        return tuple([x % self.N for x in left]), tuple([x % self.N for x in right])
+
     def sigma(self, n, m) -> CycNumber:
         return self._roots[self.sigma_exp(n, m)]
 

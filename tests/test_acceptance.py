@@ -51,10 +51,6 @@ INSTANCES = {
 MODULE_SELECTORS = ("natural", "sym:2", "ext:2", "trivial")
 
 
-def box_of(spec):
-    return (3,) * spec.d
-
-
 def plain_module(spec, selector="natural"):
     return ModuleSpec(
         spec,
@@ -325,7 +321,7 @@ def test_criterion_07_module_suite_flavor_plain():
         t0 = time.monotonic()
         for sel in MODULE_SELECTORS:
             ms = plain_module(spec, sel)
-            reports = checks.module_suite(ms, box_of(spec), SEED, SAMPLES)
+            reports = checks.module_suite(ms, SEED, SAMPLES)
             bad += [f"{name}/{sel}:{c}" for c in failing(reports)]
         worst = max(worst, time.monotonic() - t0)
     conclude(
@@ -341,7 +337,7 @@ def test_criterion_08_section3_suite():
     bad = []
     for name, spec in INSTANCES.items():
         ms = plain_module(spec)
-        reports = checks.section3_suite(ms, box_of(spec), SEED, SAMPLES)
+        reports = checks.section3_suite(ms, SEED, SAMPLES)
         bad += [f"{name}:{c}" for c in failing(reports)]
         got = {r["check"] for r in reports}
         wanted = {
@@ -379,7 +375,7 @@ def test_criterion_09_section4_suite():
     bad = []
     for name, spec in INSTANCES.items():
         ms = plain_module(spec)
-        reports = checks.section4_suite(ms, box_of(spec), SEED, SAMPLES)
+        reports = checks.section4_suite(ms, SEED, SAMPLES)
         bad += [f"{name} F:{c}" for c in failing(reports)]
     psi_runs = 0
     for name in ("(i)", "(ii)"):
@@ -387,7 +383,7 @@ def test_criterion_09_section4_suite():
         V = parse_module(spec.d, "natural")
         for g in _nontrivial_characters(spec, 3):
             msG = ModuleSpec(spec, V, [0] * spec.d, g, "G_g")
-            reports = checks.section4_suite(msG, box_of(spec), SEED, SAMPLES)
+            reports = checks.section4_suite(msG, SEED, SAMPLES)
             bad += [f"{name} G_g{g.exponents}:{c}" for c in failing(reports)]
             rep = intertwiner_check(msG, sub_rng(f"psi:{name}:{g.exponents}"))
             psi_runs += 1

@@ -25,8 +25,6 @@ SPEC_III = TorusSpec.from_upper(3, 4, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
 # d = 4, N = 2 with A pairing coordinates (0, 1) and (2, 3); d = 2, N = 8
 SPEC_D4_N2 = TorusSpec.from_upper(4, 2, {(0, 1): 1, (2, 3): 1})
 SPEC_D2_N8 = TorusSpec.from_upper(2, 8, {(0, 1): 1})
-BOX2 = (3, 3)
-BOX3 = (3, 3, 3)
 
 
 def plain_module(spec, selector="natural"):
@@ -339,7 +337,7 @@ def test_the_first_coefficient_is_inner_then_witt_by_degree_and_index_then_torus
 
 def test_module_suite_passes_for_plain_flavor():
     ms = plain_module(SPEC_I)
-    reports = checks.module_suite(ms, BOX2, 9, 40)
+    reports = checks.module_suite(ms, 9, 40)
     assert all(r["pass"] for r in reports)
     names = {r["check"] for r in reports}
     assert {"module_axiom", "weight_eigenvalue", "ideal_relations", "c2_product"} <= names
@@ -348,39 +346,36 @@ def test_module_suite_passes_for_plain_flavor():
 def test_module_suite_skips_quadratic_family_for_left_twist():
     g = TwistCharacter(SPEC_II, 3, (1, 2))
     ms = ModuleSpec(SPEC_II, parse_module(2, "natural"), [0, 0], g, "F_g")
-    reports = checks.module_suite(ms, BOX2, 9, 30)
+    reports = checks.module_suite(ms, 9, 30)
     assert all(r["pass"] for r in reports)
     c2 = [r for r in reports if r["check"] == "c2_product"]
     assert c2 and "note" in c2[0] and c2[0]["samples"] == 0
 
 
-def _module_row(name, ms, box):
+def _module_row(name, ms):
     """One module check's row at seed 1 with a budget of 200 samples."""
     (check,) = [c for c in checks.CHECKS if c.name == name]
-    return checks._run_check(check, checks._Instance(ms.label(), ms.spec, 200, ms, box), 1)
+    return checks._run_check(check, checks._Instance(ms.label(), ms.spec, 200, ms), 1)
 
 
 def _control_modules():
-    """(ii) G_g at box 2, (iii) G_g at box 2 and (iii) F at box 3, each with a
-    nonzero weight shift alpha."""
+    """(ii) G_g, (iii) G_g and (iii) F, each with a nonzero weight shift
+    alpha."""
     alpha = [Fraction(1, 2), 0, Fraction(1, 3)]
     natural = parse_module(3, "natural")
     g3 = TwistCharacter(SPEC_III, 4, (3, 0, 0))
     return [
-        (
-            ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
-                       TwistCharacter(SPEC_II, 3, (0, 2)), "G_g"),
-            (2, 2),
-        ),
-        (ModuleSpec(SPEC_III, natural, alpha, g3, "G_g"), (2, 2, 2)),
-        (ModuleSpec(SPEC_III, natural, alpha, TwistCharacter.trivial(SPEC_III), "F"), BOX3),
+        ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
+                   TwistCharacter(SPEC_II, 3, (0, 2)), "G_g"),
+        ModuleSpec(SPEC_III, natural, alpha, g3, "G_g"),
+        ModuleSpec(SPEC_III, natural, alpha, TwistCharacter.trivial(SPEC_III), "F"),
     ]
 
 
 @pytest.mark.parametrize("name", ["weight_eigenvalue", "weight_op_bracket", "weight_op_constancy"])
 def test_the_controlled_module_checks_pass_unpatched(name):
-    for ms, box in _control_modules():
-        assert _module_row(name, ms, box)["pass"], ms.label()
+    for ms in _control_modules():
+        assert _module_row(name, ms)["pass"], ms.label()
 
 
 def test_weight_eigenvalue_fails_when_the_weight_pairing_drops_alpha(monkeypatch):
@@ -395,8 +390,8 @@ def test_weight_eigenvalue_fails_when_the_weight_pairing_drops_alpha(monkeypatch
         return out
 
     monkeypatch.setattr(fmodule, "_weight_pairing", no_alpha)
-    for ms, box in _control_modules():
-        row = _module_row("weight_eigenvalue", ms, box)
+    for ms in _control_modules():
+        row = _module_row("weight_eigenvalue", ms)
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 
@@ -404,12 +399,12 @@ def test_a_defect_that_no_box_point_shows_fails_the_decided_checks(monkeypatch):
     """Negative control.  A weight pairing off by one only where some
     |n_i| > 4 vanishes on every weight space that a box of radius 2 holds.
     weight_eigenvalue reads the points that decide D(e_i, 0) on Z^d, 0 and
-    7 e_i on the d = 3, N = 7 torus, so at box 2 it fails.  (The pairing
+    7 e_i on the d = 3, N = 7 torus, so it fails.  (The pairing
     enters both terms of T'(u, r) at the same point and cancels, so
     weight_op_constancy passes either way.)"""
     spec = TorusSpec(3, 7, [[0, 1, 2], [6, 0, 0], [5, 0, 0]])
     ms = plain_module(spec)
-    assert _module_row("weight_eigenvalue", ms, (2, 2, 2))["pass"]
+    assert _module_row("weight_eigenvalue", ms)["pass"]
     pairing = fmodule._weight_pairing
 
     def off_far_out(ms, u, n):
@@ -417,9 +412,9 @@ def test_a_defect_that_no_box_point_shows_fails_the_decided_checks(monkeypatch):
         return out + 1 if any(abs(x) > 4 for x in n) else out
 
     monkeypatch.setattr(fmodule, "_weight_pairing", off_far_out)
-    row = _module_row("weight_eigenvalue", ms, (2, 2, 2))
+    row = _module_row("weight_eigenvalue", ms)
     assert row["pass"] is False and row["defect"] == CycNumber.one().to_json()
-    assert _module_row("weight_op_constancy", ms, (2, 2, 2))["pass"]
+    assert _module_row("weight_op_constancy", ms)["pass"]
 
 
 def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
@@ -435,8 +430,8 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
 
     monkeypatch.setattr(GlModule, "outer_image", doubled)
     for name, witnesses in [("weight_op_bracket", None), ("weight_op_constancy", [6, 4, 4])]:
-        for i, (ms, box) in enumerate(_control_modules()):
-            row = _module_row(name, ms, box)
+        for i, ms in enumerate(_control_modules()):
+            row = _module_row(name, ms)
             assert row["pass"] is False and row["defect"] != "0", (name, ms.label())
             if witnesses is not None:
                 want = CycNumber.rational(witnesses[i]).to_json()
@@ -456,22 +451,20 @@ def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatc
         (
             ModuleSpec(SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
                        TwistCharacter(SPEC_II, 3, (1, 0)), "G_g"),
-            (2, 2),
             4 + 2 * root_of_unity(3, 1),
         ),
         (
             ModuleSpec(SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
                        TwistCharacter(SPEC_III, 4, (3, 0, 0)), "G_g"),
-            (2, 2, 2),
             2 - 2 * root_of_unity(4, 1),
         ),
     ]
-    for ms, box, _ in cases:
-        assert _module_row("diagonal_intertwiner", ms, box)["pass"], ms.label()
+    for ms, _ in cases:
+        assert _module_row("diagonal_intertwiner", ms)["pass"], ms.label()
     monkeypatch.setattr(fmodule, "_inner_phase", f_g_rule)
-    for ms, box, witness in cases:
+    for ms, witness in cases:
         assert intertwiner_check(ms) == {"pass": False, "defect": witness}, ms.label()
-        row = _module_row("diagonal_intertwiner", ms, box)
+        row = _module_row("diagonal_intertwiner", ms)
         assert row["pass"] is False and row["defect"] != "0", ms.label()
 
 
@@ -531,33 +524,33 @@ def test_extract_twist_round_trip_fails_when_the_twist_leaves_the_inner_rule(mon
 
     cases = [
         (SPEC_II, parse_module(2, "sym:2"), [0, Fraction(1, 3)],
-         TwistCharacter(SPEC_II, 3, (0, 2)), (2, 2)),
+         TwistCharacter(SPEC_II, 3, (0, 2))),
         (SPEC_III, parse_module(3, "natural"), [Fraction(1, 2), 0, Fraction(1, 3)],
-         TwistCharacter(SPEC_III, 4, (3, 0, 0)), (2, 2, 2)),
+         TwistCharacter(SPEC_III, 4, (3, 0, 0))),
     ]
     modules = [
-        (ModuleSpec(spec, V, alpha, g, flavor), box)
-        for spec, V, alpha, g, box in cases
+        ModuleSpec(spec, V, alpha, g, flavor)
+        for spec, V, alpha, g in cases
         for flavor in ("G_g", "F_g")
     ]
-    for ms, box in modules:
-        assert _module_row("extract_twist_round_trip", ms, box)["pass"], ms.label()
+    for ms in modules:
+        assert _module_row("extract_twist_round_trip", ms)["pass"], ms.label()
     monkeypatch.setattr(fmodule, "_inner_phase", f_rule)
-    for ms, box in modules:
-        row = _module_row("extract_twist_round_trip", ms, box)
+    for ms in modules:
+        row = _module_row("extract_twist_round_trip", ms)
         assert row["pass"] is False and row["defect"] == CycNumber.one().to_json(), ms.label()
 
 
 def test_section3_suite_passes_on_all_flavors():
     ms = plain_module(SPEC_I)
-    assert all(r["pass"] for r in checks.section3_suite(ms, BOX2, 11, 40))
+    assert all(r["pass"] for r in checks.section3_suite(ms, 11, 40))
 
     g = TwistCharacter(SPEC_I, 2, (1, 0))
     msG = ModuleSpec(SPEC_I, parse_module(2, "natural"), [0, 0], g, "G_g")
-    assert all(r["pass"] for r in checks.section3_suite(msG, BOX2, 11, 40))
+    assert all(r["pass"] for r in checks.section3_suite(msG, 11, 40))
 
     msF = ModuleSpec(SPEC_I, parse_module(2, "natural"), [0, 0], g, "F_g")
-    reports = checks.section3_suite(msF, BOX2, 11, 40)
+    reports = checks.section3_suite(msF, 11, 40)
     assert all(r["pass"] for r in reports)
     iq = [r for r in reports if r["check"] == "inner_quadratic_relation"]
     assert iq and "note" in iq[0]
@@ -565,7 +558,7 @@ def test_section3_suite_passes_on_all_flavors():
 
 def test_section4_suite_flavors_and_skips():
     ms = plain_module(SPEC_I)
-    reports = checks.section4_suite(ms, BOX2, 13, 40)
+    reports = checks.section4_suite(ms, 13, 40)
     assert all(r["pass"] for r in reports)
     # plain flavor: recursion and the diagonal comparison both actually run
     by_name = {r["check"]: r for r in reports}
@@ -574,7 +567,7 @@ def test_section4_suite_flavors_and_skips():
 
     g = TwistCharacter(SPEC_II, 3, (2, 1))
     msF = ModuleSpec(SPEC_II, parse_module(2, "natural"), [0, 0], g, "F_g")
-    reports = checks.section4_suite(msF, BOX2, 13, 40)
+    reports = checks.section4_suite(msF, 13, 40)
     assert all(r["pass"] for r in reports)
     by_name = {r["check"]: r for r in reports}
     assert "note" in by_name["zero_mode_recursion"]
@@ -584,7 +577,7 @@ def test_section4_suite_flavors_and_skips():
 
 def test_irreducibility_suite_reports_both_directions():
     ms = plain_module(SPEC_I)
-    reports = checks.irreducibility_suite(ms, BOX2, 17, 40)
+    reports = checks.irreducibility_suite(ms, 17, 40)
     by_name = {r["check"]: r for r in reports}
     assert by_name["irreducibility_evidence"]["pass"]
     assert by_name["reducible_fixture_detected"]["pass"]
@@ -592,28 +585,28 @@ def test_irreducibility_suite_reports_both_directions():
 
 def test_run_suites_sorted_and_unknown_name_raises():
     ms = plain_module(SPEC_I)
-    reports = checks.run_suites(SPEC_I, ms, BOX2, 19, 25, ["lie", "cocycle"])
+    reports = checks.run_suites(ms, 19, 25, ["lie", "cocycle"])
     names = [r["check"] for r in reports]
     assert names == sorted(names)
     summary = checks.summarize(reports)
     assert summary["total"] == len(reports)
     assert summary["pass"] is True
     # the selector is a set: a repeated name runs its suite once
-    twice = checks.run_suites(SPEC_I, ms, BOX2, 19, 25, ["cocycle", "lie", "cocycle"])
+    twice = checks.run_suites(ms, 19, 25, ["cocycle", "lie", "cocycle"])
     assert twice == reports
 
     from qtorus.errors import ConfigError
 
     with pytest.raises(ConfigError):
-        checks.run_suites(SPEC_I, ms, BOX2, 19, 25, ["nope"])
+        checks.run_suites(ms, 19, 25, ["nope"])
 
 
 def test_reports_are_deterministic():
     ms = plain_module(SPEC_I)
-    a = checks.run_suites(SPEC_I, ms, BOX2, 23, 30, ["cocycle", "module"])
-    b = checks.run_suites(SPEC_I, ms, BOX2, 23, 30, ["cocycle", "module"])
+    a = checks.run_suites(ms, 23, 30, ["cocycle", "module"])
+    b = checks.run_suites(ms, 23, 30, ["cocycle", "module"])
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    c = checks.run_suites(SPEC_I, ms, BOX2, 24, 30, ["cocycle", "module"])
+    c = checks.run_suites(ms, 24, 30, ["cocycle", "module"])
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
 

@@ -518,6 +518,35 @@ def test_golden_stdout(tmp_path, name):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def module_suites_stdout(tmp_path_factory):
+    """verify --suite MODULE_SUITES's stdout on a golden config, once per
+    config and box radius."""
+    seen = {}
+
+    def run(name, radius):
+        if (name, radius) not in seen:
+            cfg = dict(GOLDEN[name][0])
+            cfg["box"] = [radius] * cfg["torus"]["d"]
+            path = write_config(tmp_path_factory.mktemp("box"), cfg)
+            seen[name, radius] = run_cli("verify", "--config", path, "--suite", MODULE_SUITES)
+        return seen[name, radius]
+
+    return run
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", ["verify-i-F-corrupt", "verify-ii-Gg-corrupt"])
+def test_the_box_does_not_change_a_failing_verify_report(module_suites_stdout, name, radius):
+    """The module suites read no degree box: on the corrupt-cocycle goldens,
+    whose rows fail and print their witnesses, every radius gives the stdout
+    of the golden config's own box."""
+    own = GOLDEN[name][0]["box"][0]
+    res, ref = module_suites_stdout(name, radius), module_suites_stdout(name, own)
+    assert res.returncode == ref.returncode == 1 and res.stderr == ""
+    assert res.stdout == ref.stdout
+
+
 def _with(section, key, value):
     cfg = json.loads(json.dumps(INSTANCE_FG))
     (cfg if section is None else cfg[section])[key] = value

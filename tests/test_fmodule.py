@@ -21,7 +21,6 @@ from qtorus.fmodule import (
     ModuleSpec,
     TwistCharacter,
     act,
-    box_points,
     c2_product_expr,
     expr_commutator,
     expr_defect_at,
@@ -68,7 +67,6 @@ SPEC_II = TorusSpec.from_upper(2, 3, {(0, 1): 1})
 SPEC_III = TorusSpec.from_upper(3, 4, {(0, 1): 1, (0, 2): 2, (1, 2): 0})
 SPEC_III_CORRUPT = TorusSpec(3, 4, SPEC_III.A, corrupt_sigma=True)
 BOX2 = (3, 3)
-BOX3 = (3, 3, 3)
 
 
 def sub_rng(seed, label):
@@ -82,10 +80,18 @@ def plain_module(spec, V=None, alpha=None):
     return ModuleSpec(spec, V, alpha, TwistCharacter.trivial(spec), "F")
 
 
-def suite_row(suite, check, ms, box, samples, seed=20260819):
+def suite_row(suite, check, ms, samples, seed=20260819):
     """The report row of one check from a seeded run of its suite."""
-    (row,) = [r for r in suite(ms, box, seed, samples) if r["check"] == check]
+    (row,) = [r for r in suite(ms, seed, samples) if r["check"] == check]
     return row
+
+
+def box_points(box, *offsets):
+    """The points n of the box, in lexicographic order, with n + off inside
+    the box for every given offset."""
+    lo = [max([-r] + [-r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    hi = [min([r] + [r - off[i] for off in offsets]) for i, r in enumerate(box)]
+    return list(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
 
 
 def test_act_inner_frozen_value():
@@ -601,17 +607,17 @@ def test_lambda_g_relation_frozen():
 def test_extract_twist_round_trips():
     rng = sub_rng(20260819, "extract")
     ms = plain_module(SPEC_I)
-    assert extract_twist(ms, BOX2, rng).is_trivial
-    for spec, box, modulus, exps in (
-        (SPEC_I, BOX2, 2, (1, 0)),
-        (SPEC_I, BOX2, 2, (1, 1)),
-        (SPEC_II, BOX2, 3, (1, 2)),
-        (SPEC_II, BOX2, 3, (2, 2)),
+    assert extract_twist(ms, rng).is_trivial
+    for spec, modulus, exps in (
+        (SPEC_I, 2, (1, 0)),
+        (SPEC_I, 2, (1, 1)),
+        (SPEC_II, 3, (1, 2)),
+        (SPEC_II, 3, (2, 2)),
     ):
         g = TwistCharacter(spec, modulus, exps)
         for flavor in ("G_g", "F_g"):
             ms2 = ModuleSpec(spec, natural(spec.d), (0,) * spec.d, g, flavor)
-            got = extract_twist(ms2, box, rng)
+            got = extract_twist(ms2, rng)
             assert got.modulus == modulus and got.exponents == exps
 
 
@@ -620,7 +626,7 @@ def test_extract_twist_reduces_conductor():
     # at the primitive conductor
     g = TwistCharacter(SPEC_II, 6, (2, 4))
     ms = ModuleSpec(SPEC_II, natural(2), (0, 0), g, "G_g")
-    got = extract_twist(ms, BOX2, sub_rng(20260819, "extract-reduce"))
+    got = extract_twist(ms, sub_rng(20260819, "extract-reduce"))
     assert got.modulus == 3 and got.exponents == (1, 2)
 
 
@@ -671,11 +677,11 @@ def _zero_modes_commutator(ms, r, s):
 
 def test_relation_checks_vanish_on_samples():
     rng = sub_rng(20260819, "relations")
-    for spec, box in ((SPEC_I, BOX2), (SPEC_II, BOX2), (SPEC_III, BOX3)):
+    for spec in (SPEC_I, SPEC_II, SPEC_III):
         ms = plain_module(spec)
-        row = suite_row(checks.module_suite, "ideal_relations", ms, box, 25)
+        row = suite_row(checks.module_suite, "ideal_relations", ms, 25)
         assert row["pass"] and row["defect"] == "0" and row["samples"] == 25
-        row = suite_row(checks.section3_suite, "inner_quadratic_relation", ms, box, 64)
+        row = suite_row(checks.section3_suite, "inner_quadratic_relation", ms, 64)
         assert row["pass"] and row["samples"] == 8
         d = spec.d
         for _ in range(8):
@@ -689,7 +695,7 @@ def test_relation_checks_vanish_for_twisted_flavor():
     rng = sub_rng(20260819, "relations-g")
     g = TwistCharacter(SPEC_II, 3, (1, 2))
     ms = ModuleSpec(SPEC_II, natural(2), (0, 0), g, "G_g")
-    assert suite_row(checks.module_suite, "ideal_relations", ms, BOX2, 20)["pass"]
+    assert suite_row(checks.module_suite, "ideal_relations", ms, 20)["pass"]
     for _ in range(6):
         r = tuple(rng.randint(-2, 2) for _ in range(2))
         s = tuple(rng.randint(-2, 2) for _ in range(2))
@@ -698,9 +704,9 @@ def test_relation_checks_vanish_for_twisted_flavor():
 
 
 def test_zero_mode_ideal_and_bracket_checks():
-    for spec, box in ((SPEC_I, BOX2), (SPEC_II, BOX2), (SPEC_III, BOX3)):
+    for spec in (SPEC_I, SPEC_II, SPEC_III):
         ms = plain_module(spec)
-        rows = {r["check"]: r for r in checks.section3_suite(ms, box, 20260819, 48)}
+        rows = {r["check"]: r for r in checks.section3_suite(ms, 20260819, 48)}
         for name in ("zero_mode_ideal", "weight_op_bracket"):
             assert rows[name]["pass"] and rows[name]["samples"] == 6, name
         # degenerate cases: weight operators of degree zero commute, and a
@@ -725,15 +731,14 @@ def test_module_axiom_all_flavors():
         ModuleSpec(SPEC_I, natural(2), (0, 0), g2, "F_g"),
     ]
     for ms in cases:
-        box = (3,) * ms.spec.d
-        row = suite_row(checks.module_suite, "module_axiom", ms, box, 30)
+        row = suite_row(checks.module_suite, "module_axiom", ms, 30)
         assert row["pass"] and row["samples"] == 30
 
 
 def test_weight_eigenvalue_check_runs():
     alpha = (CycNumber.rational(Fraction(2, 3)), CycNumber.rational(-1))
     ms = plain_module(SPEC_II, alpha=alpha)
-    assert suite_row(checks.module_suite, "weight_eigenvalue", ms, (2, 2), 8)["pass"]
+    assert suite_row(checks.module_suite, "weight_eigenvalue", ms, 8)["pass"]
 
 
 def test_weight_shift_bijection():
@@ -741,10 +746,10 @@ def test_weight_shift_bijection():
     # the transport t^(r-s) from s = (0,1) to r = (1,0) scales by
     # sigma(r-s, s): exponent A[1][0] * (-1) * 0 = 0, so 1
     assert symbol(op_torus(SPEC_I, (1, -1)), (0, 1), ms_i) == [[1, 0], [0, 1]]
-    for ms, r, s, box in (
-        (ms_i, (1, 0), (0, 1), BOX2),
-        (ms_i, (0, 0), (1, 1), BOX2),
-        (plain_module(SPEC_III), (1, 0, 0), (0, 1, 1), BOX3),
+    for ms, r, s in (
+        (ms_i, (1, 0), (0, 1)),
+        (ms_i, (0, 0), (1, 1)),
+        (plain_module(SPEC_III), (1, 0, 0), (0, 1, 1)),
     ):
         spec = ms.spec
         delta = tuple(a - b for a, b in zip(r, s))
@@ -753,7 +758,7 @@ def test_weight_shift_bijection():
         assert expr_defect_at(there, ms, s, spec.sigma(delta, s)) is None
         round_trip = expr_of(op_torus(spec, back), op_torus(spec, delta))
         assert expr_defect_at(round_trip, ms, s, spec.sigma(delta, back)) is None
-        row = suite_row(checks.section3_suite, "weight_shift", ms, box, 80)
+        row = suite_row(checks.section3_suite, "weight_shift", ms, 80)
         assert row["pass"] and row["samples"] == 10
 
 
@@ -777,13 +782,13 @@ def test_a_sum_that_every_basis_vector_generates_fails_both_probes(spec):
     """natural + natural in a basis none of whose vectors lies in a proper
     submodule: closing start vectors would call it irreducible, the algebra
     closure does not."""
-    d, box = spec.d, (2,) * spec.d
+    d = spec.d
     ms = plain_module(spec, V=conjugated_sum(d))
     rep = irreducibility_evidence(ms)
     assert not rep["pass"]
     assert (rep["algebra_dim"], rep["end_dim"]) == (d * d, 4 * d * d)
     assert rep["weight_ops_constant"] and rep["transports_bijective"]
-    row = suite_row(checks.module_suite, "gl_cyclicity_probe", ms, box, 4)
+    row = suite_row(checks.module_suite, "gl_cyclicity_probe", ms, 4)
     assert not row["pass"] and row["samples"] == d * d
     assert row["note"] == f"algebra of dimension {d * d} of {4 * d * d}"
 

@@ -64,6 +64,25 @@ def test_sigma_matches_factor_product_oracle(spec):
         assert spec.comm_factor(n, m) == spec.sigma(n, m) / spec.sigma(m, n)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC_I, SPEC_II, SPEC_III, TorusSpec.from_upper(3, 7, {(0, 1): 1, (0, 2): 2, (1, 2): 3})],
+    ids=["i", "ii", "iii", "d3-N7"],
+)
+def test_sigma_forms_are_the_cocycle_exponents_in_each_argument(spec):
+    """sigma(k, .) and sigma(., k) are zeta_N to linear forms in the other
+    argument: dotted with n, _sigma_forms(k) gives sigma_exp(k, n) and
+    sigma_exp(n, k) mod N."""
+    rng = random.Random(20261021)
+    for _ in range(60):
+        k = tuple(rng.randint(-9, 9) for _ in range(spec.d))
+        n = tuple(rng.randint(-9, 9) for _ in range(spec.d))
+        left, right = spec._sigma_forms(k)
+        assert all(0 <= x < spec.N for x in left + right)
+        assert sum(a * x for a, x in zip(left, n)) % spec.N == spec.sigma_exp(k, n)
+        assert sum(a * x for a, x in zip(right, n)) % spec.N == spec.sigma_exp(n, k)
+
+
 @pytest.mark.parametrize("spec", [SPEC_I, SPEC_II, SPEC_III])
 def test_bicharacter_laws(spec):
     rng = random.Random(7)
