@@ -12,7 +12,7 @@ constant is the factor times sigma = zeta_N^k, at degree a + b (_constants).
 tmul and tcomm below, dact and dbracket in derivations and gbracket in
 semidirect are its bilinear extension (_extend).
 
-The kernel reads each operand in its ring form (_flatten): its basis terms
+The kernel reads each operand in its ring form (_Graded.form): its basis terms
 (kind, degree, coefficient), each coefficient as (index, count) pairs of the
 group ring Z[Z/L] over one common denominator, with L the lcm of N and the
 conductors of the coefficients.  A coefficient enters as its power-basis
@@ -56,8 +56,8 @@ the lcm could need a larger field than their value, and a result would then
 raise ConductorLimitExceeded or not by whether an operand had been read or
 zero-tested before.  The zero test and the first nonzero coefficient in
 witness order (_witness_key: inner, then Witt, then torus terms) fold
-components in that order up to the first nonzero one (_Graded.first), once
-per store, so a zero bracket is never read out.
+components in that order up to the first nonzero one (_Graded.first), so a
+zero bracket is never read out.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ TORUS, INNER, WITT = 0, 1, 2  # basis kinds; WITT + i is the term t^r d_i
 
 _new = object.__new__
 _ZERO = CycNumber.zero()
-_UNSET = object()
 
 
 def _witness_key(term):
@@ -116,11 +115,11 @@ def _constants(spec: TorusSpec, kx, a, ky, b, product):
 
 class _Graded:
     """The graded store: (kind, degree) -> counts over Z/L, over one
-    denominator, the values of the components folded so far (folded), the
-    first nonzero value in witness order once it is known (lead) and, for a
-    pair's store, the read-out its two parts share once it is made (out)."""
+    denominator, the values of the components folded so far (folded) and,
+    for a pair's store, the read-out its two parts share once it is made
+    (out)."""
 
-    __slots__ = ("spec", "L", "den", "sums", "folded", "lead", "out")
+    __slots__ = ("spec", "L", "den", "sums", "folded", "out")
 
     def __init__(self, spec: TorusSpec, L: int, den: int, sums: dict, folded=None):
         self.spec = spec
@@ -128,7 +127,6 @@ class _Graded:
         self.den = den
         self.sums = sums
         self.folded = {} if folded is None else folded
-        self.lead = _UNSET
         self.out = None
 
     def parts(self):
@@ -159,17 +157,13 @@ class _Graded:
 
     def first(self):
         """The first nonzero value in witness order (_witness_key), None when
-        every component reads zero; the walk stops there, and is made once."""
-        lead = self.lead
-        if lead is _UNSET:
-            lead = None
-            keys = [key for key, counts in self.sums.items() if any(counts)]
-            if keys:
-                keys.sort(key=_witness_key)
-                for _, lead in self._values(keys):
-                    break
-            self.lead = lead
-        return lead
+        every component reads zero; the walk stops there."""
+        keys = [key for key, counts in self.sums.items() if any(counts)]
+        if keys:
+            keys.sort(key=_witness_key)
+            for _, c in self._values(keys):
+                return c
+        return None
 
     def read(self):
         """(torus terms, inner terms, witt vectors) of the nonzero components."""
@@ -185,9 +179,11 @@ class _Graded:
         return torus, inner, {r: tuple(u) for r, u in witt.items()}
 
     def form(self):
-        """The ring form of the stored sum (see _flatten), less inner terms at
-        radical degrees: each component's nonzero counts, with no fold, or
-        its value, as _flatten gives a coefficient, once it is folded."""
+        """The ring form of the stored sum: (L, den, ring terms), each ring
+        term (kind, degree, (index, count) pairs of Z[Z/L] over den), less
+        inner terms at radical degrees.  A component gives its nonzero
+        counts, with no fold, or, once it is folded, its value's numerators
+        at the multiples of L/M."""
         L, den, folded, radical = self.L, self.den, self.folded, self.spec._radical_point
         ring = []
         for (kind, n), counts in self.sums.items():
@@ -200,11 +196,12 @@ class _Graded:
         return L, den, ring
 
     def folded_form(self):
-        """The ring form of the components' folded values (see _flatten), at
-        the lcm of N and their conductors: what a lift to a larger L is taken
-        from, so it carries no counts that only a larger field can fold.  The
+        """The ring form (form) of the components' folded values, at the lcm
+        of N and their conductors: what a lift to a larger L is taken from,
+        so it carries no counts that only a larger field can fold.  The
         values are not kept: an operand's store is left as it was."""
-        return _flatten(self.spec, [key + (c,) for key, c in self._values(self.sums, False)])
+        values = [key + (c,) for key, c in self._values(self.sums, False)]
+        return _store_of(self.spec, values).form()
 
 
 class _Part(_Graded):
@@ -238,18 +235,6 @@ def _bounds(spec: TorusSpec, terms):
         if den % c.den:
             den = lcm(den, c.den)
     return L, den
-
-
-def _flatten(spec: TorusSpec, terms):
-    """The ring form of a sum of basis terms (kind, degree, coefficient):
-    (L, den, ring terms), at the sum's _bounds, with each coefficient as
-    (index, count) pairs of Z[Z/L] over den."""
-    L, den = _bounds(spec, terms)
-    ring = [
-        (kind, n, [(j * (L // c.M), a * (den // c.den)) for j, a in enumerate(c.num) if a])
-        for kind, n, c in terms
-    ]
-    return L, den, ring
 
 
 def _store_of(spec: TorusSpec, terms) -> _Graded:
@@ -415,7 +400,7 @@ class _Element:
         return cls(spec)
 
     def _form(self):
-        """The ring form of the element (see _flatten), taken off its store
+        """The ring form of the element (_Graded.form), taken off its store
         on first use."""
         form = self._ring_form
         if form is None:

@@ -337,6 +337,13 @@ def _radical_brute_force(inst, rng):
 # -- lie suite -------------------------------------------------------------------
 
 
+def _jacobi(bracket, x, y, z):
+    """The first coefficient of [[x, y], z] + [[y, z], x] + [[z, x], y]."""
+    return _first_coeff(
+        bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+    )
+
+
 @_check("lie", _all)
 def _torus_associativity(inst, rng):
     spec = inst.spec
@@ -358,12 +365,7 @@ def _torus_commutation_rule(inst, rng):
 
 @_check("lie", _all)
 def _torus_commutator_jacobi(inst, rng):
-    spec = inst.spec
-    a = _rand_torus_elt(rng, spec)
-    b = _rand_torus_elt(rng, spec)
-    c = _rand_torus_elt(rng, spec)
-    diff = tcomm(tcomm(a, b), c) + tcomm(tcomm(b, c), a) + tcomm(tcomm(c, a), b)
-    return _first_coeff(diff)
+    return _jacobi(tcomm, *(_rand_torus_elt(rng, inst.spec) for _ in range(3)))
 
 
 @_check("lie", _all)
@@ -378,16 +380,7 @@ def _derivation_leibniz(inst, rng):
 
 @_check("lie", _all)
 def _derivation_jacobi(inst, rng):
-    spec = inst.spec
-    x = _rand_der(rng, spec)
-    y = _rand_der(rng, spec)
-    z = _rand_der(rng, spec)
-    diff = (
-        dbracket(dbracket(x, y), z)
-        + dbracket(dbracket(y, z), x)
-        + dbracket(dbracket(z, x), y)
-    )
-    return _first_coeff(diff)
+    return _jacobi(dbracket, *(_rand_der(rng, inst.spec) for _ in range(3)))
 
 
 @_check("lie", _all)
@@ -401,16 +394,7 @@ def _inner_action_is_commutator(inst, rng):
 
 @_check("lie", _all)
 def _pair_jacobi(inst, rng):
-    spec = inst.spec
-    x = _rand_pair_elt(rng, spec)
-    y = _rand_pair_elt(rng, spec)
-    z = _rand_pair_elt(rng, spec)
-    diff = (
-        gbracket(gbracket(x, y), z)
-        + gbracket(gbracket(y, z), x)
-        + gbracket(gbracket(z, x), y)
-    )
-    return _first_coeff(diff)
+    return _jacobi(gbracket, *(_rand_pair_elt(rng, inst.spec) for _ in range(3)))
 
 
 @_check("lie")

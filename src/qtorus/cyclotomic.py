@@ -15,7 +15,8 @@ fold, and so is the read-out of root counts.  Division uses the same fold:
 1/x is den * R / N for x = num / den, where R is the product of the Galois
 conjugates of num other than num itself (each one an index map on root
 counts, then the fold) and N = num * R is the norm of num, an integer.  A
-lift to M2 reads each numerator's row zeta_M2^(j M2/M) off the power table.
+lift to M2 is an index map too: numerator j counts zeta_M2^(j M2/M), and
+the counts are folded.
 
 Arithmetic never lowers a conductor, so one value can be held at several
 conductors; only the read-out of root counts (from_root_counts) picks the
@@ -38,6 +39,7 @@ import os
 import threading
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ConductorLimitExceeded, ConfigError, NotDivisible, NotRootOfUnity
 
@@ -339,16 +341,12 @@ class CycNumber:
         if M2 % self.M:
             raise NotDivisible(f"conductor {self.M} does not divide {M2}")
         f, ratio = _field(M2), M2 // self.M
-        out = [0] * f.phi
-        for j, c in enumerate(self.num):
-            if c:
-                for i, r in enumerate(f.powers[j * ratio]):
-                    if r:
-                        out[i] += c * r
+        counts = [0] * max(f.phi, (len(self.num) - 1) * ratio + 1)
+        counts[: len(self.num) * ratio : ratio] = self.num
         # Z[zeta_M] is the ring of integers of Q(zeta_M) and its power basis
         # an integral basis, so a numerator vector with no common factor with
         # den keeps none at M2: the lifted form is already canonical.
-        return _make(M2, tuple(out), self.den)
+        return _make(M2, _fold(f, counts), self.den)
 
     @staticmethod
     def _common(a: "CycNumber", b: "CycNumber"):
@@ -366,35 +364,28 @@ class CycNumber:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = CycNumber._common(self, o)
         da, db = a.den, b.den
         if da == db:
-            return _reduced(a.M, tuple([x + y for x, y in zip(a.num, b.num)]), da)
+            return _reduced(a.M, tuple(map(add if sign == 1 else sub, a.num, b.num)), da)
         g = gcd(da, db)
-        fa, fb = db // g, da // g
+        fa, fb = db // g, sign * (da // g)
         return _reduced(
             a.M, tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]), da * fa
         )
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = CycNumber._common(self, o)
-        da, db = a.den, b.den
-        if da == db:
-            return _reduced(a.M, tuple([x - y for x, y in zip(a.num, b.num)]), da)
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        return _reduced(
-            a.M, tuple([x * fa - y * fb for x, y in zip(a.num, b.num)]), da * fa
-        )
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -66,7 +66,6 @@ beta, delta = alpha - beta, and solves for c (_solve_character).
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
 from math import gcd, lcm, prod
 
 from .algebra import TorusElement
@@ -77,7 +76,7 @@ from .glmodules import GlModule, algebra_dim, mat_add, mat_eq, mat_mul
 from .glmodules import mat_sub, mat_vec, matrix_as_scalar
 from .lattice import hnf_rows, in_box, kernel_mod, neg, rand_point, rand_nonzero_point
 from .lattice import rand_radical_point, shift, units
-from .semidirect import GElement
+from .semidirect import GElement, inner_minus
 from .torus import TorusSpec
 
 _ZERO = CycNumber.zero()
@@ -93,10 +92,15 @@ class DiagonalCharacter:
     __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus: int, exponents):
+        if type(modulus) is not int:
+            raise ConfigError(f"character modulus {modulus!r} must be an integer")
         if modulus < 1:
             raise ConfigError("character modulus must be positive")
+        exponents = tuple(exponents)
+        if any(type(k) is not int for k in exponents):
+            raise ConfigError(f"character exponents {list(exponents)!r} must be integers")
         self.modulus = modulus
-        self.exponents = tuple(int(k) % modulus for k in exponents)
+        self.exponents = tuple(k % modulus for k in exponents)
 
     def value(self, n) -> CycNumber:
         e = sum(k * x for k, x in zip(self.exponents, n))
@@ -608,7 +612,7 @@ def _points(terms, ms: ModuleSpec):
         pivots = [row[i] for i, row in enumerate(basis)]
     # op.rows is set exactly for a factor with a Witt term
     T = max((sum(op.rows is not None for op in term) for _, term in terms), default=0)
-    grid = [j for j in _iproduct(range(T + 1), repeat=d) if sum(j) <= T]
+    grid = _simplex(d, T)
 
     def point(i):
         c, g = divmod(i, len(grid))
@@ -618,6 +622,13 @@ def _points(terms, ms: ModuleSpec):
         return tuple([x + N * j for x, j in zip(n, grid[g])])
 
     return prod(pivots) * len(grid), point
+
+
+def _simplex(d: int, T: int) -> list:
+    """The points j >= 0 of Z^d with |j| <= T, in lexicographic order."""
+    if d == 0:
+        return [()]
+    return [(a, *j) for a in range(T + 1) for j in _simplex(d - 1, T - a)]
 
 
 def _expr_symbols(terms, n):
@@ -780,20 +791,14 @@ def torus_product_relation_expr(ms: ModuleSpec, m, n) -> list:
     )
 
 
-def _inner_minus_torus_expr(ms: ModuleSpec, k) -> list:
-    spec = ms.spec
-    k = spec._point(k)
-    return expr_sum(expr_of(op_inner(spec, k)), expr_neg(expr_of(op_torus(spec, k))))
-
-
 def c2_product_expr(ms: ModuleSpec, n, m) -> list:
-    """(ad t^n - t^n)(ad t^m - t^m) + sigma(m,n)(ad t^(m+n) - t^(m+n))."""
+    """c2(t^n) c2(t^m) + sigma(m,n) c2(t^(m+n)), with c2(t^k) = (ad t^k, -t^k)
+    the second torus copy (semidirect.inner_minus)."""
     spec = ms.spec
     n, m = spec._point(n), spec._point(m)
-    nm = shift(n, m)
     return expr_sum(
-        expr_mul(_inner_minus_torus_expr(ms, n), _inner_minus_torus_expr(ms, m)),
-        expr_scale(_inner_minus_torus_expr(ms, nm), spec.sigma(m, n)),
+        expr_of(inner_minus(spec, n), inner_minus(spec, m)),
+        expr_scale(expr_of(inner_minus(spec, shift(n, m))), spec.sigma(m, n)),
     )
 
 

@@ -13,19 +13,21 @@ right-hand side.  All entries are normalized to exact cyclotomic numbers, and
 no constructor builds a module of dimension above MAX_DIM.
 
 Provided constructions: natural column vectors, their dual, symmetric and
-exterior powers of the natural module, a scalar trace twist of any module,
-and the one-dimensional trivial module.  matrix_of() assembles the image of
-an arbitrary coefficient matrix, which is how the weight-module layer uses
-these objects.  algebra_dim() is the one span closure of the package: the
-dimension of the unital algebra a set of matrices generates, which by
-Burnside's theorem is dim**2 exactly when the space is irreducible under
-them.  It decides irreducibility for the gl probe on the matrix-unit images
-and for the weight-module irreducibility probe.
+exterior powers of the natural module, the one-dimensional trivial module,
+a scalar trace twist of any module and the direct sum of two.  The first
+five are each one rule on a labelled basis (_from_rule): rule(i, j, b)
+lists the (target, coefficient) pairs that E_ij sends the basis element b
+to.  matrix_of() assembles the image of an arbitrary coefficient matrix,
+which is how the weight-module layer uses these objects.  algebra_dim() is
+the one span closure of the package: the dimension of the unital algebra a
+set of matrices generates, which by Burnside's theorem is dim**2 exactly
+when the space is irreducible under them.  It decides irreducibility for
+the gl probe on the matrix-unit images and for the weight-module
+irreducibility probe.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -267,34 +269,39 @@ class GlModule:
         return f"GlModule({self.name}, d={self.d}, dim={self.dim})"
 
 
+def _from_rule(d: int, basis, name: str, rule) -> GlModule:
+    """The module on `basis` in which E_ij sends the basis element b to the
+    sum of coefficient * target over the pairs (target, coefficient) of
+    rule(i, j, b)."""
+    basis = list(basis)
+    index = {b: t for t, b in enumerate(basis)}
+    dim = len(basis)
+    E = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            M = [[0] * dim for _ in range(dim)]
+            for col, b in enumerate(basis):
+                for target, c in rule(i, j, b):
+                    M[index[target]][col] += c
+            row.append(M)
+        E.append(row)
+    return GlModule(d, dim, E, name, basis_labels=basis)
+
+
 def natural(d: int) -> GlModule:
     _check_dim(d, "natural")
-    E = [
-        [
-            [[1 if (r == i and c == j) else 0 for c in range(d)] for r in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return GlModule(d, d, E, "natural")
+    return _from_rule(d, range(d), "natural", lambda i, j, b: [(i, 1)] if b == j else [])
 
 
 def dual(d: int) -> GlModule:
     _check_dim(d, "dual")
     # E_ij acts by minus the transposed matrix unit
-    E = [
-        [
-            [[-1 if (r == j and c == i) else 0 for c in range(d)] for r in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return GlModule(d, d, E, "dual")
+    return _from_rule(d, range(d), "dual", lambda i, j, b: [(j, -1)] if b == i else [])
 
 
 def trivial(d: int) -> GlModule:
-    E = [[[[0]] for _ in range(d)] for _ in range(d)]
-    return GlModule(d, 1, E, "trivial")
+    return _from_rule(d, range(1), "trivial", lambda i, j, b: [])
 
 
 def sym_power(d: int, k: int) -> GlModule:
@@ -302,22 +309,15 @@ def sym_power(d: int, k: int) -> GlModule:
     if k < 1:
         raise BadPower("symmetric power degree must be at least 1")
     _check_dim(comb(d + k - 1, k), f"sym:{k}")
-    basis = list(combinations_with_replacement(range(d), k))
-    index = {b: t for t, b in enumerate(basis)}
-    dim = len(basis)
-    E = [[zero_matrix(dim, dim) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            M = [[Fraction(0)] * dim for _ in range(dim)]
-            for col, mono in enumerate(basis):
-                mult = mono.count(j)
-                if not mult:
-                    continue
-                pos = mono.index(j)
-                target = tuple(sorted(mono[:pos] + mono[pos + 1 :] + (i,)))
-                M[index[target]][col] += mult
-            E[i][j] = M
-    return GlModule(d, dim, E, f"sym:{k}", basis_labels=basis)
+
+    def rule(i, j, mono):
+        mult = mono.count(j)
+        if not mult:
+            return []
+        pos = mono.index(j)
+        return [(tuple(sorted(mono[:pos] + mono[pos + 1 :] + (i,))), mult)]
+
+    return _from_rule(d, combinations_with_replacement(range(d), k), f"sym:{k}", rule)
 
 
 def ext_power(d: int, k: int) -> GlModule:
@@ -325,33 +325,17 @@ def ext_power(d: int, k: int) -> GlModule:
     if k < 1 or k > d:
         raise BadPower(f"exterior power degree {k} is outside 1..{d}")
     _check_dim(comb(d, k), f"ext:{k}")
-    basis = list(combinations(range(d), k))
-    index = {b: t for t, b in enumerate(basis)}
-    dim = len(basis)
-    E = [[zero_matrix(dim, dim) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            M = [[Fraction(0)] * dim for _ in range(dim)]
-            for col, wedge in enumerate(basis):
-                if j not in wedge:
-                    continue
-                if i in wedge and i != j:
-                    continue
-                pos = wedge.index(j)
-                replaced = wedge[:pos] + (i,) + wedge[pos + 1 :]
-                unsorted = list(replaced)
-                target = tuple(sorted(unsorted))
-                # parity of the permutation sorting `replaced`
-                inversions = sum(
-                    1
-                    for a in range(k)
-                    for b in range(a + 1, k)
-                    if unsorted[a] > unsorted[b]
-                )
-                sign = -1 if inversions % 2 else 1
-                M[index[target]][col] += sign
-            E[i][j] = M
-    return GlModule(d, dim, E, f"ext:{k}", basis_labels=basis)
+
+    def rule(i, j, wedge):
+        if j not in wedge or (i in wedge and i != j):
+            return []
+        pos = wedge.index(j)
+        replaced = wedge[:pos] + (i,) + wedge[pos + 1 :]
+        # parity of the permutation sorting `replaced`
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if replaced[a] > replaced[b])
+        return [(tuple(sorted(replaced)), -1 if inversions % 2 else 1)]
+
+    return _from_rule(d, combinations(range(d), k), f"ext:{k}", rule)
 
 
 def trace_twist(base: GlModule, c) -> GlModule:

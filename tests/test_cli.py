@@ -301,6 +301,24 @@ def test_irreducible_decides_where_no_box_reaches_the_radical(tmp_path):
     assert run_cli("irreducible", "--config", cfg, "--inner-radius", "2").returncode == 2
 
 
+def test_verify_section3_at_rank_16_lists_no_cube(tmp_path):
+    # weight_op_bracket reads its expressions at the simplex grid |j| <= 2,
+    # 153 points at rank 16; filtering the cube of 3**16 points for it took
+    # 15-20 s on a 2-core machine
+    d = 16
+    A = [[0] * d for _ in range(d)]
+    A[0][1] = A[1][0] = 1
+    cfg = write_config(tmp_path, {"torus": {"d": d, "N": 2, "A": A},
+                                  "module": {"V": "trivial", "alpha": [0] * d, "flavor": "F"},
+                                  "box": [1] * d, "seed": 1, "samples": 20})
+    t0 = time.monotonic()
+    res = run_cli("verify", "--config", cfg, "--suite", "section3")
+    elapsed = time.monotonic() - t0
+    assert res.returncode == 0 and res.stderr == ""
+    assert json.loads(res.stdout.splitlines()[-1])["failed"] == 0
+    assert elapsed < 5, elapsed
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

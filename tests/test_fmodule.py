@@ -268,11 +268,13 @@ def test_an_operator_memo_lives_only_as_long_as_its_helper_call(monkeypatch):
 
 def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, capsys):
     """The module-iii benchmark config (natural G_g module over (iii), box 2,
-    20 samples, seed 1, four suites) makes 1,255 _part_symbol evaluations:
+    20 samples, seed 1, four suites) makes 1,090 _part_symbol evaluations:
     each expression read at several weight points is compiled once
-    (expr_defects_at, expr_defects).  Read on the degree box instead of the
-    points that decide each identity, it made 1,262, compiled once per
-    point 1,942, and evaluated at every point 9,625."""
+    (expr_defects_at, expr_defects).  With the C_2 relation written as ad
+    and torus factors instead of the second torus copy's one element each,
+    it made 1,255; read on the degree box instead of the points that decide
+    each identity, 1,262; compiled once per point, 1,942; and evaluated at
+    every point, 9,625."""
     from qtorus import cli
 
     cfg = {
@@ -300,7 +302,7 @@ def test_module_iii_evaluates_each_distinct_symbol_once(tmp_path, monkeypatch, c
     suites = "module,section3,section4,irreducibility"
     assert cli.main(["verify", "--config", str(path), "--suite", suites]) == 0
     assert '"passed": 18' in capsys.readouterr().out
-    assert len(calls) == 1255
+    assert len(calls) == 1090
 
 
 def _oracle_matrix(x, n, k, ms, box):
@@ -491,6 +493,25 @@ def test_twist_character_validation():
     assert g.value((1, 1)) == CycNumber.rational(1)
     assert g.inverse().value((1, 0)) == CycNumber.rational(-1)
     assert TwistCharacter.from_json(SPEC_I, g.to_json()).value((1, 1)) == g.value((1, 1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DiagonalCharacter(4, [1.5, 0]),
+        lambda: DiagonalCharacter(2.5, [1]),
+        lambda: DiagonalCharacter(4.0, [1, 0]),
+        lambda: DiagonalCharacter(4, [Fraction(1), 0]),
+        lambda: TwistCharacter(SPEC_I, 4, [2.9, 0.2]),
+        lambda: TwistCharacter(SPEC_I, 2.0, [1, 1]),
+    ],
+    ids=["float-exponent", "float-modulus", "integral-float-modulus", "fraction-exponent",
+         "twist-float-exponents", "twist-float-modulus"],
+)
+def test_a_character_takes_only_integer_data(make):
+    """A modulus or an exponent that is not an int is refused, not truncated."""
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_module_spec_validation():
@@ -997,6 +1018,15 @@ def test_the_points_are_one_per_sigma_coset_each_read_at_its_grid(spec):
                 assert point(i) == tuple(a + N * b for a, b in zip(c, j))
             cosets.add(len(reps))
     assert max(cosets) > 1
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_the_simplex_grid_is_the_filtered_cube_in_order(d):
+    """_simplex lists the points j >= 0 with |j| <= T in the order of the
+    filtered cube, so a sampled index reads the same point."""
+    for T in range(4):
+        cube = [j for j in itertools.product(range(T + 1), repeat=d) if sum(j) <= T]
+        assert fmodule._simplex(d, T) == cube
 
 
 def test_a_sampled_read_draws_its_points_by_index(monkeypatch):
