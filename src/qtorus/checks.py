@@ -25,11 +25,13 @@ A module probe writes the identity it tests once, next to its draws, as an
 operator expression lhs - rhs over the builders of qtorus.fmodule, and reads
 it with fmodule's one evaluator: expr_defect_at on one weight space against
 c Id, expr_defects_at on several, and expr_defects at every point of the
-finite set that decides the identity on all of Z^d, or at a seeded sample
-of it (expr_first_defect: the first defect).  The one-shot rows
-weight_eigenvalue, weight_op_constancy, the t^0 tail of ideal_relations
-and the irreducibility probe read every point, so for sigma from A they
-decide.  A module suite takes the module alone: every degree a probe
+finite set that decides the identity on all of Z^d, or at a seeded sample of
+it (expr_first_defect: the first defect).  The one-shot rows
+weight_eigenvalue, weight_op_constancy, the t^0 tail of ideal_relations and
+the irreducibility probe read every point, so for sigma from A they decide.
+weight_op_constancy and part (1) of the irreducibility probe share
+fmodule.weight_op_defects, and part (3) closes V's E_ij images as the gl
+probe does.  A module suite takes the module alone: every degree a probe
 draws has a fixed radius (2 for ideal_relations and weight_shift, 1 for
 extract_twist's points), and only fmodule.act reads a degree box.
 
@@ -68,11 +70,12 @@ from .fmodule import (
     op_torus,
     op_witt,
     torus_product_relation_expr,
+    weight_op_defects,
     weight_op_expr,
     zero_mode_expr,
     zero_mode_scalar,
 )
-from .glmodules import GlModule, algebra_dim, direct_sum, natural
+from .glmodules import MAX_DIM, GlModule, direct_sum, image_algebra_dim, natural
 from .lattice import neg, rand_below, rand_nonzero_point, rand_point, rand_radical_point
 from .lattice import shift, units
 from .semidirect import (
@@ -475,9 +478,8 @@ def _algebra_fields(alg, end, failed):
 def _gl_cyclicity_probe(inst, rng):
     """Burnside: V is irreducible exactly when the images of the matrix
     units generate all of End(V)."""
-    V = inst.ms.V
-    alg = algebra_dim([M for row in V.E for M in row], V.dim)
-    return _algebra_fields(alg, V.dim**2, alg < V.dim**2)
+    alg, end = image_algebra_dim(inst.ms.V), inst.ms.V.dim**2
+    return _algebra_fields(alg, end, alg < end)
 
 
 @_check("module", _all)
@@ -621,20 +623,8 @@ def _weight_op_bracket(inst, rng):
 
 @_check("section3")
 def _weight_op_constancy(inst, rng):
-    """Weight operators: matrices constant in n and equal to the closed form."""
-    ms, spec = inst.ms, inst.spec
-    d = spec.d
-
-    def probes():
-        for rr in spec.radical().basis + ((0,) * d,):
-            scale = spec.sigma(neg(rr), rr)
-            for u in units(d):
-                expect = ms.V.matrix_of(
-                    [[scale * (u[j] * rr[i]) for j in range(d)] for i in range(d)]
-                )
-                yield from expr_defects(weight_op_expr(ms, u, rr), ms, lambda n: expect)
-
-    return _tally(probes())
+    """T'(e_i, rr) is its closed form at every radical row rr and at 0."""
+    return _tally(weight_op_defects(inst.ms, inst.spec.radical().basis + ((0,) * inst.spec.d,)))
 
 
 @_check("section3", _eighth_at_most_10)
@@ -726,14 +716,18 @@ def _irreducibility_evidence(inst, rng):
     """The irreducibility probe; the note names the first failed part."""
     rep = irreducibility_evidence(inst.ms)
     fields = _algebra_fields(rep["algebra_dim"], rep["end_dim"], not rep["pass"])
-    if not rep["weight_ops_constant"]:
-        fields["note"] = "part (1) failed: weight operators not constant in n"
+    if not rep["weight_ops_closed_form"]:
+        fields["note"] = "part (1) failed: weight operators differ from their closed form"
     elif not rep["transports_bijective"]:
         fields["note"] = "part (2) failed: transports not bijective scalings"
     return fields
 
 
-@_check("irreducibility")
+@_check(
+    "irreducibility",
+    applies=lambda inst: 2 * inst.spec.d <= MAX_DIM,
+    skip=f"skipped: natural + natural has dimension above {MAX_DIM}",
+)
 def _reducible_fixture_detected(inst, rng):
     """Distinguishing power: a reducible fixture must fail the same probe."""
     d = inst.spec.d

@@ -22,33 +22,32 @@ into a.  So a symbol is a function of e1, e2 and u.n alone, where
 sigma(k,n) = zeta_N^e1, sigma(n,k) = zeta_N^e2 and u.n = sum u_i n_i, and
 each helper that walks weight points evaluates it once per operator and
 distinct (e1, e2, u.n): a private record (_Operator) memoizes it for that
-one call.  Two symbols sharing one W are equal exactly when their (a, b)
-are, and the module code scales, adds, composes and compares symbols on
-these parts.  A dense matrix is built only where two Witt parts meet, or
-where a result is read: symbol(), weight_op_matrix(), a comparison with an
-expected matrix, the irreducibility probe's algebra closure, and the
-witness of a nonzero defect.
+one call.  Two symbols whose W are equal matrices are equal exactly when
+their (a, b) are, and the module code scales, adds, composes and compares
+symbols on these parts.  A dense matrix is built only where two unequal
+Witt parts meet, or where a result is read: symbol(), weight_op_matrix()
+and the witness of a nonzero defect.
 
 An operator expression sum_t c_t * (x_1 ... x_k) is built from one-term
 compositions expr_of(x_1, ..., x_k), empty when a factor is zero, and acts
 by the sum of c_t times the products of its factors' symbols at the shifted
 points.  Every identity that qtorus.checks verifies on a module is written
 once as an expression, lhs - rhs, and read by one evaluator: expr_defect_at
-gives its first defect on the weight space at n against c Id, or against an
-expected dim x dim matrix; expr_defects_at gives it at several (n, c) from
-one compilation of the expression, so its operator records serve them all;
-and expr_defects gives it at every point of the finite set that decides
-the expression on all of Z^d (_points): one representative per coset of the
-lattice on which every factor's sigma is constant, each read at a simplex
-grid as deep as the most Witt factors in one term, or at a seeded sample of
-those points; expr_first_defect gives the first.  A degree-zero expression,
-such as T'(u, r) or the zero mode t^(-s) ad t^s, maps each weight space to
-itself; _weight_symbol returns its symbol at n, and weight_op_matrix and
-zero_mode_scalar read through it.  The irreducibility probe reads the weight
-operators and the torus transports at the points that decide them, and
-decides whether V is irreducible under the weight-operator matrices of every
-radical row by Burnside's theorem: they must generate an algebra of
-dimension dim**2 (glmodules.algebra_dim).  The box bounds only BoxVector, a
+gives its first defect on the weight space at n against c Id or an expected
+dim x dim matrix, either made one symbol; expr_defects_at gives it at
+several (n, c) from one compilation of the expression, so its operator
+records serve them all; and expr_defects gives it at every point of the
+finite set that decides the expression on all of Z^d (_points): one
+representative per coset of the lattice on which every factor's sigma is
+constant, each read at a simplex grid as deep as the most Witt factors in
+one term, or at a seeded sample of those points; expr_first_defect gives the
+first.  A degree-zero expression, such as T'(u, r) or the zero mode t^(-s)
+ad t^s, maps each weight space to itself; _weight_symbol returns its symbol
+at n, and weight_op_matrix and zero_mode_scalar read through it.
+weight_op_defects reads each T'(e_i, rr) against its closed form; the
+irreducibility probe reads it and the torus transports at the points that
+decide them, and decides irreducibility on V itself by Burnside's theorem
+(glmodules.image_algebra_dim).  The box bounds only BoxVector, a
 box-truncated vector to which act() applies one element, dropping (and
 flagging) images pushed outside; nothing else reads one.
 
@@ -72,8 +71,8 @@ from .algebra import TorusElement
 from .cyclotomic import CycNumber, _as_coeff, root_of_unity
 from .derivations import DerElement
 from .errors import ConfigError, NotCharacter, NotScalar, SpecMismatch
-from .glmodules import GlModule, algebra_dim, mat_add, mat_eq, mat_mul
-from .glmodules import mat_sub, mat_vec, matrix_as_scalar
+from .glmodules import GlModule, image_algebra_dim, mat_add, mat_eq, mat_mul
+from .glmodules import mat_vec, matrix_as_scalar
 from .lattice import hnf_rows, in_box, kernel_mod, neg, rand_point, rand_nonzero_point
 from .lattice import rand_radical_point, shift, units
 from .semidirect import GElement, inner_minus
@@ -365,10 +364,10 @@ def _weight_pairing(ms: ModuleSpec, u, n) -> CycNumber:
 class _Symbol:
     """The matrix a*Id + b*W by which an operator maps one weight space to
     another.  W is None for a scalar matrix (b is then 0); otherwise W is
-    never a scalar matrix and b is nonzero, so two symbols sharing one W are
-    equal exactly when their (a, b) are.  W is the image of k u^T that V
-    holds (GlModule.outer_image), or the dense matrix made where two Witt
-    parts meet."""
+    never a scalar matrix and b is nonzero, so two symbols whose W are equal
+    matrices are equal exactly when their (a, b) are.  W is the image of
+    k u^T that V holds (GlModule.outer_image), an expected matrix, or the
+    dense matrix made where two unequal Witt parts meet."""
 
     __slots__ = ("a", "b", "W")
 
@@ -408,7 +407,7 @@ class _Symbol:
             return _Symbol(self.a + o.a, self.b, self.W)
         if self.W is None:
             return _Symbol(self.a + o.a, o.b, o.W)
-        if self.W is o.W:
+        if self.W == o.W:
             return _Symbol(self.a + o.a, self.b + o.b, self.W)
         dim = len(self.W)
         return _Symbol.of_matrix(mat_add(self.matrix(dim), o.matrix(dim)))
@@ -426,7 +425,7 @@ class _Symbol:
         return _Symbol.of_matrix(mat_mul(self.matrix(dim), o.matrix(dim)))
 
     def __eq__(self, o):
-        if self.W is o.W:
+        if self.W == o.W:  # both None, or equal matrices
             return self.a == o.a and self.b == o.b
         if self.W is None or o.W is None:
             return False
@@ -665,7 +664,7 @@ def expr_defect_at(expr, ms: ModuleSpec, n, c=0):
     c, or None when they agree.  c is a scalar, standing for c Id, or a
     dim x dim matrix.  Every weight space is a copy of V, so a nonzero c
     needs one net degree k, and c is the expected map from v(n) to v(n + k).
-    A scalar is compared on the symbol's parts, a matrix densely.  The
+    c is made one symbol and compared on the parts (_Symbol).  The
     defect is the first nonzero entry of the difference, by source basis
     vector, target point and coordinate."""
     return _defect_at(_compile(expr, ms), ms, tuple(n), c)
@@ -682,17 +681,17 @@ def expr_defects_at(expr, ms: ModuleSpec, points):
 
 
 def _defect_at(terms, ms: ModuleSpec, n, c=0):
-    """expr_defect_at on a compiled expression."""
+    """expr_defect_at on a compiled expression; c may also be a _Symbol."""
     images = _expr_symbols(terms, n)
-    dense = isinstance(c, list)
-    if not dense:
-        c = _as_coeff(c)
-    if dense or not c.is_zero():
+    if isinstance(c, list):
+        c = _Symbol.of_matrix([[_as_coeff(x) for x in row] for row in c])
+    elif not isinstance(c, _Symbol):
+        c = _Symbol(_as_coeff(c))
+    if not c.is_zero():
         if len(images) > 1:
             raise SpecMismatch("an expression compared with c needs one net degree")
         p = next(iter(images), n)
-        S = images.get(p, _ZERO_SYMBOL)
-        images[p] = _Symbol.of_matrix(mat_sub(S.matrix(ms.V.dim), c)) if dense else S - _Symbol(c)
+        images[p] = images.get(p, _ZERO_SYMBOL) - c
     return _first_nonzero(
         *(S.matrix(ms.V.dim) for _, S in sorted(images.items()) if not S.is_zero())
     )
@@ -744,20 +743,32 @@ def op_witt(spec, u, r) -> GElement:
 
 def weight_op_expr(ms: ModuleSpec, u, r) -> list:
     """T'(u,r) = t^(-r) D(u,r) - sigma(-r,r) D(u,0): degree zero on weights."""
-    spec = ms.spec
-    r = spec._point(r)
+    r = ms.spec._point(r)
     u = [_as_coeff(x) for x in u]
     if all(x.is_zero() for x in u):
         return []
-    zero = (0,) * spec.d
+    return _weight_op_expr(ms.spec, u, r, ms.spec.sigma(neg(r), r))
+
+
+def _weight_op_expr(spec, u, r, scale) -> list:
+    """weight_op_expr for a nonzero u, given scale = sigma(-r, r)."""
     head = expr_of(op_torus(spec, neg(r)), op_witt(spec, u, r))
-    tail = expr_scale(expr_of(op_witt(spec, u, zero)), spec.sigma(neg(r), r))
-    return expr_sum(head, expr_neg(tail))
+    return expr_sum(head, expr_scale(expr_of(op_witt(spec, u, (0,) * spec.d)), -scale))
 
 
 def weight_op_matrix(ms: ModuleSpec, u, r, n):
     """Matrix of the degree-zero weight operator on the weight space at n."""
     return _weight_symbol(weight_op_expr(ms, u, r), ms, n).matrix(ms.V.dim)
+
+
+def weight_op_defects(ms: ModuleSpec, rows):
+    """expr_defects of T'(e_i, rr), each rr in rows, against its closed form
+    sigma(-rr, rr) V(rr e_i^T), built by V.matrix_of, not from the W V holds."""
+    for rr in rows:
+        scale = ms.spec.sigma(neg(rr), rr)
+        for u in units(ms.spec.d):
+            S = _Symbol.of_matrix(ms.V.matrix_of([[x * y for y in u] for x in rr])).scale(scale)
+            yield from expr_defects(_weight_op_expr(ms.spec, u, rr, scale), ms, lambda n: S)
 
 
 def zero_mode_expr(ms: ModuleSpec, s) -> list:
@@ -900,38 +911,31 @@ def intertwiner_check(ms_G: ModuleSpec, rng=None):
 def irreducibility_evidence(ms: ModuleSpec):
     """Is every weight space an irreducible module under the weight operators?
 
-    The answer factors through three facts, each checked per run: (1) the
-    weight operators' matrices are constant in n; (2) the torus transports
-    between weight spaces are bijective scalings; (3) V is irreducible under
-    the weight-operator matrices, decided exactly by Burnside's theorem: they
-    generate an algebra of dimension dim**2 (glmodules.algebra_dim).  (1)
-    and (2) are read at every point that decides them (_points), so for
-    sigma from A the answer is a decision on all of Z^d.  T'(u, rr) is read
-    for every Hermite row rr of the radical.  Returns {'pass',
-    'weight_ops_constant', 'transports_bijective', 'algebra_dim',
-    'end_dim'}, the last two the dimension of that algebra and dim**2."""
+    (1) Each T'(e_i, rr), rr a Hermite row of the radical, is its closed
+    form (weight_op_defects); (2) the torus transports are bijective
+    scalings; (3) V's E_ij images generate an algebra of dimension dim**2
+    (glmodules.image_algebra_dim).  The rows span Q^d (the radical holds
+    N Z^d), so the rr e_i^T span gl_d and the weight operators, by (1) the
+    nonzero multiples sigma(-rr, rr) V(rr e_i^T), generate the algebra of
+    (3): by Burnside's theorem (Lang, Algebra, XVII §3) it is End(V) exactly
+    when V is irreducible.  (1) and (2) are read at every point that decides
+    them (_points): for sigma from A a decision on Z^d.  Returns {'pass',
+    'weight_ops_closed_form', 'transports_bijective', 'algebra_dim',
+    'end_dim'}, the last two that algebra's dimension and dim**2."""
     spec, d, dim = ms.spec, ms.spec.d, ms.V.dim
-    # (1) each weight operator is one matrix on every weight space
-    mats, constant = [], True
-    for rr in spec.radical().basis:
-        for u in units(d):
-            terms = _compile(weight_op_expr(ms, u, rr), ms)
-            count, point = _points(terms, ms)
-            symbols = (_expr_symbols(terms, n)[n] for n in map(point, range(count)))
-            S0 = next(symbols)
-            mats.append(S0.matrix(dim))
-            constant = constant and all(S == S0 for S in symbols)
+    # (1) each weight operator is its closed form on every weight space
+    closed = all(x is None for x in weight_op_defects(ms, spec.radical().basis))
     # (2) the transports are nonzero scalars: sigma(e, n) is a root of unity
     transports_ok = all(
         x is None
         for e in units(d)
         for x in expr_defects(expr_of(op_torus(spec, e)), ms, lambda n: spec.sigma(e, n))
     )
-    # (3) Burnside: the matrices generate End(V) exactly when V is irreducible
-    alg, end = algebra_dim(mats, dim), dim * dim
+    # (3) Burnside: V's E_ij images generate End(V) exactly when V is irreducible
+    alg, end = image_algebra_dim(ms.V), dim * dim
     return {
-        "pass": alg == end and constant and transports_ok,
-        "weight_ops_constant": constant,
+        "pass": alg == end and closed and transports_ok,
+        "weight_ops_closed_form": closed,
         "transports_bijective": transports_ok,
         "algebra_dim": alg,
         "end_dim": end,

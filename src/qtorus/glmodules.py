@@ -20,10 +20,10 @@ lists the (target, coefficient) pairs that E_ij sends the basis element b
 to.  matrix_of() assembles the image of an arbitrary coefficient matrix,
 which is how the weight-module layer uses these objects.  algebra_dim() is
 the one span closure of the package: the dimension of the unital algebra a
-set of matrices generates, which by Burnside's theorem is dim**2 exactly
-when the space is irreducible under them.  It decides irreducibility for
-the gl probe on the matrix-unit images and for the weight-module
-irreducibility probe.
+set of matrices generates, which by Burnside's theorem (Lang, Algebra, XVII
+§3) is dim**2 exactly when the space is irreducible under them.  The gl probe
+and the weight-module irreducibility probe both read it on V's E_ij images
+(image_algebra_dim).
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ class GlModule:
             for j in range(self.d):
                 c = _as_coeff(coeffs[i][j])
                 if not c.is_zero():
-                    out = mat_add(out, mat_scale(self.E[i][j], c))
+                    for (r, col), x in _sparse(self.E[i][j]).items():
+                        out[r][col] = out[r][col] + c * x
         return out
 
     def outer_image(self, r, u):
@@ -356,7 +357,8 @@ def direct_sum(a: GlModule, b: GlModule) -> GlModule:
     """Block-diagonal sum; handy as a reducible specimen."""
     if a.d != b.d:
         raise SpecMismatch("summands represent different gl ranks")
-    dim = a.dim + b.dim
+    dim, name = a.dim + b.dim, f"({a.name})+({b.name})"
+    _check_dim(dim, name)
     E = []
     for i in range(a.d):
         row = []
@@ -370,7 +372,7 @@ def direct_sum(a: GlModule, b: GlModule) -> GlModule:
                     M[a.dim + r][a.dim + c] = b.E[i][j][r][c]
             row.append(M)
         E.append(row)
-    return GlModule(a.d, dim, E, f"({a.name})+({b.name})")
+    return GlModule(a.d, dim, E, name)
 
 
 def algebra_dim(mats, dim: int) -> int:
@@ -396,6 +398,11 @@ def algebra_dim(mats, dim: int) -> int:
                     new.append(P)
         frontier = new
     return span.dim
+
+
+def image_algebra_dim(V: GlModule) -> int:
+    """algebra_dim of V's E_ij images: dim**2 exactly when V is irreducible."""
+    return algebra_dim([M for row in V.E for M in row], V.dim)
 
 
 def parse_module(d: int, selector: str) -> GlModule:

@@ -15,7 +15,15 @@ from qtorus.algebra import TorusElement
 from qtorus.cyclotomic import CycNumber, root_of_unity
 from qtorus.derivations import DerElement
 from qtorus.fmodule import ModuleSpec, TwistCharacter, intertwiner_check, search_twist_equivalence
-from qtorus.glmodules import GlModule, mat_scale, parse_module
+from qtorus.glmodules import (
+    MAX_DIM,
+    GlModule,
+    direct_sum,
+    mat_scale,
+    parse_module,
+    sym_power,
+    trivial,
+)
 from qtorus.semidirect import GElement, gbracket
 from qtorus.torus import TorusSpec
 
@@ -421,7 +429,9 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
     """Negative control.  The image W of k u^T enters T'(u, r) linearly, so
     doubling it breaks the closed form of [T'(u,r), T'(v,s)] and the closed
     form sigma(-r,r) r u^T of T'(u, r) itself; the constancy check's
-    witnesses on the three control modules are pinned."""
+    witnesses on the three control modules are pinned.  The doubled
+    operators are still constant in n, and part (1) of the irreducibility
+    probe, which reads the closed form, fails on each module."""
     outer_image = GlModule.outer_image
 
     def doubled(self, r, u):
@@ -429,13 +439,20 @@ def test_weight_op_bracket_fails_on_a_doubled_witt_image(monkeypatch):
         return (c * 2, None) if W is None else (c, mat_scale(W, 2))
 
     monkeypatch.setattr(GlModule, "outer_image", doubled)
-    for name, witnesses in [("weight_op_bracket", None), ("weight_op_constancy", [6, 4, 4])]:
+    for name, witnesses in [
+        ("weight_op_bracket", None),
+        ("weight_op_constancy", [6, 4, 4]),
+        ("irreducibility_evidence", None),
+    ]:
         for i, ms in enumerate(_control_modules()):
             row = _module_row(name, ms)
             assert row["pass"] is False and row["defect"] != "0", (name, ms.label())
             if witnesses is not None:
                 want = CycNumber.rational(witnesses[i]).to_json()
                 assert row["defect"] == want, (name, ms.label())
+            if name == "irreducibility_evidence":
+                want = "part (1) failed: weight operators differ from their closed form"
+                assert row["note"] == want, ms.label()
 
 
 def test_diagonal_intertwiner_fails_when_g_g_takes_the_f_g_inner_rule(monkeypatch):
@@ -581,6 +598,24 @@ def test_irreducibility_suite_reports_both_directions():
     by_name = {r["check"]: r for r in reports}
     assert by_name["irreducibility_evidence"]["pass"]
     assert by_name["reducible_fixture_detected"]["pass"]
+
+
+def test_the_reducible_fixture_respects_the_dimension_ceiling():
+    """direct_sum refuses a sum above MAX_DIM, as the other constructors do,
+    so reducible_fixture_detected, whose natural + natural has dimension 2d,
+    writes a skip row from d = 17 on instead of building it."""
+    from qtorus.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=f"above the ceiling of {MAX_DIM}"):
+        direct_sum(sym_power(2, 31), trivial(2))
+    assert direct_sum(sym_power(2, 30), trivial(2)).dim == MAX_DIM
+    (check,) = [c for c in checks.CHECKS if c.name == "reducible_fixture_detected"]
+    for d in (16, 17):
+        inst = checks._Instance(f"d={d}", TorusSpec.from_upper(d, 2, {(0, 1): 1}), 1)
+        assert check.applies(inst) is (d == 16)
+    row = checks._run_check(check, inst, 1)
+    assert row["pass"] and row["samples"] == 0
+    assert row["note"] == f"skipped: natural + natural has dimension above {MAX_DIM}"
 
 
 def test_run_suites_sorted_and_unknown_name_raises():

@@ -284,7 +284,7 @@ def test_irreducible_command(tmp_path):
     out = json.loads(res.stdout)
     assert out["pass"] is True
     assert out["algebra_dim"] == out["end_dim"] == 4
-    assert out["weight_ops_constant"] is True
+    assert out["weight_ops_closed_form"] is True
     assert out["transports_bijective"] is True
 
 
@@ -425,7 +425,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 6, "samples": 20},
         ["verify", "--suite", MODULE_SUITES],
         1,
-        "dcf27c7b3921a04221b518189eb44e149cfe02fa48f686a21bf9effee6ee6c2d",
+        "9f6f7b4d6c8a10f345ca90d9d9b16d40c683c2f82bf379e7e1d32c18989df82d",
     ),
     # fourteen failing rows across all six suites, the cocycle and lie ones included
     "verify-i-F-corrupt": (
@@ -434,7 +434,7 @@ GOLDEN = {
          "box": [3, 3], "seed": 7, "samples": 20},
         ["verify"],
         1,
-        "9d0239d98d4b63e3e34fce94c7debd15d0121c78170cbfbfbf8d9cb2acd55d5e",
+        "d8a6bfec0a7b5546c69ac8ac1927e1e11bfe3df70a9da91739e40d55dfb2c239",
     ),
     "search-beta-iii": (
         {"torus": INSTANCE_III_TORUS,
@@ -478,7 +478,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 4},
         ["irreducible"],
         0,
-        "62b912eac762e9b1d74cbff7dedc0d53aaf31efdae594457a17e2ba751308b54",
+        "c537f3119154a365bb5518aa5de85184ea249323806f961a549ce1977c884bab",
     ),
     "irreducible-ii-Gg-corrupt": (
         {"torus": dict(INSTANCE_II_TORUS, _corrupt_sigma=True),
@@ -487,7 +487,7 @@ GOLDEN = {
          "box": [2, 2], "seed": 6},
         ["irreducible"],
         1,
-        "7c269d264b4f5b34f286ee292cc9e3724ef1addd0e03195808710d252495fe40",
+        "dbb6c6bfc70604a019c040682bb5a91fc4b073f1707ca6ae2d5bc4015eb37142",
     ),
     "lambda-ii-Fg": (
         {"torus": INSTANCE_II_TORUS,
@@ -704,19 +704,20 @@ def test_irreducibility_algebra_dimensions_are_the_fields_of_its_rows(tmp_path, 
 
 def test_the_irreducibility_note_names_the_failed_part(tmp_path):
     """Under the corrupt cocycle of the verify-ii-Gg-corrupt golden the
-    weight operators are not constant in n, while V is irreducible: the row
-    fails and its note names part (1), not the algebra's full dimension."""
+    weight operators differ from their closed form, while V is irreducible:
+    the row fails and its note names part (1), not the algebra's full
+    dimension."""
     cfg, _args, _code, _digest = GOLDEN["verify-ii-Gg-corrupt"]
     path = write_config(tmp_path, cfg)
     res = run_cli("irreducible", "--config", path)
     rep = json.loads(res.stdout)
     assert res.returncode == 1 and rep["pass"] is False
-    assert not rep["weight_ops_constant"] and rep["transports_bijective"]
+    assert not rep["weight_ops_closed_form"] and rep["transports_bijective"]
     assert rep["algebra_dim"] == rep["end_dim"] == 9
     res = run_cli("verify", "--config", path, "--suite", "irreducibility")
     row = {r["check"]: r for r in map(json.loads, res.stdout.splitlines())}["irreducibility_evidence"]
     assert row["pass"] is False and row["samples"] == 9
-    assert row["note"] == "part (1) failed: weight operators not constant in n"
+    assert row["note"] == "part (1) failed: weight operators differ from their closed form"
 
 
 def test_every_public_name_imports_from_the_package_on_demand():

@@ -42,9 +42,11 @@ from qtorus.fmodule import (
 )
 from qtorus.fmodule import _Operator, _part_symbol, _weight_symbol
 from qtorus.glmodules import (
+    algebra_dim,
     direct_sum,
     dual,
     ext_power,
+    image_algebra_dim,
     mat_add,
     mat_eq,
     mat_mul,
@@ -328,9 +330,10 @@ def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
     """Scaled, added and composed symbols read out the matrices that
     mat_scale, mat_add and mat_mul give on symbol()'s dense matrices; a
     symbol with a Witt part W is never a scalar matrix, so symbol equality
-    and zero tests agree with the dense ones.  Every module acts by the same
-    elements, so natural and dual meet the same (k, u) and a W held by
-    anything but V would show up against the oracle."""
+    and zero tests agree with the dense ones, also where two symbols hold
+    equal but distinct W.  Every module acts by the same elements, so
+    natural and dual meet the same (k, u) and a W held by anything but V
+    would show up against the oracle."""
     rng = sub_rng(20261018, f"symbol-algebra-{spec.d}-{spec.N}")
     d = spec.d
     box = (6,) * d
@@ -365,6 +368,12 @@ def test_symbol_algebra_matches_the_dense_toolkit(spec, modulus, exps):
                 for n in rng.sample(box_points((3,) * d, r), 2):
                     S = _weight_symbol(weight_op_expr(ms, u, r), ms, n)
                     pairs.append((S, S.matrix(dim)))
+            # a copy of W is equal but distinct: compared and added on the parts
+            for S, D in pairs:
+                if S.W is not None:
+                    T = fmodule._Symbol(S.a, S.b, [list(row) for row in S.W])
+                    assert S == T and (S + T).W is S.W and (S - T).is_zero(), (V.name, flavor)
+                    assert (S + T).matrix(dim) == mat_add(D, D), (V.name, flavor)
             c = spec.root(rng.randrange(spec.N)) * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             for i, (S, D) in enumerate(pairs):
                 results = [(S.scale(c), mat_scale(D, c))]
@@ -788,14 +797,14 @@ def test_irreducibility_evidence_positive_and_negative():
         ms = plain_module(SPEC_I, V=V)
         rep = irreducibility_evidence(ms)
         assert rep["pass"], V.name
-        assert rep["weight_ops_constant"] and rep["transports_bijective"]
+        assert rep["weight_ops_closed_form"] and rep["transports_bijective"]
         assert rep["algebra_dim"] == rep["end_dim"] == V.dim**2
     red = plain_module(SPEC_I, V=direct_sum(natural(2), natural(2)))
     rep = irreducibility_evidence(red)
     assert not rep["pass"]
     assert rep["algebra_dim"] < rep["end_dim"]
     # the support checks themselves still hold for the reducible module
-    assert rep["weight_ops_constant"] and rep["transports_bijective"]
+    assert rep["weight_ops_closed_form"] and rep["transports_bijective"]
 
 
 @pytest.mark.parametrize("spec", [SPEC_I, SPEC_III], ids=["i", "iii"])
@@ -808,10 +817,41 @@ def test_a_sum_that_every_basis_vector_generates_fails_both_probes(spec):
     rep = irreducibility_evidence(ms)
     assert not rep["pass"]
     assert (rep["algebra_dim"], rep["end_dim"]) == (d * d, 4 * d * d)
-    assert rep["weight_ops_constant"] and rep["transports_bijective"]
+    assert rep["weight_ops_closed_form"] and rep["transports_bijective"]
     row = suite_row(checks.module_suite, "gl_cyclicity_probe", ms, 4)
     assert not row["pass"] and row["samples"] == d * d
     assert row["note"] == f"algebra of dimension {d * d} of {4 * d * d}"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC_I, SPEC_III, TorusSpec(3, 7, [[0, 1, 2], [6, 0, 0], [5, 0, 0]])],
+    ids=["i", "iii", "d3-N7"],
+)
+def test_the_weight_operators_generate_the_algebra_of_v(spec):
+    """Burnside reduction oracle.  The reference closure is the algebra that
+    the weight-operator matrices T'(e_i, rr) at 0 generate, rr over the
+    Hermite rows of the radical.  The rows span Q^d, so the rr e_i^T span
+    gl_d, and each T'(e_i, rr) is sigma(-rr, rr) V(rr e_i^T): the reference
+    equals the closure of V's E_ij images, which irreducibility_evidence
+    reads, on reducible and irreducible V alike."""
+    d, zero = spec.d, (0,) * spec.d
+    g = TwistCharacter(spec, spec.N, [spec.A[r][0] for r in range(d)])
+    Vs = [parse_module(d, s) for s in ("natural", "dual", "trivial", "sym:2", "ext:2")]
+    Vs += [direct_sum(natural(d), natural(d)), conjugated_sum(d)]
+    for V in Vs:
+        want = image_algebra_dim(V)
+        for flavor in FLAVORS:
+            twist = TwistCharacter.trivial(spec) if flavor == "F" else g
+            ms = ModuleSpec(spec, V, [Fraction(1, 2)] + [0] * (d - 1), twist, flavor)
+            mats = [
+                weight_op_matrix(ms, e, rr, zero)
+                for rr in spec.radical().basis
+                for e in units(d)
+            ]
+            assert algebra_dim(mats, V.dim) == want, (V.name, flavor)
+            rep = irreducibility_evidence(ms)
+            assert rep["weight_ops_closed_form"] and rep["algebra_dim"] == want
 
 
 def _scan_spec(d, N, a01=1):
@@ -935,6 +975,10 @@ def test_defect_reporting_is_first_nonzero():
     assert expr_defect_at(expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1) is None
     with pytest.raises(SpecMismatch):
         expr_defect_at(one + expr_of(op_torus(SPEC_I, (1, 0))), ms, (0, 0), 1)
+    # an expected matrix may hold plain integers: D(e_0, 0) is n_0 Id here
+    d0 = expr_of(op_witt(SPEC_I, (1, 0), (0, 0)))
+    assert expr_defect_at(d0, ms, (2, 0), [[2, 0], [0, 2]]) is None
+    assert expr_defect_at(d0, ms, (2, 0), [[2, 1], [0, 2]]) == CycNumber.rational(-1)
 
 
 def test_an_expression_read_at_several_points_is_compiled_once(monkeypatch):
